@@ -17,7 +17,9 @@ Additions required by ALT-index:
   (prefix extraction), registered listeners get ``(old_node, new_node)``
   so fast pointers can be repaired (§III-C3 scenarios ① and ②);
 - ``common_ancestor(k1, k2)`` finds the deepest node shared by two keys'
-  lookup footprints, used to build fast pointers.
+  lookup footprints, used to build fast pointers;
+- ``sorted_view()`` hands batch readers a sorted numpy view of the whole
+  tree, patched from a change delta instead of re-walked after writes.
 
 Writers acquire node write locks via non-blocking upgrade and restart on
 failure, so the protocol is deadlock-free; readers never write shared
@@ -39,6 +41,8 @@ from __future__ import annotations
 
 import threading
 from typing import Callable, Iterator, Optional
+
+import numpy as np
 
 from repro import chaos
 from repro.art.nodes import (
@@ -66,6 +70,9 @@ _HEADER = 16
 
 ReplaceListener = Callable[[object, object], None]
 
+# Delta marker for a key removed since the last sorted view.
+_REMOVED = object()
+
 
 class AdaptiveRadixTree:
     """A concurrent ART over unsigned 64-bit integer keys.
@@ -91,9 +98,14 @@ class AdaptiveRadixTree:
         self._root_lock = OptimisticLock()
         self._size = 0
         self._size_lock = threading.Lock()
-        #: Bumped on every content change; batch fast paths use it to
-        #: invalidate cached sorted views of the tree.
-        self.mutations = 0
+        # sorted_view() state: the last view handed out, the changes
+        # since (key -> value or _REMOVED; None while no view is kept)
+        # and the delta size past which both are dropped.
+        self._view: tuple[np.ndarray, np.ndarray] | None = None
+        self._delta: dict[int, object] | None = None
+        self._delta_cap = 0
+        self._delta_lock = threading.Lock()  # record vs swap/drop
+        self._view_lock = threading.Lock()  # one view builder at a time
         self._replace_listeners: list[ReplaceListener] = []
         self.epoch = EpochManager()
         self._retry = retry or DEFAULT_RETRY
@@ -159,30 +171,28 @@ class AdaptiveRadixTree:
         Returns True if the key was newly inserted.  With ``upsert`` the
         value is replaced when the key exists (still returning False).
         """
-        self.mutations += 1
-        return self._with_restarts(
+        new = self._with_restarts(
             "art.insert", lambda: self._insert(key, value, from_node, upsert)
         )
+        if (new or upsert) and self._delta is not None:
+            self._record(((key, value),))
+        return new
 
     def remove(self, key: int) -> bool:
         """Delete ``key``; returns True if it was present."""
-        self.mutations += 1
-        return self._with_restarts("art.remove", lambda: self._remove(key))
+        removed = self._with_restarts("art.remove", lambda: self._remove(key))
+        if removed and self._delta is not None:
+            self._record(((key, _REMOVED),))
+        return removed
 
     def bulk_insert(self, keys, values, upsert: bool = False) -> list[bool]:
         """Insert many **pre-sorted** keys in one pass.
 
-        The batch counts as a single content change: ``mutations`` is
-        bumped once, so cached sorted views of the tree (the batch fast
-        paths' ``items``-based snapshots) are invalidated once instead of
-        per key.  Sorted input keeps successive descents on warm paths —
-        adjacent keys share their root-ward prefix.  Per-key semantics
-        (restart protocol, upsert behaviour, returned flags) are exactly
-        those of :meth:`insert`.
+        Sorted input keeps successive descents on warm paths — adjacent
+        keys share their root-ward prefix.  Per-key semantics (restart
+        protocol, upsert behaviour, returned flags) are exactly those of
+        :meth:`insert`.
         """
-        if len(keys) == 0:
-            return []
-        self.mutations += 1
         out: list[bool] = []
         for key, value in zip(keys, values):
             out.append(
@@ -191,21 +201,77 @@ class AdaptiveRadixTree:
                     lambda k=key, v=value: self._insert(k, v, None, upsert),
                 )
             )
+        if self._delta is not None:
+            self._record(
+                (k, v) for k, v, new in zip(keys, values, out) if new or upsert
+            )
         return out
 
     def bulk_remove(self, keys) -> list[bool]:
-        """Delete many **pre-sorted** keys in one pass.
-
-        Single ``mutations`` bump for the whole batch (see
-        :meth:`bulk_insert`); per-key flags match :meth:`remove`.
-        """
-        if len(keys) == 0:
-            return []
-        self.mutations += 1
+        """Delete many **pre-sorted** keys in one pass; per-key flags
+        match :meth:`remove`."""
         out: list[bool] = []
         for key in keys:
             out.append(self._with_restarts("art.remove", lambda k=key: self._remove(k)))
+        if self._delta is not None:
+            self._record((k, _REMOVED) for k, gone in zip(keys, out) if gone)
         return out
+
+    # ------------------------------------------------------------------
+    # sorted view (batch readers)
+    # ------------------------------------------------------------------
+    def sorted_view(self) -> tuple[np.ndarray, np.ndarray]:
+        """The whole tree as sorted ``(uint64 keys, object values)`` arrays.
+
+        The first call walks the tree.  Later calls patch the previous
+        view from the delta the four public mutators record while a view
+        is kept, so a view after Δ changes costs O(Δ log Δ) plus O(n)
+        array copies in C instead of an O(n) Python walk.  A delta that grows
+        past the view's key count drops both; the next call walks again.
+
+        Ordering invariant, which keeps a concurrent writer's change from
+        being lost: a writer records *after* its tree write, and a reader
+        marks a fresh delta *before* walking or patching.  A writer that
+        saw no delta therefore finished its write before the walk began;
+        one that saw a delta records under ``_delta_lock`` either before
+        the reader's swap (patched now) or after it (patched next time).
+        Re-applying a change the walk already saw is harmless: entries
+        are upserts and removals.  Returned arrays are read-only and a
+        view once handed out is never mutated.
+        """
+        with self._view_lock:
+            with self._delta_lock:
+                view, delta = self._view, self._delta  # a view implies a delta
+                if view is not None and not delta:
+                    return view
+                self._delta = {}
+                self._delta_cap = len(view[0]) if view is not None else self._size
+            if view is None:
+                view = self._walk_view()
+            else:
+                view = _patch_view(view, delta)
+            with self._delta_lock:
+                if self._delta is not None:  # not dropped meanwhile
+                    self._view = view
+                    self._delta_cap = len(view[0])
+            return view
+
+    def _record(self, changes) -> None:
+        """Add ``(key, value | _REMOVED)`` changes to the view delta."""
+        with self._delta_lock:
+            delta = self._delta
+            if delta is None:
+                return
+            for key, value in changes:
+                delta[int(key)] = value
+            if len(delta) > self._delta_cap:
+                self._view = self._delta = None
+
+    def _walk_view(self) -> tuple[np.ndarray, np.ndarray]:
+        pairs = self.items()
+        keys = np.fromiter((k for k, _ in pairs), dtype=np.uint64, count=len(pairs))
+        values = np.fromiter((v for _, v in pairs), dtype=object, count=len(pairs))
+        return _frozen(keys, values)
 
     def items(self, lo: int = 0, hi: int = 2**64 - 1) -> list[tuple[int, object]]:
         """Sorted (key, value) pairs with lo <= key <= hi."""
@@ -244,6 +310,8 @@ class AdaptiveRadixTree:
                 out.append((node.key, node.value))
             return
         version = node.lock.read_lock_or_restart()
+        if node.match_level != depth:  # moved down: see _search
+            raise RestartException
         trace.read_span(node.span)
         p = node.prefix
         if tight and p:
@@ -319,23 +387,16 @@ class AdaptiveRadixTree:
     def _search(self, key: int, from_node):
         kb = encode_key(key)
         trace = active_tracer()
-        if from_node is None:
+        if isinstance(from_node, Node) and not from_node.lock.is_obsolete:
+            node = from_node
+            depth = node.match_level
+        else:
+            # No shortcut, a stale (obsolete) one, or a bare Leaf — which
+            # may have split or been upserted since: start at the root.
             rv = self._root_lock.read_lock_or_restart()
             node = self._root
             self._root_lock.read_unlock_or_restart(rv)
             depth = 0
-        else:
-            node = from_node
-            if isinstance(node, Leaf):
-                # A remove-side path-compression merge can leave a fast
-                # pointer aimed at a bare leaf; compare it directly.
-                depth = 0
-            elif node.lock.is_obsolete:
-                # Stale shortcut: caller should repair; fall back to root.
-                node = self._root
-                depth = 0
-            else:
-                depth = node.match_level
         while True:  # bounded: descent; conflicts raise RestartException
             if node is None:
                 return None
@@ -344,6 +405,12 @@ class AdaptiveRadixTree:
                 return node.value if node.kbytes == kb else None
             chaos.point("art.descend")
             version = node.lock.read_lock_or_restart()
+            if node.match_level != depth:
+                # The parent's version is validated before the child's is
+                # read, so a prefix extraction can push this node a level
+                # down in between; its match_level (read under the
+                # version validated below) then betrays the stale depth.
+                raise RestartException
             trace.read_span(node.span)
             trace.nodes_visited += 1
             p = node.prefix
@@ -436,11 +503,14 @@ class AdaptiveRadixTree:
             self._root_lock.read_unlock_or_restart(rv)
             depth = 0
 
+        parent = None  # inner node the descent reached ``node`` through
         while True:  # bounded: descent; conflicts raise RestartException
             if isinstance(node, Leaf):
-                return self._insert_at_leaf(node, key, kb, value, depth, upsert)
+                return self._insert_at_leaf(node, parent, key, kb, value, depth, upsert)
             chaos.point("art.descend")
             version = node.lock.read_lock_or_restart()
+            if node.match_level != depth:  # moved down: see _search
+                raise RestartException
             trace.read_span(node.span)
             trace.nodes_visited += 1
             p = node.prefix
@@ -453,16 +523,21 @@ class AdaptiveRadixTree:
             node.lock.check_or_restart(version)
             if child is None:
                 return self._add_leaf(node, version, byte, key, value, depth)
+            parent = node
             node = child
             depth += 1
 
     def _insert_at_leaf(
-        self, leaf: Leaf, key: int, kb: bytes, value, depth: int, upsert: bool
+        self, leaf: Leaf, parent, key: int, kb: bytes, value, depth: int, upsert: bool
     ) -> bool:
         trace = active_tracer()
         trace.read_span(leaf.span)
         unlock, replace = self._lock_parent_of(leaf)
         try:
+            if leaf.parent is not parent:
+                # A concurrent split or growth moved the leaf since the
+                # descent, so ``depth`` no longer matches its position.
+                raise RestartException
             if leaf.key == key:
                 if upsert:
                     new_leaf = Leaf(key, value, self._memory, self._tag)
@@ -596,6 +671,8 @@ class AdaptiveRadixTree:
         while True:  # bounded: descent; conflicts raise RestartException
             chaos.point("art.descend")
             version = node.lock.read_lock_or_restart()
+            if node.match_level != depth:  # moved down: see _search
+                raise RestartException
             trace.read_span(node.span)
             p = node.prefix
             if p and kb[depth : depth + len(p)] != p:
@@ -710,3 +787,44 @@ class AdaptiveRadixTree:
             )
 
         return depth_of(self._root)
+
+
+def _frozen(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    keys.flags.writeable = False
+    values.flags.writeable = False
+    return keys, values
+
+
+def _patch_view(
+    view: tuple[np.ndarray, np.ndarray], delta: dict[int, object]
+) -> tuple[np.ndarray, np.ndarray]:
+    """A new sorted view: ``view`` with ``delta`` applied.
+
+    Present keys take their new value (on a copy of the values) or are
+    deleted; absent keys are inserted at their sorted position, and
+    absent removals are no-ops.  ``view`` is left untouched.
+    """
+    vkeys, vvals = view
+    n = len(delta)
+    dkeys = np.fromiter(delta.keys(), dtype=np.uint64, count=n)
+    dvals = np.fromiter(delta.values(), dtype=object, count=n)
+    removed = np.fromiter((v is _REMOVED for v in dvals), dtype=bool, count=n)
+    order = np.argsort(dkeys)
+    dkeys, dvals, removed = dkeys[order], dvals[order], removed[order]
+    pos = np.searchsorted(vkeys, dkeys)
+    present = np.zeros(len(dkeys), dtype=bool)
+    inside = pos < len(vkeys)
+    present[inside] = vkeys[pos[inside]] == dkeys[inside]
+    upd = present & ~removed
+    if upd.any():
+        vvals = vvals.copy()
+        vvals[pos[upd]] = dvals[upd]
+    gone = pos[present & removed]
+    if len(gone):
+        vkeys, vvals = np.delete(vkeys, gone), np.delete(vvals, gone)
+    add = ~present & ~removed
+    if add.any():
+        at = pos[add] - np.searchsorted(gone, pos[add])  # shift past deletions
+        vkeys = np.insert(vkeys, at, dkeys[add])
+        vvals = np.insert(vvals, at, dvals[add])
+    return _frozen(vkeys, vvals)

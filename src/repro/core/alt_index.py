@@ -76,7 +76,6 @@ class ALTIndex(OrderedIndex):
             )
         self._size = 0
         self._size_lock = threading.Lock()
-        self._art_view_cache: tuple[np.ndarray, list, int] | None = None
         self.conflict_inserts = 0
         self.writebacks = 0
         self.expansions = 0
@@ -267,20 +266,6 @@ class ALTIndex(OrderedIndex):
     # ------------------------------------------------------------------
     # Batch search (vectorized Algorithm 2)
     # ------------------------------------------------------------------
-    def _art_view(self) -> tuple[np.ndarray, list]:
-        """Sorted (keys, values) view of the ART-OPT layer, cached until
-        the tree reports a mutation."""
-        stamp = self._art.mutations
-        cached = self._art_view_cache
-        if cached is None or cached[2] != stamp:
-            items = self._art.items(0, _UINT64_MAX)
-            vkeys = np.fromiter(
-                (k for k, _ in items), dtype=np.uint64, count=len(items)
-            )
-            cached = (vkeys, [v for _, v in items], stamp)
-            self._art_view_cache = cached
-        return cached[0], cached[1]
-
     def batch_get(self, keys) -> list:
         """Vectorized lookup: one learned-layer probe for the whole batch,
         falling through to the ART-OPT layer only for the conflict subset.
@@ -326,9 +311,9 @@ class ALTIndex(OrderedIndex):
             miss_keys.append(keys_l[i])
         if not miss_keys:
             return out
-        # One searchsorted over the sorted ART view resolves every
+        # One searchsorted over the ART's sorted view resolves every
         # conflict key at once.
-        vkeys, vvals = self._art_view()
+        vkeys, vvals = self._art.sorted_view()
         mk = np.array(miss_keys, dtype=np.uint64)
         pos = np.searchsorted(vkeys, mk)
         in_range = pos < len(vkeys)
@@ -354,6 +339,7 @@ class ALTIndex(OrderedIndex):
                 if live_state != FULL and self._art.remove(keys_l[i]):
                     model.write_slot(sl_l[i], keys_l[i], value)
                     self.writebacks += 1
+                    obs_metrics.inc("alt.writebacks")
         return out
 
     # ------------------------------------------------------------------

@@ -113,8 +113,12 @@ class FastPointerBuffer:
         if t is not None:
             t.reads.append(self._entry_line(fast_index))
         node = self._pointers[fast_index]
-        if isinstance(node, Node) and node.lock.is_obsolete:
-            return None  # safety net; repair normally happens via callbacks
+        if not isinstance(node, Node) or node.lock.is_obsolete:
+            # A remove-side merge can repoint an entry at a bare Leaf,
+            # which later splits or upserts without a notification, so
+            # a Leaf target may be stale: start at the root instead.
+            # Obsolete nodes are a safety net; callbacks normally repair.
+            return None
         self.hits += 1
         return node
 

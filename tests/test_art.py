@@ -295,9 +295,10 @@ class TestMidTreeEntry:
     def test_leaf_entry_after_merge_collapse(self, tree):
         """Removing a sibling can path-compression-merge a Node4 into
         its only remaining child — possibly a bare Leaf — and the
-        replace notification re-aims fast pointers at it.  Mid-tree
-        entry must then work from a Leaf: search compares it directly,
-        insert falls back to a root descent."""
+        replace notification re-aims fast pointers at it.  A Leaf is
+        never a usable mid-tree entry (it can split or be upserted
+        without a notification): search and insert fall back to a root
+        descent."""
         replacements = []
         tree.add_replace_listener(lambda old, new: replacements.append((old, new)))
         # A pair diverging in the last byte under a root split: the
@@ -410,3 +411,186 @@ class TestConcurrentART:
             t.join()
         assert not errors
         assert len(tree) == 20_000
+
+
+def assert_view_matches(tree, view):
+    pairs = tree.items()
+    keys, values = view
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [k for k, _ in pairs]
+    assert values.tolist() == [v for _, v in pairs]
+
+
+class TestSortedView:
+    """``sorted_view`` is built by one walk and then patched from the
+    change delta the public mutators record; every view must equal a
+    fresh walk (``items``)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_differential_against_items(self, tree, seed):
+        rnd = random.Random(seed)
+        # A small universe so re-inserts and removes of present keys are
+        # common; the extremes exercise the uint64 boundaries.
+        universe = [rnd.getrandbits(64) for _ in range(150)] + list(range(40))
+        universe += [2**64 - 1]
+        handed_out = []
+        for step in range(700):
+            op = rnd.random()
+            key = rnd.choice(universe)
+            if op < 0.30:
+                tree.insert(key, ("v", step))
+            elif op < 0.45:
+                tree.insert(key, ("u", step), upsert=True)
+            elif op < 0.65:
+                tree.remove(key)
+            elif op < 0.75:
+                ks = sorted(set(rnd.sample(universe, rnd.randrange(1, 12))))
+                tree.bulk_insert(ks, [("b", step, k) for k in ks], upsert=rnd.random() < 0.5)
+            elif op < 0.85:
+                ks = sorted(set(rnd.sample(universe, rnd.randrange(1, 12))))
+                tree.bulk_remove(ks)
+            else:
+                view = tree.sorted_view()
+                assert_view_matches(tree, view)
+                handed_out.append((view, view[0].tolist(), view[1].tolist()))
+        assert_view_matches(tree, tree.sorted_view())
+        # A view once handed out is never mutated by later patches.
+        for (keys, values), key_list, value_list in handed_out:
+            assert keys.tolist() == key_list and values.tolist() == value_list
+            assert not keys.flags.writeable and not values.flags.writeable
+
+    def test_unchanged_tree_returns_the_same_view(self, tree):
+        for k in range(100):
+            tree.insert(k * 3, k)
+        view = tree.sorted_view()
+        assert tree.sorted_view() is view
+        tree.insert(5, "x", upsert=False)  # new key
+        tree.insert(3, "y", upsert=False)  # present, not upserted: no change
+        patched = tree.sorted_view()
+        assert patched is not view
+        assert tree.sorted_view() is patched
+        assert_view_matches(tree, patched)
+
+    def test_no_delta_is_recorded_without_a_view(self, tree):
+        for k in range(200):
+            tree.insert(k, k)
+        tree.remove(7)
+        tree.bulk_insert([1000, 1001], ["a", "b"])
+        assert tree._delta is None and tree._view is None
+
+    def test_delta_larger_than_the_view_is_dropped(self, tree):
+        for k in range(50):
+            tree.insert(k * 10, k)
+        tree.sorted_view()
+        for k in range(50):  # 50 changes: the delta equals the view size
+            tree.insert(k * 10 + 1, k)
+        assert tree._delta is not None and len(tree._delta) == 50
+        tree.remove(0)  # the 51st change outgrows the 50-key view
+        assert tree._delta is None and tree._view is None
+        tree.insert(123_456, "after")  # nothing is recorded once dropped
+        assert tree._delta is None
+        assert_view_matches(tree, tree.sorted_view())
+        assert tree._delta == {}
+
+    def test_writer_thread_changes_are_not_lost(self, tree):
+        """A writer thread runs while two reader threads walk the first
+        view and patch later ones; after it joins, the view is exact."""
+        import sys
+
+        for k in range(0, 20_000, 2):
+            tree.insert(k, k)
+        started, done = threading.Event(), threading.Event()
+        unsorted = []
+
+        def writer():
+            started.set()
+            for k in range(1, 20_000, 2):
+                tree.insert(k, -k)
+                if k % 3 == 0:
+                    tree.remove(k - 1)
+            done.set()
+
+        def reader():
+            started.wait(10)
+            while not done.is_set():
+                keys, _ = tree.sorted_view()
+                if not np.all(keys[1:] > keys[:-1]):
+                    unsorted.append(len(keys))
+
+        threads = [threading.Thread(target=f) for f in (reader, reader, writer)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not unsorted
+        assert_view_matches(tree, tree.sorted_view())
+
+
+class TestConcurrentInsertRaces:
+    """Deterministic replays of races between two concurrent inserts:
+    writer B is paused mid-insert while writer A restructures the tree."""
+
+    def test_insert_restarts_when_its_leaf_moved_after_the_descent(self, tree):
+        """Writer B descends to the root leaf and pauses before locking;
+        writer A then splits that leaf under a new root Node4.  B must
+        restart rather than split the leaf at its stale depth, which
+        would make the existing key unreachable."""
+        tree.insert(0, "zero")
+        paused, resume = threading.Event(), threading.Event()
+        lock_parent_of = tree._lock_parent_of
+
+        def pausing_lock_parent_of(node):
+            if threading.current_thread().name == "b" and not resume.is_set():
+                paused.set()
+                resume.wait(10)
+            return lock_parent_of(node)
+
+        tree._lock_parent_of = pausing_lock_parent_of
+        b = threading.Thread(name="b", target=lambda: tree.insert(1, "one"))
+        b.start()
+        assert paused.wait(10)
+        assert tree.insert(0x100000, "a")  # splits the root leaf
+        resume.set()
+        b.join(10)
+        assert not b.is_alive()
+        assert tree.search(0) == "zero"
+        assert tree.search(1) == "one"
+        assert tree.search(0x100000) == "a"
+        assert [k for k, _ in tree.items()] == [0, 1, 0x100000]
+
+    def test_descent_restarts_when_the_root_moved_down(self, tree, monkeypatch):
+        """B reads the root and pauses before its first node; A's insert
+        extracts the root's prefix, pushing the old root one level down.
+        B must restart instead of matching that node at depth 0."""
+        import repro.chaos
+
+        tree.insert(0, "zero")
+        tree.insert(7, "seven")  # root Node4 with a 7-byte prefix
+        paused, resume = threading.Event(), threading.Event()
+        point = repro.chaos.point
+
+        def pausing_point(name):
+            if name == "art.descend" and threading.current_thread().name == "b":
+                if not resume.is_set():
+                    paused.set()
+                    resume.wait(10)
+            point(name)
+
+        monkeypatch.setattr(repro.chaos, "point", pausing_point)
+        b = threading.Thread(name="b", target=lambda: tree.insert(1, "one"))
+        b.start()
+        assert paused.wait(10)
+        assert tree.insert(0x0AAE60, "a")  # diverges inside the root prefix
+        resume.set()
+        b.join(10)
+        assert not b.is_alive()
+        assert [k for k, _ in tree.items()] == [0, 1, 7, 0x0AAE60]
+        for k, v in ((0, "zero"), (1, "one"), (7, "seven"), (0x0AAE60, "a")):
+            assert tree.search(k) == v

@@ -10,8 +10,9 @@ docs/API.md states two invariants for the vectorized batch layer:
 
 These tests drive both through mutation sequences chosen to hit the
 fast-path invalidation machinery: ALT-index snapshot stamps and the
-cached ART view, ALEX+/B+tree flat views across splits, and ALT-index
-expansion buffers (batch lookups during and after a retrain).
+ART's delta-patched sorted view, ALEX+/B+tree flat views across
+splits, and ALT-index expansion buffers (batch lookups during and
+after a retrain).
 """
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro.baselines import (
 from repro.baselines.rmi import TwoStageRMI
 from repro.common import BatchIndex
 from repro.core.alt_index import ALTIndex
+from repro.obs.metrics import metrics_registry
 from repro.sim.trace import MemoryMap, tracer
 
 pytestmark = pytest.mark.batch
@@ -266,6 +268,69 @@ class TestALTBatchInternals:
         snap2 = idx._layer.snapshot()
         assert snap2 is not snap1
         assert idx.batch_get(keys[:1]) == [None]
+
+
+    def test_interleaved_writes_keep_the_patched_art_view_exact(self, rng):
+        """batch_get resolves conflict keys against the ART's delta-patched
+        sorted view; interleave it with scalar and batch writes,
+        write-backs and expansion finishes, and compare every answer with
+        a twin index driven only through the scalar path."""
+        base = np.sort(rng.choice(2**45, size=4_000, replace=False).astype(np.uint64))
+        extra = np.setdiff1d(
+            rng.choice(2**45, size=9_000, replace=False).astype(np.uint64), base
+        )
+        batched = ALTIndex.bulk_load(base, memory=MemoryMap())
+        twin = ALTIndex.bulk_load(base, memory=MemoryMap())
+        live = [int(k) for k in base]
+        for r, chunk in enumerate(np.array_split(extra, 30)):
+            vals = [int(k) + r for k in chunk]
+            if r % 2:
+                batched.batch_insert(chunk, vals)
+            else:
+                for k, v in zip(chunk.tolist(), vals):
+                    batched.insert(k, v)
+            for k, v in zip(chunk.tolist(), vals):
+                twin.insert(k, v)
+            live.extend(chunk.tolist())
+            # Remove-then-reinsert learned residents: the re-inserts land
+            # in the ART, and the next lookup writes them back.
+            victims = [live[int(i)] for i in rng.choice(len(live), 40, replace=False)]
+            for idx in (batched, twin):
+                if r % 3:
+                    idx.batch_remove(np.array(victims, dtype=np.uint64))
+                else:
+                    for k in victims:
+                        idx.remove(k)
+                for k in victims[::2]:
+                    idx.insert(k, -k)
+            probe = np.array(
+                victims + [live[int(i)] for i in rng.choice(len(live), 200)],
+                dtype=np.uint64,
+            )
+            assert batched.batch_get(probe) == scalar_gets(twin, probe)
+        assert batched.writebacks > 0, "no write-back fired"
+        pending = sum(m.expansion is not None for m in batched.layer.models)
+        assert batched.expansions > pending, "no expansion finished"
+        keys, values = batched.art.sorted_view()
+        pairs = batched.art.items()
+        assert keys.tolist() == [k for k, _ in pairs]
+        assert values.tolist() == [v for _, v in pairs]
+        probe = np.array(live, dtype=np.uint64)
+        assert batched.batch_get(probe) == scalar_gets(twin, probe)
+
+    def test_batch_writebacks_reach_the_metric(self, sorted_keys):
+        idx = ALTIndex.bulk_load(sorted_keys, memory=MemoryMap())
+        victims = [int(k) for k in sorted_keys[10:40]]
+        for k in victims:
+            idx.remove(k)
+            idx.insert(k, k * 2)  # tombstoned slot: lands in the ART
+        with metrics_registry() as reg:
+            before = idx.writebacks
+            snap = reg.snapshot()
+            idx.batch_get(np.array(victims, dtype=np.uint64))
+            counted = reg.delta(snap)["counters"].get("alt.writebacks", 0)
+        assert idx.writebacks > before
+        assert counted == idx.writebacks - before
 
 
 class TestBatchWriteEquivalence:

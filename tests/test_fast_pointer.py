@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.art.nodes import Leaf, Node
 from repro.art.tree import AdaptiveRadixTree
 from repro.core.fast_pointer import FastPointerBuffer
 from repro.core.learned_layer import LearnedLayer
@@ -124,3 +125,42 @@ class TestInvalidationRepair:
             "pointers", "raw_pointers", "repairs", "merge_enabled",
             "lookups", "hits",
         }
+
+
+class TestStaleLeafEntry:
+    """A remove-side merge repoints an entry at a bare Leaf; the leaf
+    can then split or be upserted without a notification, so the entry
+    must never hand it out as a mid-tree start."""
+
+    A, B, C = 0x0102030405060701, 0x0102030405060702, 0x0202030405060701
+
+    def _leaf_entry(self, art):
+        art.insert(self.A, "a")
+        art.insert(self.B, "b")
+        art.insert(self.C, "c")
+        buf = FastPointerBuffer(art)
+        idx = buf.register(self.A, self.B)
+        assert isinstance(buf.entry(idx), Node)
+        assert art.remove(self.A)  # merges the pair's Node4 into leaf B
+        assert isinstance(buf._pointers[idx], Leaf)
+        return buf, idx
+
+    def test_split_leaf_does_not_hide_the_sibling(self, art):
+        buf, idx = self._leaf_entry(art)
+        d = 0x0102030405060703
+        assert art.insert(d, "d")  # splits leaf B into a Node4
+        hits = buf.hits
+        entry = buf.entry(idx)
+        assert entry is None and buf.hits == hits
+        assert art.search(d, from_node=entry) == "d"
+        assert art.search(self.B, from_node=entry) == "b"
+        # Even handed the stale leaf directly, search starts at the root.
+        assert art.search(d, from_node=buf._pointers[idx]) == "d"
+
+    def test_upserted_leaf_does_not_return_the_old_value(self, art):
+        buf, idx = self._leaf_entry(art)
+        art.insert(self.B, "b2", upsert=True)  # replaces leaf B
+        entry = buf.entry(idx)
+        assert entry is None
+        assert art.search(self.B, from_node=entry) == "b2"
+        assert art.search(self.B, from_node=buf._pointers[idx]) == "b2"
