@@ -457,16 +457,18 @@ def shard_scaling_benchmark(
 
     - ``serial_us_op`` — everything summed on one thread: what this
       single-threaded process actually spent;
-    - ``lane_us_op`` — the serving-layer makespan with one worker lane
-      per shard: router + gather (serial by construction) plus the
-      *slowest* sub-batch of each batch.  This is the quantity sharding
-      buys — per-shard sub-batches have no shared state, so a deployment
-      runs them on independent lanes and waits only for the stragglers.
+    - ``lane_us_op`` — a *modeled* makespan with one worker lane per
+      shard: router + gather plus only the *slowest* sub-batch of each
+      batch.  The sub-batches still run one after another on this
+      thread; the figure only assumes a deployment would run them on
+      independent lanes (they share no state) and wait for the
+      straggler.  It is not a measured parallel run.
 
-    ``speedup`` compares each row's lane throughput against the first
-    row's (conventionally the 1-shard baseline, whose lane and serial
-    costs coincide up to router overhead).  With ``verify`` (default),
-    gathered results are checked against an unsharded reference.
+    ``speedup`` compares each row's modeled makespan throughput against
+    the first row's (conventionally the 1-shard baseline, whose lane and
+    serial costs coincide up to router overhead).  With ``verify``
+    (default), gathered results are checked against an unsharded
+    reference.
     """
     from repro.core.alt_index import ALTIndex
     from repro.datasets.generators import dataset
@@ -687,7 +689,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help="run the shard scaling benchmark: batch_get through the "
         "scatter-gather serving layer at 1 and N shards, reporting "
-        "per-lane makespan throughput and the N-shard speedup",
+        "modeled makespan throughput and the N-shard speedup",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=32)

@@ -296,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         print(
             f"sharded: {args.shards} shards -> "
-            f"{rows[-1]['speedup']:.2f}x batch_get lane throughput vs 1 shard"
+            f"{rows[-1]['speedup']:.2f}x modeled makespan throughput vs 1 shard"
         )
 
     status = 0

@@ -580,9 +580,9 @@ def build_retrain_case(
     and swaps the buffer in as the live model
     (:func:`repro.core.retrain.finish_expansion` order: migrate *then*
     swap).  Mutating paths — absorbs and the finish — serialize through
-    a cooperative writer mutex, mirroring the maintenance path; readers
-    are optimistic: expansion buffer first, then the published model,
-    then the spill map.
+    a cooperative writer mutex, mirroring the insert path's inline
+    finish; readers are optimistic: expansion buffer first, then the
+    published model, then the spill map.
 
     The planted mutant swaps *before* migrating (publish-then-backfill),
     opening a window where key 0 is in neither the published model nor

@@ -655,31 +655,6 @@ class ALTIndex(OrderedIndex):
         return True
 
     # ------------------------------------------------------------------
-    # background maintenance (driven by shard lanes / callers)
-    # ------------------------------------------------------------------
-    def maintenance(self) -> int:
-        """Finish every complete §III-F expansion; returns the count.
-
-        The insert path finishes an expansion inline the moment it
-        completes, so under pure foreground traffic this is a no-op —
-        but a maintenance lane (:class:`repro.shard.lanes.ShardLane`)
-        calling it periodically moves the migrate-and-swap off the
-        serving path.  ``finish_expansion`` swaps the model in place, so
-        model indices stay stable while iterating.
-        """
-        finished = 0
-        for i, model in enumerate(self._layer.models):
-            exp = model.expansion
-            if exp is not None and exp.is_complete():
-                finish_expansion(
-                    self._layer,
-                    i,
-                    lambda k, v, i=i, m=model: self._art_insert(k, v, i, m),
-                )
-                finished += 1
-        return finished
-
-    # ------------------------------------------------------------------
     # update / remove (§III-G)
     # ------------------------------------------------------------------
     def update(self, key: int, value) -> bool:

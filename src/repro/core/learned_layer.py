@@ -96,7 +96,6 @@ class GPLModel:
         "expansion",
         "np_keys",
         "np_state",
-        "mutations",
         "_memory",
         "_tag",
     )
@@ -118,11 +117,11 @@ class GPLModel:
         self.occupied: list[bool] = [False] * n_slots
         # NumPy mirrors of (key, slot state) kept in sync by every slot
         # write — the "bulk bitmap-state read" substrate of the batch
-        # fast path (LayerSnapshot).  The seqlocked Python lists above
-        # stay authoritative for the concurrent scalar protocol.
+        # fast path (LearnedLayer.probe_live).  The seqlocked Python
+        # lists above stay authoritative for the concurrent scalar
+        # protocol.
         self.np_keys = np.zeros(n_slots, dtype=np.uint64)
         self.np_state = np.zeros(n_slots, dtype=np.uint8)  # EMPTY
-        self.mutations = 0
         self.versions = SlotVersionArray(n_slots)
         self.span = memory.alloc(model_bytes(n_slots), tag)
         self.fast_index = -1
@@ -200,7 +199,6 @@ class GPLModel:
         self.occupied[slot] = True
         self.np_keys[slot] = key
         self.np_state[slot] = FULL
-        self.mutations += 1
         self.versions.write_end(slot)
         self._trace_write(slot)
 
@@ -214,7 +212,6 @@ class GPLModel:
         self.occupied[slot] = tombstone
         self.np_keys[slot] = 0
         self.np_state[slot] = TOMBSTONE if tombstone else EMPTY
-        self.mutations += 1
         self.versions.write_end(slot)
         self._trace_write(slot)
 
@@ -275,7 +272,6 @@ class GPLModel:
         placed = slots[win]
         self.np_keys[placed] = keys[win]
         self.np_state[placed] = FULL
-        self.mutations += 1
         self.build_size = int(win.sum())
         self.last_key = int(keys[-1])
         return conflicts
@@ -310,59 +306,6 @@ class GPLModel:
         )
 
 
-class LayerSnapshot:
-    """Consolidated NumPy view of a :class:`LearnedLayer` for batch probes.
-
-    Concatenates every model's slot mirrors into flat arrays so an entire
-    key batch is routed (``np.searchsorted`` over model first-keys),
-    slot-predicted (``floor(slope * (key - first_key))`` vectorized) and
-    state-checked (bulk bitmap reads) with a handful of NumPy kernels —
-    Algorithm 2 lines 2-4 for the whole batch at once.
-
-    A snapshot is a *copy*: it stays internally consistent while the
-    layer mutates, and :meth:`LearnedLayer.snapshot` rebuilds it lazily
-    whenever any model reports new mutations.
-    """
-
-    __slots__ = ("models", "first_keys", "slopes", "n_slots", "offsets", "states", "keys")
-
-    def __init__(self, layer: "LearnedLayer"):
-        models = list(layer.models)
-        self.models = models
-        self.first_keys = np.array([m.first_key for m in models], dtype=np.uint64)
-        self.slopes = np.array([m.slope_eff for m in models], dtype=np.float64)
-        self.n_slots = np.array([m.n_slots for m in models], dtype=np.int64)
-        offsets = np.zeros(len(models), dtype=np.int64)
-        if len(models) > 1:
-            np.cumsum(self.n_slots[:-1], out=offsets[1:])
-        self.offsets = offsets
-        if models:
-            self.states = np.concatenate([m.np_state for m in models])
-            self.keys = np.concatenate([m.np_keys for m in models])
-        else:
-            self.states = np.empty(0, dtype=np.uint8)
-            self.keys = np.empty(0, dtype=np.uint64)
-
-    def probe(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized Algorithm-2 probe for a whole key batch.
-
-        Returns ``(model_idx, slot, state, resident_key)`` arrays, where
-        ``state``/``resident_key`` are the predicted slot's bitmap state
-        and stored key — bit-identical to per-key ``route`` + ``slot_of``
-        + ``read_slot`` on a quiescent layer.
-        """
-        keys = np.asarray(keys, dtype=np.uint64)
-        midx = np.searchsorted(self.first_keys, keys, side="right").astype(np.int64) - 1
-        np.clip(midx, 0, None, out=midx)
-        fk = self.first_keys[midx]
-        rel = keys - fk  # exact uint64 subtraction, as slot_of() does
-        rel[keys < fk] = 0  # keys left of model 0 clamp to slot 0
-        slots = (self.slopes[midx] * rel.astype(np.float64)).astype(np.int64)
-        np.clip(slots, 0, self.n_slots[midx] - 1, out=slots)
-        flat = self.offsets[midx] + slots
-        return midx, slots, self.states[flat], self.keys[flat]
-
-
 class LearnedLayer:
     """Sorted flat array of GPL models plus the binary-searched upper model."""
 
@@ -374,8 +317,6 @@ class LearnedLayer:
         self._first_keys = np.empty(0, dtype=np.uint64)
         self._upper_span = None
         self._version = 0
-        self._snapshot: LayerSnapshot | None = None
-        self._snapshot_stamp: tuple[int, int] | None = None
         self._geo_cache: tuple | None = None
 
     # -- construction -------------------------------------------------------
@@ -442,20 +383,11 @@ class LearnedLayer:
         old.free()
 
     # -- batch probing (vectorized Algorithm 2, lines 2-4) ---------------------
-    def snapshot(self) -> LayerSnapshot:
-        """Current :class:`LayerSnapshot`, rebuilt only after mutations."""
-        stamp = (self._version, sum(m.mutations for m in self.models))
-        if self._snapshot is None or self._snapshot_stamp != stamp:
-            self._snapshot = LayerSnapshot(self)
-            self._snapshot_stamp = stamp
-        return self._snapshot
-
     def _geometry(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         """Per-model ``(version, slopes, n_slots, offsets)`` arrays.
 
         Cached per structural version: slot writes never change model
-        geometry, so — unlike :meth:`snapshot` — a mutating batch does
-        not invalidate this cache.
+        geometry, so a mutating batch does not invalidate this cache.
         """
         geo = self._geo_cache
         if geo is None or geo[0] != self._version:
@@ -472,12 +404,14 @@ class LearnedLayer:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized Algorithm-2 probe against the *live* slot mirrors.
 
-        Same semantics as :meth:`LayerSnapshot.probe` plus a flat slot
-        id, but state/resident are gathered per touched model straight
-        from ``np_state``/``np_keys`` — O(batch + touched models) with
-        no snapshot rebuild, which is what keeps mutating batch ops
-        (``batch_insert``/``batch_remove``) profitable: every slot
-        write would otherwise invalidate the O(total slots) snapshot.
+        Routes the whole key batch (``np.searchsorted`` over model
+        first-keys), predicts slots (``floor(slope * (key - first_key))``
+        vectorized) and reads bitmap state — Algorithm 2 lines 2-4 for
+        every key at once, bit-identical to per-key ``route`` +
+        ``slot_of`` + ``read_slot`` on a quiescent layer.  State and
+        resident keys are gathered per touched model straight from
+        ``np_state``/``np_keys`` — O(batch + touched models), with no
+        copy of the layer to rebuild after a slot write.
 
         Returns ``(model_idx, slot, flat_slot, state, resident_key)``.
         """

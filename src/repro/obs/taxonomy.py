@@ -139,7 +139,7 @@ METRIC_TAXONOMY: dict[str, str] = {
     "alt.writebacks": "ART-resident keys repatriated into GPL slots",
     "alt.batch_inserts": "keys written through the vectorized batch path",
     "alt.batch_removes": "keys removed through the vectorized batch path",
-    "alt.expansions": "expansions finished by the maintenance path",
+    "alt.expansions": "expansions started by the ALT insert path (finishes: retrain.finished)",
     "alt.model_count": "gauge: live GPL models in the learned layer",
     "alt.learned_fraction": "gauge: fraction of keys resident in GPL slots",
     "alt.memory_bytes": "gauge: modeled footprint of the index",
@@ -148,8 +148,6 @@ METRIC_TAXONOMY: dict[str, str] = {
     "shard.batch_ops": "scatter-gather batches executed by the serving layer",
     "shard.cross_shard_batches": "batches whose keys spanned more than one shard",
     "shard.routed_keys": "keys routed through the vectorized partitioner",
-    "shard.lane_pumps": "maintenance passes run by per-shard lanes",
-    "shard.lane_expansions": "expansions finished by shard maintenance lanes",
     "shard.count": "gauge: shards behind the serving layer",
     "shard.imbalance": "gauge: max shard keys / mean shard keys (1.0 = balanced)",
     # -- health telemetry (repro.obs.health) -----------------------------

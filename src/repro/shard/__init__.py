@@ -5,16 +5,16 @@
   scatter-gather batching.
 - :mod:`repro.shard.partitioner` — learned CDF-balanced range splits
   and splitmix64 hash partitioning.
-- :mod:`repro.shard.lanes` — per-shard background retrain/epoch lanes.
+
+The serving layer is purely a router: each shard retrains inline on its
+own insert path (§III-F), exactly like an unsharded index.
 """
 
-from repro.shard.lanes import ShardLane
 from repro.shard.partitioner import HashPartitioner, RangePartitioner, make_partitioner
 from repro.shard.sharded import ShardedALTIndex
 
 __all__ = [
     "ShardedALTIndex",
-    "ShardLane",
     "RangePartitioner",
     "HashPartitioner",
     "make_partitioner",

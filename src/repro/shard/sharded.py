@@ -47,7 +47,6 @@ from repro.common import OrderedIndex, as_value_array, unique_tag
 from repro.core.alt_index import ALTIndex
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import current_profile
-from repro.shard.lanes import ShardLane
 from repro.shard.partitioner import make_partitioner
 from repro.sim.trace import MemoryMap, current_tracer, global_memory, tracer
 
@@ -68,9 +67,6 @@ class ShardedALTIndex(OrderedIndex):
         self._partitioner = partitioner
         self._shards = list(shards)
         self.mem_tag = tag or unique_tag("shard")
-        self._lanes: list[ShardLane] = [
-            ShardLane(i, shard) for i, shard in enumerate(self._shards)
-        ]
 
     # ------------------------------------------------------------------
     # construction
@@ -141,10 +137,6 @@ class ShardedALTIndex(OrderedIndex):
     @property
     def partitioner(self):
         return self._partitioner
-
-    @property
-    def lanes(self) -> list[ShardLane]:
-        return self._lanes
 
     def _shard_for(self, key: int):
         chaos.point("shard.route")
@@ -317,21 +309,6 @@ class ShardedALTIndex(OrderedIndex):
         )
 
     # ------------------------------------------------------------------
-    # maintenance lanes
-    # ------------------------------------------------------------------
-    def pump_lanes(self) -> list[dict]:
-        """One synchronous maintenance pass over every shard lane."""
-        return [lane.pump() for lane in self._lanes]
-
-    def start_lanes(self, interval: float = 0.005) -> None:
-        for lane in self._lanes:
-            lane.start(interval)
-
-    def stop_lanes(self) -> None:
-        for lane in self._lanes:
-            lane.stop()
-
-    # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -361,13 +338,12 @@ class ShardedALTIndex(OrderedIndex):
             "expansions": sum(s.get("expansions", 0) for s in per_shard),
             "recoveries": sum(s.get("recoveries", 0) for s in per_shard),
             "memory_bytes": self.memory_bytes(),
-            "lane_pumps": sum(lane.pumps for lane in self._lanes),
             "per_shard": per_shard,
         }
         healths = [s.get("health") for s in per_shard if s.get("health")]
         if healths:
             # Worst-shard rollup, mirroring the per-index monitor's
-            # worst-model convention; backlog sums across lanes.
+            # worst-model convention; backlog sums across shards.
             rollup["health"] = {
                 "occupancy_min": min(h["occupancy"] for h in healths),
                 "tombstone_fraction_max": max(h["tombstone_fraction"] for h in healths),

@@ -29,6 +29,7 @@ from repro.baselines import (
 from repro.baselines.rmi import TwoStageRMI
 from repro.common import BatchIndex
 from repro.core.alt_index import ALTIndex
+from repro.core.learned_layer import FULL, TOMBSTONE
 from repro.obs.metrics import metrics_registry
 from repro.sim.trace import MemoryMap, tracer
 
@@ -251,6 +252,11 @@ class TestALTBatchInternals:
         for k in extra:
             if idx.insert(int(k), int(k)):
                 inserted.append(int(k))
+            # insert finishes a complete expansion before it returns.
+            assert not any(
+                m.expansion is not None and m.expansion.is_complete()
+                for m in idx._layer.models
+            )
             if idx.expansions > 0 and len(inserted) % 500 == 0:
                 probe = np.array(inserted[-300:], dtype=np.uint64)
                 assert idx.batch_get(probe) == scalar_gets(idx, probe)
@@ -258,17 +264,18 @@ class TestALTBatchInternals:
         probe = np.concatenate([base[:500], np.array(inserted[:1500], dtype=np.uint64)])
         assert idx.batch_get(probe) == scalar_gets(idx, probe)
 
-    def test_snapshot_invalidation_on_slot_change(self, rng):
+    def test_probe_live_sees_slot_change(self, rng):
+        """probe_live reads the live slot mirrors, so a remove shows in
+        the very next batch probe with no cached copy to invalidate."""
         keys = np.sort(rng.choice(2**40, size=3_000, replace=False).astype(np.uint64))
         idx = ALTIndex.bulk_load(keys, memory=MemoryMap())
-        snap1 = idx._layer.snapshot()
-        assert idx._layer.snapshot() is snap1  # cached while unchanged
+        _, _, _, state, resident = idx._layer.probe_live(keys[:1])
+        assert state[0] == FULL and resident[0] == keys[0]
         # Removing a learned-resident key always tombstones its slot.
         assert idx.remove(int(keys[0]))
-        snap2 = idx._layer.snapshot()
-        assert snap2 is not snap1
+        _, _, _, state, _ = idx._layer.probe_live(keys[:1])
+        assert state[0] == TOMBSTONE
         assert idx.batch_get(keys[:1]) == [None]
-
 
     def test_interleaved_writes_keep_the_patched_art_view_exact(self, rng):
         """batch_get resolves conflict keys against the ART's delta-patched

@@ -43,7 +43,7 @@ def test_all_documented_names_resolve():
         "repro.common.BatchIndex",
         "repro.common.OrderedIndex",
         "repro.core.alt_index.ALTIndex.batch_get",
-        "repro.core.learned_layer.LayerSnapshot.probe",
+        "repro.core.learned_layer.LearnedLayer.probe_live",
         "repro.bench.harness.batch_microbenchmark",
     ],
 )
