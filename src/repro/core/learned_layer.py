@@ -107,6 +107,7 @@ class GPLModel:
         n_slots: int,
         memory: MemoryMap,
         tag: str,
+        mirrors: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         self.first_key = first_key
         self.last_key = first_key
@@ -117,11 +118,14 @@ class GPLModel:
         self.occupied: list[bool] = [False] * n_slots
         # NumPy mirrors of (key, slot state) kept in sync by every slot
         # write — the "bulk bitmap-state read" substrate of the batch
-        # fast path (LearnedLayer.probe_live).  The seqlocked Python
-        # lists above stay authoritative for the concurrent scalar
-        # protocol.
-        self.np_keys = np.zeros(n_slots, dtype=np.uint64)
-        self.np_state = np.zeros(n_slots, dtype=np.uint8)  # EMPTY
+        # fast path.  A model of a LearnedLayer holds *views* into the
+        # layer-wide arrays (LearnedLayer.np_keys/np_state), so
+        # LearnedLayer.probe_live reads every model with one gather.
+        # The seqlocked Python lists above stay authoritative for the
+        # concurrent scalar protocol.
+        if mirrors is None:
+            mirrors = np.zeros(n_slots, dtype=np.uint64), np.zeros(n_slots, dtype=np.uint8)
+        self.np_keys, self.np_state = mirrors  # state starts EMPTY
         self.versions = SlotVersionArray(n_slots)
         self.span = memory.alloc(model_bytes(n_slots), tag)
         self.fast_index = -1
@@ -279,7 +283,7 @@ class GPLModel:
     # -- introspection -------------------------------------------------------
     def occupancy(self) -> int:
         """Number of live keys resident in this model."""
-        return sum(1 for i, occ in enumerate(self.occupied) if occ and self.keys[i] is not None)
+        return int(np.count_nonzero(self.np_state == FULL))
 
     def iter_slots(self, lo_slot: int = 0, hi_slot: int | None = None) -> Iterator[tuple[int, object]]:
         """Live (key, value) pairs in slot (== key) order.
@@ -318,6 +322,10 @@ class LearnedLayer:
         self._upper_span = None
         self._version = 0
         self._geo_cache: tuple | None = None
+        # Layer-wide slot mirrors in model order; every model's
+        # np_keys/np_state is a view at its _geometry() offset.
+        self.np_keys = np.empty(0, dtype=np.uint64)
+        self.np_state = np.empty(0, dtype=np.uint8)
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -337,26 +345,33 @@ class LearnedLayer:
             layer._rebuild_upper()
             return layer, []
         segments = gpl_partition(keys, epsilon)
+        # Every model's geometry first, so the layer-wide mirrors are
+        # allocated once and each model is built on its views of them.
+        geos = [layer._model_geometry(seg, keys[seg.start : seg.end]) for seg in segments]
+        slopes = np.array([g[0] for g in geos], dtype=np.float64)
+        n_slots = np.array([g[1] for g in geos], dtype=np.int64)
+        offsets = np.cumsum(n_slots) - n_slots
+        layer.np_keys = np.zeros(int(n_slots.sum()), dtype=np.uint64)
+        layer.np_state = np.zeros(int(n_slots.sum()), dtype=np.uint8)
         conflicts: list[tuple[int, object]] = []
-        for seg in segments:
+        for seg, (slope, ns), lo in zip(segments, geos, offsets.tolist()):
             seg_keys = keys[seg.start : seg.end]
             seg_vals = values[seg.start : seg.end]
-            model = layer._new_model_for(seg, seg_keys)
+            mirrors = layer.np_keys[lo : lo + ns], layer.np_state[lo : lo + ns]
+            model = GPLModel(int(seg_keys[0]), slope, ns, layer._memory, layer._tag, mirrors)
             conflicts.extend(model.place_bulk(seg_keys, seg_vals))
             layer.models.append(model)
         layer._rebuild_upper()
+        layer._geo_cache = (layer._version, slopes, (n_slots - 1).astype(np.float64), offsets)
         return layer, conflicts
 
-    def _new_model_for(self, seg: Segment, seg_keys: np.ndarray) -> GPLModel:
-        slope_eff = seg.slope * self.gap
+    def _model_geometry(self, seg: Segment, seg_keys: np.ndarray) -> tuple[float, int]:
+        """``(slope_eff, n_slots)`` of the model built over ``seg_keys``."""
         if len(seg_keys) == 1:
-            n_slots = 2
-            slope_eff = 1.0
-        else:
-            span_keys = float(int(seg_keys[-1]) - int(seg_keys[0]))
-            n_slots = int(slope_eff * span_keys) + 2
-            n_slots = max(n_slots, len(seg_keys))
-        return GPLModel(int(seg_keys[0]), slope_eff, n_slots, self._memory, self._tag)
+            return 1.0, 2
+        slope_eff = seg.slope * self.gap
+        span_keys = float(int(seg_keys[-1]) - int(seg_keys[0]))
+        return slope_eff, max(int(slope_eff * span_keys) + 2, len(seg_keys))
 
     def _rebuild_upper(self) -> None:
         self._version += 1
@@ -384,19 +399,31 @@ class LearnedLayer:
 
     # -- batch probing (vectorized Algorithm 2, lines 2-4) ---------------------
     def _geometry(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-model ``(version, slopes, n_slots, offsets)`` arrays.
+        """Per-model ``(version, slopes, last_slot, offsets)`` arrays
+        (``last_slot`` as float64, the clamp of the float prediction).
 
         Cached per structural version: slot writes never change model
-        geometry, so a mutating batch does not invalidate this cache.
+        geometry, so a mutating batch does not invalidate this cache.  A
+        new structural version (``replace_model``,
+        ``append_overflow_model``) also *folds* the layer: the models'
+        current mirrors are concatenated into fresh layer-wide
+        ``np_keys``/``np_state`` arrays and every model's mirrors are
+        rebound as views at its offset.
         """
         geo = self._geo_cache
         if geo is None or geo[0] != self._version:
-            n_slots = np.array([m.n_slots for m in self.models], dtype=np.int64)
-            slopes = np.array([m.slope_eff for m in self.models], dtype=np.float64)
-            offsets = np.zeros(len(self.models), dtype=np.int64)
-            if len(self.models) > 1:
-                np.cumsum(n_slots[:-1], out=offsets[1:])
-            geo = self._geo_cache = (self._version, slopes, n_slots, offsets)
+            models = self.models
+            n_slots = np.array([m.n_slots for m in models], dtype=np.int64)
+            slopes = np.array([m.slope_eff for m in models], dtype=np.float64)
+            offsets = np.cumsum(n_slots) - n_slots
+            self.np_keys = np.concatenate([m.np_keys for m in models])
+            self.np_state = np.concatenate([m.np_state for m in models])
+            for m, lo in zip(models, offsets.tolist()):
+                m.np_keys = self.np_keys[lo : lo + m.n_slots]
+                m.np_state = self.np_state[lo : lo + m.n_slots]
+            geo = self._geo_cache = (
+                self._version, slopes, (n_slots - 1).astype(np.float64), offsets
+            )
         return geo
 
     def probe_live(
@@ -409,33 +436,30 @@ class LearnedLayer:
         vectorized) and reads bitmap state — Algorithm 2 lines 2-4 for
         every key at once, bit-identical to per-key ``route`` +
         ``slot_of`` + ``read_slot`` on a quiescent layer.  State and
-        resident keys are gathered per touched model straight from
-        ``np_state``/``np_keys`` — O(batch + touched models), with no
+        resident keys come from one gather over the layer-wide
+        ``np_state``/``np_keys`` at the flat slot — O(batch), with no
         copy of the layer to rebuild after a slot write.
+
+        Assumes no concurrent writer (the ``BatchIndex`` contract): the
+        fold on a new structural version rebinds every model's mirrors,
+        and a slot write racing it would miss the new arrays.
 
         Returns ``(model_idx, slot, flat_slot, state, resident_key)``.
         """
         keys = np.asarray(keys, dtype=np.uint64)
-        _, slopes, n_slots, offsets = self._geometry()
+        _, slopes, last_slot, offsets = self._geometry()
         fks = self._first_keys
-        midx = np.searchsorted(fks, keys, side="right").astype(np.int64) - 1
-        np.clip(midx, 0, None, out=midx)
-        fk = fks[midx]
-        rel = keys - fk  # exact uint64 subtraction, as slot_of() does
-        rel[keys < fk] = 0  # keys left of model 0 clamp to slot 0
-        slots = (slopes[midx] * rel.astype(np.float64)).astype(np.int64)
-        np.clip(slots, 0, n_slots[midx] - 1, out=slots)
-        state = np.empty(len(keys), dtype=np.uint8)
-        resident = np.empty(len(keys), dtype=np.uint64)
-        order = np.argsort(midx, kind="stable")
-        sorted_mi = midx[order]
-        bounds = np.flatnonzero(sorted_mi[1:] != sorted_mi[:-1]) + 1
-        for grp in np.split(order, bounds):
-            m = self.models[int(midx[grp[0]])]
-            sl = slots[grp]
-            state[grp] = m.np_state[sl]
-            resident[grp] = m.np_keys[sl]
-        return midx, slots, offsets[midx] + slots, state, resident
+        # Searching the first keys past model 0 yields the clamped
+        # route() index directly: keys left of model 0 land on it.
+        midx = np.searchsorted(fks[1:], keys, side="right")
+        # Exact uint64 subtraction, as slot_of() does; keys left of
+        # model 0 are raised to its first key and so clamp to slot 0.
+        rel = np.maximum(keys, fks[0]) - fks[midx]
+        # Clamp in float before the cast, so a prediction past int64
+        # still lands on the last slot as slot_of()'s does.
+        slots = np.minimum(slopes[midx] * rel, last_slot[midx]).astype(np.int64)
+        flat = offsets[midx] + slots
+        return midx, slots, flat, self.np_state[flat], self.np_keys[flat]
 
     # -- routing (the "upper model") -----------------------------------------
     def route(self, key: int) -> tuple[int, GPLModel]:

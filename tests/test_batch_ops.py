@@ -9,8 +9,9 @@ docs/API.md states two invariants for the vectorized batch layer:
    the same aggregate CostTrace totals as the scalar loop.
 
 These tests drive both through mutation sequences chosen to hit the
-fast-path invalidation machinery: ALT-index snapshot stamps and the
-ART's delta-patched sorted view, ALEX+/B+tree flat views across
+fast-path invalidation machinery: ALT-index layer-wide slot mirrors
+(folded on every structural version) and the ART's delta-patched
+sorted view, ALEX+/B+tree flat views across
 splits, and ALT-index expansion buffers (batch lookups during and
 after a retrain).
 """
@@ -29,7 +30,7 @@ from repro.baselines import (
 from repro.baselines.rmi import TwoStageRMI
 from repro.common import BatchIndex
 from repro.core.alt_index import ALTIndex
-from repro.core.learned_layer import FULL, TOMBSTONE
+from repro.core.learned_layer import EMPTY, FULL, TOMBSTONE
 from repro.obs.metrics import metrics_registry
 from repro.sim.trace import MemoryMap, tracer
 
@@ -276,6 +277,171 @@ class TestALTBatchInternals:
         _, _, _, state, _ = idx._layer.probe_live(keys[:1])
         assert state[0] == TOMBSTONE
         assert idx.batch_get(keys[:1]) == [None]
+
+    @staticmethod
+    def _assert_probe_is_scalar(idx, keys):
+        """probe_live equals per-key route + slot_of + read_slot."""
+        layer = idx.layer
+        midx, slots, flat, state, resident = layer.probe_live(keys)
+        starts = np.cumsum([0] + [m.n_slots for m in layer.models])
+        for i, k in enumerate(keys.tolist()):
+            mi, m = layer.route(k)
+            s = m.slot_of(k)
+            st, rk, _ = m.read_slot(s)
+            assert (midx[i], slots[i], flat[i], state[i]) == (mi, s, starts[mi] + s, st)
+            assert resident[i] == (rk if st == FULL else 0)
+
+    @staticmethod
+    def _assert_mirrors_fold_the_lists(layer):
+        """Every model's mirrors are views of the layer-wide arrays, and
+        those equal the authoritative slot lists slot for slot."""
+        state, keys = [], []
+        for m in layer.models:
+            assert np.shares_memory(m.np_keys, layer.np_keys)
+            assert np.shares_memory(m.np_state, layer.np_state)
+            for occ, k in zip(m.occupied, m.keys):
+                state.append(EMPTY if not occ else TOMBSTONE if k is None else FULL)
+                keys.append(0 if k is None else k)
+        assert layer.np_state.tolist() == state
+        assert layer.np_keys.tolist() == keys
+
+    def test_empty_index_bootstrap_probe_matches_scalar(self, rng):
+        """The first insert into an empty index appends the overflow
+        model; its expansions then replace it.  Mix scalar and batch
+        writes, including a few out-of-range keys, and check the probe
+        after every step."""
+        idx = ALTIndex(epsilon=16, memory=MemoryMap())
+        k0 = 1 << 40
+        fresh = (k0 + rng.choice(64, 40, replace=False)).tolist()
+        fresh += [k0 + 10_000, k0 + 20_000, k0 - 5]  # out of range
+        live: list[int] = []
+        for r, chunk in enumerate(np.array_split(np.array(fresh, dtype=np.uint64), 9)):
+            if r % 2:
+                idx.batch_insert(chunk, chunk)
+            else:
+                for k in chunk.tolist():
+                    idx.insert(k, k)
+            live.extend(chunk.tolist())
+            if r == 4:
+                gone = live[::3]
+                assert idx.batch_remove(np.array(gone, dtype=np.uint64)).all()
+                live = [k for k in live if k not in gone]
+            # 2**64 - 1 predicts a slot past int64: it must clamp to the
+            # last slot, as slot_of() does, not wrap to slot 0.
+            probe = np.array(live + [k0 + 63, k0 + 30_000, 7, 2**64 - 1], dtype=np.uint64)
+            self._assert_probe_is_scalar(idx, probe)
+            self._assert_mirrors_fold_the_lists(idx.layer)
+            assert idx.batch_get(probe) == scalar_gets(idx, probe)
+        assert idx.layer.model_count == 1
+        assert idx.layer._version > 1, "no expansion replaced the overflow model"
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_probe_matches_scalar_after_structural_changes(self, seed):
+        """Seeded interleavings of scalar inserts (enough to start and
+        finish expansions, i.e. replace_model), scalar removes, and
+        batch_insert/batch_remove: after every step the one-gather probe
+        equals the per-key scalar probe and batch_get the scalar loop."""
+        rng = np.random.default_rng(seed)
+        universe = rng.choice(2**40, size=5_000, replace=False).astype(np.uint64)
+        base = np.sort(universe[:2_000])
+        pool = universe[2_000:].tolist()
+        idx = ALTIndex.bulk_load(base, memory=MemoryMap())
+        v0 = idx.layer._version
+        live = base.tolist()
+        absent, pool = pool[-50:], pool[:-50]
+
+        def pop_live(n):
+            picks = sorted(rng.choice(len(live), n, replace=False).tolist(), reverse=True)
+            return [live.pop(i) for i in picks]
+
+        for _ in range(40):
+            op = rng.choice(4, p=[0.45, 0.15, 0.3, 0.1])
+            if op == 0 and pool:
+                chunk, pool = pool[:80], pool[80:]
+                for k in chunk:
+                    idx.insert(k, k)
+                live.extend(chunk)
+            elif op == 1:
+                for k in pop_live(20):
+                    assert idx.remove(k)
+            elif op == 2 and pool:
+                chunk, pool = pool[:80], pool[80:]
+                idx.batch_insert(np.array(chunk + chunk[:3], dtype=np.uint64))
+                live.extend(chunk)
+            else:
+                gone = np.array(pop_live(20) + absent[:5], dtype=np.uint64)
+                assert idx.batch_remove(gone).tolist() == [True] * 20 + [False] * 5
+            picks = rng.choice(len(live), 200).tolist()
+            probe = np.array([live[i] for i in picks] + absent, dtype=np.uint64)
+            self._assert_probe_is_scalar(idx, probe)
+            assert idx.batch_get(probe) == scalar_gets(idx, probe)
+        self._assert_mirrors_fold_the_lists(idx.layer)
+        assert idx.layer._version > v0, "no expansion finished"
+
+    def test_layer_mirrors_stay_one_arena(self, rng):
+        """A fresh build is already folded; a structural change folds on
+        the next probe; slot writes after a fold show without a re-fold;
+        and batch_insert still tells apart two keys that predict the same
+        free slot."""
+        universe = rng.choice(2**40, size=6_000, replace=False).astype(np.uint64)
+        base = np.sort(universe[:2_000])
+        idx = ALTIndex.bulk_load(base, memory=MemoryMap())
+        layer = idx.layer
+        arena = layer.np_keys
+        self._assert_mirrors_fold_the_lists(layer)
+        layer.probe_live(base[:8])
+        assert layer.np_keys is arena, "a fresh build must not fold"
+
+        version = layer._version
+        for k in universe[2_000:].tolist():
+            idx.insert(k, k)
+            if layer._version != version:
+                break
+        assert layer._version != version, "no expansion finished"
+        layer.probe_live(base[:8])
+        assert layer.np_keys is not arena
+        self._assert_mirrors_fold_the_lists(layer)
+
+        # Slot writes after the fold land in the arena: no re-fold.
+        arena, version = layer.np_keys, layer._version
+        _, _, _, state, _ = layer.probe_live(base)
+        k = int(base[int(np.flatnonzero(state == FULL)[0])])
+        assert idx.remove(k)
+        mi, m = layer.route(k)
+        _, _, _, state, _ = layer.probe_live(np.array([k], dtype=np.uint64))
+        assert state[0] == TOMBSTONE
+        m.write_slot(m.slot_of(k), k, "back")
+        _, _, _, state, resident = layer.probe_live(np.array([k], dtype=np.uint64))
+        assert (state[0], resident[0]) == (FULL, k)
+        assert layer.np_keys is arena and layer._version == version
+        assert layer._geo_cache[0] == version
+        self._assert_mirrors_fold_the_lists(layer)
+
+        # Two absent keys predicting one EMPTY slot of a model the batch
+        # fast path handles: the first wins the slot, the second is a
+        # conflict for the ART, exactly as two scalar inserts would be.
+        def same_slot_pair():
+            for mi, m in enumerate(layer.models):
+                if m.expansion is not None or m.insert_count + 2 > max(m.build_size, 1):
+                    continue
+                for s in np.flatnonzero(m.np_state == EMPTY).tolist():
+                    k1 = m.first_key + int(s / m.slope_eff) + 1
+                    pair = [k1, k1 + 1]
+                    if all(
+                        m.slot_of(k) == s and layer.route(k)[0] == mi and idx.get(k) is None
+                        for k in pair
+                    ):
+                        return m, s, pair
+            raise AssertionError("no two keys share a free slot")
+
+        m, s, pair = same_slot_pair()
+        conflicts = idx.conflict_inserts
+        assert idx.batch_insert(np.array(pair, dtype=np.uint64), ["a", "b"]).all()
+        assert m.read_slot(s)[1:] == (pair[0], "a")
+        assert idx.conflict_inserts == conflicts + 1
+        assert idx.batch_get(np.array(pair, dtype=np.uint64)) == ["a", "b"]
+        assert layer.np_keys is arena
+        self._assert_mirrors_fold_the_lists(layer)
 
     def test_interleaved_writes_keep_the_patched_art_view_exact(self, rng):
         """batch_get resolves conflict keys against the ART's delta-patched

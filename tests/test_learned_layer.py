@@ -84,6 +84,29 @@ class TestGPLModel:
         m.clear_slot(5)
         assert m.occupancy() == 1
 
+    def test_occupancy_from_mirror_matches_lists(self, mem):
+        """occupancy() counts FULL mirror states; it must equal the
+        authoritative list count through writes, clears, tombstones,
+        refills and stuck-writer recovery."""
+        m = GPLModel(0, 1.0, 32, mem, "t")
+
+        def listed():
+            return sum(1 for occ, k in zip(m.occupied, m.keys) if occ and k is not None)
+
+        rng = np.random.default_rng(7)
+        for step in range(200):
+            s = int(rng.integers(32))
+            op = step % 4
+            if op in (0, 1):
+                m.write_slot(s, s, step)
+            elif op == 2:
+                m.clear_slot(s, tombstone=bool(rng.integers(2)))
+            else:
+                m.versions.write_begin(s)  # a writer dies holding the latch
+                m.recover_slot(s)
+            assert m.occupancy() == listed()
+        assert 0 < m.occupancy() < 32
+
     def test_iter_slots_sorted(self, mem):
         m = GPLModel(0, 1.0, 100, mem, "t")
         for k in (5, 50, 20):
