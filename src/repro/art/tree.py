@@ -56,6 +56,7 @@ from repro.art.nodes import (
     common_prefix_len,
     encode_key,
 )
+from repro.common import sorted_hits
 from repro.concurrency.epoch import EpochManager
 from repro.concurrency.retry import (
     DEFAULT_RETRY,
@@ -811,10 +812,7 @@ def _patch_view(
     removed = np.fromiter((v is _REMOVED for v in dvals), dtype=bool, count=n)
     order = np.argsort(dkeys)
     dkeys, dvals, removed = dkeys[order], dvals[order], removed[order]
-    pos = np.searchsorted(vkeys, dkeys)
-    present = np.zeros(len(dkeys), dtype=bool)
-    inside = pos < len(vkeys)
-    present[inside] = vkeys[pos[inside]] == dkeys[inside]
+    pos, present = sorted_hits(vkeys, dkeys)
     upd = present & ~removed
     if upd.any():
         vvals = vvals.copy()

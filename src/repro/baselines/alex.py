@@ -26,7 +26,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.baselines.rmi import _LinearModel
-from repro.common import BatchIndex, OrderedIndex, as_value_array, unique_tag
+from repro.common import (
+    BatchIndex,
+    OrderedIndex,
+    SortedView,
+    as_value_array,
+    first_occurrences,
+    unique_tag,
+)
 from repro.concurrency.version_lock import OptimisticLock, RestartException
 from repro.obs.spans import current_profile
 from repro.sim.trace import MemoryMap, current_tracer, global_memory
@@ -273,8 +280,11 @@ class AlexIndex(OrderedIndex):
         self._size = 0
         self._size_lock = threading.Lock()
         self.splits = 0
-        self._mutations = 0
-        self._flat_view: tuple | None = None
+        # Nodes are ordered by first_key and each node's occupied view is
+        # sorted, so the per-node views concatenate into one sorted view.
+        self._view = SortedView(
+            lambda: ((n, *n.occupied_view()) for n in self._nodes)
+        )
 
     @classmethod
     def bulk_load(
@@ -388,7 +398,7 @@ class AlexIndex(OrderedIndex):
             self._nodes[i : i + 1] = [left, right]
             self._rebuild_directory()
             self.splits += 1
-            self._mutations += 1
+            self._view.invalidate()
             t = current_tracer()
             if t is not None:
                 t.writes.append(self._dir_span.line(0))
@@ -421,63 +431,22 @@ class AlexIndex(OrderedIndex):
                 self._bump(-1)
             return removed
 
-    def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached globally-sorted ``(keys, node_idx, slot_idx)`` arrays.
-
-        Nodes are ordered by ``first_key`` and occupied keys within each
-        node are sorted, so concatenating the per-node occupied views
-        yields one globally sorted key array — a whole batch resolves
-        with a single ``searchsorted``.  Values are read live through
-        ``(node_idx, slot_idx)``, so value-updating inserts do not stale
-        the view; structural changes (new key, remove, split) bump
-        ``_mutations`` and force a rebuild.
-        """
-        view = self._flat_view
-        if view is None or view[3] != self._mutations:
-            ks, nidx, sidx = [], [], []
-            for i, node in enumerate(self._nodes):
-                okeys, oidx = node.occupied_view()
-                if len(okeys):
-                    ks.append(okeys)
-                    nidx.append(np.full(len(oidx), i, dtype=np.int64))
-                    sidx.append(oidx)
-            if ks:
-                flat = (np.concatenate(ks), np.concatenate(nidx), np.concatenate(sidx))
-            else:
-                flat = (
-                    np.empty(0, dtype=np.uint64),
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                )
-            view = self._flat_view = (*flat, self._mutations)
-        return view[0], view[1], view[2]
-
     def batch_get(self, keys) -> list:
-        """Vectorized lookup: one ``searchsorted`` over the flat sorted
-        occupied-key view resolves the whole batch; hit values are read
-        live from their nodes.  Delegates to the per-key loop under an
-        active tracer (identical CostTrace totals)."""
+        """Vectorized lookup: one ``searchsorted`` over the sorted view of
+        every node's occupied keys resolves the whole batch; hit values
+        are read live from their nodes.  Delegates to the per-key loop
+        under an active tracer (identical CostTrace totals)."""
         if current_tracer() is not None:
             return BatchIndex.batch_get(self, keys)
         keys = np.asarray(keys, dtype=np.uint64)
-        n = len(keys)
-        if n == 0:
-            return []
-        out: list = [None] * n
-        flat_keys, nidx, sidx = self._flat()
-        if len(flat_keys) == 0:
-            return out
-        pos = np.searchsorted(flat_keys, keys)
-        np.clip(pos, 0, len(flat_keys) - 1, out=pos)
-        hits = np.flatnonzero(flat_keys[pos] == keys)
-        hp = pos[hits]
-        nodes = self._nodes
-        for j, ni, si in zip(hits.tolist(), nidx[hp].tolist(), sidx[hp].tolist()):
-            out[j] = nodes[ni].vals[si]
+        out: list = [None] * len(keys)
+        hit_i, nodes, slots = self._view.find(keys)
+        for i, node, s in zip(hit_i.tolist(), nodes, slots):
+            out[i] = node.vals[s]
         return out
 
     def batch_insert(self, keys, values=None) -> np.ndarray:
-        """Batch insert through the flat view where layout allows:
+        """Batch insert through the sorted view where layout allows:
         existing keys are pure value updates applied via the cached
         ``(node, slot)`` mapping (no shift, no split, view stays valid);
         new keys — which may shift slots or split nodes — replay the
@@ -490,25 +459,19 @@ class AlexIndex(OrderedIndex):
         if current_tracer() is not None:
             return BatchIndex.batch_insert(self, keys, values)
         out = np.zeros(n, dtype=bool)
-        flat_keys, nidx, sidx = self._flat()
-        pos = np.searchsorted(flat_keys, keys)
-        in_range = pos < len(flat_keys)
-        hit = np.zeros(n, dtype=bool)
-        hit[in_range] = flat_keys[pos[in_range]] == keys[in_range]
-        nodes = self._nodes
-        hit_i = np.flatnonzero(hit)
-        if len(hit_i):
-            # Value updates first, in batch order, while (node, slot)
-            # indices are still valid — scalar inserts below may split.
-            hp = pos[hit_i]
-            for i, ni, si in zip(hit_i.tolist(), nidx[hp].tolist(), sidx[hp].tolist()):
-                nodes[ni].vals[si] = values[i]
-        for i in np.flatnonzero(~hit).tolist():
+        # Value updates first, in batch order, while (node, slot) are
+        # still valid — scalar inserts below may split.
+        hit_i, nodes, slots = self._view.find(keys)
+        for i, node, s in zip(hit_i.tolist(), nodes, slots):
+            node.vals[s] = values[i]
+        new = np.ones(n, dtype=bool)
+        new[hit_i] = False
+        for i in np.flatnonzero(new).tolist():
             out[i] = self.insert(int(keys[i]), values[i])
         return out
 
     def batch_remove(self, keys) -> np.ndarray:
-        """Batch remove through the flat view: present keys clear their
+        """Batch remove through the sorted view: present keys clear their
         ``(node, slot)`` entry directly (a remove never shifts or
         splits); later duplicate occurrences replay the scalar path.
         Delegates under an active tracer."""
@@ -519,35 +482,17 @@ class AlexIndex(OrderedIndex):
         if current_tracer() is not None:
             return BatchIndex.batch_remove(self, keys)
         out = np.zeros(n, dtype=bool)
-        vec = np.ones(n, dtype=bool)
-        dup_idx: list[int] = []
-        uniq, first_pos = np.unique(keys, return_index=True)
-        if len(uniq) != n:
-            firsts = np.zeros(n, dtype=bool)
-            firsts[first_pos] = True
-            dup_idx = np.flatnonzero(~firsts).tolist()
-            vec[dup_idx] = False
-        flat_keys, nidx, sidx = self._flat()
-        pos = np.searchsorted(flat_keys, keys)
-        in_range = pos < len(flat_keys)
-        hit = np.zeros(n, dtype=bool)
-        hit[in_range] = flat_keys[pos[in_range]] == keys[in_range]
-        hit &= vec
-        nodes = self._nodes
-        removed = 0
-        hit_i = np.flatnonzero(hit)
-        if len(hit_i):
-            hp = pos[hit_i]
-            for i, ni, si in zip(hit_i.tolist(), nidx[hp].tolist(), sidx[hp].tolist()):
-                node = nodes[ni]
-                node.occ[si] = False  # key value stays behind as a gap copy
-                node.vals[si] = None
-                node.num_keys -= 1
-                node._occ_view = None
-                out[i] = True
-                removed += 1
-        if removed:
-            self._bump(-removed)
+        first, dup_idx = first_occurrences(keys)
+        first_i = np.flatnonzero(first)
+        hit_j, nodes, slots = self._view.find(keys[first_i])
+        for node, s in zip(nodes, slots):
+            node.occ[s] = False  # key value stays behind as a gap copy
+            node.vals[s] = None
+            node.num_keys -= 1
+            node._occ_view = None
+        out[first_i[hit_j]] = True
+        if len(hit_j):
+            self._bump(-len(hit_j))
         for i in dup_idx:
             out[i] = self.remove(int(keys[i]))
         return out
@@ -581,7 +526,7 @@ class AlexIndex(OrderedIndex):
     def _bump(self, delta: int) -> None:
         with self._size_lock:
             self._size += delta
-            self._mutations += 1
+            self._view.invalidate()
 
     def __len__(self) -> int:
         return self._size

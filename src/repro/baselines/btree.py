@@ -19,7 +19,14 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.common import BatchIndex, OrderedIndex, as_value_array, unique_tag
+from repro.common import (
+    BatchIndex,
+    OrderedIndex,
+    SortedView,
+    as_value_array,
+    first_occurrences,
+    unique_tag,
+)
 from repro.concurrency.version_lock import OptimisticLock
 from repro.obs.spans import current_profile
 from repro.sim.trace import MemoryMap, current_tracer, global_memory
@@ -69,8 +76,7 @@ class BPlusTreeIndex(OrderedIndex):
         self._root = _BNode(True, self._memory, self.mem_tag)
         self._size = 0
         self._lock = threading.RLock()
-        self._mutations = 0
-        self._flat_view: tuple | None = None
+        self._view = SortedView(self._leaf_parts)
 
     @classmethod
     def bulk_load(
@@ -131,69 +137,34 @@ class BPlusTreeIndex(OrderedIndex):
             if prof is not None:
                 prof.exit()
 
-    def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[_BNode]]:
-        """Cached globally-sorted ``(keys, leaf_idx, slot_idx, leaves)``.
-
-        Built by walking the linked leaf chain, whose concatenated keys
-        are globally sorted — a whole batch then resolves with a single
-        ``searchsorted`` instead of one tree descent per key.  Values
-        are read live through ``(leaf_idx, slot_idx)``, so value updates
-        do not stale the view; structural mutations (new key, remove,
-        split) bump ``_mutations`` and force a rebuild.
-        """
-        view = self._flat_view
-        if view is None or view[4] != self._mutations:
-            leaf = self._root
-            while not leaf.is_leaf:
-                leaf = leaf.children[0]
-            leaves: list[_BNode] = []
-            ks, lidx, sidx = [], [], []
-            while leaf is not None:
-                lk = leaf.keys_np()
-                if len(lk):
-                    ks.append(lk)
-                    lidx.append(np.full(len(lk), len(leaves), dtype=np.int64))
-                    sidx.append(np.arange(len(lk), dtype=np.int64))
-                    leaves.append(leaf)
-                leaf = leaf.next_leaf
-            if ks:
-                flat = (np.concatenate(ks), np.concatenate(lidx), np.concatenate(sidx))
-            else:
-                flat = (
-                    np.empty(0, dtype=np.uint64),
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                )
-            view = self._flat_view = (*flat, leaves, self._mutations)
-        return view[0], view[1], view[2], view[3]
+    def _leaf_parts(self):
+        """The linked leaf chain, whose concatenated keys are globally
+        sorted: the parts of the batch fast paths' :class:`SortedView`."""
+        leaf = self._root
+        while not leaf.is_leaf:
+            leaf = leaf.children[0]
+        while leaf is not None:
+            yield leaf, leaf.keys_np(), np.arange(len(leaf.keys), dtype=np.int64)
+            leaf = leaf.next_leaf
 
     def batch_get(self, keys) -> list:
-        """Vectorized lookup: one ``searchsorted`` over the flat sorted
+        """Vectorized lookup: one ``searchsorted`` over the sorted
         leaf-chain view resolves the whole batch; hit values are read
         live from their leaves.  Delegates to the per-key loop under an
         active tracer (identical CostTrace totals)."""
         if current_tracer() is not None:
             return BatchIndex.batch_get(self, keys)
         keys = np.asarray(keys, dtype=np.uint64)
-        n = len(keys)
-        if n == 0:
-            return []
-        out: list = [None] * n
-        flat_keys, lidx, sidx, leaves = self._flat()
-        if len(flat_keys) == 0:
-            return out
-        pos = np.searchsorted(flat_keys, keys)
-        np.clip(pos, 0, len(flat_keys) - 1, out=pos)
-        hits = np.flatnonzero(flat_keys[pos] == keys)
-        hp = pos[hits]
-        for j, li, si in zip(hits.tolist(), lidx[hp].tolist(), sidx[hp].tolist()):
-            out[j] = leaves[li].values[si]
+        out: list = [None] * len(keys)
+        hit_i, leaves, slots = self._view.find(keys)
+        for i, leaf, s in zip(hit_i.tolist(), leaves, slots):
+            out[i] = leaf.values[s]
         return out
 
     def batch_insert(self, keys, values=None) -> np.ndarray:
         """Vectorized insert: keys already present resolve through the
-        flat leaf-chain view and become in-place value updates; only the
-        genuinely new keys take the per-key descent (which may split
+        sorted leaf-chain view and become in-place value updates; only
+        the genuinely new keys take the per-key descent (which may split
         leaves).  Updates are applied before the scalar misses so the
         ``(leaf, slot)`` coordinates stay valid.  Delegates to the
         per-key loop under an active tracer."""
@@ -205,21 +176,14 @@ class BPlusTreeIndex(OrderedIndex):
         out = np.zeros(n, dtype=bool)
         if n == 0:
             return out
-        flat_keys, lidx, sidx, leaves = self._flat()
-        if len(flat_keys):
-            pos = np.searchsorted(flat_keys, keys)
-            np.clip(pos, 0, len(flat_keys) - 1, out=pos)
-            hit = flat_keys[pos] == keys
-        else:
-            hit = np.zeros(n, dtype=bool)
-        hit_i = np.flatnonzero(hit)
-        if len(hit_i):
-            hp = pos[hit_i]
-            with self._lock:
-                for j, li, si in zip(hit_i.tolist(), lidx[hp].tolist(), sidx[hp].tolist()):
-                    leaves[li].values[si] = values[j]
-        for j in np.flatnonzero(~hit).tolist():
-            out[j] = self.insert(int(keys[j]), values[j])
+        hit_i, leaves, slots = self._view.find(keys)
+        with self._lock:
+            for i, leaf, s in zip(hit_i.tolist(), leaves, slots):
+                leaf.values[s] = values[i]
+        new = np.ones(n, dtype=bool)
+        new[hit_i] = False
+        for i in np.flatnonzero(new).tolist():
+            out[i] = self.insert(int(keys[i]), values[i])
         return out
 
     def batch_remove(self, keys) -> np.ndarray:
@@ -236,35 +200,24 @@ class BPlusTreeIndex(OrderedIndex):
         out = np.zeros(n, dtype=bool)
         if n == 0:
             return out
-        _, first = np.unique(keys, return_index=True)
-        vec = np.zeros(n, dtype=bool)
-        vec[first] = True
-        dup_idx = np.flatnonzero(~vec)
-        flat_keys, lidx, sidx, leaves = self._flat()
-        if len(flat_keys):
-            pos = np.searchsorted(flat_keys, keys)
-            np.clip(pos, 0, len(flat_keys) - 1, out=pos)
-            hit = (flat_keys[pos] == keys) & vec
-        else:
-            hit = np.zeros(n, dtype=bool)
-        hit_i = np.flatnonzero(hit)
-        if len(hit_i):
-            hp = pos[hit_i]
-            per_leaf: dict[int, list[int]] = {}
-            for li, si in zip(lidx[hp].tolist(), sidx[hp].tolist()):
-                per_leaf.setdefault(li, []).append(si)
+        first, dup_idx = first_occurrences(keys)
+        first_i = np.flatnonzero(first)
+        hit_j, leaves, slots = self._view.find(keys[first_i])
+        if len(hit_j):
+            per_leaf: dict[_BNode, list[int]] = {}
+            for leaf, s in zip(leaves, slots):
+                per_leaf.setdefault(leaf, []).append(s)
             with self._lock:
-                for li, slots in per_leaf.items():
-                    leaf = leaves[li]
-                    for si in sorted(slots, reverse=True):
-                        del leaf.keys[si]
-                        del leaf.values[si]
+                for leaf, doomed in per_leaf.items():
+                    for s in sorted(doomed, reverse=True):
+                        del leaf.keys[s]
+                        del leaf.values[s]
                     leaf._np_keys = None
-                self._size -= len(hit_i)
-                self._mutations += 1
-            out[hit_i] = True
-        for j in dup_idx.tolist():
-            out[j] = self.remove(int(keys[j]))
+                self._size -= len(hit_j)
+                self._view.invalidate()
+            out[first_i[hit_j]] = True
+        for i in dup_idx:
+            out[i] = self.remove(int(keys[i]))
         return out
 
     def insert(self, key: int, value) -> bool:
@@ -286,7 +239,7 @@ class BPlusTreeIndex(OrderedIndex):
                 root.children = [self._root, right]
                 self._root = root
             self._size += 1
-            self._mutations += 1
+            self._view.invalidate()
             return True
 
     def _insert_rec(self, node: _BNode, key: int, value):
@@ -357,7 +310,7 @@ class BPlusTreeIndex(OrderedIndex):
                 del leaf.values[i]
                 leaf._np_keys = None
                 self._size -= 1
-                self._mutations += 1
+                self._view.invalidate()
                 return True
             return False
 

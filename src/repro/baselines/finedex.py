@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.baselines.rmi import _LinearModel
-from repro.common import BatchIndex, OrderedIndex, as_value_array, unique_tag
+from repro.common import BatchIndex, OrderedIndex, SortedView, as_value_array, unique_tag
 from repro.core.segmentation import lpa_partition
 from repro.obs.spans import current_profile
 from repro.sim.trace import MemoryMap, current_tracer, global_memory
@@ -204,7 +204,12 @@ class FINEdex(OrderedIndex):
         self._upper_span = None
         self._size = 0
         self._size_lock = threading.Lock()
-        self._flat_view: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # Training arrays are immutable after bulk_load (runtime inserts
+        # go to level bins, removals to the per-model deleted sets), so
+        # the view is built once and never invalidated.
+        self._view = SortedView(
+            lambda: ((m, m.keys, np.arange(len(m.keys))) for m in self._models)
+        )
 
     @classmethod
     def bulk_load(
@@ -271,77 +276,37 @@ class FINEdex(OrderedIndex):
             prof.exit()
         return value if found else None
 
-    def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat view of every model's training array: ``(keys, model_idx,
-        model_offsets)``.
-
-        Training arrays are immutable after :meth:`bulk_load` (runtime
-        inserts go to level bins, removals to the per-model ``deleted``
-        sets), so the view is built once and never invalidated; values
-        and deletions are read live through the returned indices.
-        """
-        view = self._flat_view
-        if view is None:
-            counts = np.array([len(m.keys) for m in self._models], dtype=np.int64)
-            offsets = np.zeros(len(self._models), dtype=np.int64)
-            if len(counts) > 1:
-                np.cumsum(counts[:-1], out=offsets[1:])
-            flat = (
-                np.concatenate([m.keys for m in self._models])
-                if self._models
-                else np.empty(0, dtype=np.uint64)
-            )
-            fmidx = np.repeat(np.arange(len(self._models), dtype=np.int64), counts)
-            view = (flat.astype(np.uint64, copy=False), fmidx, offsets)
-            self._flat_view = view
-        return view
-
     def batch_get(self, keys) -> list:
-        """Vectorized lookup: one ``searchsorted`` over the flat training
-        view routes and ranks the whole batch; only bin-resident keys
-        fall back to the per-key level-bin chase.  Delegates to the
-        scalar loop under an active tracer (trace equivalence).
+        """Vectorized lookup: one ``searchsorted`` over the sorted view of
+        the training arrays routes and ranks the whole batch; only
+        bin-resident keys fall back to the per-key level-bin chase.
+        Delegates to the scalar loop under an active tracer (trace
+        equivalence).
         """
-        keys = np.asarray(keys, dtype=np.uint64)
-        n = len(keys)
-        if n == 0:
-            return []
         if current_tracer() is not None:
             return BatchIndex.batch_get(self, keys)
-        flat, fmidx, offsets = self._flat()
-        pos = np.searchsorted(flat, keys, side="right")
-        hit = np.zeros(n, dtype=bool)
-        nz = pos > 0
-        hit[nz] = flat[pos[nz] - 1] == keys[nz]
+        keys = np.asarray(keys, dtype=np.uint64)
+        n = len(keys)
         out: list = [None] * n
-        models = self._models
         keys_l = keys.tolist()
-        hit_i = np.flatnonzero(hit)
-        if len(hit_i):
-            hp = pos[hit_i] - 1
-            hmi = fmidx[hp]
-            hli = hp - offsets[hmi]
-            for i, mi, li in zip(hit_i.tolist(), hmi.tolist(), hli.tolist()):
-                m = models[mi]
-                if keys_l[i] not in m.deleted:
-                    out[i] = m.values[li]
-        miss_i = np.flatnonzero(~hit)
+        hit_i, models, slots = self._view.find(keys)
+        for i, m, s in zip(hit_i.tolist(), models, slots):
+            if keys_l[i] not in m.deleted:
+                out[i] = m.values[s]
+        miss = np.ones(n, dtype=bool)
+        miss[hit_i] = False
+        miss_i = np.flatnonzero(miss)
         if len(miss_i):
-            # Misses need the routed model's local rank for the bin
-            # slot; the flat position is that rank plus the model's
-            # offset (models partition the sorted key space).
-            mmi = (
-                np.searchsorted(
-                    self._first_keys, keys[miss_i], side="right"
-                ).astype(np.int64)
-                - 1
-            )
-            np.clip(mmi, 0, None, out=mmi)
-            slot = np.maximum(pos[miss_i] - offsets[mmi] - 1, 0)
-            for i, mi, s in zip(miss_i.tolist(), mmi.tolist(), slot.tolist()):
-                b = models[mi].bins.get(s)
-                if b is not None:
-                    found, value = b.find(keys_l[i])
+            # A missing key's bin hangs off the largest training key below
+            # it, in that key's model (models partition the sorted key
+            # space); keys below every training key use model 0's bin 0.
+            vkeys, owners, vslots = self._view.arrays()
+            below = (np.searchsorted(vkeys, keys[miss_i]) - 1).tolist()
+            for i, b in zip(miss_i.tolist(), below):
+                m, s = (owners[b], int(vslots[b])) if b >= 0 else (self._models[0], 0)
+                bin_ = m.bins.get(s)
+                if bin_ is not None:
+                    found, value = bin_.find(keys_l[i])
                     if found:
                         out[i] = value
         return out

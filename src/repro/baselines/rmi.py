@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.common import sorted_hits
 from repro.obs.spans import current_profile
 from repro.sim.trace import MemoryMap, current_tracer, global_memory
 
@@ -186,14 +187,8 @@ class TwoStageRMI:
         over the key array — same result, one C kernel per batch.
         """
         keys = np.asarray(keys, dtype=np.uint64)
-        n = len(self._keys)
         out = np.full(len(keys), -1, dtype=np.int64)
-        if n == 0 or len(keys) == 0:
-            return out
-        pos = np.searchsorted(self._keys, keys)
-        in_range = pos < n
-        hit = np.zeros(len(keys), dtype=bool)
-        hit[in_range] = self._keys[pos[in_range]] == keys[in_range]
+        pos, hit = sorted_hits(self._keys, keys)
         out[hit] = pos[hit]
         return out
 

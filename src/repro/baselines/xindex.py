@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.baselines.rmi import TwoStageRMI, _LinearModel
-from repro.common import BatchIndex, OrderedIndex, as_value_array, unique_tag
+from repro.common import BatchIndex, OrderedIndex, SortedView, as_value_array, unique_tag
 from repro.concurrency.version_lock import OptimisticLock, RestartException
 from repro.obs.spans import current_profile
 from repro.sim.trace import MemoryMap, current_tracer, global_memory
@@ -251,11 +251,10 @@ class XIndex(OrderedIndex):
         self._pivots = np.empty(0, dtype=np.uint64)
         self._size = 0
         self._size_lock = threading.Lock()
-        # Structural-change stamp for the batch fast path's flat view:
-        # bumped when a buffer entry appears/disappears or a group
-        # compacts (value updates and deleted-set changes are read live).
-        self._mutations = 0
-        self._flat_view: tuple[np.ndarray, np.ndarray, np.ndarray, int] | None = None
+        # The batch fast path's view, invalidated when a buffer entry
+        # appears/disappears or a group compacts (value updates and
+        # deleted-set changes are read live).
+        self._view = SortedView(self._group_parts)
 
     @classmethod
     def bulk_load(
@@ -321,76 +320,39 @@ class XIndex(OrderedIndex):
             except RestartException:
                 continue
 
-    def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Sorted flat view of every group's data array *and* delta
-        buffer: ``(keys, group_idx, slot_idx)`` plus the stamp it was
-        built at.  Buffer entries encode their position ``b`` as
-        ``-(b + 1)`` so one array distinguishes the two stores; values
-        and the per-group deleted sets are read live through these
-        indices, so only structural changes (tracked by
-        ``self._mutations``) force a rebuild.
-        """
-        view = self._flat_view
-        if view is None or view[3] != self._mutations:
-            parts_k: list[np.ndarray] = []
-            parts_g: list[np.ndarray] = []
-            parts_s: list[np.ndarray] = []
-            for gi, g in enumerate(self._groups):
-                if len(g.keys):
-                    parts_k.append(g.keys)
-                    parts_g.append(np.full(len(g.keys), gi, dtype=np.int64))
-                    parts_s.append(np.arange(len(g.keys), dtype=np.int64))
-                if g.buf_keys:
-                    parts_k.append(np.array(g.buf_keys, dtype=np.uint64))
-                    parts_g.append(np.full(len(g.buf_keys), gi, dtype=np.int64))
-                    parts_s.append(-np.arange(1, len(g.buf_keys) + 1, dtype=np.int64))
-            if parts_k:
-                flat = np.concatenate(parts_k)
-                gidx = np.concatenate(parts_g)
-                sidx = np.concatenate(parts_s)
-                order = np.argsort(flat, kind="stable")
-                flat, gidx, sidx = flat[order], gidx[order], sidx[order]
-            else:
-                flat = np.empty(0, dtype=np.uint64)
-                gidx = np.empty(0, dtype=np.int64)
-                sidx = np.empty(0, dtype=np.int64)
-            view = (flat, gidx, sidx, self._mutations)
-            self._flat_view = view
-        return view
+    def _group_parts(self):
+        """One sorted part per group: its data array merged with its
+        delta buffer, buffer position ``b`` encoded as slot ``-(b + 1)``.
+        Groups partition the key space in order, so sorting within each
+        group is enough for the whole view to be sorted."""
+        for g in self._groups:
+            slots = np.arange(len(g.keys), dtype=np.int64)
+            if not g.buf_keys:
+                yield g, g.keys, slots
+                continue
+            keys = np.concatenate([g.keys, np.array(g.buf_keys, dtype=np.uint64)])
+            slots = np.concatenate([slots, -np.arange(1, len(g.buf_keys) + 1)])
+            order = np.argsort(keys)
+            yield g, keys[order], slots[order]
 
     def batch_get(self, keys) -> list:
-        """Vectorized lookup: one ``searchsorted`` over the flat view of
+        """Vectorized lookup: one ``searchsorted`` over the sorted view of
         group arrays and delta buffers resolves the whole batch (the
         RMI's ``position_for`` group locate is subsumed — a key is only
         ever stored in the group it routes to).  Delegates to the scalar
         loop under an active tracer (trace equivalence).
         """
-        keys = np.asarray(keys, dtype=np.uint64)
-        n = len(keys)
-        if n == 0:
-            return []
         if current_tracer() is not None:
             return BatchIndex.batch_get(self, keys)
-        flat, gidx, sidx, _ = self._flat()
-        pos = np.searchsorted(flat, keys)
-        in_range = pos < len(flat)
-        hit = np.zeros(n, dtype=bool)
-        hit[in_range] = flat[pos[in_range]] == keys[in_range]
-        out: list = [None] * n
-        groups = self._groups
+        keys = np.asarray(keys, dtype=np.uint64)
+        out: list = [None] * len(keys)
+        hit_i, groups, slots = self._view.find(keys)
         keys_l = keys.tolist()
-        hit_i = np.flatnonzero(hit)
-        if len(hit_i):
-            hp = pos[hit_i]
-            hg = gidx[hp]
-            hs = sidx[hp]
-            for i, gi, s in zip(hit_i.tolist(), hg.tolist(), hs.tolist()):
-                g = groups[gi]
-                if s >= 0:
-                    if keys_l[i] not in g.deleted:
-                        out[i] = g.values[s]
-                else:
-                    out[i] = g.buf_values[-s - 1]
+        for i, g, s in zip(hit_i.tolist(), groups, slots):
+            if s < 0:
+                out[i] = g.buf_values[-s - 1]
+            elif keys_l[i] not in g.deleted:
+                out[i] = g.values[s]
         return out
 
     def insert(self, key: int, value) -> bool:
@@ -421,10 +383,10 @@ class XIndex(OrderedIndex):
                     prof.enter("xindex.buffer")
                 new = group.buffer_insert(key, value)
                 if new:
-                    self._mutations += 1
+                    self._view.invalidate()
                 if len(group.buf_keys) >= self.buffer_threshold:
                     group.compact()
-                    self._mutations += 1
+                    self._view.invalidate()
                 if prof is not None:
                     prof.exit()
                 if new:
@@ -460,7 +422,7 @@ class XIndex(OrderedIndex):
                     if j >= 0:
                         del group.buf_keys[j]
                         del group.buf_values[j]
-                        self._mutations += 1
+                        self._view.invalidate()
                         self._bump(-1)
                         return True
                     return False

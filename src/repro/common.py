@@ -40,7 +40,10 @@ class BatchIndex:
     validation, so they assume no *concurrent* writers (the scalar
     operations remain safe under the paper's concurrency protocols);
     interleaving batch calls with scalar mutations from the same thread
-    is always safe.
+    is always safe.  The baselines resolve a batch through one
+    :class:`SortedView` (one ``searchsorted`` for the whole batch) and
+    replay repeated keys of a write batch through the scalar path
+    (:func:`first_occurrences`).
     """
 
     def batch_get(self, keys: Iterable[int] | np.ndarray) -> list:
@@ -165,3 +168,68 @@ def unique_tag(prefix: str) -> str:
     """Distinct memory tag per index instance, e.g. ``alex#3``."""
     _TAG_COUNTER[0] += 1
     return f"{prefix}#{_TAG_COUNTER[0]}"
+
+
+def sorted_hits(sorted_keys: np.ndarray, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(pos, hit)`` per probe key: its ``searchsorted`` position in
+    ``sorted_keys`` and whether the key is present at that position."""
+    pos = np.searchsorted(sorted_keys, probe)
+    if len(sorted_keys) == 0:
+        return pos, np.zeros(len(probe), dtype=bool)
+    return pos, sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == probe
+
+
+def first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """``(first_mask, dup_idx)``: which positions hold the first
+    occurrence of their key, and the ascending positions of the rest
+    (a write batch replays those through the scalar path)."""
+    first = np.zeros(len(keys), dtype=bool)
+    first[np.unique(keys, return_index=True)[1]] = True
+    return first, np.flatnonzero(~first).tolist()
+
+
+class SortedView:
+    """One cached, globally sorted key array over an index's containers.
+
+    ``build()`` yields one ``(container, keys, slots)`` part per node,
+    leaf or group, in key order: each part's keys are sorted and lie
+    below the next part's, so the concatenation is sorted and a whole
+    batch resolves with one ``searchsorted``.  ``slots[j]`` locates
+    ``keys[j]`` inside its container.  Values are read live through
+    ``(container, slot)``, so value updates keep the view valid; any
+    structural change (a key appears or disappears, a container splits
+    or compacts) must call :meth:`invalidate`.
+    """
+
+    __slots__ = ("_build", "_arrays")
+
+    def __init__(self, build):
+        self._build = build
+        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def invalidate(self) -> None:
+        self._arrays = None
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(keys, containers, slots)``, one entry per key (``containers``
+        is an object array); rebuilt on first use after :meth:`invalidate`."""
+        if self._arrays is None:
+            parts = [p for p in self._build() if len(p[1])]
+            owners = np.empty(len(parts), dtype=object)
+            owners[:] = [c for c, _, _ in parts]
+            counts = [len(k) for _, k, _ in parts]
+            self._arrays = (
+                np.concatenate([k for _, k, _ in parts] or [np.empty(0, np.uint64)]),
+                np.repeat(owners, counts),
+                np.concatenate([s for _, _, s in parts] or [np.empty(0, np.int64)]),
+            )
+        return self._arrays
+
+    def find(self, probe: np.ndarray) -> tuple[np.ndarray, list, list[int]]:
+        """``(hit_i, containers, slots)``: the positions in ``probe`` of the
+        keys present, and per hit the container and slot holding it."""
+        keys, owners, slots = self.arrays()
+        pos, hit = sorted_hits(keys, probe)
+        hit_i = np.flatnonzero(hit)
+        hp = pos[hit_i]
+        return hit_i, owners[hp].tolist(), slots[hp].tolist()

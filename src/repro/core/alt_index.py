@@ -32,7 +32,14 @@ import numpy as np
 
 from repro import chaos
 from repro.art.tree import AdaptiveRadixTree
-from repro.common import BatchIndex, OrderedIndex, as_value_array, unique_tag
+from repro.common import (
+    BatchIndex,
+    OrderedIndex,
+    as_value_array,
+    first_occurrences,
+    sorted_hits,
+    unique_tag,
+)
 from repro.concurrency.retry import StuckWriterError
 from repro.core.analysis import suggest_error_bound
 from repro.core.fast_pointer import FastPointerBuffer
@@ -169,6 +176,25 @@ class ALTIndex(OrderedIndex):
     def _bootstrap_model(self, key: int) -> None:
         """First insert into an empty index: seed a minimal GPL model."""
         self._layer.append_overflow_model(key, 1.0, 64)
+
+    def _move_home(self, index: int, model) -> None:
+        """After an expansion swap, move every ART key of the model's
+        range whose slot in the new ``model`` is EMPTY into that slot.
+
+        A scalar insert writes an EMPTY slot without consulting the ART,
+        so leaving such a key in the ART would give it two homes once
+        it is re-inserted.  The ART copy is removed first and the slot
+        written only if that removal succeeded, as the batch write-back
+        does; keys whose new slot is a tombstone still migrate lazily.
+        """
+        lo = model.first_key if index else 0  # model 0 also takes keys below it
+        hi = self._layer.next_first_key(index)
+        for key, value in self._art_scan_lazy(lo, 4096):
+            if hi is not None and key >= hi:
+                return
+            slot = model.slot_of(key)
+            if model.np_state[slot] == EMPTY and self._art.remove(key):
+                model.write_slot(slot, key, value)
 
     # -- stuck-writer recovery (crash-induced odd versions) --------------
     def _recover_stuck_slot(self, model, slot: int) -> None:
@@ -314,11 +340,7 @@ class ALTIndex(OrderedIndex):
         # One searchsorted over the ART's sorted view resolves every
         # conflict key at once.
         vkeys, vvals = self._art.sorted_view()
-        mk = np.array(miss_keys, dtype=np.uint64)
-        pos = np.searchsorted(vkeys, mk)
-        in_range = pos < len(vkeys)
-        found = np.zeros(len(mk), dtype=bool)
-        found[in_range] = vkeys[pos[in_range]] == mk[in_range]
+        pos, found = sorted_hits(vkeys, np.array(miss_keys, dtype=np.uint64))
         pos_l = pos.tolist()
         found_l = found.tolist()
         for j, i in enumerate(miss_i):
@@ -371,14 +393,7 @@ class ALTIndex(OrderedIndex):
         # target (slot vs ART) only the live structures know; they replay
         # through the scalar path after the batch, preserving per-key
         # order (first occurrence inserts, later ones update).
-        vec_mask = np.ones(n, dtype=bool)
-        dup_idx: list[int] = []
-        uniq, first_pos = np.unique(keys, return_index=True)
-        if len(uniq) != n:
-            firsts = np.zeros(n, dtype=bool)
-            firsts[first_pos] = True
-            dup_idx = np.flatnonzero(~firsts).tolist()
-            vec_mask[dup_idx] = False
+        vec_mask, dup_idx = first_occurrences(keys)
 
         if prof is not None:
             prof.enter("alt.batch_probe")
@@ -499,14 +514,7 @@ class ALTIndex(OrderedIndex):
         obs_health.tick(self, n)
         prof = current_profile()  # fetched once per batch
         out = np.zeros(n, dtype=bool)
-        vec_mask = np.ones(n, dtype=bool)
-        dup_idx: list[int] = []
-        uniq, first_pos = np.unique(keys, return_index=True)
-        if len(uniq) != n:
-            firsts = np.zeros(n, dtype=bool)
-            firsts[first_pos] = True
-            dup_idx = np.flatnonzero(~firsts).tolist()
-            vec_mask[dup_idx] = False
+        vec_mask, dup_idx = first_occurrences(keys)
 
         if prof is not None:
             prof.enter("alt.batch_probe")
@@ -604,11 +612,12 @@ class ALTIndex(OrderedIndex):
                         new = False
                     model.insert_count += 1
                     if exp.is_complete():
-                        finish_expansion(
+                        new_model = finish_expansion(
                             self._layer,
                             i,
                             lambda k, v: self._art_insert(k, v, i, model),
                         )
+                        self._move_home(i, new_model)
                     if new:
                         self._bump(1)
                     return new

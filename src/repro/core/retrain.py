@@ -15,9 +15,13 @@ spill to the ART layer.  Expansion is incremental (no blocking rebuild):
    migrated and the model pointer is swapped.
 
 The old model's last key bound carries over so routing is unchanged, and
-the new model inherits the fast pointer index.  After a swap, keys that
-ended up in ART but now predict to a free slot migrate back lazily via
-the write-back path of Algorithm 2 (lines 10-13).
+the new model inherits the fast pointer index.  After a swap, ART keys
+of the model's range whose slot in the new model is EMPTY must move home
+at once (``ALTIndex.insert`` does so right after :func:`finish_expansion`):
+an insert writes an EMPTY slot without consulting the ART, so such a key
+would otherwise get a second home.  ART keys whose new slot is a
+tombstone migrate back lazily via the write-back path of Algorithm 2
+(lines 10-13).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.alt_index import ALTIndex
-from repro.core.learned_layer import FULL, TOMBSTONE
+from repro.core.learned_layer import EMPTY, FULL, TOMBSTONE
 from repro.sim.trace import MemoryMap, tracer
 
 
@@ -265,6 +265,35 @@ class TestRetrainingIntegration:
             assert idx.get(k) == k * 2, k
         for k in keys:
             assert idx.get(int(k)) == int(k)
+
+
+    def test_finished_expansion_leaves_every_key_one_home(self):
+        """An expansion swap can give ART keys of the model an EMPTY slot
+        in the new model.  A scalar insert writes an EMPTY slot without
+        consulting the ART, so unless the swap moves those keys home, a
+        re-insert reports a new key, ``len`` drifts, and a remove leaves
+        the stale ART copy to come back."""
+        rng = np.random.default_rng(0)
+        keys = np.unique(rng.integers(0, 2**40, 8_000, dtype=np.uint64))
+        base = keys[::4]
+        idx = ALTIndex.bulk_load(base, memory=MemoryMap())
+        for k in np.setdiff1d(keys, base).tolist():
+            idx.insert(k, k)
+        art_keys = [k for k, _ in idx.art.items()]
+        assert idx.expansions > 0 and art_keys, "workload assumption broken"
+        # No ART key predicts to an EMPTY slot of a model without an
+        # active expansion.
+        for k in art_keys:
+            _, m = idx.layer.route(k)
+            if m.expansion is None:
+                assert m.read_slot(m.slot_of(k))[0] != EMPTY, k
+        for k in art_keys:
+            n = len(idx)
+            assert idx.insert(k, "v2") is False, k
+            assert len(idx) == n
+            assert idx.remove(k), k
+            assert idx.get(k) is None, k
+        assert len(idx) == len(keys) - len(art_keys)
 
 
 class TestStatsAndTracing:

@@ -11,9 +11,11 @@ docs/API.md states two invariants for the vectorized batch layer:
 These tests drive both through mutation sequences chosen to hit the
 fast-path invalidation machinery: ALT-index layer-wide slot mirrors
 (folded on every structural version) and the ART's delta-patched
-sorted view, ALEX+/B+tree flat views across
-splits, and ALT-index expansion buffers (batch lookups during and
-after a retrain).
+sorted view, the baselines' ``repro.common.SortedView`` across ALEX+/
+B+tree splits and XIndex compactions, and ALT-index expansion buffers
+(batch lookups during and after a retrain).  A seeded random stream of
+batch and scalar writes is checked step by step against a dict oracle
+on every index.
 """
 
 import numpy as np
@@ -550,6 +552,65 @@ class TestBatchWriteEquivalence:
         assert len(idx) == n
 
 
+class TestDifferentialStream:
+    """Every index against a dict oracle, one step at a time."""
+
+    @pytest.mark.parametrize("cls", ALL_INDEXES, ids=IDS)
+    def test_random_stream_matches_dict_oracle(self, cls):
+        """A seeded 200-round stream of batch_insert/batch_remove/
+        batch_get and scalar insert/remove, 70% of its keys from a
+        1,200-key hot window so models expand, nodes split and buffers
+        compact.  Flags, values and ``len`` must match the oracle after
+        every step."""
+        rng = np.random.default_rng(0)
+        universe = np.sort(rng.choice(2**40, 12_000, replace=False).astype(np.uint64))
+        base = universe[::3]
+        idx = cls.bulk_load(base, memory=MemoryMap())
+        oracle = {k: k for k in base.tolist()}
+        w = int(rng.integers(0, len(universe) - 1_200))
+        hot = universe[w : w + 1_200]
+
+        for r in range(200):
+            n = int(rng.integers(1, 65))
+            keys = np.where(
+                rng.random(n) < 0.7, rng.choice(hot, n), rng.choice(universe, n)
+            ).astype(np.uint64)
+            kl = keys.tolist()
+            op = int(rng.integers(5))
+            if op == 0:
+                vals = [f"{r}:{k}" for k in kl]
+                got = idx.batch_insert(keys, vals).tolist()
+            elif op == 1:
+                got = idx.batch_remove(keys).tolist()
+            elif op == 2:
+                got = idx.batch_get(keys)
+            elif op == 3:
+                vals = [r] * n
+                got = [idx.insert(k, r) for k in kl]
+            else:
+                got = [idx.remove(k) for k in kl]
+            if op in (0, 3):
+                want = []
+                for k, v in zip(kl, vals):
+                    want.append(k not in oracle)
+                    oracle[k] = v
+            elif op == 2:
+                want = [oracle.get(k) for k in kl]
+            else:
+                want = [oracle.pop(k, None) is not None for k in kl]
+            assert got == want, f"round {r}, op {op}"
+            assert len(idx) == len(oracle), f"round {r}, op {op}"
+            assert idx.batch_get(keys) == [oracle.get(k) for k in kl], f"round {r}"
+
+        stats = idx.stats()
+        if cls is ALTIndex:
+            assert idx.expansions > 0, "workload assumption broken: no retrain"
+        if cls is AlexIndex:
+            assert stats["splits"] > 0, "workload assumption broken: no split"
+        if cls is XIndex:
+            assert stats["compactions"] > 0, "workload assumption broken: no compaction"
+
+
 class TestALTBatchWriteInternals:
     """ALT-specific semantics of the vectorized write path."""
 
@@ -617,7 +678,7 @@ def test_generic_fallback_used_by_unoptimized_indexes():
     assert ArtIndex.batch_get is BatchIndex.batch_get
     for cls in (ALTIndex, AlexIndex, BPlusTreeIndex, FINEdex, XIndex):
         assert cls.batch_get is not BatchIndex.batch_get, cls.NAME
-    # Write fast paths: ALT-index plus the flat-view baselines.
+    # Write fast paths: ALT-index plus the sorted-view baselines.
     for cls in (ALTIndex, AlexIndex, BPlusTreeIndex):
         assert cls.batch_insert is not BatchIndex.batch_insert, cls.NAME
         assert cls.batch_remove is not BatchIndex.batch_remove, cls.NAME
