@@ -104,7 +104,8 @@ class Node:
     def remove_child(self, byte: int) -> None:  # pragma: no cover
         raise NotImplementedError
 
-    def iter_children(self) -> Iterator[tuple[int, object]]:  # pragma: no cover
+    def iter_children(self, start: int = 0) -> Iterator[tuple[int, object]]:  # pragma: no cover
+        """``(byte, child)`` pairs with ``byte >= start``, in byte order."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -157,8 +158,9 @@ class Node4(Node):
         del self.children[i]
         self.count -= 1
 
-    def iter_children(self) -> Iterator[tuple[int, object]]:
-        return zip(self.keys, self.children)
+    def iter_children(self, start: int = 0) -> Iterator[tuple[int, object]]:
+        i = self._slot_of(start)
+        return zip(self.keys[i:], self.children[i:])
 
     def grow(self, memory: MemoryMap, tag: str) -> "Node16":
         node = Node16(self.prefix, self.match_level, memory, tag)
@@ -220,8 +222,9 @@ class Node16(Node):
         del self.children[i]
         self.count -= 1
 
-    def iter_children(self) -> Iterator[tuple[int, object]]:
-        return zip(self.keys, self.children)
+    def iter_children(self, start: int = 0) -> Iterator[tuple[int, object]]:
+        i = self._search(start)
+        return zip(self.keys[i:], self.children[i:])
 
     def grow(self, memory: MemoryMap, tag: str) -> "Node48":
         node = Node48(self.prefix, self.match_level, memory, tag)
@@ -275,9 +278,9 @@ class Node48(Node):
         self._free_slots.append(slot)
         self.count -= 1
 
-    def iter_children(self) -> Iterator[tuple[int, object]]:
+    def iter_children(self, start: int = 0) -> Iterator[tuple[int, object]]:
         index = self.child_index
-        for byte in range(256):
+        for byte in range(start, 256):
             slot = index[byte]
             if slot != self.EMPTY:
                 yield byte, self.children[slot]
@@ -322,9 +325,9 @@ class Node256(Node):
         self.children[byte] = None
         self.count -= 1
 
-    def iter_children(self) -> Iterator[tuple[int, object]]:
+    def iter_children(self, start: int = 0) -> Iterator[tuple[int, object]]:
         children = self.children
-        for byte in range(256):
+        for byte in range(start, 256):
             child = children[byte]
             if child is not None:
                 yield byte, child

@@ -40,6 +40,7 @@ step and lock transition for deterministic schedule exploration.
 from __future__ import annotations
 
 import threading
+from itertools import islice
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -323,13 +324,23 @@ class AdaptiveRadixTree:
                 node.lock.check_or_restart(version)
                 return
         depth += len(p)
-        bound = lo_bytes[depth] if tight else 0
-        children = [(b, c) for b, c in node.iter_children() if b >= bound]
-        node.lock.check_or_restart(version)
-        for byte, child in children:
-            if len(out) >= limit:
+        bound = start = lo_bytes[depth] if tight else 0
+        while True:  # bounded: start advances past every listed child
+            # A child subtree holds a leaf, so ``limit - len(out)``
+            # children fill the scan, and one more covers a tight first
+            # child whose keys all lie below ``lo``.  A subtree left
+            # empty by a skipped merge holds none, so list on while the
+            # listing comes back full.
+            want = limit - len(out) + 1
+            children = list(islice(node.iter_children(start), want))
+            node.lock.check_or_restart(version)
+            for byte, child in children:
+                if len(out) >= limit:
+                    return
+                self._scan(child, lo_bytes, depth + 1, tight and byte == bound, limit, out)
+            if len(children) < want or len(out) >= limit:
                 return
-            self._scan(child, lo_bytes, depth + 1, tight and byte == bound, limit, out)
+            start = children[-1][0] + 1
 
     def min_item(self) -> tuple[int, object] | None:
         """Smallest (key, value) pair, or None when empty."""

@@ -27,6 +27,7 @@ memory-overhead experiment (Fig. 8a) accounts.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Iterator
 
@@ -87,7 +88,6 @@ class GPLModel:
         "n_slots",
         "keys",
         "values",
-        "occupied",
         "versions",
         "span",
         "fast_index",
@@ -115,14 +115,15 @@ class GPLModel:
         self.n_slots = n_slots
         self.keys: list[int | None] = [None] * n_slots
         self.values: list = [None] * n_slots
-        self.occupied: list[bool] = [False] * n_slots
         # NumPy mirrors of (key, slot state) kept in sync by every slot
         # write — the "bulk bitmap-state read" substrate of the batch
         # fast path.  A model of a LearnedLayer holds *views* into the
         # layer-wide arrays (LearnedLayer.np_keys/np_state), so
         # LearnedLayer.probe_live reads every model with one gather.
-        # The seqlocked Python lists above stay authoritative for the
-        # concurrent scalar protocol.
+        # The seqlocked Python lists above stay authoritative for keys
+        # and values; ``np_state`` is the slot bitmap, which the scalar
+        # read consults only to tell EMPTY from TOMBSTONE (both hold
+        # ``key is None``).
         if mirrors is None:
             mirrors = np.zeros(n_slots, dtype=np.uint64), np.zeros(n_slots, dtype=np.uint8)
         self.np_keys, self.np_state = mirrors  # state starts EMPTY
@@ -179,18 +180,16 @@ class GPLModel:
         while True:
             v = self.versions.read_begin(slot)
             chaos.point("gpl.read_fields")
-            occ = self.occupied[slot]
             key = self.keys[slot]
             value = self.values[slot]
+            empty = key is None and self.np_state[slot] == EMPTY
             if self.versions.read_validate(slot, v):
                 break
             if state is None:
                 state = DEFAULT_RETRY.begin("gpl.read_slot")
             state.step(slot=slot)
-        if not occ:
-            return EMPTY, None, None
         if key is None:
-            return TOMBSTONE, None, None
+            return (EMPTY if empty else TOMBSTONE), None, None
         return FULL, key, value
 
     def write_slot(self, slot: int, key: int | None, value) -> None:
@@ -200,7 +199,6 @@ class GPLModel:
         self.keys[slot] = key
         chaos.point("gpl.slot_fields")  # mid-write: key visible, value stale
         self.values[slot] = value
-        self.occupied[slot] = True
         self.np_keys[slot] = key
         self.np_state[slot] = FULL
         self.versions.write_end(slot)
@@ -213,7 +211,6 @@ class GPLModel:
         self.keys[slot] = None
         chaos.point("gpl.slot_fields")
         self.values[slot] = None
-        self.occupied[slot] = tombstone
         self.np_keys[slot] = 0
         self.np_state[slot] = TOMBSTONE if tombstone else EMPTY
         self.versions.write_end(slot)
@@ -237,9 +234,11 @@ class GPLModel:
             return None
         key = self.keys[slot]
         value = self.values[slot]
-        occ = self.occupied[slot]
+        # The state is the publish bit: a writer that died mid-write has
+        # written the key but not yet the state of a never-used slot.
+        published = self.np_state[slot] != EMPTY
         self.clear_slot(slot, tombstone=True)
-        if occ and key is not None:
+        if published and key is not None:
             return key, value
         return None
 
@@ -263,14 +262,12 @@ class GPLModel:
         conflicts: list[tuple[int, object]] = []
         kl = self.keys
         vl = self.values
-        oc = self.occupied
         for i in range(len(keys)):
             k = int(keys[i])
             if win[i]:
                 s = int(slots[i])
                 kl[s] = k
                 vl[s] = values[i]
-                oc[s] = True
             else:
                 conflicts.append((k, values[i]))
         placed = slots[win]
@@ -295,10 +292,9 @@ class GPLModel:
         for s in range(lo_slot, hi):
             if t is not None and s % 4 == 0:
                 t.reads.append(self._slot_line(s))
-            if self.occupied[s]:
-                k = self.keys[s]
-                if k is not None:
-                    yield k, self.values[s]
+            k = self.keys[s]
+            if k is not None:
+                yield k, self.values[s]
 
     def free(self) -> None:
         self.span.free()
@@ -319,6 +315,9 @@ class LearnedLayer:
         self.gap = gap
         self.models: list[GPLModel] = []
         self._first_keys = np.empty(0, dtype=np.uint64)
+        # List mirror of _first_keys for the untraced scalar route:
+        # bisect over Python ints beats a scalar np.searchsorted call.
+        self._first_key_list: list[int] = []
         self._upper_span = None
         self._version = 0
         self._geo_cache: tuple | None = None
@@ -375,7 +374,8 @@ class LearnedLayer:
 
     def _rebuild_upper(self) -> None:
         self._version += 1
-        self._first_keys = np.array([m.first_key for m in self.models], dtype=np.uint64)
+        self._first_key_list = [m.first_key for m in self.models]
+        self._first_keys = np.array(self._first_key_list, dtype=np.uint64)
         if self._upper_span is not None:
             self._upper_span.free()
         self._upper_span = self._memory.alloc(max(len(self.models) * 8, 8), self._tag)
@@ -469,7 +469,7 @@ class LearnedLayer:
             raise LookupError("empty learned layer")
         t = current_tracer()
         if t is None:
-            i = int(np.searchsorted(self._first_keys, np.uint64(key), side="right")) - 1
+            i = bisect.bisect_right(self._first_key_list, key) - 1
             return (0, self.models[0]) if i < 0 else (i, self.models[i])
         # Traced: walk the real probe sequence so the simulator sees the
         # true touch pattern of the upper-model array.
@@ -524,8 +524,7 @@ class LearnedLayer:
         """
         if not self.models:
             return
-        start = int(np.searchsorted(self._first_keys, np.uint64(lo), side="right")) - 1
-        start = max(start, 0)
+        start = max(bisect.bisect_right(self._first_key_list, lo) - 1, 0)
         for m in self.models[start:]:
             if m.first_key > hi:
                 return

@@ -63,8 +63,11 @@ _ZEROS = (0,) * _NFIELDS
 _tls = threading.local()
 #: Count of live ``profiled()`` activations across all threads.  Hot
 #: paths read this before touching thread-local state, so the fully
-#: disabled case costs one global load and an int test.
+#: disabled case costs one global load and an int test.  Updated under
+#: ``_n_active_lock``: a lost update could leave it at 0 while a profile
+#: is live, silently dropping that profile's spans.
 _n_active = 0
+_n_active_lock = threading.Lock()
 
 
 class SpanStats:
@@ -310,9 +313,11 @@ def profiled(profile: SpanProfile | None = None):
     profile = profile if profile is not None else SpanProfile()
     prev = getattr(_tls, "profile", None)
     _tls.profile = profile
-    _n_active += 1
+    with _n_active_lock:
+        _n_active += 1
     try:
         yield profile
     finally:
-        _n_active -= 1
+        with _n_active_lock:
+            _n_active -= 1
         _tls.profile = prev

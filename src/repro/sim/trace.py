@@ -15,8 +15,10 @@ Two things are derived from this instrumentation:
    recorded traces on virtual threads and charges time per event using
    :class:`repro.sim.cost_model.CostModel`.
 
-Tracing is *ambient*: structures call :func:`current_tracer` (cheap when
-tracing is off) so their public APIs stay clean.  Use::
+Tracing is *ambient*: structures call :func:`current_tracer` so their
+public APIs stay clean.  With no :func:`tracer` activation live in any
+thread, it returns after one module-global int test, before any
+thread-local access.  Use::
 
     with tracer() as t:
         index.search(key)
@@ -290,15 +292,26 @@ class _NullTrace:
 NULL_TRACE = _NullTrace()
 
 _tls = threading.local()
+#: Count of live ``tracer()`` activations across all threads, the
+#: :func:`repro.obs.spans.current_profile` pattern: with none live the
+#: lookups below skip the thread-local access.  Updated under
+#: ``_n_active_lock`` because a lost update would leave it at 0 while a
+#: trace is live and silently untrace that trace's operations.
+_n_active = 0
+_n_active_lock = threading.Lock()
 
 
 def current_tracer() -> CostTrace | None:
     """The active :class:`CostTrace` for this thread, or ``None``."""
+    if not _n_active:
+        return None
     return getattr(_tls, "trace", None)
 
 
 def active_tracer():
     """The active tracer, or a shared no-op sink when tracing is off."""
+    if not _n_active:
+        return NULL_TRACE
     return getattr(_tls, "trace", None) or NULL_TRACE
 
 
@@ -309,10 +322,15 @@ def tracer(trace: CostTrace | None = None):
     Yields the active :class:`CostTrace`.  Nested use stacks properly
     (inner traces shadow outer ones).
     """
+    global _n_active
     trace = trace if trace is not None else CostTrace()
     prev = getattr(_tls, "trace", None)
     _tls.trace = trace
+    with _n_active_lock:
+        _n_active += 1
     try:
         yield trace
     finally:
+        with _n_active_lock:
+            _n_active -= 1
         _tls.trace = prev

@@ -89,6 +89,9 @@ class TestNodeTypes:
             for byte in (200, 3, 77, 150):
                 node.add_child(byte, Leaf(byte, byte, mem, "t"))
             assert [b for b, _ in node.iter_children()] == [3, 77, 150, 200]
+            for start in range(257):
+                got = [(b, c.key) for b, c in node.iter_children(start)]
+                assert got == [(b, b) for b in (3, 77, 150, 200) if b >= start], (cls, start)
 
 
 class TestTreeBasics:
@@ -194,6 +197,69 @@ class TestTreeBulk:
             assert tree.search(k) is None
         for k in keys[1000:]:
             assert tree.search(k) == k
+
+
+class TestBoundedScan:
+    """``scan`` lists at most ``limit - len(out) + 1`` children per inner
+    node.  The extra child covers a *tight* first child (the one on
+    ``lo``'s own byte) whose keys all lie below ``lo``; these cases make
+    that child a leaf or an inner node and compare every small limit
+    against a sorted reference, at every inner node size."""
+
+    TOP = 1 << 56  # a sibling subtree, so the node under test can shrink
+
+    @staticmethod
+    def _keys(h: int) -> list[int]:
+        # Even h: an inner Node4 child (two keys); odd h: a lone leaf.
+        return [(h << 8) | 0x10, (h << 8) | 0x20] if h % 2 == 0 else [(h << 8) | 0x10]
+
+    def _check(self, tree, live: list[int], his: list[int]) -> None:
+        for h in his:
+            for lo in ((h << 8) | 0x30, (h << 8) | 0x15, h << 8):
+                ref = [k for k in live if k >= lo]
+                for limit in range(1, 8):
+                    got = [k for k, _ in tree.scan(lo, limit)]
+                    assert got == ref[:limit], (hex(lo), limit)
+                assert [k for k, _ in tree.scan(lo, len(ref) + 3)] == ref
+
+    def test_tight_child_below_lo_at_every_node_size(self, tree):
+        rng = random.Random(11)
+        his = list(range(256))
+        tree.insert(self.TOP, "top")
+        for h in his:
+            for k in self._keys(h):
+                tree.insert(k, k)
+        for n, kind in ((256, Node256), (40, Node256), (30, Node48), (10, Node16), (2, Node4)):
+            drop = rng.sample(his, len(his) - n)
+            for h in drop:
+                for k in self._keys(h):
+                    assert tree.remove(k)
+            his = sorted(set(his) - set(drop))
+            assert type(tree._root.find_child(0)) is kind
+            live = sorted(k for h in his for k in self._keys(h)) + [self.TOP]
+            sample = his if len(his) <= 40 else rng.sample(his, 40)
+            self._check(tree, live, sorted(sample) + [his[-1]])
+
+    def test_empty_subtrees_left_by_skipped_merges(self, tree, monkeypatch):
+        """A path-compression merge skipped under contention can leave an
+        inner node with no children; the bounded listing must list on
+        past such subtrees instead of ending the scan short."""
+        from repro.concurrency.version_lock import RestartException
+
+        for h in range(0, 20, 2):
+            for k in self._keys(h):
+                tree.insert(k, k)
+
+        def busy_parent(node):
+            raise RestartException
+
+        monkeypatch.setattr(tree, "_lock_parent_of", busy_parent)
+        for h in (4, 6, 8):
+            for k in self._keys(h):
+                assert tree.remove(k)
+        assert tree._root.find_child(4).count == 0
+        live = sorted(k for h in range(0, 20, 2) if h not in (4, 6, 8) for k in self._keys(h))
+        self._check(tree, live, [2, 4, 6, 8])
 
 
 class TestStructureModifications:

@@ -296,13 +296,16 @@ class TestALTBatchInternals:
     @staticmethod
     def _assert_mirrors_fold_the_lists(layer):
         """Every model's mirrors are views of the layer-wide arrays, and
-        those equal the authoritative slot lists slot for slot."""
+        those equal the authoritative key lists and the scalar
+        read_slot states slot for slot."""
         state, keys = [], []
         for m in layer.models:
             assert np.shares_memory(m.np_keys, layer.np_keys)
             assert np.shares_memory(m.np_state, layer.np_state)
-            for occ, k in zip(m.occupied, m.keys):
-                state.append(EMPTY if not occ else TOMBSTONE if k is None else FULL)
+            for s, k in enumerate(m.keys):
+                st = m.read_slot(s)[0]
+                assert (st == FULL) == (k is not None)
+                state.append(st)
                 keys.append(0 if k is None else k)
         assert layer.np_state.tolist() == state
         assert layer.np_keys.tolist() == keys

@@ -86,12 +86,15 @@ class TestGPLModel:
 
     def test_occupancy_from_mirror_matches_lists(self, mem):
         """occupancy() counts FULL mirror states; it must equal the
-        authoritative list count through writes, clears, tombstones,
-        refills and stuck-writer recovery."""
+        authoritative key-list count, and the slots read_slot calls FULL,
+        through writes, clears, tombstones, refills and stuck-writer
+        recovery."""
         m = GPLModel(0, 1.0, 32, mem, "t")
 
         def listed():
-            return sum(1 for occ, k in zip(m.occupied, m.keys) if occ and k is not None)
+            n = sum(1 for k in m.keys if k is not None)
+            assert n == sum(1 for s in range(32) if m.read_slot(s)[0] == FULL)
+            return n
 
         rng = np.random.default_rng(7)
         for step in range(200):
@@ -194,6 +197,74 @@ class TestRouting:
             layer.route(int(sorted_keys[500]))
         assert t.comparisons >= 1
         assert len(t.reads) == t.comparisons
+
+
+class TestRouteMirror:
+    """The untraced ``route`` bisects a Python-list mirror of the model
+    first keys.  It must pick the same model as the traced walk and as
+    ``np.searchsorted`` over the first keys, through every structural
+    change: bulk build, overflow append (empty-index bootstrap included)
+    and an expansion's ``replace_model``."""
+
+    @staticmethod
+    def _assert_routes_agree(layer):
+        fks = [m.first_key for m in layer.models]
+        probes = {0, 2**64 - 1, min(fks[-1] + 1, 2**64 - 1), *fks, *(f - 1 for f in fks if f)}
+        arr = np.array(fks, dtype=np.uint64)
+        for k in sorted(probes):
+            ref = max(int(np.searchsorted(arr, np.uint64(k), side="right")) - 1, 0)
+            plain = layer.route(k)
+            with tracer():
+                traced = layer.route(k)
+            assert plain[0] == traced[0] == ref, k
+            assert plain[1] is traced[1] is layer.models[ref]
+
+    def test_bulk_built_layer(self, sorted_keys):
+        layer, _ = build_layer(sorted_keys + np.uint64(1000))
+        assert layer.models[0].first_key > 1  # a key below model 0 exists
+        self._assert_routes_agree(layer)
+
+    def test_after_overflow_append(self, sorted_keys):
+        layer, _ = build_layer(sorted_keys)
+        layer.append_overflow_model(int(sorted_keys[-1]) + 1000, 1.0, 16)
+        self._assert_routes_agree(layer)
+        layer.append_overflow_model(2**64 - 1, 1.0, 16)
+        self._assert_routes_agree(layer)
+
+    def test_empty_layer_bootstrap(self):
+        layer, _ = build_layer([])
+        layer.append_overflow_model(1 << 40, 1.0, 64)
+        self._assert_routes_agree(layer)
+        layer.append_overflow_model((1 << 40) + 5000, 1.0, 64)
+        self._assert_routes_agree(layer)
+
+    def test_after_replace_model(self, sorted_keys):
+        layer, _ = build_layer(sorted_keys)
+        for i in (0, len(layer.models) // 2, len(layer.models) - 1):
+            old = layer.models[i]
+            layer.replace_model(i, GPLModel(old.first_key, old.slope_eff, 2 * old.n_slots, MemoryMap(), "t"))
+            self._assert_routes_agree(layer)
+
+    def test_after_expansions_of_a_bootstrapped_index(self, rng):
+        from repro.core.alt_index import ALTIndex
+
+        idx = ALTIndex(epsilon=16, memory=MemoryMap())
+        k0 = 1 << 40
+        for k in (k0 + rng.choice(64, 40, replace=False)).tolist():
+            idx.insert(k, k)
+            self._assert_routes_agree(idx._layer)
+        assert idx._layer._version > 1, "no expansion replaced the overflow model"
+
+    def test_after_expansions_of_a_bulk_loaded_index(self, small_keys):
+        from repro.core.alt_index import ALTIndex
+
+        idx = ALTIndex.bulk_load(small_keys, memory=MemoryMap())
+        version = idx._layer._version
+        for d in (1, 2):  # off-by-one neighbours: the normal absorb path
+            for k in small_keys[1:].tolist():
+                idx.insert(k + d, k)
+        assert idx._layer._version > version, "no expansion finished"
+        self._assert_routes_agree(idx._layer)
 
 
 class TestLayerItems:

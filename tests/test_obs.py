@@ -13,6 +13,8 @@ Covers the three acceptance properties of the layer:
 """
 
 import json
+import sys
+import threading
 import time
 
 import numpy as np
@@ -45,7 +47,14 @@ from repro.obs.timeline import (
 from repro.sim.cost_model import CostModel
 from repro.sim.engine import SimConfig, simulate
 from repro.sim.metrics import summarize_latencies
-from repro.sim.trace import CostTrace, MemoryMap, tracer
+from repro.sim.trace import (
+    NULL_TRACE,
+    CostTrace,
+    MemoryMap,
+    active_tracer,
+    current_tracer,
+    tracer,
+)
 
 
 def _keys(n=4000, seed=0):
@@ -265,6 +274,46 @@ class TestDisabledPath:
         # structures such as the RMI inside XIndex add one more), so
         # price 3 current_profile() calls against one traced ALT-index
         # get.  Min over repeats to shed scheduler noise.
+        self._assert_guard_under_bound(current_profile)
+
+    @pytest.mark.parametrize("guard", [current_tracer, active_tracer])
+    def test_disabled_tracer_guard_cost_fraction_of_traced_op(self, guard):
+        # The tracer lookups take the same activation-count guard as
+        # current_profile(), so they are held to the same bound.
+        assert guard() in (None, NULL_TRACE)
+        self._assert_guard_under_bound(guard)
+
+    def test_profile_count_survives_thread_churn(self):
+        """profiled() updates its activation count under a lock: more
+        threads than cores enter and leave profiles with a short switch
+        interval, and a lost update would leave the count off zero or
+        hide a live profile from current_profile()."""
+        from repro.obs import spans as spans_mod
+
+        errors = []
+
+        def worker():
+            for _ in range(2000):
+                with profiled() as prof:
+                    if current_profile() is not prof:
+                        errors.append("profile hidden while live")
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert spans_mod._n_active == 0
+
+    @staticmethod
+    def _assert_guard_under_bound(guard) -> None:
         keys = _keys(2000)
         index = ALTIndex.bulk_load(keys)
         probe = [int(k) for k in keys[::2]]
@@ -279,7 +328,7 @@ class TestDisabledPath:
         def time_guard(n: int = 50_000) -> float:
             start = time.perf_counter_ns()
             for _ in range(n):
-                current_profile()
+                guard()
             return (time.perf_counter_ns() - start) / n
 
         time_ops()  # warm

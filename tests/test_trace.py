@@ -1,9 +1,12 @@
 """Tests for modeled memory and cost tracing (repro.sim.trace)."""
 
+import sys
 import threading
 
+import numpy as np
 import pytest
 
+from repro.sim import trace as trace_mod
 from repro.sim.trace import (
     CACHE_LINE_BYTES,
     CostTrace,
@@ -207,6 +210,94 @@ class TestAmbientTracer:
             t.start()
             t.join()
         assert seen["inner"] is None
+
+    def test_untraced_thread_sees_none_while_another_traces(self):
+        """The activation count is process-wide, but the trace is not:
+        while thread A holds a tracer, thread B's untraced ops must find
+        none, record nothing into A's trace, and B's own tracer must
+        still record once A has exited."""
+        from repro.core.alt_index import ALTIndex
+
+        keys = np.arange(0, 40_000, 40, dtype=np.uint64)
+        index = ALTIndex.bulk_load(keys, memory=MemoryMap())
+        held, release = threading.Event(), threading.Event()
+        traces = {}
+
+        def a():
+            with tracer() as t:
+                traces["a"] = t
+                held.set()
+                release.wait(10)
+
+        def b():
+            seen = []
+            for k in keys[:50].tolist():
+                seen.append((current_tracer(), active_tracer()))
+                index.get(k)
+                index.insert(k + 1, k)
+            traces["b_seen"] = seen
+
+        ta = threading.Thread(target=a)
+        ta.start()
+        assert held.wait(10)
+        tb = threading.Thread(target=b)
+        tb.start()
+        tb.join(10)
+        assert not tb.is_alive()
+        release.set()
+        ta.join(10)
+        assert not ta.is_alive()
+        assert all(c is None and n is NULL_TRACE for c, n in traces["b_seen"])
+        assert traces["a"].reads == [] and traces["a"].writes == []
+        assert traces["a"].scalars() == CostTrace().scalars()
+        assert trace_mod._n_active == 0
+
+        def b_traced():
+            with tracer() as t:
+                index.get(int(keys[7]))
+            traces["b"] = t
+
+        tb = threading.Thread(target=b_traced)
+        tb.start()
+        tb.join(10)
+        assert not tb.is_alive()
+        assert traces["b"].model_calcs >= 1 and traces["b"].reads
+
+    def test_activation_count_restored_after_exception(self):
+        with pytest.raises(RuntimeError):
+            with tracer():
+                with tracer():
+                    assert trace_mod._n_active == 2
+                    raise RuntimeError("boom")
+        assert trace_mod._n_active == 0
+        assert current_tracer() is None
+        assert active_tracer() is NULL_TRACE
+
+    def test_activation_count_survives_thread_churn(self):
+        """More threads than cores enter and leave tracers with a short
+        switch interval; a lost count update would leave the count off
+        zero, or at zero inside a live activation (untracing it)."""
+        errors = []
+
+        def worker():
+            for _ in range(2000):
+                with tracer() as t:
+                    if current_tracer() is not t:
+                        errors.append("untraced inside a live tracer")
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert trace_mod._n_active == 0
 
     def test_null_trace_accepts_events(self):
         mem = MemoryMap()
