@@ -40,6 +40,7 @@ step and lock transition for deterministic schedule exploration.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from itertools import islice
 from typing import Callable, Iterator, Optional
 
@@ -208,6 +209,62 @@ class AdaptiveRadixTree:
                 (k, v) for k, v, new in zip(keys, values, out) if new or upsert
             )
         return out
+
+    def build_sorted(self, keys, values) -> None:
+        """Fill this **empty, not-yet-shared** tree from strictly
+        increasing keys in one recursive pass.
+
+        The result is the tree the per-key :meth:`insert` loop would
+        leave, node for node: the common prefix of a run's first and
+        last key is its node's prefix, the runs of equal byte after it
+        are the children, and the node type is the smallest that fits.
+        No other thread can reach the tree yet, so building the nodes
+        takes no locks, restarts, chaos points or epoch retirements and
+        records no view delta; only publishing the root takes the root
+        lock.  Raises ``ValueError`` on a non-empty tree or on keys that
+        are not strictly increasing.
+        """
+        keys = np.asarray(keys, dtype=np.uint64).tolist()
+        values = list(values)
+        if len(values) != len(keys):
+            raise ValueError("values must align with keys")
+        if self._root is not None:
+            raise ValueError("build_sorted needs an empty tree")
+        if any(a >= b for a, b in zip(keys, islice(keys, 1, None))):
+            raise ValueError("build_sorted needs strictly increasing keys")
+        root = self._build_run(keys, values, 0, len(keys), 0) if keys else None
+        self._root_lock.write_lock_or_restart()
+        self._root = root
+        self._size = len(keys)
+        self._root_lock.write_unlock()
+        with self._delta_lock:  # a view of the empty tree is stale now
+            self._view = self._delta = None
+
+    def _build_run(self, keys: list, values: list, lo: int, hi: int, depth: int):
+        """Subtree over ``keys[lo:hi]``, which share their first ``depth``
+        bytes; its parent and pbyte are left for the caller to set."""
+        first = keys[lo]
+        if hi - lo == 1:
+            return Leaf(first, values[lo], self._memory, self._tag)
+        # First byte where the run's extremes (and so some pair) differ.
+        split = (64 - (first ^ keys[hi - 1]).bit_length()) >> 3
+        shift = 56 - 8 * split
+        runs = []
+        i = lo
+        while i < hi:
+            high = keys[i] >> shift
+            j = bisect_left(keys, (high + 1) << shift, i + 1, hi)
+            runs.append((high & 0xFF, i, j))
+            i = j
+        n = len(runs)
+        cls = Node4 if n <= 4 else Node16 if n <= 16 else Node48 if n <= 48 else Node256
+        node = cls(encode_key(first)[depth:split], depth, self._memory, self._tag)
+        for byte, i, j in runs:
+            child = self._build_run(keys, values, i, j, split + 1)
+            node.add_child(byte, child)
+            child.parent = node
+            child.pbyte = byte
+        return node
 
     def bulk_remove(self, keys) -> list[bool]:
         """Delete many **pre-sorted** keys in one pass; per-key flags

@@ -35,8 +35,7 @@ class ArtIndex(OrderedIndex):
         keys = np.asarray(keys, dtype=np.uint64)
         values = as_value_array(keys, values)
         index = cls(**options)
-        for i in range(len(keys)):
-            index._tree.insert(int(keys[i]), values[i])
+        index._tree.build_sorted(keys, values)
         return index
 
     def get(self, key: int):

@@ -109,8 +109,9 @@ class ALTIndex(OrderedIndex):
 
         ε defaults to the paper's ``len(keys) / 1000`` recommendation
         (§III-D).  Keys that collide at their predicted slot become the
-        initial conflict data of the ART-OPT layer; the fast pointer
-        buffer is built once both layers exist (§III-C1).
+        initial conflict data of the ART-OPT layer, built bottom-up from
+        that sorted run; the fast pointer buffer is built once both
+        layers exist (§III-C1).
         """
         keys = np.asarray(keys, dtype=np.uint64)
         values = as_value_array(keys, values)
@@ -129,8 +130,7 @@ class ALTIndex(OrderedIndex):
             keys, values, epsilon, index._memory, f"{index.mem_tag}/learned", gap
         )
         index._layer = layer
-        for k, v in conflicts:
-            index._art.insert(k, v, upsert=True)
+        index._art.build_sorted([k for k, _ in conflicts], [v for _, v in conflicts])
         if index._fastptr is not None:
             index._fastptr.build_for_layer(layer)
         index._size = len(keys)

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.art.nodes import (
     Leaf,
@@ -660,3 +662,186 @@ class TestConcurrentInsertRaces:
         assert [k for k, _ in tree.items()] == [0, 1, 7, 0x0AAE60]
         for k, v in ((0, "zero"), (1, "one"), (7, "seven"), (0x0AAE60, "a")):
             assert tree.search(k) == v
+
+
+def assert_same_subtree(a, b) -> None:
+    """``a`` and ``b`` agree node for node: type, modeled size, edge,
+    prefix, match level, child count and layout, and every leaf."""
+    assert type(a) is type(b)
+    assert (a.span.nbytes, a.span.nlines, a.pbyte) == (b.span.nbytes, b.span.nlines, b.pbyte)
+    if isinstance(a, Leaf):
+        assert (a.key, a.kbytes, a.value) == (b.key, b.kbytes, b.value)
+        return
+    assert (a.prefix, a.match_level, a.count) == (b.prefix, b.match_level, b.count)
+    if isinstance(a, Node48):
+        assert a.child_index == b.child_index
+        assert a._free_slots == b._free_slots
+    ca, cb = list(a.iter_children()), list(b.iter_children())
+    assert [byte for byte, _ in ca] == [byte for byte, _ in cb]
+    for (_, x), (_, y) in zip(ca, cb):
+        assert x.parent is a and y.parent is b
+        assert_same_subtree(x, y)
+
+
+@st.composite
+def sorted_key_sets(draw):
+    """Sorted unique uint64 keys in clusters sharing 0..7 leading bytes,
+    plus some of the extremes 0, 1, 2**64-2 and 2**64-1."""
+    keys = set(draw(st.lists(st.sampled_from([0, 1, 2**64 - 2, 2**64 - 1]), max_size=4)))
+    for _ in range(draw(st.integers(0, 4))):
+        low_bits = 8 * draw(st.integers(1, 8))
+        base = draw(st.integers(0, 2**64 - 1)) >> low_bits << low_bits
+        offsets = draw(st.lists(st.integers(0, 2**low_bits - 1), max_size=80))
+        keys.update(base | o for o in offsets)
+    return sorted(keys)
+
+
+class TestBuildSorted:
+    """``build_sorted`` must leave exactly the tree the per-key insert
+    loop over the same sorted keys leaves, minus that loop's retired
+    (grown-out-of) nodes."""
+
+    @staticmethod
+    def _both(keys):
+        values = [("v", k) for k in keys]
+        built_mem, grown_mem = MemoryMap(), MemoryMap()
+        built = AdaptiveRadixTree(built_mem, "t")
+        built.build_sorted(keys, values)
+        grown = AdaptiveRadixTree(grown_mem, "t")
+        for k, v in zip(keys, values):
+            assert grown.insert(k, v)
+        return built, built_mem, grown, grown_mem
+
+    def _check(self, keys):
+        built, built_mem, grown, grown_mem = self._both(keys)
+        assert len(built) == len(grown) == len(keys)
+        if keys:
+            assert built.root.parent is None and grown.root.parent is None
+            assert_same_subtree(built.root, grown.root)
+        else:
+            assert built.root is None
+        assert built.epoch.pending() == 0
+        live = grown_mem.live_bytes("t")
+        grown.epoch.drain()  # frees exactly the spans of retired nodes
+        retired = live - grown_mem.live_bytes("t")
+        assert built_mem.live_bytes("t") == live - retired
+        return built
+
+    @settings(max_examples=150, deadline=None)
+    @given(sorted_key_sets())
+    def test_matches_the_insert_loop(self, keys):
+        self._check(keys)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [[], [0], [2**64 - 1], [0, 2**64 - 1], [5, 6], [0x0102030405060700, 0x01020304050607FF]],
+    )
+    def test_small_and_extreme_key_sets(self, keys):
+        self._check(keys)
+
+    @pytest.mark.parametrize(
+        "fanout,expect",
+        [(4, Node4), (5, Node16), (16, Node16), (17, Node48),
+         (48, Node48), (49, Node256), (256, Node256)],
+    )
+    def test_fanout_boundaries(self, fanout, expect):
+        rnd = random.Random(fanout)
+        fan = sorted(rnd.sample(range(256), fanout))
+        shared7 = fan[-1] << 56 | 0xCDEF0123456700  # keys sharing 7 bytes
+        keys = sorted({b << 56 for b in fan[:-1]} | {shared7 | b for b in fan})
+        built = self._check(keys)
+        assert type(built.root) is expect
+        deep = built.root.find_child(fan[-1])
+        assert type(deep) is expect
+        assert deep.prefix == bytes.fromhex("cdef01234567")
+
+    def test_rejects_a_non_empty_tree(self, tree):
+        tree.insert(5, 5)
+        with pytest.raises(ValueError):
+            tree.build_sorted([1, 2], [1, 2])
+        fresh = AdaptiveRadixTree(MemoryMap(), "t")
+        fresh.build_sorted([1, 2], [1, 2])
+        with pytest.raises(ValueError):
+            fresh.build_sorted([3], [3])
+        assert [k for k, _ in fresh.items()] == [1, 2]
+
+    @pytest.mark.parametrize("keys", [[1, 1], [1, 2, 2, 3], [2, 1], [1, 3, 2]])
+    def test_rejects_keys_that_are_not_strictly_increasing(self, tree, keys):
+        with pytest.raises(ValueError):
+            tree.build_sorted(keys, keys)
+        assert tree.root is None and len(tree) == 0
+
+    def test_rejects_misaligned_values(self, tree):
+        with pytest.raises(ValueError):
+            tree.build_sorted([1, 2, 3], [1, 2])
+        assert tree.root is None and len(tree) == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_writes_after_build_match_a_dict(self, seed):
+        """Inserts and removes grow, shrink, merge and prefix-extract
+        built nodes; searches from fast pointers taken right after the
+        build stay correct throughout."""
+        rnd = random.Random(seed)
+        bases = [rnd.getrandbits(48) << 16 for _ in range(12)]
+        keys = set()
+        for base, size in zip(bases, [2, 3, 4, 5, 16, 17, 48, 49, 60, 2, 3, 4]):
+            keys.update(base | b for b in rnd.sample(range(256), size))
+        keys = sorted(keys)
+        tree = AdaptiveRadixTree(MemoryMap(), "t")
+        tree.build_sorted(keys, keys)
+        oracle = dict(zip(keys, keys))
+        built = {id(n): n for n in _inner_nodes(tree.root)}
+        events = set()
+
+        def classify(old, new):
+            if id(old) not in built or built[id(old)] is not old:
+                return
+            if old.parent is new:
+                events.add("extract")
+            elif old.count == 1 and new is old.only_child[1]:
+                events.add("merge")
+            else:
+                events.add("grow" if new.CAPACITY > old.CAPACITY else "shrink")
+
+        tree.add_replace_listener(classify)
+        pointers = []
+        for base in bases:
+            live = sorted(k for k in keys if k >> 16 == base >> 16)
+            pointers.append((live[0], live[-1], tree.common_ancestor(live[0], live[-1])))
+        pair = [k for k in keys if k >> 16 == bases[0] >> 16]
+        assert tree.remove(pair[0])  # merges the built two-leaf Node4
+        del oracle[pair[0]]
+        for step in range(3000):
+            base = rnd.choice(bases)
+            r = rnd.random()
+            if r < 0.3:
+                k = base | rnd.randrange(256)  # same 7 bytes: grows nodes
+            elif r < 0.4:
+                k = base | rnd.getrandbits(16)  # diverges inside a prefix
+            elif r < 0.45:
+                k = rnd.getrandbits(64)
+            else:
+                k = None
+            if k is not None:
+                tree.insert(k, -k, upsert=True)
+                oracle[k] = -k
+            elif oracle:
+                k = rnd.choice(sorted(oracle))
+                assert tree.remove(k)
+                del oracle[k]
+            if step % 100 == 0:
+                for lo, hi, node in pointers:
+                    for k in [k for k in oracle if lo <= k <= hi] + [lo, hi]:
+                        assert tree.search(k, from_node=node) == oracle.get(k)
+        assert tree.items() == sorted(oracle.items())
+        for k in rnd.sample(sorted(oracle), min(200, len(oracle))):
+            assert tree.search(k) == oracle[k]
+        assert events == {"grow", "shrink", "merge", "extract"}
+
+
+def _inner_nodes(node):
+    if node is None or isinstance(node, Leaf):
+        return
+    yield node
+    for _, child in node.iter_children():
+        yield from _inner_nodes(child)

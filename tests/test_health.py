@@ -144,6 +144,32 @@ class TestSampleHealth:
         assert 0.0 <= fp["hit_rate"] <= 1.0
 
 
+class TestBulkLoadLimbo:
+    """A bulk load builds its ART bottom-up and retires nothing, so a
+    fresh index has an empty epoch limbo list and no lag diagnosis.
+    (Runtime churn still retires nodes that are never reclaimed; this
+    case does not drain the epoch, so it does not cover that.)"""
+
+    N = 200_000
+
+    def test_alt_bulk_load_leaves_nothing_pending(self):
+        from repro.datasets.generators import dataset
+
+        index = ALTIndex.bulk_load(dataset("osm", self.N, seed=0))
+        assert len(index.art) > 1024  # enough conflicts to have tripped it
+        assert index.art.epoch.pending() == 0
+        assert not [d for d in IndexDoctor().diagnose(sample_health(index)) if "epoch" in d]
+
+    def test_sharded_bulk_load_leaves_nothing_pending(self):
+        from repro.datasets.generators import dataset
+        from repro.shard.sharded import ShardedALTIndex
+
+        index = ShardedALTIndex.bulk_load(dataset("osm", self.N, seed=0), shards=4)
+        for shard in index.shards:
+            assert shard.art.epoch.pending() == 0
+            assert not [d for d in IndexDoctor().diagnose(sample_health(shard)) if "epoch" in d]
+
+
 class TestIndexDoctor:
     def test_healthy_snapshot_has_no_diagnoses(self):
         report = IndexDoctor().examine(_healthy_snapshot())
