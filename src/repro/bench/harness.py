@@ -58,9 +58,6 @@ class ExperimentResult:
     #: attribution sums are checked against.  Computed only when a span
     #: profile was active for the run.
     modeled_total_ns: float = 0.0
-    #: shard count of the serving layer (1 = unsharded; >1 means the
-    #: index ran behind :class:`repro.shard.sharded.ShardedALTIndex`)
-    shards: int = 1
 
     @property
     def throughput_mops(self) -> float:
@@ -77,7 +74,6 @@ class ExperimentResult:
             "dataset": self.dataset,
             "workload": self.workload,
             "threads": self.threads,
-            "shards": self.shards,
             "mops": round(self.throughput_mops, 3),
             "p999_us": round(self.p999_us, 2),
             "hit_rate": round(self.sim.hit_rate, 3),
@@ -197,7 +193,6 @@ def run_experiment(
     batch_size: int | None = None,
     profile: SpanProfile | None = None,
     timeline=None,
-    shards: int | None = None,
 ) -> ExperimentResult:
     """Run one (index, dataset, workload, threads) experiment cell.
 
@@ -214,25 +209,10 @@ def run_experiment(
     phase (see :mod:`repro.obs.spans`); ``timeline`` is handed to the
     simulator to capture the virtual-thread schedule as Chrome trace
     events (see :mod:`repro.obs.timeline`).
-
-    ``shards`` > 1 runs the cell behind the scatter-gather serving layer
-    (:class:`repro.shard.sharded.ShardedALTIndex` with ``index_cls`` as
-    the per-shard factory): traces then include the router's events, and
-    the result carries the shard count in its ``shards`` column.
     """
     split = split_dataset(keys, load_frac, seed=seed)
     start = time.perf_counter()
-    if shards is not None and shards > 1:
-        from repro.shard.sharded import ShardedALTIndex
-
-        index = ShardedALTIndex.bulk_load(
-            split.load_keys,
-            shards=shards,
-            index_factory=index_cls,
-            **(bulk_options or {}),
-        )
-    else:
-        index = index_cls.bulk_load(split.load_keys, **(bulk_options or {}))
+    index = index_cls.bulk_load(split.load_keys, **(bulk_options or {}))
     build_seconds = time.perf_counter() - start
     warmup = int(n_ops * warmup_frac)
     ops = generate_ops(spec, split, n_ops + warmup, theta=theta, seed=seed)
@@ -269,7 +249,6 @@ def run_experiment(
         fallbacks=sum(t.fallbacks for t in measured),
         recoveries=int(index_stats.get("recoveries", 0)),
         modeled_total_ns=modeled_total_ns,
-        shards=shards if shards is not None and shards > 1 else 1,
     )
 
 
@@ -438,110 +417,6 @@ def batch_write_microbenchmark(
     }
 
 
-def shard_scaling_benchmark(
-    dataset_name: str = "lognormal",
-    n: int = 1_000_000,
-    batch_size: int = 256,
-    lookups: int = 102_400,
-    shard_counts: tuple[int, ...] = (1, 4),
-    seed: int = 0,
-    partitioner: str = "range",
-    verify: bool = True,
-) -> list[dict]:
-    """``batch_get`` scaling across shard counts (one row per count).
-
-    For each shard count the probe stream is driven through the
-    scatter-gather serving layer with every phase timed separately:
-    routing/scatter, each per-shard sub-batch, and the order-preserving
-    gather.  Two per-op costs are reported:
-
-    - ``serial_us_op`` — everything summed on one thread: what this
-      single-threaded process actually spent;
-    - ``lane_us_op`` — a *modeled* makespan with one worker lane per
-      shard: router + gather plus only the *slowest* sub-batch of each
-      batch.  The sub-batches still run one after another on this
-      thread; the figure only assumes a deployment would run them on
-      independent lanes (they share no state) and wait for the
-      straggler.  It is not a measured parallel run.
-
-    ``speedup`` compares each row's modeled makespan throughput against
-    the first row's (conventionally the 1-shard baseline, whose lane and
-    serial costs coincide up to router overhead).  With ``verify``
-    (default), gathered results are checked against an unsharded
-    reference.
-    """
-    from repro.core.alt_index import ALTIndex
-    from repro.datasets.generators import dataset
-    from repro.shard.sharded import ShardedALTIndex
-
-    keys = dataset(dataset_name, n, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    probe = rng.choice(keys, size=lookups, replace=True).astype(np.uint64)
-    expected = None
-    if verify:
-        reference = ALTIndex.bulk_load(keys)
-        expected = reference.batch_get(probe)
-
-    rows: list[dict] = []
-    base_lane_s: float | None = None
-    for count in shard_counts:
-        sharded = ShardedALTIndex.bulk_load(
-            keys, shards=count, partitioner=partitioner
-        )
-        sharded.batch_get(probe[:batch_size])  # warm caches and snapshots
-        gc.collect()
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        lane_s = serial_s = 0.0
-        results: list = []
-        try:
-            for i in range(0, len(probe), batch_size):
-                chunk = probe[i : i + batch_size]
-                t0 = time.perf_counter()
-                parts = sharded.scatter(chunk)
-                route_s = time.perf_counter() - t0
-                shard_s: list[float] = []
-                sub_results = []
-                for s, _pos, sub in parts:
-                    t1 = time.perf_counter()
-                    sub_results.append(sharded.shards[s].batch_get(sub))
-                    shard_s.append(time.perf_counter() - t1)
-                t2 = time.perf_counter()
-                out: list = [None] * len(chunk)
-                for (_s, pos, _sub), vals in zip(parts, sub_results):
-                    for j, k in enumerate(pos.tolist()):
-                        out[k] = vals[j]
-                gather_s = time.perf_counter() - t2
-                overhead = route_s + gather_s
-                lane_s += overhead + (max(shard_s) if shard_s else 0.0)
-                serial_s += overhead + sum(shard_s)
-                results.extend(out)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        if expected is not None and results != expected:
-            raise AssertionError(
-                f"sharded batch_get diverges from the unsharded reference "
-                f"at {count} shards"
-            )
-        if base_lane_s is None:
-            base_lane_s = lane_s
-        rows.append(
-            {
-                "index": ShardedALTIndex.NAME,
-                "dataset": dataset_name,
-                "n_keys": n,
-                "batch": batch_size,
-                "shards": count,
-                "serial_us_op": round(serial_s / lookups * 1e6, 3),
-                "lane_us_op": round(lane_s / lookups * 1e6, 3),
-                "lane_mops": round(lookups / lane_s / 1e6, 3),
-                "speedup": round(base_lane_s / lane_s, 2),
-            }
-        )
-    return rows
-
-
 def calibrate_batch_cost(
     index_cls,
     dataset_name: str = "lognormal",
@@ -682,15 +557,6 @@ def main(argv: list[str] | None = None) -> int:
         help="sweep batch sizes and fit the simulator's batch "
         "amortization constants (discount/halfwidth)",
     )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run the shard scaling benchmark: batch_get through the "
-        "scatter-gather serving layer at 1 and N shards, reporting "
-        "modeled makespan throughput and the N-shard speedup",
-    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=32)
     parser.add_argument("--ops", type=int, default=20_000, help="workload ops to trace")
@@ -750,39 +616,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.emit_timeline:
             recorder.write(args.emit_timeline)
             print(f"timeline -> {args.emit_timeline} ({len(recorder.events)} events)")
-        return 0
-
-    if args.shards is not None:
-        if args.shards < 1:
-            parser.error(f"--shards must be >= 1, got {args.shards}")
-        counts = (1, args.shards) if args.shards > 1 else (1,)
-        rows = shard_scaling_benchmark(
-            dataset_name=args.dataset,
-            n=args.n,
-            batch_size=args.batch_size,
-            lookups=args.lookups,
-            shard_counts=counts,
-            seed=args.seed,
-            verify=not args.no_verify,
-        )
-        print(format_table(rows))
-        if args.workload is not None:
-            from repro.datasets.generators import dataset
-            from repro.workloads import WORKLOADS
-
-            keys = dataset(args.dataset, args.n, seed=args.seed)
-            result = run_experiment(
-                factories[args.index[0] if args.index else "ALT-index"],
-                args.dataset,
-                keys,
-                WORKLOADS[args.workload],
-                threads=args.threads,
-                n_ops=args.ops,
-                seed=args.seed,
-                batch_size=args.batch_size,
-                shards=args.shards,
-            )
-            print(format_table([result.row()]))
         return 0
 
     if args.calibrate:

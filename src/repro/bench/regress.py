@@ -252,9 +252,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--quick", action="store_true",
                         help="small cell for smoke tests (--n 10000 --ops 1000)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="additionally record a sharded scaling section "
-                             "(1 vs N shards) under the doc's 'sharded' key")
     args = parser.parse_args(argv)
 
     out_dir = Path(args.out_dir) if args.out_dir else repo_root()
@@ -272,32 +269,6 @@ def main(argv: list[str] | None = None) -> int:
         f"{res['throughput_mops']:.3f} Mops/s, "
         f"p99 {res['p99_us']:.2f} us, p999 {res['p999_us']:.2f} us"
     )
-
-    if args.shards:
-        # An extra top-level section compare() deliberately ignores: the
-        # primary cell stays the standard configuration so the doc is
-        # comparable against every earlier BENCH point, while the
-        # sharded/unsharded scaling rows ride along as provenance.
-        from repro.bench.harness import shard_scaling_benchmark
-
-        shard_n = 50_000 if args.quick else 200_000
-        rows = shard_scaling_benchmark(
-            dataset_name=args.dataset,
-            n=shard_n,
-            batch_size=256,
-            lookups=max(2_048, shard_n // 10),
-            shard_counts=(1, args.shards),
-            seed=args.seed,
-        )
-        doc["sharded"] = {
-            "config": {"n_keys": shard_n, "batch_size": 256,
-                       "partitioner": "range"},
-            "rows": rows,
-        }
-        print(
-            f"sharded: {args.shards} shards -> "
-            f"{rows[-1]['speedup']:.2f}x modeled makespan throughput vs 1 shard"
-        )
 
     status = 0
     if args.check:

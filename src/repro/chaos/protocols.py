@@ -3,7 +3,8 @@
 Each *case builder* constructs a tiny concurrent workload over one
 protocol — the GPL seqlock (§III-E), the fast-pointer spin lock, the
 ART-OPT optimistic lock coupling, epoch reclamation, the Algorithm-2
-write-back, and the §III-F retrain handoff — as a
+write-back, the ALT insert's per-model writer lock, the §III-F retrain
+handoff, and the sharded scatter-gather — as a
 :class:`ProtocolCase`: fresh shared state, named tasks, a history
 recorder, and a correctness check.  The same case runs two ways:
 
@@ -16,7 +17,8 @@ recorder, and a correctness check.  The same case runs two ways:
 
 Every protocol also has a ``planted`` mode that swaps one protocol step
 for a classic mutation (lost update, check-then-act, free-before-quiesce,
-resurrection-after-remove, swap-before-migrate).  A correct harness must
+resurrection-after-remove, unlocked slot claim, swap-before-migrate,
+shared gather table).  A correct harness must
 keep the un-mutated protocols linearizable on every schedule and flag
 the mutants — that is the harness's own regression test: if the checker
 cannot see a planted bug, it cannot see a real one.
@@ -563,6 +565,73 @@ def run_writeback_schedule(
 
 
 # ----------------------------------------------------------------------
+# ALT insert: two writers predicted onto one EMPTY slot
+# ----------------------------------------------------------------------
+
+
+class _NoLock:
+    """A writer lock that never excludes (the insert case's planted bug)."""
+
+    def acquire(self, blocking: bool = True) -> bool:
+        return True
+
+    def release(self) -> None:
+        pass
+
+
+def build_insert_case(planted: bool = False, *, getter_reps: int = 1) -> ProtocolCase:
+    """Two inserters race for one EMPTY predicted slot while a getter reads.
+
+    Setup bootstraps an :class:`~repro.core.alt_index.ALTIndex` model
+    over ``[100, 163]``; keys 170 and 180 both clamp to its last slot,
+    which is EMPTY.  ``ALTIndex.insert`` reads the slot and writes it
+    under the model's writer lock, so one key takes the slot and the
+    other goes to the ART.  Each inserter reads its key back, the getter
+    reads both, and the history is checked against the map oracle.
+
+    The planted mutant gives the model a lock that never excludes, so
+    both inserters can read the slot EMPTY and the second write
+    overwrites the first key: a lost insert that its read-back flags.
+    """
+    idx = ALTIndex(
+        epsilon=4.0, fast_pointers=False, retraining=False, tag="chaos/insert"
+    )
+    idx.insert(100, "v100")
+    if planted:
+        idx.layer.models[0].writer_lock = _NoLock()
+    rec = HistoryRecorder()
+
+    def inserter(task: str, key: int) -> None:
+        rec.call(task, "insert", key, lambda: idx.insert(key, task), arg=task)
+        rec.call(task, "get", key, lambda: idx.get(key))
+
+    def getter(task: str) -> None:
+        for _ in range(getter_reps):
+            for key in (170, 180):
+                rec.call(task, "get", key, lambda k=key: idx.get(k))
+
+    tasks: list[tuple[str, Callable[[], None]]] = [
+        ("ins-a", lambda: inserter("ins-a", 170)),
+        ("ins-b", lambda: inserter("ins-b", 180)),
+    ]
+    if getter_reps:
+        tasks.append(("getter", lambda: getter("getter")))
+    return ProtocolCase(
+        protocol="insert",
+        planted=planted,
+        tasks=tasks,
+        rec=rec,
+        check=lambda: check_linearizable(rec.ops, init={100: "v100"}),
+        snapshot=lambda: (idx.get(170), idx.get(180)),
+    )
+
+
+def run_insert_schedule(seed: int, planted: bool = False) -> ScheduleReport:
+    """Seeded schedule over :func:`build_insert_case`."""
+    return _run_case(build_insert_case(planted), seed)
+
+
+# ----------------------------------------------------------------------
 # Retrain handoff: ExpansionBuffer migration vs. model replacement
 # ----------------------------------------------------------------------
 
@@ -849,6 +918,7 @@ RUNNERS = {
     "art": run_art_schedule,
     "epoch": run_epoch_schedule,
     "writeback": run_writeback_schedule,
+    "insert": run_insert_schedule,
     "retrain": run_retrain_schedule,
     "shard": run_shard_batch_schedule,
 }
@@ -884,6 +954,10 @@ EXHAUSTIVE_CASES: dict[str, tuple[Callable[[], ProtocolCase], Callable[[], Proto
     "writeback": (
         lambda: build_writeback_case(False, getters=1, getter_reps=1),
         lambda: build_writeback_case(True, getters=1, getter_reps=2),
+    ),
+    "insert": (
+        lambda: build_insert_case(False, getter_reps=0),
+        lambda: build_insert_case(True, getter_reps=0),
     ),
     "retrain": (
         lambda: build_retrain_case(False, inserts=(), reader_reps=1),

@@ -40,7 +40,7 @@ from repro.common import (
     sorted_hits,
     unique_tag,
 )
-from repro.concurrency.retry import StuckWriterError
+from repro.concurrency.retry import DEFAULT_RETRY, StuckWriterError, acquire_cooperative
 from repro.core.analysis import suggest_error_bound
 from repro.core.fast_pointer import FastPointerBuffer
 from repro.core.learned_layer import EMPTY, FULL, TOMBSTONE, LearnedLayer
@@ -173,6 +173,28 @@ class ALTIndex(OrderedIndex):
             return None, None
         return self._layer.route(key)
 
+    def _lock_model(self, key: int, i: int, model):
+        """Take the writer lock of ``key``'s live model; returns ``(i, model)``.
+
+        Scalar writers serialize per model: the seqlock makes one slot
+        write atomic, but reading a slot EMPTY and then writing it (and
+        an expansion's start, absorb, finish and move-home) is not.  The
+        lock stands in for the versioned slot CAS of a native build, so
+        it records no modeled cost.  A writer that waited while an
+        expansion swapped the model out re-routes to the live one.
+        """
+        while True:  # bounded: each retry follows a finished expansion swap
+            lock = model.writer_lock
+            if not lock.acquire(blocking=False):
+                if chaos.is_active():
+                    acquire_cooperative(lock, DEFAULT_RETRY.begin("alt.writer_lock"))
+                else:
+                    lock.acquire()
+            if self._layer.models[i] is model:
+                return i, model
+            lock.release()
+            i, model = self._layer.route(key)
+
     def _bootstrap_model(self, key: int) -> None:
         """First insert into an empty index: seed a minimal GPL model."""
         self._layer.append_overflow_model(key, 1.0, 64)
@@ -262,31 +284,41 @@ class ALTIndex(OrderedIndex):
                 prof.exit()
             if found:
                 return bval
-        if prof is not None:
-            prof.enter("alt.fastptr")
-        entry = self._entry_for(i, model)
-        if prof is not None:
-            prof.exit()
-            prof.enter("alt.art_conflict")
-        value = self._art.search(key, from_node=entry)
-        if prof is not None:
-            prof.exit()
-        if (
-            value is not None
-            and exp is None
-            and state in (EMPTY, TOMBSTONE)
-        ):
-            # Write-back: Algorithm 2 lines 10-13 — repatriate the key
-            # from ART into its (now free) predicted slot.
-            chaos.point("alt.writeback")
+        # The write-back below is a write: it needs the model's writer
+        # lock across the ART lookup, and is skipped when the lock is busy.
+        lock = model.writer_lock
+        locked = exp is None and state != FULL and lock.acquire(blocking=False)
+        try:
             if prof is not None:
-                prof.enter("alt.writeback")
-            model.write_slot(slot, key, value)
-            self._art.remove(key)
+                prof.enter("alt.fastptr")
+            entry = self._entry_for(i, model)
             if prof is not None:
                 prof.exit()
-            self.writebacks += 1
-            obs_metrics.inc("alt.writebacks")
+                prof.enter("alt.art_conflict")
+            value = self._art.search(key, from_node=entry)
+            if prof is not None:
+                prof.exit()
+            if (
+                locked
+                and value is not None
+                and model.expansion is None
+                and model.np_state[slot] != FULL
+                and self._layer.models[i] is model
+            ):
+                # Write-back: Algorithm 2 lines 10-13 — repatriate the key
+                # from ART into its (still free) predicted slot.
+                chaos.point("alt.writeback")
+                if prof is not None:
+                    prof.enter("alt.writeback")
+                model.write_slot(slot, key, value)
+                self._art.remove(key)
+                if prof is not None:
+                    prof.exit()
+                self.writebacks += 1
+                obs_metrics.inc("alt.writebacks")
+        finally:
+            if locked:
+                lock.release()
         return value
 
     # ------------------------------------------------------------------
@@ -583,7 +615,14 @@ class ALTIndex(OrderedIndex):
             i, model = self._route(key)
         if prof is not None:
             prof.exit()
+        i, model = self._lock_model(key, i, model)
+        try:
+            return self._insert_locked(key, value, i, model, prof)
+        finally:
+            model.writer_lock.release()
 
+    def _insert_locked(self, key: int, value, i: int, model, prof) -> bool:
+        """Algorithm 2's insert body, under ``model``'s writer lock."""
         if self._retraining:
             exp = model.expansion
             if exp is None:
@@ -676,34 +715,38 @@ class ALTIndex(OrderedIndex):
             if prof is not None:
                 prof.exit()
             return False
-        slot = model.slot_of(key)
-        if prof is not None:
-            prof.exit()
-        state, resident, _ = self._read_slot_recovering(model, slot, prof)
-        if state == FULL and resident == key:
-            if prof is not None:
-                prof.enter("alt.gpl_probe")
-            model.write_slot(slot, key, value)
-            if prof is not None:
-                prof.exit()
-            return True
-        exp = model.expansion
-        if exp is not None and exp.update(key, value):
-            return True
-        if prof is not None:
-            prof.enter("alt.fastptr")
-        entry = self._entry_for(i, model)
-        if prof is not None:
-            prof.exit()
-            prof.enter("alt.art_conflict")
+        i, model = self._lock_model(key, i, model)
         try:
-            if self._art.search(key, from_node=entry) is None:
-                return False
-            self._art.insert(key, value, from_node=entry, upsert=True)
-            return True
-        finally:
+            slot = model.slot_of(key)
             if prof is not None:
                 prof.exit()
+            state, resident, _ = self._read_slot_recovering(model, slot, prof)
+            if state == FULL and resident == key:
+                if prof is not None:
+                    prof.enter("alt.gpl_probe")
+                model.write_slot(slot, key, value)
+                if prof is not None:
+                    prof.exit()
+                return True
+            exp = model.expansion
+            if exp is not None and exp.update(key, value):
+                return True
+            if prof is not None:
+                prof.enter("alt.fastptr")
+            entry = self._entry_for(i, model)
+            if prof is not None:
+                prof.exit()
+                prof.enter("alt.art_conflict")
+            try:
+                if self._art.search(key, from_node=entry) is None:
+                    return False
+                self._art.insert(key, value, from_node=entry, upsert=True)
+                return True
+            finally:
+                if prof is not None:
+                    prof.exit()
+        finally:
+            model.writer_lock.release()
 
     def remove(self, key: int) -> bool:
         obs_health.tick(self)
@@ -721,26 +764,30 @@ class ALTIndex(OrderedIndex):
             if removed:
                 self._bump(-1)
             return removed
-        slot = model.slot_of(key)
-        if prof is not None:
-            prof.exit()
-        state, resident, _ = self._read_slot_recovering(model, slot, prof)
-        removed = False
-        if state == FULL and resident == key:
-            if prof is not None:
-                prof.enter("alt.gpl_probe")
-            model.clear_slot(slot, tombstone=True)
+        i, model = self._lock_model(key, i, model)
+        try:
+            slot = model.slot_of(key)
             if prof is not None:
                 prof.exit()
-            removed = True
-        elif model.expansion is not None and model.expansion.remove(key):
-            removed = True
-        if not removed:
-            if prof is not None:
-                prof.enter("alt.art_conflict")
-            removed = self._art.remove(key)
-            if prof is not None:
-                prof.exit()
+            state, resident, _ = self._read_slot_recovering(model, slot, prof)
+            removed = False
+            if state == FULL and resident == key:
+                if prof is not None:
+                    prof.enter("alt.gpl_probe")
+                model.clear_slot(slot, tombstone=True)
+                if prof is not None:
+                    prof.exit()
+                removed = True
+            elif model.expansion is not None and model.expansion.remove(key):
+                removed = True
+            if not removed:
+                if prof is not None:
+                    prof.enter("alt.art_conflict")
+                removed = self._art.remove(key)
+                if prof is not None:
+                    prof.exit()
+        finally:
+            model.writer_lock.release()
         if removed:
             self._bump(-1)
         return removed

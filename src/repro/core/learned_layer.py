@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import threading
 from typing import Iterator
 
 import numpy as np
@@ -94,6 +95,7 @@ class GPLModel:
         "build_size",
         "insert_count",
         "expansion",
+        "writer_lock",
         "np_keys",
         "np_state",
         "_memory",
@@ -133,6 +135,9 @@ class GPLModel:
         self.build_size = 0
         self.insert_count = 0
         self.expansion = None  # ExpansionBuffer during retraining (§III-F)
+        # Serializes scalar writers of this model (ALTIndex._lock_model);
+        # an expansion buffer inherits it, so it outlives the swap.
+        self.writer_lock = threading.Lock()
         self._memory = memory
         self._tag = tag
 

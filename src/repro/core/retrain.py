@@ -49,6 +49,9 @@ class ExpansionBuffer:
             tag,
         )
         self.buffer.last_key = model.last_key
+        # The buffer becomes the live model at the swap; sharing the
+        # lock keeps writers queued on the old model serialized with it.
+        self.buffer.writer_lock = model.writer_lock
         self.inserted = 0
 
     def absorb(self, key: int, value, spill: SpillFn) -> bool:

@@ -3,19 +3,14 @@
 - :class:`~repro.shard.sharded.ShardedALTIndex` — N independent
   ALT-index shards behind the standard point/batch API, with vectorized
   scatter-gather batching.
-- :mod:`repro.shard.partitioner` — learned CDF-balanced range splits
-  and splitmix64 hash partitioning.
+- :class:`~repro.shard.partitioner.RangePartitioner` — learned
+  CDF-balanced range splits; shard order is key order.
 
 The serving layer is purely a router: each shard retrains inline on its
 own insert path (§III-F), exactly like an unsharded index.
 """
 
-from repro.shard.partitioner import HashPartitioner, RangePartitioner, make_partitioner
+from repro.shard.partitioner import RangePartitioner
 from repro.shard.sharded import ShardedALTIndex
 
-__all__ = [
-    "ShardedALTIndex",
-    "RangePartitioner",
-    "HashPartitioner",
-    "make_partitioner",
-]
+__all__ = ["ShardedALTIndex", "RangePartitioner"]

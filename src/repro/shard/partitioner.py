@@ -1,31 +1,23 @@
-"""Key-space partitioners for the sharded serving layer.
+"""Learned range partitioning for the sharded serving layer.
 
-Two strategies, one protocol (``nshards``, ``ordered``, ``shard_of``,
-``route_batch``):
-
-- :class:`RangePartitioner` — a *learned* partitioner in the same spirit
-  as the index itself: split points are positional quantiles of a sorted
-  dataset sample, i.e. points where the empirical CDF crosses
-  ``i / nshards``.  Balanced shards for whatever distribution the sample
-  came from, and shard order equals key order, so scans and range
-  queries concatenate per-shard results without a merge.
-- :class:`HashPartitioner` — a splitmix64-style avalanche of the key
-  modulo ``nshards``.  Immune to key-space skew (adjacent hot keys land
-  on different shards) but unordered, so range operations must merge
-  across every shard.
+:class:`RangePartitioner` is a *learned* partitioner in the same spirit
+as the index itself: split points are positional quantiles of a sorted
+dataset sample, i.e. points where the empirical CDF crosses
+``i / nshards``.  Shards come out balanced for whatever distribution
+the sample came from, and shard order equals key order, so scans and
+range queries concatenate per-shard results without a merge.
 
 Routing is vectorized: ``route_batch`` maps a whole ``uint64`` key array
-to shard ids with one ``np.searchsorted`` (range) or one fused mix
-(hash), which is what keeps the scatter phase of
-:class:`repro.shard.sharded.ShardedALTIndex` cheap relative to the
-per-shard probes it fans out to.
+to shard ids with one ``np.searchsorted``, which is what keeps the
+scatter phase of :class:`repro.shard.sharded.ShardedALTIndex` cheap
+relative to the per-shard probes it fans out to.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RangePartitioner", "HashPartitioner", "make_partitioner"]
+__all__ = ["RangePartitioner"]
 
 
 class RangePartitioner:
@@ -37,9 +29,6 @@ class RangePartitioner:
     ``splits[-1]``).  A key *equal* to a split point therefore belongs
     to the shard on its left — tests cover exactly this boundary.
     """
-
-    #: shard order equals key order: scans concatenate, no merge needed
-    ordered = True
 
     def __init__(self, splits) -> None:
         splits = np.asarray(splits, dtype=np.uint64)
@@ -76,42 +65,3 @@ class RangePartitioner:
     def route_batch(self, keys: np.ndarray) -> np.ndarray:
         """Shard id per key: one searchsorted over the split points."""
         return np.searchsorted(self.splits, keys, side="left")
-
-
-class HashPartitioner:
-    """Skew-immune hash partitioning (splitmix64 finalizer mod N)."""
-
-    ordered = False
-
-    def __init__(self, nshards: int) -> None:
-        if nshards < 1:
-            raise ValueError(f"nshards must be >= 1, got {nshards}")
-        self.nshards = nshards
-
-    @staticmethod
-    def _mix(keys: np.ndarray) -> np.ndarray:
-        # splitmix64 finalizer; uint64 wraparound is the point.
-        with np.errstate(over="ignore"):
-            z = keys + np.uint64(0x9E3779B97F4A7C15)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-            return z ^ (z >> np.uint64(31))
-
-    def shard_of(self, key: int) -> int:
-        mixed = self._mix(np.array([key], dtype=np.uint64))
-        return int(mixed[0] % np.uint64(self.nshards))
-
-    def route_batch(self, keys: np.ndarray) -> np.ndarray:
-        return (self._mix(keys) % np.uint64(self.nshards)).astype(np.int64)
-
-
-def make_partitioner(kind: str, keys: np.ndarray, nshards: int, sample_size: int = 4096):
-    """Build a partitioner by name from (a sample of) the load keys."""
-    if kind == "hash":
-        return HashPartitioner(nshards)
-    if kind == "range":
-        if len(keys) > sample_size:
-            step = max(1, len(keys) // sample_size)
-            keys = keys[::step]
-        return RangePartitioner.from_sample(keys, nshards)
-    raise ValueError(f"unknown partitioner kind {kind!r} (want 'range' or 'hash')")

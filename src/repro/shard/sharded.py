@@ -1,9 +1,9 @@
 """``ShardedALTIndex``: the scatter-gather serving layer.
 
 One logical :class:`~repro.common.OrderedIndex` over N independent
-:class:`~repro.core.alt_index.ALTIndex` shards.  The partitioner
-(:mod:`repro.shard.partitioner`) owns the key-space split; everything
-else is routing:
+:class:`~repro.core.alt_index.ALTIndex` shards.  A learned
+:class:`~repro.shard.partitioner.RangePartitioner` owns the key-space
+split; everything else is routing:
 
 - **point ops** resolve the shard with one ``shard_of`` call and
   delegate — the per-shard concurrency protocols are untouched, so two
@@ -20,14 +20,11 @@ a batch between two sub-batches — exactly the window the shard protocol
 case exercises), and ``shard.*`` metrics count routed keys and
 cross-shard fan-out.
 
-Cost tracing composes by *merge*: under an active
-:func:`~repro.sim.trace.tracer`, each per-shard sub-batch runs inside a
-nested trace which is folded into the caller's via
-:meth:`~repro.sim.trace.CostTrace.merge` — aggregate totals equal the
-scalar per-key loop over the same sharded index, so the simulator
-prices sharded runs exactly like unsharded ones.  (The merge target
-must not carry a ``background_split``; ALT-index shards never split a
-trace, so the default configuration is always mergeable.)
+Cost tracing needs no router support: under an active
+:func:`~repro.sim.trace.tracer`, each shard's batch call runs its
+scalar per-key loop, which records straight into the caller's trace —
+aggregate totals equal the scalar loop over the same sharded index, so
+the simulator prices sharded runs exactly like unsharded ones.
 
 Batch fast paths inherit the :class:`~repro.common.BatchIndex` caveat:
 no *concurrent* writers to the same shard.  Cross-shard concurrency is
@@ -37,7 +34,6 @@ on shard B.
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,10 +43,13 @@ from repro.common import OrderedIndex, as_value_array, unique_tag
 from repro.core.alt_index import ALTIndex
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import current_profile
-from repro.shard.partitioner import make_partitioner
-from repro.sim.trace import MemoryMap, current_tracer, global_memory, tracer
+from repro.shard.partitioner import RangePartitioner
+from repro.sim.trace import MemoryMap, global_memory
 
 __all__ = ["ShardedALTIndex"]
+
+#: load keys sampled to learn the default split points
+_SAMPLE_SIZE = 4096
 
 
 class ShardedALTIndex(OrderedIndex):
@@ -78,29 +77,28 @@ class ShardedALTIndex(OrderedIndex):
         values: Sequence | None = None,
         *,
         shards: int = 4,
-        partitioner="range",
-        sample_size: int = 4096,
-        index_factory=ALTIndex,
+        partitioner: RangePartitioner | None = None,
         memory: MemoryMap | None = None,
         tag: str | None = None,
         **options,
     ) -> "ShardedALTIndex":
-        """Partition sorted duplicate-free keys across ``shards`` indexes.
+        """Partition sorted duplicate-free keys across ``shards`` ALT-indexes.
 
-        ``partitioner`` is ``"range"`` (learned CDF-balanced splits from
-        a load-key sample), ``"hash"``, or a ready partitioner instance
-        (its ``nshards`` wins).  Remaining ``options`` go to every
-        shard's ``bulk_load``; ``index_factory`` must accept ``memory``
-        and ``tag`` keywords (every index in this repository does via
-        :func:`repro.common.unique_tag` conventions; the default
-        :class:`~repro.core.alt_index.ALTIndex` certainly does).  Empty
-        shards — a skewed sample can starve one — are legal: they
-        bulk-load an empty key array and grow by inserts.
+        Without a ``partitioner``, split points are learned from a
+        sample of about 4,096 load keys
+        (:meth:`RangePartitioner.from_sample`); a ready partitioner pins
+        the splits instead (its ``nshards`` wins).  Remaining
+        ``options`` go to every shard's
+        :meth:`~repro.core.alt_index.ALTIndex.bulk_load`.  Empty shards —
+        a skewed sample can starve one — are legal: they bulk-load an
+        empty key array and grow by inserts.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         values = as_value_array(keys, values)
-        if isinstance(partitioner, str):
-            partitioner = make_partitioner(partitioner, keys, shards, sample_size)
+        if partitioner is None:
+            partitioner = RangePartitioner.from_sample(
+                keys[:: max(1, len(keys) // _SAMPLE_SIZE)], shards
+            )
         tag = tag or unique_tag("shard")
         memory = memory or global_memory()
         sid = partitioner.route_batch(keys)
@@ -113,7 +111,7 @@ class ShardedALTIndex(OrderedIndex):
             else:
                 sub_values = [values[i] for i in np.flatnonzero(mask)]
             shard_list.append(
-                index_factory.bulk_load(
+                ALTIndex.bulk_load(
                     sub_keys,
                     sub_values,
                     memory=memory,
@@ -179,15 +177,6 @@ class ShardedALTIndex(OrderedIndex):
             obs_metrics.inc("shard.cross_shard_batches")
         return parts
 
-    def _run_sub(self, fn, tr):
-        """One per-shard sub-batch, trace-merged when tracing is on."""
-        if tr is None:
-            return fn()
-        with tracer() as sub:
-            out = fn()
-        tr.merge(sub)
-        return out
-
     def _gather(self, n: int, parts, results) -> list:
         chaos.point("shard.gather")
         prof = current_profile()
@@ -219,94 +208,64 @@ class ShardedALTIndex(OrderedIndex):
     # ------------------------------------------------------------------
     # batch operations (scatter-gather)
     # ------------------------------------------------------------------
-    def batch_get(self, keys: Iterable[int] | np.ndarray) -> list:
-        keys = np.asarray(keys, dtype=np.uint64)
-        n = len(keys)
-        if n == 0:
-            return []
-        tr = current_tracer()
+    def _scatter_gather(self, keys: np.ndarray, run) -> list:
+        """Scatter, run ``run(shard, positions, sub_keys)`` per shard, gather."""
         parts = self.scatter(keys)
         results = []
-        for s, _pos, sub in parts:
+        for s, pos, sub in parts:
             chaos.point("shard.scatter")
-            shard = self._shards[s]
-            results.append(self._run_sub(lambda: shard.batch_get(sub), tr))
+            results.append(run(self._shards[s], pos, sub))
         obs_metrics.inc("shard.batch_ops")
-        return self._gather(n, parts, results)
+        return self._gather(len(keys), parts, results)
+
+    def batch_get(self, keys: Iterable[int] | np.ndarray) -> list:
+        keys = np.asarray(keys, dtype=np.uint64)
+        if len(keys) == 0:
+            return []
+        return self._scatter_gather(keys, lambda shard, _pos, sub: shard.batch_get(sub))
 
     def batch_insert(
         self, keys: Iterable[int] | np.ndarray, values: Sequence | None = None
     ) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.uint64)
         values = as_value_array(keys, values)
-        n = len(keys)
-        if n == 0:
+        if len(keys) == 0:
             return np.empty(0, dtype=bool)
-        tr = current_tracer()
-        parts = self.scatter(keys)
-        results = []
-        for s, pos, sub in parts:
-            chaos.point("shard.scatter")
-            shard = self._shards[s]
+
+        def run(shard, pos, sub):
             if isinstance(values, np.ndarray):
-                sub_values = values[pos]
-            else:
-                sub_values = [values[i] for i in pos.tolist()]
-            results.append(
-                self._run_sub(lambda: shard.batch_insert(sub, sub_values), tr)
-            )
-        obs_metrics.inc("shard.batch_ops")
-        return np.array(self._gather(n, parts, results), dtype=bool)
+                return shard.batch_insert(sub, values[pos])
+            return shard.batch_insert(sub, [values[i] for i in pos.tolist()])
+
+        return np.array(self._scatter_gather(keys, run), dtype=bool)
 
     def batch_remove(self, keys: Iterable[int] | np.ndarray) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.uint64)
-        n = len(keys)
-        if n == 0:
+        if len(keys) == 0:
             return np.empty(0, dtype=bool)
-        tr = current_tracer()
-        parts = self.scatter(keys)
-        results = []
-        for s, _pos, sub in parts:
-            chaos.point("shard.scatter")
-            shard = self._shards[s]
-            results.append(self._run_sub(lambda: shard.batch_remove(sub), tr))
-        obs_metrics.inc("shard.batch_ops")
-        return np.array(self._gather(n, parts, results), dtype=bool)
+        flags = self._scatter_gather(
+            keys, lambda shard, _pos, sub: shard.batch_remove(sub)
+        )
+        return np.array(flags, dtype=bool)
 
     # ------------------------------------------------------------------
     # range operations
     # ------------------------------------------------------------------
     def scan(self, lo: int, count: int) -> list[tuple[int, object]]:
-        if count <= 0:
-            return []
-        if self._partitioner.ordered:
-            out: list[tuple[int, object]] = []
-            for s in range(self._partitioner.shard_of(lo), self.nshards):
-                out.extend(self._shards[s].scan(lo, count - len(out)))
-                if len(out) >= count:
-                    break
-            return out[:count]
-        # Hash partitioning scatters key order across shards: merge the
-        # per-shard scans (each sorted) and keep the first ``count``.
-        merged = heapq.merge(*(shard.scan(lo, count) for shard in self._shards))
-        out = []
-        for pair in merged:
-            out.append(pair)
-            if len(out) == count:
+        out: list[tuple[int, object]] = []
+        for s in range(self._partitioner.shard_of(lo), self.nshards):
+            if len(out) >= count:
                 break
+            out.extend(self._shards[s].scan(lo, count - len(out)))
         return out
 
     def range_query(self, lo: int, hi: int) -> list[tuple[int, object]]:
-        if self._partitioner.ordered:
-            first = self._partitioner.shard_of(lo)
-            last = self._partitioner.shard_of(hi)
-            out: list[tuple[int, object]] = []
-            for s in range(first, last + 1):
-                out.extend(self._shards[s].range_query(lo, hi))
-            return out
-        return list(
-            heapq.merge(*(shard.range_query(lo, hi) for shard in self._shards))
-        )
+        first = self._partitioner.shard_of(lo)
+        last = self._partitioner.shard_of(hi)
+        out: list[tuple[int, object]] = []
+        for s in range(first, last + 1):
+            out.extend(self._shards[s].range_query(lo, hi))
+        return out
 
     # ------------------------------------------------------------------
     # introspection
@@ -329,7 +288,6 @@ class ShardedALTIndex(OrderedIndex):
         imbalance = (max(sizes) / mean) if mean > 0 else 1.0
         rollup = {
             "shards": self.nshards,
-            "partitioner": type(self._partitioner).__name__,
             "keys_per_shard": sizes,
             "imbalance": round(imbalance, 4),
             "model_count": sum(s.get("model_count", 0) for s in per_shard),

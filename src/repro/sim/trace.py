@@ -222,36 +222,6 @@ class CostTrace:
         """All scalar counters as a dict."""
         return {name: getattr(self, name) for name in self._SCALAR_FIELDS}
 
-    def merge(self, other: "CostTrace") -> None:
-        """Fold another trace's events into this one.
-
-        Background attribution is preserved: merging a trace whose tail
-        was handed to background threads keeps that tail background in
-        the combined trace (the split indices and foreground scalars are
-        re-based onto this trace).  Merging *onto* a trace that already
-        has a background split would interleave a second foreground
-        portion after the first background portion — unrepresentable in
-        the single-split model — so it is rejected explicitly rather
-        than silently folding background work into the foreground.
-        """
-        if self.background_split is not None:
-            raise ValueError(
-                "cannot merge into a trace with a background split: the "
-                "merged events would be misattributed to the background"
-            )
-        if other.background_split is not None:
-            nr, nw = other.background_split
-            self.background_split = (len(self.reads) + nr, len(self.writes) + nw)
-            assert other._bg_scalars is not None
-            self._bg_scalars = {
-                name: getattr(self, name) + other._bg_scalars[name]
-                for name in self._SCALAR_FIELDS
-            }
-        for name in self._SCALAR_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.reads.extend(other.reads)
-        self.writes.extend(other.writes)
-
 
 class _NullTrace:
     """No-op sink used when tracing is inactive.

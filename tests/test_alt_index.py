@@ -1,12 +1,15 @@
 """Tests for the ALTIndex facade (Algorithm 2 and §III-G operations)."""
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.alt_index import ALTIndex
 from repro.core.learned_layer import EMPTY, FULL, TOMBSTONE
+from repro.core.retrain import ExpansionBuffer, finish_expansion
 from repro.sim.trace import MemoryMap, tracer
 
 
@@ -176,6 +179,24 @@ class TestWriteBack:
         assert m.read_slot(slot) == (FULL, k, "from-art")
         assert idx.art.search(k) is None
 
+    def test_busy_writer_lock_skips_write_back(self):
+        """The write-back is a write: with the model's writer lock held
+        elsewhere, ``get`` still answers from the ART but leaves the key
+        there; the next uncontended ``get`` repatriates it."""
+        idx = ALTIndex(epsilon=4.0, fast_pointers=False, retraining=False)
+        idx.insert(100, "v100")
+        idx.insert(163, "v163")
+        idx.insert(164, "v164")  # clamps onto 163's slot: goes to the ART
+        idx.remove(163)  # the shared slot is now a tombstone
+        model = idx.layer.models[0]
+        with model.writer_lock:
+            assert idx.get(164) == "v164"
+            assert idx.writebacks == 0
+            assert idx.art.search(164) == "v164"
+        assert idx.get(164) == "v164"
+        assert idx.writebacks == 1
+        assert idx.art.search(164) is None
+
 
 class TestScans:
     def test_scan_merges_layers_sorted(self, loaded):
@@ -332,6 +353,70 @@ class TestStatsAndTracing:
 
 @pytest.mark.slow
 class TestConcurrentALT:
+    def test_racing_inserts_on_one_empty_slot_every_schedule(self):
+        """Two inserts predicted onto one EMPTY slot keep both keys on
+        every interleaving; without the writer lock one key is lost."""
+        from repro.chaos.dpor import explore_protocol
+
+        clean = explore_protocol("insert", max_schedules=200)
+        assert clean.complete and not clean.violations
+        assert explore_protocol("insert", planted=True).violations
+
+    def test_writer_reroutes_after_expansion_swap(self):
+        """A writer that waited on the model lock while an expansion
+        swapped the model writes into the live model, not the retired one."""
+        idx = ALTIndex(epsilon=4.0, fast_pointers=False)
+        for k in (100, 110, 120):
+            idx.insert(k, k)
+        old = idx.layer.models[0]
+        routes = []
+        route = idx.layer.route
+        idx.layer.route = lambda key: (routes.append(key), route(key))[1]
+        with old.writer_lock:
+            writer = threading.Thread(target=idx.insert, args=(130, 130))
+            writer.start()
+            while not routes:
+                time.sleep(0.001)
+            time.sleep(0.05)  # let the writer block on the held lock
+            old.expansion = ExpansionBuffer(old, MemoryMap(), "t")
+            new = finish_expansion(idx.layer, 0, lambda k, v: idx.art.insert(k, v))
+        writer.join()
+        assert idx.layer.models[0] is new and new.writer_lock is old.writer_lock
+        assert routes == [130, 130]  # routed once, re-routed once
+        assert new.read_slot(new.slot_of(130)) == (FULL, 130, 130)
+        assert all(k != 130 for k in old.keys)
+        assert [idx.get(k) for k in (100, 110, 120, 130)] == [100, 110, 120, 130]
+
+    def test_switch_heavy_writers_lose_no_key(self, sorted_keys):
+        """More writer threads than cores, preempted every 10 µs: every
+        bulk-loaded and every inserted key must survive."""
+        half = sorted_keys[::2].copy()
+        rest = [int(k) for k in sorted_keys[1::2]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(6):
+                idx = ALTIndex.bulk_load(half, memory=MemoryMap())
+
+                def writer(chunk, idx=idx):
+                    for k in chunk:
+                        idx.insert(k, k)
+
+                threads = [
+                    threading.Thread(target=writer, args=(rest[i::4],))
+                    for i in range(4)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                lost = [k for k in sorted_keys.tolist() if idx.get(k) != k]
+                assert lost == []
+                assert len(idx) == len(sorted_keys)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_parallel_inserts_and_reads(self, sorted_keys):
         half = sorted_keys[::2].copy()
         rest = [int(k) for k in sorted_keys[1::2]]

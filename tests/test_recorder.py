@@ -165,7 +165,7 @@ class TestCrashPostmortemFixture:
             report = protocols.run_writeback_schedule(
                 seed=3, crash_point="alt.writeback"
             )
-        assert report.crashed == ["getter-a"]
+        assert report.crashed == ["getter-b"]
         doc = rec.postmortems[-1]
         fixture = load_postmortem(FIXTURE)
         assert doc["reason"] == "injected_crash"

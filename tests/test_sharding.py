@@ -23,7 +23,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.bench.harness import shard_scaling_benchmark
 from repro.bench.regress import compare, repo_root
 from repro.chaos.protocols import (
     EXHAUSTIVE_CASES,
@@ -32,12 +31,7 @@ from repro.chaos.protocols import (
     run_shard_batch_schedule,
 )
 from repro.core.alt_index import ALTIndex
-from repro.shard import (
-    HashPartitioner,
-    RangePartitioner,
-    ShardedALTIndex,
-    make_partitioner,
-)
+from repro.shard import RangePartitioner, ShardedALTIndex
 from repro.sim.trace import tracer
 
 SHARD_COUNTS = (1, 2, 7)
@@ -55,15 +49,13 @@ def _universe(seed: int = 12345, size: int = 4_000):
     return np.sort(rng.choice(pool, size=size, replace=False))
 
 
-def _build_pair(shards: int, partitioner="range", seed: int = 12345):
+def _build_pair(shards: int, seed: int = 12345):
     """A sharded index, an unsharded reference, and a dict oracle —
     bulk-loaded identically on half the universe."""
     universe = _universe(seed)
     load = universe[::2]
     values = [f"v{int(k)}" for k in load]
-    sharded = ShardedALTIndex.bulk_load(
-        load, list(values), shards=shards, partitioner=partitioner
-    )
+    sharded = ShardedALTIndex.bulk_load(load, list(values), shards=shards)
     reference = ALTIndex.bulk_load(load, list(values))
     oracle = dict(zip((int(k) for k in load), values))
     return universe, sharded, reference, oracle
@@ -74,13 +66,10 @@ class TestDifferential:
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_op_stream_agrees(self, shards):
-        self._run_stream(shards, "range")
+        self._run_stream(shards)
 
-    def test_op_stream_agrees_hash_partitioned(self):
-        self._run_stream(3, "hash")
-
-    def _run_stream(self, shards, partitioner, n_ops=300, seed=7):
-        universe, sharded, reference, oracle = _build_pair(shards, partitioner)
+    def _run_stream(self, shards, n_ops=300, seed=7):
+        universe, sharded, reference, oracle = _build_pair(shards)
         rng = np.random.default_rng(seed)
         kinds = [
             "get", "insert", "update", "remove", "reinsert",
@@ -243,7 +232,7 @@ class TestRebalanceEdges:
         equal to a split must route to the shard that owns it."""
         universe = _universe(11, size=512)
         values = [f"v{int(k)}" for k in universe]
-        part = make_partitioner("range", universe, 4, sample_size=len(universe))
+        part = RangePartitioner.from_sample(universe, 4)
         assert all(int(s) in set(universe.tolist()) for s in part.splits)
         idx = ShardedALTIndex.bulk_load(universe, list(values), partitioner=part)
         reference = ALTIndex.bulk_load(universe, list(values))
@@ -264,12 +253,6 @@ class TestRebalanceEdges:
         # A range straddling every split equals the unsharded answer.
         lo, hi = int(universe[0]), int(universe[-1])
         assert idx.range_query(lo, hi) == reference.range_query(lo, hi)
-
-    def test_hash_partitioner_spreads_clustered_keys(self):
-        universe = np.arange(2_000_000, 2_000_512, dtype=np.uint64)
-        part = HashPartitioner(4)
-        sizes = np.bincount(part.route_batch(universe), minlength=4)
-        assert (sizes > 0).all()  # clustered keys still spread
 
 
 class TestShardChaos:
@@ -297,16 +280,6 @@ class TestShardChaos:
 
 
 class TestObservatory:
-    def test_scaling_benchmark_rows(self):
-        rows = shard_scaling_benchmark(
-            n=20_000, batch_size=128, lookups=2_048, shard_counts=(1, 2),
-        )
-        assert [r["shards"] for r in rows] == [1, 2]
-        assert rows[0]["speedup"] == 1.0
-        for row in rows:
-            assert row["lane_us_op"] > 0
-            assert row["serial_us_op"] >= row["lane_us_op"] - 1e-9
-
     def test_bench_10_recorded_and_comparable(self):
         root = repo_root()
         with open(root / "BENCH_10.json") as fh:

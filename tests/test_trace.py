@@ -116,41 +116,6 @@ class TestCostTrace:
         assert t.reads == [span.line(0), 999]
         assert t.writes == [span.line(64)]
 
-    def test_merge(self):
-        a = CostTrace(model_calcs=1, reads=[1], writes=[2])
-        b = CostTrace(model_calcs=2, reads=[3], writes=[4])
-        a.merge(b)
-        assert a.model_calcs == 3
-        assert a.reads == [1, 3]
-        assert a.writes == [2, 4]
-
-    def test_merge_preserves_background_split(self):
-        # Regression: merge() used to drop the other trace's background
-        # split, silently folding background work into the foreground.
-        a = CostTrace(model_calcs=1, reads=[1], writes=[2])
-        b = CostTrace()
-        b.read_line(3)
-        b.model_calcs += 2
-        b.begin_background()
-        b.read_line(4)
-        b.write_line(5)
-        b.model_calcs += 4
-        a.merge(b)
-        fg = a.foreground_view()
-        bg = a.background_view()
-        assert fg.reads == [1, 3] and fg.writes == [2]
-        assert fg.model_calcs == 3
-        assert bg.reads == [4] and bg.writes == [5]
-        assert bg.model_calcs == 4
-
-    def test_merge_into_split_trace_rejected(self):
-        a = CostTrace()
-        a.read_line(1)
-        a.begin_background()
-        a.read_line(2)
-        with pytest.raises(ValueError, match="background split"):
-            a.merge(CostTrace())
-
     def test_background_split_views(self):
         t = CostTrace()
         t.read_line(1)
