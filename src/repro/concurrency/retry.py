@@ -199,3 +199,13 @@ def acquire_cooperative(lock, state: RetryState) -> None:
         if lock.acquire(blocking=False):
             return
         state.step()
+
+
+def acquire_writer_lock(lock, site: str) -> None:
+    """Block on a writer lock; cooperatively (via ``site``) under chaos."""
+    if lock.acquire(blocking=False):
+        return
+    if chaos.is_active():
+        acquire_cooperative(lock, DEFAULT_RETRY.begin(site))
+    else:
+        lock.acquire()

@@ -40,7 +40,7 @@ from repro.common import (
     sorted_hits,
     unique_tag,
 )
-from repro.concurrency.retry import DEFAULT_RETRY, StuckWriterError, acquire_cooperative
+from repro.concurrency.retry import StuckWriterError, acquire_writer_lock
 from repro.core.analysis import suggest_error_bound
 from repro.core.fast_pointer import FastPointerBuffer
 from repro.core.learned_layer import EMPTY, FULL, TOMBSTONE, LearnedLayer
@@ -83,6 +83,8 @@ class ALTIndex(OrderedIndex):
             )
         self._size = 0
         self._size_lock = threading.Lock()
+        # Serializes the first insert into an empty index.
+        self._bootstrap_lock = threading.Lock()
         self.conflict_inserts = 0
         self.writebacks = 0
         self.expansions = 0
@@ -185,19 +187,23 @@ class ALTIndex(OrderedIndex):
         """
         while True:  # bounded: each retry follows a finished expansion swap
             lock = model.writer_lock
-            if not lock.acquire(blocking=False):
-                if chaos.is_active():
-                    acquire_cooperative(lock, DEFAULT_RETRY.begin("alt.writer_lock"))
-                else:
-                    lock.acquire()
+            acquire_writer_lock(lock, "alt.writer_lock")
             if self._layer.models[i] is model:
                 return i, model
             lock.release()
             i, model = self._layer.route(key)
 
-    def _bootstrap_model(self, key: int) -> None:
-        """First insert into an empty index: seed a minimal GPL model."""
-        self._layer.append_overflow_model(key, 1.0, 64)
+    def _bootstrap_model(self, key: int):
+        """First insert into an empty index: seed a minimal GPL model.
+
+        Two first inserts can both see no model; the lock and the
+        re-check let only one of them append it.  Returns the route of
+        ``key`` once a model exists.
+        """
+        with self._bootstrap_lock:
+            if not self._layer.models:
+                self._layer.append_overflow_model(key, 1.0, 64)
+        return self._layer.route(key)
 
     def _move_home(self, index: int, model) -> None:
         """After an expansion swap, move every ART key of the model's
@@ -340,25 +346,23 @@ class ALTIndex(OrderedIndex):
         if current_tracer() is not None or not self._layer.models:
             return BatchIndex.batch_get(self, keys)
         obs_health.tick(self, n)
-        midx, slots, _, state, resident = self._layer.probe_live(keys)
+        midx, slots, flat, state, resident = self._layer.probe_live(keys)
         hit = (state == FULL) & (resident == keys)
-        out: list = [None] * n
+        # Every hit's value in one gather from the layer's value arena.
+        vals = self._layer.np_values[flat]
+        if bool(hit.all()):
+            return vals.tolist()
+        miss = np.flatnonzero(~hit)
+        vals[miss] = None
+        out = vals.tolist()
+        # Conflict remainder (Algorithm 2 lines 5-13): the expansion
+        # buffer, then the ART.
         models = self._layer.models
         mi_l = midx.tolist()
-        sl_l = slots.tolist()
-        if bool(hit.all()):
-            for i in range(n):
-                out[i] = models[mi_l[i]].values[sl_l[i]]
-            return out
-        # Partition hits from conflict keys (Algorithm 2 lines 5-13).
         keys_l = keys.tolist()
-        st_l = state.tolist()
         miss_i: list[int] = []
         miss_keys: list[int] = []
-        for i, h in enumerate(hit.tolist()):
-            if h:
-                out[i] = models[mi_l[i]].values[sl_l[i]]
-                continue
+        for i in miss.tolist():
             exp = models[mi_l[i]].expansion
             if exp is not None:
                 found, bval = exp.lookup(keys_l[i])
@@ -375,6 +379,8 @@ class ALTIndex(OrderedIndex):
         pos, found = sorted_hits(vkeys, np.array(miss_keys, dtype=np.uint64))
         pos_l = pos.tolist()
         found_l = found.tolist()
+        sl_l = slots.tolist()
+        st_l = state.tolist()
         for j, i in enumerate(miss_i):
             if not found_l[j]:
                 continue
@@ -611,8 +617,7 @@ class ALTIndex(OrderedIndex):
             prof.enter("alt.model_probe")
         i, model = self._route(key)
         if model is None:
-            self._bootstrap_model(key)
-            i, model = self._route(key)
+            i, model = self._bootstrap_model(key)
         if prof is not None:
             prof.exit()
         i, model = self._lock_model(key, i, model)

@@ -23,11 +23,20 @@ A :class:`GPLModel` is a gapped slot array:
 Modeled layout per model: 64-byte header, 16 B per slot (key+value),
 1 bit per slot of bitmap, 4 B per slot of versions — this is what the
 memory-overhead experiment (Fig. 8a) accounts.
+
+Physically, a :class:`LearnedLayer` stores every model's slot *state*,
+resident *key* and *value* in three layer-wide NumPy arrays (the
+"arena": ``np_state``, ``np_keys``, ``np_values``) in model order, and
+each model holds views into them.  The value arena is the only copy of
+a slot's value, so a batch probe resolves every learned-layer hit with
+one gather.  The per-model ``keys`` list is the seqlocked key the
+scalar read validates; ``np_keys`` repeats it for the batch probe.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
 import threading
 from typing import Iterator
@@ -35,7 +44,7 @@ from typing import Iterator
 import numpy as np
 
 from repro import chaos
-from repro.concurrency.retry import DEFAULT_RETRY
+from repro.concurrency.retry import DEFAULT_RETRY, acquire_writer_lock
 from repro.concurrency.version_lock import SlotVersionArray
 from repro.core.errors import KeysNotSortedError
 from repro.core.gpl import Segment, gpl_partition
@@ -67,6 +76,10 @@ def _merge_sorted(a: Iterator, b: Iterator) -> Iterator[tuple[int, object]]:
 EMPTY = 0
 FULL = 1
 TOMBSTONE = 2
+
+#: (LearnedLayer attribute, GPLModel attribute) of each slot array the
+#: layer-wide arena holds, in the order a fold copies them.
+_ARENA = (("np_keys", "np_keys"), ("np_state", "np_state"), ("np_values", "values"))
 
 
 def model_bytes(n_slots: int) -> int:
@@ -109,26 +122,29 @@ class GPLModel:
         n_slots: int,
         memory: MemoryMap,
         tag: str,
-        mirrors: tuple[np.ndarray, np.ndarray] | None = None,
+        arena: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ):
         self.first_key = first_key
         self.last_key = first_key
         self.slope_eff = slope_eff
         self.n_slots = n_slots
+        # The seqlocked key of each slot (None when EMPTY or TOMBSTONE).
         self.keys: list[int | None] = [None] * n_slots
-        self.values: list = [None] * n_slots
-        # NumPy mirrors of (key, slot state) kept in sync by every slot
-        # write — the "bulk bitmap-state read" substrate of the batch
-        # fast path.  A model of a LearnedLayer holds *views* into the
-        # layer-wide arrays (LearnedLayer.np_keys/np_state), so
-        # LearnedLayer.probe_live reads every model with one gather.
-        # The seqlocked Python lists above stay authoritative for keys
-        # and values; ``np_state`` is the slot bitmap, which the scalar
-        # read consults only to tell EMPTY from TOMBSTONE (both hold
-        # ``key is None``).
-        if mirrors is None:
-            mirrors = np.zeros(n_slots, dtype=np.uint64), np.zeros(n_slots, dtype=np.uint8)
-        self.np_keys, self.np_state = mirrors  # state starts EMPTY
+        # Slot arrays written by every slot write: ``np_keys`` (the key
+        # again, 0 when absent), ``np_state`` (the slot bitmap, which
+        # the scalar read consults to tell EMPTY from TOMBSTONE) and
+        # ``values``, an object array that is the only copy of each
+        # slot's value.  A model of a LearnedLayer holds *views* into
+        # the layer-wide arena (LearnedLayer.np_keys/np_state/np_values),
+        # so LearnedLayer.probe_live and ALTIndex.batch_get read every
+        # model with one gather.
+        if arena is None:
+            arena = (
+                np.zeros(n_slots, dtype=np.uint64),
+                np.zeros(n_slots, dtype=np.uint8),
+                np.full(n_slots, None, dtype=object),
+            )
+        self.np_keys, self.np_state, self.values = arena  # state starts EMPTY
         self.versions = SlotVersionArray(n_slots)
         self.span = memory.alloc(model_bytes(n_slots), tag)
         self.fast_index = -1
@@ -326,10 +342,11 @@ class LearnedLayer:
         self._upper_span = None
         self._version = 0
         self._geo_cache: tuple | None = None
-        # Layer-wide slot mirrors in model order; every model's
-        # np_keys/np_state is a view at its _geometry() offset.
+        # The layer-wide slot arena in model order; every model's
+        # np_keys/np_state/values is a view at its _geometry() offset.
         self.np_keys = np.empty(0, dtype=np.uint64)
         self.np_state = np.empty(0, dtype=np.uint8)
+        self.np_values = np.empty(0, dtype=object)
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -349,20 +366,22 @@ class LearnedLayer:
             layer._rebuild_upper()
             return layer, []
         segments = gpl_partition(keys, epsilon)
-        # Every model's geometry first, so the layer-wide mirrors are
-        # allocated once and each model is built on its views of them.
+        # Every model's geometry first, so the layer-wide arena is
+        # allocated once and each model is built on its views of it.
         geos = [layer._model_geometry(seg, keys[seg.start : seg.end]) for seg in segments]
         slopes = np.array([g[0] for g in geos], dtype=np.float64)
         n_slots = np.array([g[1] for g in geos], dtype=np.int64)
         offsets = np.cumsum(n_slots) - n_slots
-        layer.np_keys = np.zeros(int(n_slots.sum()), dtype=np.uint64)
-        layer.np_state = np.zeros(int(n_slots.sum()), dtype=np.uint8)
+        total = int(n_slots.sum())
+        layer.np_keys = np.zeros(total, dtype=np.uint64)
+        layer.np_state = np.zeros(total, dtype=np.uint8)
+        layer.np_values = np.full(total, None, dtype=object)
         conflicts: list[tuple[int, object]] = []
         for seg, (slope, ns), lo in zip(segments, geos, offsets.tolist()):
             seg_keys = keys[seg.start : seg.end]
             seg_vals = values[seg.start : seg.end]
-            mirrors = layer.np_keys[lo : lo + ns], layer.np_state[lo : lo + ns]
-            model = GPLModel(int(seg_keys[0]), slope, ns, layer._memory, layer._tag, mirrors)
+            arena = tuple(a[lo : lo + ns] for a in (layer.np_keys, layer.np_state, layer.np_values))
+            model = GPLModel(int(seg_keys[0]), slope, ns, layer._memory, layer._tag, arena)
             conflicts.extend(model.place_bulk(seg_keys, seg_vals))
             layer.models.append(model)
         layer._rebuild_upper()
@@ -411,30 +430,56 @@ class LearnedLayer:
         geometry, so a mutating batch does not invalidate this cache.  A
         new structural version (``replace_model``,
         ``append_overflow_model``) also *folds* the layer: the models'
-        current mirrors are concatenated into fresh layer-wide
-        ``np_keys``/``np_state`` arrays and every model's mirrors are
-        rebound as views at its offset.
+        current slot arrays are concatenated into a fresh layer-wide
+        arena and every model's arrays are rebound as views at its
+        offset.  The fold holds every model's writer lock, so no scalar
+        write lands in an array it has already copied, and it copies one
+        array at a time, so at most one old arena is alive beside the
+        new one.
         """
         geo = self._geo_cache
         if geo is None or geo[0] != self._version:
-            models = self.models
-            n_slots = np.array([m.n_slots for m in models], dtype=np.int64)
-            slopes = np.array([m.slope_eff for m in models], dtype=np.float64)
-            offsets = np.cumsum(n_slots) - n_slots
-            self.np_keys = np.concatenate([m.np_keys for m in models])
-            self.np_state = np.concatenate([m.np_state for m in models])
-            for m, lo in zip(models, offsets.tolist()):
-                m.np_keys = self.np_keys[lo : lo + m.n_slots]
-                m.np_state = self.np_state[lo : lo + m.n_slots]
-            geo = self._geo_cache = (
-                self._version, slopes, (n_slots - 1).astype(np.float64), offsets
-            )
+            with self._locked_models() as models:
+                n_slots = np.array([m.n_slots for m in models], dtype=np.int64)
+                slopes = np.array([m.slope_eff for m in models], dtype=np.float64)
+                offsets = np.cumsum(n_slots) - n_slots
+                offsets_l = offsets.tolist()
+                for layer_attr, model_attr in _ARENA:
+                    arena = np.concatenate([getattr(m, model_attr) for m in models])
+                    setattr(self, layer_attr, arena)
+                    for m, lo in zip(models, offsets_l):
+                        setattr(m, model_attr, arena[lo : lo + m.n_slots])
+                geo = self._geo_cache = (
+                    self._version, slopes, (n_slots - 1).astype(np.float64), offsets
+                )
         return geo
+
+    @contextlib.contextmanager
+    def _locked_models(self) -> Iterator[list[GPLModel]]:
+        """Hold every live model's writer lock, taken in model order.
+
+        Scalar writers hold at most one model lock, so the fixed order
+        cannot deadlock.  A model swapped out while the locks were being
+        taken changes the structural version: release all and retry.
+        """
+        while True:  # bounded: each retry follows a finished expansion swap
+            version, models = self._version, list(self.models)
+            for m in models:
+                acquire_writer_lock(m.writer_lock, "gpl.fold_lock")
+            if self._version == version:
+                break
+            for m in models:
+                m.writer_lock.release()
+        try:
+            yield models
+        finally:
+            for m in models:
+                m.writer_lock.release()
 
     def probe_live(
         self, keys: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized Algorithm-2 probe against the *live* slot mirrors.
+        """Vectorized Algorithm-2 probe against the *live* slot arena.
 
         Routes the whole key batch (``np.searchsorted`` over model
         first-keys), predicts slots (``floor(slope * (key - first_key))``
@@ -446,8 +491,9 @@ class LearnedLayer:
         copy of the layer to rebuild after a slot write.
 
         Assumes no concurrent writer (the ``BatchIndex`` contract): the
-        fold on a new structural version rebinds every model's mirrors,
-        and a slot write racing it would miss the new arrays.
+        gathered columns are not one consistent snapshot of a slot a
+        writer is changing.  The fold itself is safe against scalar
+        writers, which it excludes with their writer locks.
 
         Returns ``(model_idx, slot, flat_slot, state, resident_key)``.
         """

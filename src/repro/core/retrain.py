@@ -15,7 +15,9 @@ spill to the ART layer.  Expansion is incremental (no blocking rebuild):
    migrated and the model pointer is swapped.
 
 The old model's last key bound carries over so routing is unchanged, and
-the new model inherits the fast pointer index.  After a swap, ART keys
+the new model inherits the fast pointer index.  The retired model keeps
+pointing at the expansion, so a reader still inside it reaches the
+buffer.  After a swap, ART keys
 of the model's range whose slot in the new model is EMPTY must move home
 at once (``ALTIndex.insert`` does so right after :func:`finish_expansion`):
 an insert writes an EMPTY slot without consulting the ART, so such a key
@@ -162,14 +164,20 @@ def maybe_start_expansion(
 def finish_expansion(layer: LearnedLayer, index: int, spill: SpillFn) -> GPLModel:
     """Swap the finished buffer in as the layer's model at ``index``."""
     model = layer.models[index]
-    assert model.expansion is not None
-    new_model = model.expansion.finish(spill)
+    exp = model.expansion
+    assert exp is not None
+    new_model = exp.finish(spill)
     # The migrate-then-swap order is the §III-F handoff invariant: a
     # concurrent reader must find every key in the old model (pre-swap)
     # or the new one (post-swap), never neither.
     chaos.point("retrain.swap")
-    model.expansion = None
     layer.replace_model(index, new_model)
+    # The retired model keeps its ``expansion``: a reader that routed to
+    # it and read an eviction's tombstone still looks the key up in the
+    # buffer, which is now the live model.  Dropping the buffer's
+    # back-pointer breaks the model -> expansion -> model cycle, so the
+    # retired model is freed as soon as no reader holds it.
+    exp.old = None
     obs_metrics.inc("retrain.finished")
     obs_metrics.observe("retrain.new_slots", new_model.n_slots)
     return new_model

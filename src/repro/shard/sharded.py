@@ -182,13 +182,14 @@ class ShardedALTIndex(OrderedIndex):
         prof = current_profile()
         if prof is not None:
             prof.enter("shard.gather")
-        out: list = [None] * n
+        out = np.empty(n, dtype=object)
         for (_s, pos, _sub), vals in zip(parts, results):
-            for j, i in enumerate(pos.tolist()):
-                out[i] = vals[j]
+            # fromiter keeps each result one object: a tuple or list
+            # value is never broadcast across positions.
+            out[pos] = np.fromiter(vals, object, len(pos))
         if prof is not None:
             prof.exit()
-        return out
+        return out.tolist()
 
     # ------------------------------------------------------------------
     # point operations

@@ -7,8 +7,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import alt_index
 from repro.core.alt_index import ALTIndex
-from repro.core.learned_layer import EMPTY, FULL, TOMBSTONE
+from repro.core.learned_layer import EMPTY, FULL, TOMBSTONE, GPLModel, LearnedLayer
 from repro.core.retrain import ExpansionBuffer, finish_expansion
 from repro.sim.trace import MemoryMap, tracer
 
@@ -386,6 +387,93 @@ class TestConcurrentALT:
         assert new.read_slot(new.slot_of(130)) == (FULL, 130, 130)
         assert all(k != 130 for k in old.keys)
         assert [idx.get(k) for k in (100, 110, 120, 130)] == [100, 110, 120, 130]
+
+    def test_racing_first_inserts_bootstrap_one_model(self, monkeypatch):
+        """Two first inserts into an empty index both see no model.  The
+        first to append the bootstrap model parks inside
+        append_overflow_model until the other arrives (or half a second
+        passes): only one model may be appended, and both keys found."""
+        append = LearnedLayer.append_overflow_model
+        barrier = threading.Barrier(2, timeout=0.5)
+
+        def parked(layer, *args):
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                pass  # the other insert never got here
+            return append(layer, *args)
+
+        monkeypatch.setattr(LearnedLayer, "append_overflow_model", parked)
+        idx = ALTIndex(epsilon=4.0, fast_pointers=False)
+        errors = []
+
+        def insert(key):
+            try:
+                idx.insert(key, f"v{key}")
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=insert, args=(k,)) for k in (200, 100)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=5)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert idx.layer.model_count == 1
+        assert (idx.get(100), idx.get(200), len(idx)) == ("v100", "v200", 2)
+
+    @pytest.mark.parametrize("clear", [False, True], ids=["keep-pointer", "planted-clear"])
+    def test_reader_in_retired_model_finds_evicted_key(self, monkeypatch, clear):
+        """A reader routes to the old model and reads the tombstone an
+        expansion eviction left; the swap then completes before the
+        reader looks at ``model.expansion``.  The retired model keeps
+        pointing at the buffer (now the live model), so the reader still
+        finds the key.  The planted mutant clears the pointer at the
+        swap: the reader misses the buffer and the ART, and returns None
+        for a live key."""
+        idx = ALTIndex(epsilon=4.0, fast_pointers=False)
+        idx.insert(100, "v100")
+        idx.insert(163, "v163")  # model slot 63, the last one
+        old = idx.layer.models[0]
+        evicted, read_done, swapped = threading.Event(), threading.Event(), threading.Event()
+        finish = alt_index.finish_expansion
+        read_slot = GPLModel.read_slot
+
+        def paused_finish(layer, index, spill):
+            # insert(170) started an expansion and evicted 163 from slot
+            # 63 into the buffer; hold the swap until the reader has
+            # read that tombstone.
+            evicted.set()
+            read_done.wait(timeout=5)
+            new = finish(layer, index, spill)
+            if clear:
+                old.expansion = None
+            swapped.set()
+            return new
+
+        def paused_read(model, slot):
+            out = read_slot(model, slot)
+            if threading.current_thread().name == "reader" and model is old:
+                read_done.set()
+                swapped.wait(timeout=5)
+            return out
+
+        monkeypatch.setattr(alt_index, "finish_expansion", paused_finish)
+        monkeypatch.setattr(GPLModel, "read_slot", paused_read)
+        got = []
+        writer = threading.Thread(target=idx.insert, args=(170, "v170"))
+        reader = threading.Thread(target=lambda: got.append(idx.get(163)), name="reader")
+        writer.start()
+        assert evicted.wait(timeout=5)
+        assert old.read_slot(63)[0] == TOMBSTONE
+        reader.start()
+        writer.join(timeout=5)
+        reader.join(timeout=5)
+        assert not writer.is_alive() and not reader.is_alive()
+        assert idx.layer.models[0] is not old
+        assert got == ([None] if clear else ["v163"])
+        assert idx.get(163) == "v163"
 
     def test_switch_heavy_writers_lose_no_key(self, sorted_keys):
         """More writer threads than cores, preempted every 10 µs: every

@@ -9,7 +9,7 @@ docs/API.md states two invariants for the vectorized batch layer:
    the same aggregate CostTrace totals as the scalar loop.
 
 These tests drive both through mutation sequences chosen to hit the
-fast-path invalidation machinery: ALT-index layer-wide slot mirrors
+fast-path invalidation machinery: the ALT-index layer-wide slot arena
 (folded on every structural version) and the ART's delta-patched
 sorted view, the baselines' ``repro.common.SortedView`` across ALEX+/
 B+tree splits and XIndex compactions, and ALT-index expansion buffers
@@ -17,6 +17,10 @@ B+tree splits and XIndex compactions, and ALT-index expansion buffers
 batch and scalar writes is checked step by step against a dict oracle
 on every index.
 """
+
+import contextlib
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,9 +35,11 @@ from repro.baselines import (
 )
 from repro.baselines.rmi import TwoStageRMI
 from repro.common import BatchIndex
+from repro.core import learned_layer
 from repro.core.alt_index import ALTIndex
-from repro.core.learned_layer import EMPTY, FULL, TOMBSTONE
+from repro.core.learned_layer import EMPTY, FULL, TOMBSTONE, LearnedLayer
 from repro.obs.metrics import metrics_registry
+from repro.shard import ShardedALTIndex
 from repro.sim.trace import MemoryMap, tracer
 
 pytestmark = pytest.mark.batch
@@ -53,6 +59,32 @@ IDS = [cls.NAME for cls in ALL_INDEXES]
 
 def scalar_gets(idx, keys):
     return [idx.get(int(k)) for k in keys]
+
+
+class _PauseAfterValueCopy:
+    """Stands in for NumPy inside ``repro.core.learned_layer``: the
+    fold's copy of the value arena parks until ``resume`` is set, or
+    half a second passes."""
+
+    def __init__(self):
+        self.copied = threading.Event()
+        self.resume = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def concatenate(self, arrays):
+        out = np.concatenate(arrays)
+        if out.dtype == object:
+            self.copied.set()
+            self.resume.wait(timeout=0.5)
+        return out
+
+
+@contextlib.contextmanager
+def _unlocked_models(layer):
+    """A fold that takes no writer lock (the planted race)."""
+    yield list(layer.models)
 
 
 @pytest.fixture(params=ALL_INDEXES, ids=IDS)
@@ -295,20 +327,25 @@ class TestALTBatchInternals:
 
     @staticmethod
     def _assert_mirrors_fold_the_lists(layer):
-        """Every model's mirrors are views of the layer-wide arrays, and
-        those equal the authoritative key lists and the scalar
-        read_slot states slot for slot."""
-        state, keys = [], []
+        """Every model's slot arrays are views of the layer-wide arena,
+        and the arena equals the seqlocked key lists and the scalar
+        read_slot states and values slot for slot (the values by
+        identity: the arena is their only copy)."""
+        state, keys, values = [], [], []
         for m in layer.models:
             assert np.shares_memory(m.np_keys, layer.np_keys)
             assert np.shares_memory(m.np_state, layer.np_state)
+            assert np.shares_memory(m.values, layer.np_values)
             for s, k in enumerate(m.keys):
-                st = m.read_slot(s)[0]
+                st, _, v = m.read_slot(s)
                 assert (st == FULL) == (k is not None)
                 state.append(st)
                 keys.append(0 if k is None else k)
+                values.append(v)
         assert layer.np_state.tolist() == state
         assert layer.np_keys.tolist() == keys
+        assert len(layer.np_values) == len(values)
+        assert all(a is b for a, b in zip(layer.np_values.tolist(), values))
 
     def test_empty_index_bootstrap_probe_matches_scalar(self, rng):
         """The first insert into an empty index appends the overflow
@@ -446,6 +483,99 @@ class TestALTBatchInternals:
         assert idx.conflict_inserts == conflicts + 1
         assert idx.batch_get(np.array(pair, dtype=np.uint64)) == ["a", "b"]
         assert layer.np_keys is arena
+        self._assert_mirrors_fold_the_lists(layer)
+
+    @pytest.mark.parametrize("locked", [True, False], ids=["fold-locks", "planted-unlocked"])
+    def test_fold_never_loses_a_racing_scalar_write(self, monkeypatch, sorted_keys, locked):
+        """A fold parks right after copying the value arena, before it
+        rebinds the models' views; a scalar update of a learned-resident
+        key then races it.  The fold holds every model's writer lock, so
+        the update waits and lands in the new arena.  The planted mutant
+        folds without the locks: the update writes the old arena, the
+        rebind drops it, and scalar get still reads the old value."""
+        idx = ALTIndex.bulk_load(sorted_keys, memory=MemoryMap())
+        layer = idx.layer
+        _, _, _, state, resident = layer.probe_live(sorted_keys)
+        k = int(sorted_keys[np.flatnonzero((state == FULL) & (resident == sorted_keys))[0]])
+        pause = _PauseAfterValueCopy()
+        monkeypatch.setattr(learned_layer, "np", pause)
+        if not locked:
+            monkeypatch.setattr(LearnedLayer, "_locked_models", _unlocked_models)
+        layer._version += 1  # the next probe folds
+
+        def update():
+            idx.update(k, "new")
+            pause.resume.set()
+
+        folder = threading.Thread(target=layer.probe_live, args=(sorted_keys[:4],))
+        folder.start()
+        assert pause.copied.wait(timeout=5)
+        writer = threading.Thread(target=update)
+        writer.start()
+        folder.join(timeout=5)
+        writer.join(timeout=5)
+        assert not folder.is_alive() and not writer.is_alive()
+        lost = idx.get(k) != "new"
+        assert lost == (not locked)
+        if locked:
+            assert idx.batch_get(np.array([k], dtype=np.uint64)) == ["new"]
+            self._assert_mirrors_fold_the_lists(layer)
+
+    @pytest.mark.parametrize("cls", [ALTIndex, ShardedALTIndex], ids=lambda c: c.NAME)
+    def test_batch_get_returns_the_scalar_objects(self, sorted_keys, cls):
+        """Tuple, list, ndarray and str values come back from batch_get
+        as the very objects scalar get returns (the value arena stores
+        references; the shard gather never broadcasts a sequence), both
+        on the bulk-built arena and after a fold."""
+        makers = (
+            lambda k: (k, "t"),
+            lambda k: [k],
+            lambda k: np.array([k, k], dtype=np.uint64),
+            lambda k: f"s{k}",
+        )
+        base = sorted_keys[::4]
+        extra = np.setdiff1d(sorted_keys, base)  # 3x the load: expansions finish
+        idx = cls.bulk_load(
+            base, [makers[i % 4](k) for i, k in enumerate(base.tolist())], memory=MemoryMap()
+        )
+        layers = [s.layer for s in idx.shards] if cls is ShardedALTIndex else [idx.layer]
+        versions = [layer._version for layer in layers]
+
+        def assert_same_objects(keys):
+            got = idx.batch_get(keys)
+            assert len(got) == len(keys)
+            assert all(g is idx.get(k) for g, k in zip(got, keys.tolist()))
+            assert all(g is not None for g in got)
+
+        assert_same_objects(base)
+        for i, k in enumerate(extra.tolist()):
+            idx.insert(k, makers[i % 4](k))
+        assert any(layer._version != v for layer, v in zip(layers, versions)), "no fold"
+        assert_same_objects(np.concatenate([base, extra]))
+        for layer in layers:
+            self._assert_mirrors_fold_the_lists(layer)
+
+    def test_fold_keeps_one_old_arena_alive(self, sorted_keys):
+        """The fold copies the arena one array at a time: its traced
+        peak stays below the largest array plus per-model bookkeeping,
+        where copying all three at once would add the other two."""
+        tracemalloc.start()
+        try:
+            idx = ALTIndex.bulk_load(sorted_keys, memory=MemoryMap())
+            layer = idx.layer
+            layer._version += 1
+            layer.probe_live(sorted_keys[:4])  # a traced arena to fold from
+            layer._version += 1
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            layer.probe_live(sorted_keys[:4])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = (layer.np_keys, layer.np_state, layer.np_values)
+        largest = max(a.nbytes for a in arrays)
+        assert peak - before < largest + 128 * len(layer.models) + 16 * 1024
+        assert sum(a.nbytes for a in arrays) - largest > 128 * len(layer.models) + 16 * 1024
         self._assert_mirrors_fold_the_lists(layer)
 
     def test_interleaved_writes_keep_the_patched_art_view_exact(self, rng):
