@@ -23,8 +23,10 @@ Additions required by ALT-index:
 
 Writers acquire node write locks via non-blocking upgrade and restart on
 failure, so the protocol is deadlock-free; readers never write shared
-state.  All operations record cache-line touches and node visits into the
-ambient cost trace.
+state.  A writer frees the node it replaces at once: CPython refcounting
+keeps the object alive while a reader still holds it, and ``free()`` only
+returns the node's modeled span to the memory map.  All operations
+record cache-line touches and node visits into the ambient cost trace.
 
 Restarts are *bounded* (Leis et al. assume this; we enforce it): every
 public operation runs its restart loop through a
@@ -110,6 +112,9 @@ class AdaptiveRadixTree:
         self._delta_lock = threading.Lock()  # record vs swap/drop
         self._view_lock = threading.Lock()  # one view builder at a time
         self._replace_listeners: list[ReplaceListener] = []
+        # Nothing retires into this manager (replaced nodes are freed at
+        # once), so pending() stays 0; it is kept only because the
+        # wall-clock benchmark reads ``art.epoch.pending()``.
         self.epoch = EpochManager()
         self._retry = retry or DEFAULT_RETRY
         # Pessimistic degradation: operations whose optimistic restarts
@@ -219,10 +224,10 @@ class AdaptiveRadixTree:
         last key is its node's prefix, the runs of equal byte after it
         are the children, and the node type is the smallest that fits.
         No other thread can reach the tree yet, so building the nodes
-        takes no locks, restarts, chaos points or epoch retirements and
-        records no view delta; only publishing the root takes the root
-        lock.  Raises ``ValueError`` on a non-empty tree or on keys that
-        are not strictly increasing.
+        takes no locks, restarts or chaos points and records no view
+        delta; only publishing the root takes the root lock.  Raises
+        ``ValueError`` on a non-empty tree or on keys that are not
+        strictly increasing.
         """
         keys = np.asarray(keys, dtype=np.uint64).tolist()
         values = list(values)
@@ -612,7 +617,7 @@ class AdaptiveRadixTree:
                     new_leaf = Leaf(key, value, self._memory, self._tag)
                     replace(new_leaf)
                     trace.write_span(new_leaf.span)
-                    self.epoch.retire(leaf.free)
+                    leaf.free()
                 return False
             cpl = common_prefix_len(leaf.kbytes, kb, depth)
             new4 = Node4(kb[depth : depth + cpl], depth, self._memory, self._tag)
@@ -705,7 +710,7 @@ class AdaptiveRadixTree:
             replace(grown)
             trace.write_span(grown.span)
             node.lock.write_unlock_obsolete()
-            self.epoch.retire(node.free)
+            node.free()
             self._notify_replace(node, grown)
             self._bump_size(1)
             return True
@@ -731,7 +736,7 @@ class AdaptiveRadixTree:
                 raise RestartException
             self._root = None
             self._root_lock.write_unlock()
-            self.epoch.retire(node.free)
+            node.free()
             self._bump_size(-1)
             return True
         self._root_lock.read_unlock_or_restart(rv)
@@ -765,7 +770,7 @@ class AdaptiveRadixTree:
         node.lock.upgrade_to_write_lock_or_restart(version)
         node.remove_child(byte)
         trace.write_span(node.span, _HEADER)
-        self.epoch.retire(leaf.free)
+        leaf.free()
         self._bump_size(-1)
 
         if isinstance(node, Node4) and node.count == 1 and node.parent is not None:
@@ -778,11 +783,21 @@ class AdaptiveRadixTree:
             try:
                 cbyte, child = node.only_child
                 if isinstance(child, Node):
+                    # Re-prefix the child under its own write lock, so a
+                    # reader inside it restarts instead of pairing the
+                    # new prefix with the old match_level.
+                    try:
+                        child.lock.write_lock_or_restart()
+                    except RestartException:
+                        node.lock.write_unlock()
+                        return True  # child busy; skip the merge
                     child.prefix = node.prefix + bytes([cbyte]) + child.prefix
+                    chaos.point("art.merge")
                     child.match_level = node.match_level
+                    child.lock.write_unlock()
                 replace(child)
                 node.lock.write_unlock_obsolete()
-                self.epoch.retire(node.free)
+                node.free()
                 self._notify_replace(node, child)
             finally:
                 unlock()
@@ -802,7 +817,7 @@ class AdaptiveRadixTree:
                     child.pbyte = cb
                 replace(shrunk)
                 node.lock.write_unlock_obsolete()
-                self.epoch.retire(node.free)
+                node.free()
                 self._notify_replace(node, shrunk)
             finally:
                 unlock()

@@ -39,6 +39,7 @@ from repro.chaos.scheduler import ChaosScheduler
 from repro.concurrency.epoch import EpochManager
 from repro.concurrency.retry import DEFAULT_RETRY, acquire_cooperative
 from repro.concurrency.spinlock import SpinLock
+from repro.concurrency.version_lock import OptimisticLock
 from repro.core.alt_index import ALTIndex
 from repro.core.learned_layer import FULL, GPLModel
 from repro.core.retrain import ExpansionBuffer
@@ -366,6 +367,87 @@ def build_art_case(
 def run_art_schedule(seed: int, planted: bool = False) -> ScheduleReport:
     """Seeded schedule over :func:`build_art_case`."""
     return _run_case(build_art_case(planted), seed)
+
+
+# ----------------------------------------------------------------------
+# ART path-compression merge: re-prefixing a child under its own lock
+# ----------------------------------------------------------------------
+
+_MERGE_GONE = 1 << 56 | 1 << 48  # bytes 01 01 00 00 00 00 00 00
+_MERGE_KEPT = 1 << 56 | 2 << 48 | 1  # bytes 01 02 00 00 00 00 00 01
+_MERGE_INIT = {
+    k: f"v{k:x}" for k in (_MERGE_GONE, _MERGE_KEPT, _MERGE_KEPT + 1, 2 << 56)
+}
+
+
+class _NoWriteLock(OptimisticLock):
+    """An OLC node lock whose write side never excludes and never bumps
+    the version (the art-merge case's planted bug)."""
+
+    def upgrade_to_write_lock_or_restart(self, version: int) -> None:
+        pass
+
+    def write_unlock(self) -> None:
+        pass
+
+
+def build_art_merge_case(
+    planted: bool = False, *, cycles: int = 2, readers: int = 2, reader_reps: int = 3
+) -> ProtocolCase:
+    """A reader inside a node races the merge that re-prefixes that node.
+
+    Under the root, a Node4 holds one leaf (``_MERGE_GONE``) and one
+    inner node C (two keys sharing bytes 01 02).  Removing the leaf
+    leaves the Node4 with one child, so the remove merges it into C: C's
+    prefix gains the Node4's prefix and edge byte, and its
+    ``match_level`` moves up a level.  A reader that stepped from the
+    Node4 into C before the merge, and reads C between those two field
+    writes (the ``art.merge`` point), would compare the new prefix at the
+    old depth and miss a present key.  The merge writes both fields under
+    C's write lock, so that reader restarts instead.
+
+    The planted mutant gives C a lock whose write side never excludes,
+    so the merge re-prefixes C with no lock a reader can see.
+    """
+    tree = AdaptiveRadixTree(tag="chaos/art-merge")
+    keys = sorted(_MERGE_INIT)
+    tree.build_sorted(keys, [_MERGE_INIT[k] for k in keys])
+    if planted:
+        tree.root.find_child(1).find_child(2).lock = _NoWriteLock()
+    rec = HistoryRecorder()
+
+    def reader(task: str) -> None:
+        for _ in range(reader_reps):
+            rec.call(task, "get", _MERGE_KEPT, lambda: tree.search(_MERGE_KEPT))
+
+    def remover(task: str) -> None:
+        value = _MERGE_INIT[_MERGE_GONE]
+        for i in range(cycles):
+            rec.call(task, "remove", _MERGE_GONE, lambda: tree.remove(_MERGE_GONE))
+            if i + 1 < cycles:  # re-split C, so the next remove merges again
+                rec.call(
+                    task, "insert", _MERGE_GONE,
+                    lambda: tree.insert(_MERGE_GONE, value), arg=value,
+                )
+
+    tasks: list[tuple[str, Callable[[], None]]] = [("remover", lambda: remover("remover"))]
+    tasks += [
+        (name, (lambda name=name: reader(name)))
+        for name in ("reader-a", "reader-b")[:readers]
+    ]
+    return ProtocolCase(
+        protocol="art-merge",
+        planted=planted,
+        tasks=tasks,
+        rec=rec,
+        check=lambda: check_linearizable(rec.ops, init=dict(_MERGE_INIT)),
+        snapshot=lambda: tuple(tree.search(k) for k in keys),
+    )
+
+
+def run_art_merge_schedule(seed: int, planted: bool = False) -> ScheduleReport:
+    """Seeded schedule over :func:`build_art_merge_case`."""
+    return _run_case(build_art_merge_case(planted), seed)
 
 
 # ----------------------------------------------------------------------
@@ -916,6 +998,7 @@ RUNNERS = {
     "gpl": run_gpl_schedule,
     "spinlock": run_spinlock_schedule,
     "art": run_art_schedule,
+    "art-merge": run_art_merge_schedule,
     "epoch": run_epoch_schedule,
     "writeback": run_writeback_schedule,
     "insert": run_insert_schedule,
@@ -942,6 +1025,10 @@ EXHAUSTIVE_CASES: dict[str, tuple[Callable[[], ProtocolCase], Callable[[], Proto
     "art": (
         lambda: build_art_case(False, with_reader=False, b_extra=False),
         lambda: build_art_case(True, with_reader=False, b_extra=False),
+    ),
+    "art-merge": (
+        lambda: build_art_merge_case(False, cycles=1, readers=1, reader_reps=1),
+        lambda: build_art_merge_case(True, cycles=1, readers=1, reader_reps=1),
     ),
     "epoch": (
         lambda: build_epoch_case(

@@ -3,8 +3,9 @@
 These implement the paper's actual protocols — seqlock-style per-slot
 version numbers (§III-E), test-and-set spin locks for the fast pointer
 buffer, optimistic versioned locks for ART's lock coupling (Leis et al.,
-"The ART of practical synchronization"), and an epoch manager for safe
-memory reclamation.
+"The ART of practical synchronization"), and an epoch manager that
+models the native OLC ART's deferred reclamation (the ART here frees a
+replaced node at once; see :mod:`repro.concurrency.epoch`).
 
 They are *real*: the protocols function correctly under Python threads
 (the test suite hammers them with concurrent writers).  They are also

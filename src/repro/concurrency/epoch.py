@@ -1,14 +1,15 @@
-"""Epoch-based memory reclamation.
+"""Epoch-based memory reclamation, kept as a verified protocol model.
 
 Optimistic readers may hold references to nodes that writers have already
 unlinked (e.g. an ART node replaced by expansion).  In C++ the node's
 memory cannot be freed until no reader can still observe it; the standard
-solution — used by the OLC ART the paper builds on — is epoch-based
-reclamation.  In Python the garbage collector makes this *safe* anyway,
-but the protocol still matters for the reproduction because retired nodes
-hold modeled memory (:class:`~repro.sim.trace.LineSpan`) that must be
-returned to the memory map at the correct time for the space-overhead
-experiment to be faithful.
+solution — used by the native OLC ART the paper builds on — is
+epoch-based reclamation.  This repository's ART does not need it: CPython
+refcounting keeps an unlinked node alive while any reader holds it, so
+:class:`~repro.art.tree.AdaptiveRadixTree` frees a replaced node's
+modeled span where it unlinks it.  :class:`EpochManager` stays as the
+model of the native protocol, checked by the ``epoch`` chaos and DPOR
+case (:func:`repro.chaos.protocols.build_epoch_case`).
 """
 
 from __future__ import annotations
@@ -120,19 +121,11 @@ class EpochManager:
     def pending(self) -> int:
         """Retired objects whose ``free()`` has not run yet.
 
-        The health monitor's epoch-reclamation-lag signal: a growing
-        limbo population means ``try_advance`` is losing to a pinned
-        (stalled) reader or nobody is advancing at all.
+        A growing limbo population means ``try_advance`` is losing to a
+        pinned (stalled) reader or nobody is advancing at all.
         """
         with self._lock:
             return sum(len(batch) for batch in self._limbo.values())
-
-    def lag(self) -> int:
-        """Epochs between the global clock and the laggiest pinned reader."""
-        with self._lock:
-            if not self._active:
-                return 0
-            return self._epoch - min(self._active.values())
 
     def drain(self) -> int:
         """Force-reclaim everything (quiescent shutdown). Returns count."""

@@ -145,9 +145,14 @@ class ALTIndex(OrderedIndex):
         with self._size_lock:
             self._size += delta
 
-    def _entry_for(self, index: int, model) -> object | None:
-        """Resolve (lazily registering) the model's fast-pointer entry."""
-        if self._fastptr is None:
+    def _entry_for(self, index: int, model, key: int) -> object | None:
+        """Resolve (lazily registering) the model's fast-pointer entry.
+
+        A key below the first model's first key routes to that model by
+        clamping but lies outside its pointer's subtree, so it gets no
+        entry and its ART descent starts at the root.
+        """
+        if self._fastptr is None or key < model.first_key:
             return None
         if model.fast_index < 0:
             model.fast_index = self._fastptr.register(
@@ -159,7 +164,7 @@ class ALTIndex(OrderedIndex):
         prof = current_profile()
         if prof is not None:
             prof.enter("alt.fastptr")
-        entry = self._entry_for(index, model)
+        entry = self._entry_for(index, model, key)
         if prof is not None:
             prof.exit()
             prof.enter("alt.art_conflict")
@@ -297,7 +302,7 @@ class ALTIndex(OrderedIndex):
         try:
             if prof is not None:
                 prof.enter("alt.fastptr")
-            entry = self._entry_for(i, model)
+            entry = self._entry_for(i, model, key)
             if prof is not None:
                 prof.exit()
                 prof.enter("alt.art_conflict")
@@ -738,7 +743,7 @@ class ALTIndex(OrderedIndex):
                 return True
             if prof is not None:
                 prof.enter("alt.fastptr")
-            entry = self._entry_for(i, model)
+            entry = self._entry_for(i, model, key)
             if prof is not None:
                 prof.exit()
                 prof.enter("alt.art_conflict")
@@ -858,7 +863,7 @@ class ALTIndex(OrderedIndex):
     def art_path_length(self, key: int) -> int:
         """ART nodes visited for ``key`` using the fast pointer (Fig. 10a)."""
         i, model = self._route(key)
-        entry = self._entry_for(i, model) if model is not None else None
+        entry = self._entry_for(i, model, key) if model is not None else None
         return self._art.lookup_path_length(key, from_node=entry)
 
     @property

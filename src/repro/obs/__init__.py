@@ -10,7 +10,7 @@ Five instruments, one package (see docs/OBSERVABILITY.md):
 - :mod:`repro.obs.timeline` — Chrome trace-event (Perfetto) export of
   the simulator's virtual-time schedule and chaos schedule logs.
 - :mod:`repro.obs.health` — periodic index health sampling (prediction
-  drift, occupancy, conflict spill, retrain backlog, epoch lag) with an
+  drift, occupancy, conflict spill, retrain backlog) with an
   :class:`~repro.obs.health.IndexDoctor` producing diagnoses.
 - :mod:`repro.obs.recorder` — a per-thread flight recorder whose rings
   freeze into replayable JSON postmortems on crashes and check failures

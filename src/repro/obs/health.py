@@ -3,7 +3,7 @@
 ALT-Index is only fast while its learned layer stays accurate: the GPL
 slots must keep absorbing most keys, predictions must stay inside the
 trained epsilon bound, and the escape hatches (ART conflict path,
-expansion buffers, epoch limbo lists) must stay rare and shallow.  None
+expansion buffers) must stay rare and shallow.  None
 of that is visible from throughput alone — a drifting model shows up as
 a slow creep in conflict-path traffic long before it shows up as a p999
 cliff.  This module measures it directly:
@@ -11,8 +11,8 @@ cliff.  This module measures it directly:
 - :func:`sample_health` snapshots per-model prediction-error drift
   (epsilon-exceed rate and RMSE against the trained fit, both in key
   positions), slot occupancy/tombstone fractions, conflict spill to the
-  ART layer, fast-pointer hit rate, retrain backlog and expansion age,
-  and epoch-reclamation lag.  When a :class:`~repro.obs.metrics.
+  ART layer, fast-pointer hit rate, and retrain backlog and expansion
+  age.  When a :class:`~repro.obs.metrics.
   MetricsRegistry` is active the snapshot also feeds the ``health.*``
   gauges and histograms registered in :mod:`repro.obs.taxonomy`.
 - :class:`IndexDoctor` turns a snapshot into actionable diagnoses
@@ -125,13 +125,12 @@ def _model_health(
     }
 
 
-def sample_health(index, epoch=None, max_models: int = 32) -> dict:
+def sample_health(index, max_models: int = 32) -> dict:
     """One health snapshot of an :class:`~repro.core.alt_index.ALTIndex`.
 
     At most ``max_models`` models are drift-sampled (evenly strided);
-    occupancy/spill aggregates always cover the whole index.  ``epoch``
-    defaults to the index's ART epoch manager.  Publishes the
-    ``health.*`` gauges when a metrics registry is active.
+    occupancy/spill aggregates always cover the whole index.  Publishes
+    the ``health.*`` gauges when a metrics registry is active.
     """
     from repro.core.learned_layer import FULL, TOMBSTONE
 
@@ -215,13 +214,6 @@ def sample_health(index, epoch=None, max_models: int = 32) -> dict:
     else:
         snapshot["fast_pointers"] = None
 
-    if epoch is None:
-        epoch = getattr(index.art, "epoch", None)
-    if epoch is not None:
-        snapshot["epoch"] = {"pending": epoch.pending(), "lag": epoch.lag()}
-    else:
-        snapshot["epoch"] = None
-
     publish_health(snapshot)
     return snapshot
 
@@ -245,10 +237,6 @@ def publish_health(snapshot: dict) -> None:
     fp = snapshot["fast_pointers"]
     if fp is not None:
         reg.set_gauge("health.fastptr_hit_rate", fp["hit_rate"])
-    ep = snapshot["epoch"]
-    if ep is not None:
-        reg.set_gauge("health.epoch_pending", ep["pending"])
-        reg.set_gauge("health.epoch_lag", ep["lag"])
     for m in snapshot["models"]:
         reg.observe("health.model_drift_ratio", m["drift_ratio"] * 100.0)
         reg.observe("health.model_occupancy", m["occupancy"] * 100.0)
@@ -291,7 +279,6 @@ class IndexDoctor:
     fastptr_hit_floor: float = 0.5
     fastptr_min_lookups: int = 64
     retrain_backlog_limit: int = 4096
-    epoch_pending_limit: int = 1024
 
     def diagnose(self, snapshot: dict) -> list[str]:
         out: list[str] = []
@@ -344,12 +331,6 @@ class IndexDoctor:
                 f"retrain backlog {retrain['backlog']} absorbs across "
                 f"{retrain['active']} open expansion(s) — retrain starved"
             )
-        ep = snapshot["epoch"]
-        if ep is not None and ep["pending"] > self.epoch_pending_limit:
-            out.append(
-                f"epoch reclamation lagging: {ep['pending']} retired "
-                f"objects pending (reader lag {ep['lag']})"
-            )
         return out
 
     def examine(self, snapshot: dict) -> HealthReport:
@@ -369,14 +350,12 @@ class HealthMonitor:
         self,
         index,
         interval: int = 2048,
-        epoch=None,
         max_models: int = 32,
         doctor: IndexDoctor | None = None,
         history: int = 16,
     ):
         self.index = index
         self.interval = interval
-        self.epoch = epoch
         self.max_models = max_models
         self.doctor = doctor if doctor is not None else IndexDoctor()
         self.reports: deque[HealthReport] = deque(maxlen=history)
@@ -388,9 +367,7 @@ class HealthMonitor:
         return self.reports[-1] if self.reports else None
 
     def sample(self) -> HealthReport:
-        snapshot = sample_health(
-            self.index, epoch=self.epoch, max_models=self.max_models
-        )
+        snapshot = sample_health(self.index, max_models=self.max_models)
         report = self.doctor.examine(snapshot)
         self.reports.append(report)
         self.samples += 1

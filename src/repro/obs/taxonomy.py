@@ -85,6 +85,7 @@ CHAOS_SPAN_MAP: dict[str, str] = {
     "olc.upgrade": "art.descend",
     "olc.write_locked": "art.descend",
     "olc.write_unlock": "art.descend",
+    "art.merge": "art.descend",
     "art.fallback": "retry.fallback",
     # shared machinery
     "spin.acquire": "retry.backoff",
@@ -162,8 +163,6 @@ METRIC_TAXONOMY: dict[str, str] = {
     "health.retrain_backlog": "gauge: absorbs outstanding across open expansions",
     "health.active_expansions": "gauge: models currently mid-expansion",
     "health.expansion_age_max": "gauge: inserts absorbed by the oldest open expansion",
-    "health.epoch_pending": "gauge: retired objects waiting in limbo lists",
-    "health.epoch_lag": "gauge: global epoch minus the laggiest pinned reader",
     "health.model_drift_ratio": "histogram: per-model drift ratio x100 at sample time",
     "health.model_occupancy": "histogram: per-model occupancy percent at sample time",
 }

@@ -7,10 +7,13 @@ import time
 import numpy as np
 import pytest
 
+from repro.art.tree import AdaptiveRadixTree
 from repro.core import alt_index
 from repro.core.alt_index import ALTIndex
 from repro.core.learned_layer import EMPTY, FULL, TOMBSTONE, GPLModel, LearnedLayer
 from repro.core.retrain import ExpansionBuffer, finish_expansion
+from repro.datasets.generators import dataset
+from repro.shard.sharded import ShardedALTIndex
 from repro.sim.trace import MemoryMap, tracer
 
 
@@ -86,6 +89,26 @@ class TestInsert:
         small = int(half[0]) - 1000
         assert idx.insert(small, "low")
         assert idx.get(small) == "low"
+
+    def test_key_below_the_first_model_is_reachable_from_the_root(self):
+        """A key below model 0's first key routes to model 0 by clamping
+        but lies outside the subtree its fast pointer names.  Inserted
+        from that pointer it would land where the root finds nothing, so
+        a later ``remove`` missed it and ``items()`` came back unsorted."""
+        base = 0x0102030405 << 24
+        rng = np.random.default_rng(1)
+        gaps = rng.integers(1, 3, size=4000) ** rng.integers(1, 8, size=4000)
+        keys = (base + np.cumsum(gaps)).astype(np.uint64)
+        idx = ALTIndex.bulk_load(keys, memory=MemoryMap(), epsilon=4)
+        first = int(keys[0])
+        for k in range(first + 1, first + 40):  # a deep ART node at model 0
+            idx.insert(k, k)
+        low = base - 5  # differs from every loaded key at byte 4
+        assert idx.insert(low, "low")
+        assert idx.art.search(low) == "low"
+        art_keys = [k for k, _ in idx.art.items()]
+        assert art_keys == sorted(art_keys)
+        assert idx.remove(low) and idx.get(low) is None
 
     def test_insert_above_largest_key(self, loaded):
         idx, half, _ = loaded
@@ -350,6 +373,43 @@ class TestStatsAndTracing:
         with_ptr = idx.art_path_length(k)
         without = idx.art.lookup_path_length(k)
         assert with_ptr <= without
+
+
+class TestChurnMemory:
+    """Insert/remove churn keeps every ART's modeled bytes within 2x of a
+    fresh bottom-up build of the keys it holds: writers free each node
+    they replace, and the bulk load leaves no node behind."""
+
+    N, ROUNDS, CHURN = 15_000, 3, 5_000
+
+    def _churn(self, bulk_load):
+        keys = dataset("osm", self.N, seed=0)
+        memory = MemoryMap()
+        index = bulk_load(keys[::3], memory)
+        rest = np.setdiff1d(keys, keys[::3])
+        rng = np.random.default_rng(0)
+        for _ in range(self.ROUNDS):
+            batch = rng.choice(rest, size=self.CHURN, replace=False).tolist()
+            for k in batch:
+                index.insert(k, k)
+            for k in batch:
+                assert index.remove(k)
+            for shard in getattr(index, "shards", [index]):
+                items = shard.art.items()
+                fresh = MemoryMap()
+                AdaptiveRadixTree(fresh, "f").build_sorted(
+                    [k for k, _ in items], [v for _, v in items]
+                )
+                live = memory.live_bytes(f"{shard.mem_tag}/art")
+                assert live <= 2 * fresh.live_bytes("f")
+
+    def test_alt_index(self):
+        self._churn(lambda keys, memory: ALTIndex.bulk_load(keys, memory=memory))
+
+    def test_sharded_index(self):
+        self._churn(
+            lambda keys, memory: ShardedALTIndex.bulk_load(keys, shards=4, memory=memory)
+        )
 
 
 @pytest.mark.slow

@@ -68,7 +68,6 @@ def _healthy_snapshot(**overrides):
         ],
         "retrain": {"active": 0, "backlog": 0, "age_max": 0},
         "fast_pointers": {"lookups": 100, "hits": 90, "hit_rate": 0.9},
-        "epoch": {"pending": 0, "lag": 0},
     }
     snap.update(overrides)
     return snap
@@ -90,7 +89,6 @@ class TestSampleHealth:
         assert snap["spill_fraction"] < 0.5
         assert snap["tombstone_fraction"] == 0.0
         assert snap["retrain"] == {"active": 0, "backlog": 0, "age_max": 0}
-        assert snap["epoch"] is not None
 
     def test_conflict_churn_moves_spill_and_drift(self):
         keys = _keys(3000)
@@ -144,32 +142,6 @@ class TestSampleHealth:
         assert 0.0 <= fp["hit_rate"] <= 1.0
 
 
-class TestBulkLoadLimbo:
-    """A bulk load builds its ART bottom-up and retires nothing, so a
-    fresh index has an empty epoch limbo list and no lag diagnosis.
-    (Runtime churn still retires nodes that are never reclaimed; this
-    case does not drain the epoch, so it does not cover that.)"""
-
-    N = 200_000
-
-    def test_alt_bulk_load_leaves_nothing_pending(self):
-        from repro.datasets.generators import dataset
-
-        index = ALTIndex.bulk_load(dataset("osm", self.N, seed=0))
-        assert len(index.art) > 1024  # enough conflicts to have tripped it
-        assert index.art.epoch.pending() == 0
-        assert not [d for d in IndexDoctor().diagnose(sample_health(index)) if "epoch" in d]
-
-    def test_sharded_bulk_load_leaves_nothing_pending(self):
-        from repro.datasets.generators import dataset
-        from repro.shard.sharded import ShardedALTIndex
-
-        index = ShardedALTIndex.bulk_load(dataset("osm", self.N, seed=0), shards=4)
-        for shard in index.shards:
-            assert shard.art.epoch.pending() == 0
-            assert not [d for d in IndexDoctor().diagnose(sample_health(shard)) if "epoch" in d]
-
-
 class TestIndexDoctor:
     def test_healthy_snapshot_has_no_diagnoses(self):
         report = IndexDoctor().examine(_healthy_snapshot())
@@ -207,7 +179,7 @@ class TestIndexDoctor:
             for d in doctor.diagnose(_healthy_snapshot(tombstone_fraction=0.4))
         )
 
-    def test_fastptr_and_epoch_diagnoses(self):
+    def test_fastptr_diagnosis(self):
         doctor = IndexDoctor()
         snap = _healthy_snapshot(
             fast_pointers={"lookups": 100, "hits": 10, "hit_rate": 0.1}
@@ -218,8 +190,6 @@ class TestIndexDoctor:
             fast_pointers={"lookups": 5, "hits": 0, "hit_rate": 0.0}
         )
         assert not any("fast-pointer" in d for d in doctor.diagnose(quiet))
-        lagging = _healthy_snapshot(epoch={"pending": 5000, "lag": 3})
-        assert any("epoch reclamation lagging" in d for d in doctor.diagnose(lagging))
 
     def test_retrain_backlog_diagnosis(self):
         snap = _healthy_snapshot(
