@@ -35,7 +35,6 @@ from repro.common import (
     unique_tag,
 )
 from repro.concurrency.version_lock import OptimisticLock, RestartException
-from repro.obs.spans import current_profile
 from repro.sim.trace import MemoryMap, current_tracer, global_memory
 
 _SLOT_BYTES = 16
@@ -328,55 +327,32 @@ class AlexIndex(OrderedIndex):
 
     # -- operations ------------------------------------------------------------
     def get(self, key: int):
-        prof = current_profile()
         while True:
             try:
-                if prof is not None:
-                    prof.enter("alex.model_probe")
                 node = self._node_for(key)
-                if prof is not None:
-                    prof.exit()
-                    prof.enter("alex.node_search")
-                try:
-                    version = node.lock.read_lock_or_restart()
-                    value = node.get(key)
-                    node.lock.read_unlock_or_restart(version)
-                finally:
-                    if prof is not None:
-                        prof.exit()
+                version = node.lock.read_lock_or_restart()
+                value = node.get(key)
+                node.lock.read_unlock_or_restart(version)
                 return value
             except RestartException:
                 continue
 
     def insert(self, key: int, value) -> bool:
-        prof = current_profile()
         while True:
-            if prof is not None:
-                prof.enter("alex.model_probe")
             node = self._node_for(key)
-            if prof is not None:
-                prof.exit()
             try:
                 node.lock.write_lock_or_restart()
             except RestartException:
                 continue
-            if prof is not None:
-                prof.enter("alex.modify")
             try:
                 new, needs_split = node.insert(key, value)
             finally:
                 node.lock.write_unlock()
-                if prof is not None:
-                    prof.exit()
             if not needs_split:
                 if new:
                     self._bump(1)
                 return new
-            if prof is not None:
-                prof.enter("alex.modify")
             self._split_node(node)
-            if prof is not None:
-                prof.exit()
 
     def _split_node(self, node: _DataNode) -> None:
         """Split under the directory lock (SMO collision point)."""
@@ -408,25 +384,16 @@ class AlexIndex(OrderedIndex):
             self._dir_lock.write_unlock()
 
     def remove(self, key: int) -> bool:
-        prof = current_profile()
         while True:
-            if prof is not None:
-                prof.enter("alex.model_probe")
             node = self._node_for(key)
-            if prof is not None:
-                prof.exit()
             try:
                 node.lock.write_lock_or_restart()
             except RestartException:
                 continue
-            if prof is not None:
-                prof.enter("alex.modify")
             try:
                 removed = node.remove(key)
             finally:
                 node.lock.write_unlock()
-                if prof is not None:
-                    prof.exit()
             if removed:
                 self._bump(-1)
             return removed

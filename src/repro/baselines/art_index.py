@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.art.tree import AdaptiveRadixTree
 from repro.common import OrderedIndex, as_value_array, unique_tag
-from repro.obs.spans import current_profile
 from repro.sim.trace import MemoryMap, global_memory
 
 
@@ -39,31 +38,15 @@ class ArtIndex(OrderedIndex):
         return index
 
     def get(self, key: int):
-        prof = current_profile()
-        if prof is not None:
-            with prof.span("art.descend"):
-                return self._tree.search(key)
         return self._tree.search(key)
 
     def insert(self, key: int, value) -> bool:
-        prof = current_profile()
-        if prof is not None:
-            with prof.span("art.descend"):
-                return self._tree.insert(key, value, upsert=True)
         return self._tree.insert(key, value, upsert=True)
 
     def remove(self, key: int) -> bool:
-        prof = current_profile()
-        if prof is not None:
-            with prof.span("art.descend"):
-                return self._tree.remove(key)
         return self._tree.remove(key)
 
     def scan(self, lo: int, count: int) -> list[tuple[int, object]]:
-        prof = current_profile()
-        if prof is not None:
-            with prof.span("art.descend"):
-                return self._tree.scan(lo, count)
         return self._tree.scan(lo, count)
 
     def range_query(self, lo: int, hi: int) -> list[tuple[int, object]]:

@@ -28,7 +28,6 @@ from repro.common import (
     unique_tag,
 )
 from repro.concurrency.version_lock import OptimisticLock
-from repro.obs.spans import current_profile
 from repro.sim.trace import MemoryMap, current_tracer, global_memory
 
 _ORDER = 64
@@ -124,18 +123,11 @@ class BPlusTreeIndex(OrderedIndex):
         return node
 
     def get(self, key: int):
-        prof = current_profile()
-        if prof is not None:
-            prof.enter("btree.descend")
-        try:
-            leaf = self._leaf_for(key)
-            i = bisect.bisect_left(leaf.keys, key)
-            if i < len(leaf.keys) and leaf.keys[i] == key:
-                return leaf.values[i]
-            return None
-        finally:
-            if prof is not None:
-                prof.exit()
+        leaf = self._leaf_for(key)
+        i = bisect.bisect_left(leaf.keys, key)
+        if i < len(leaf.keys) and leaf.keys[i] == key:
+            return leaf.values[i]
+        return None
 
     def _leaf_parts(self):
         """The linked leaf chain, whose concatenated keys are globally
@@ -221,13 +213,6 @@ class BPlusTreeIndex(OrderedIndex):
         return out
 
     def insert(self, key: int, value) -> bool:
-        prof = current_profile()
-        if prof is not None:
-            with prof.span("btree.descend"):
-                return self._insert_locked(key, value)
-        return self._insert_locked(key, value)
-
-    def _insert_locked(self, key: int, value) -> bool:
         with self._lock:
             new = self._insert_rec(self._root, key, value)
             if new is False:
@@ -295,13 +280,6 @@ class BPlusTreeIndex(OrderedIndex):
         return sep, right
 
     def remove(self, key: int) -> bool:
-        prof = current_profile()
-        if prof is not None:
-            with prof.span("btree.descend"):
-                return self._remove_locked(key)
-        return self._remove_locked(key)
-
-    def _remove_locked(self, key: int) -> bool:
         with self._lock:
             leaf = self._leaf_for(key)
             i = bisect.bisect_left(leaf.keys, key)
@@ -315,16 +293,6 @@ class BPlusTreeIndex(OrderedIndex):
             return False
 
     def scan(self, lo: int, count: int) -> list[tuple[int, object]]:
-        prof = current_profile()
-        if prof is not None:
-            prof.enter("btree.descend")
-        try:
-            return self._scan_impl(lo, count)
-        finally:
-            if prof is not None:
-                prof.exit()
-
-    def _scan_impl(self, lo: int, count: int) -> list[tuple[int, object]]:
         leaf = self._leaf_for(lo)
         out: list[tuple[int, object]] = []
         i = bisect.bisect_left(leaf.keys, lo)

@@ -24,7 +24,6 @@ import numpy as np
 from repro.baselines.rmi import _LinearModel
 from repro.common import BatchIndex, OrderedIndex, SortedView, as_value_array, unique_tag
 from repro.core.segmentation import lpa_partition
-from repro.obs.spans import current_profile
 from repro.sim.trace import MemoryMap, current_tracer, global_memory
 
 _ENTRY_BYTES = 16
@@ -180,10 +179,6 @@ class _FineModel:
                 hi = mid
         return lo
 
-    def slot_for(self, key: int) -> int:
-        return max(self.rank(key) - 1, 0)
-
-
 class FINEdex(OrderedIndex):
     """Concurrent FINEdex over LPA models with level-bin inserts."""
 
@@ -254,13 +249,8 @@ class FINEdex(OrderedIndex):
 
     # -- operations ---------------------------------------------------------
     def get(self, key: int):
-        prof = current_profile()
-        if prof is not None:
-            prof.enter("finedex.model_probe")
         model = self._model_for(key)
         r = model.rank(key)
-        if prof is not None:
-            prof.exit()
         if r > 0 and int(model.keys[r - 1]) == key:
             if key in model.deleted:
                 return None
@@ -269,11 +259,7 @@ class FINEdex(OrderedIndex):
         b = model.bins.get(slot)
         if b is None:
             return None
-        if prof is not None:
-            prof.enter("finedex.bin")
         found, value = b.find(key)
-        if prof is not None:
-            prof.exit()
         return value if found else None
 
     def batch_get(self, keys) -> list:
@@ -312,13 +298,8 @@ class FINEdex(OrderedIndex):
         return out
 
     def insert(self, key: int, value) -> bool:
-        prof = current_profile()
-        if prof is not None:
-            prof.enter("finedex.model_probe")
         model = self._model_for(key)
         r = model.rank(key)
-        if prof is not None:
-            prof.exit()
         if r > 0 and int(model.keys[r - 1]) == key:
             new = key in model.deleted
             model.deleted.discard(key)
@@ -330,43 +311,28 @@ class FINEdex(OrderedIndex):
                 self._bump(1)
             return new
         slot = max(r - 1, 0)
-        if prof is not None:
-            prof.enter("finedex.bin")
         b = model.bins.get(slot)
         if b is None:
             b = model.bins.setdefault(slot, _LevelBin(self._memory, self.mem_tag))
         new = b.insert(key, value, self._memory, self.mem_tag)
-        if prof is not None:
-            prof.exit()
         if new:
             self._bump(1)
         return new
 
     def remove(self, key: int) -> bool:
-        prof = current_profile()
-        if prof is not None:
-            prof.enter("finedex.model_probe")
         model = self._model_for(key)
         r = model.rank(key)
-        if prof is not None:
-            prof.exit()
         if r > 0 and int(model.keys[r - 1]) == key:
             if key in model.deleted:
                 return False
             model.deleted.add(key)
             self._bump(-1)
             return True
-        if prof is not None:
-            prof.enter("finedex.bin")
-        try:
-            b = model.bins.get(max(r - 1, 0))
-            if b is not None and b.remove(key):
-                self._bump(-1)
-                return True
-            return False
-        finally:
-            if prof is not None:
-                prof.exit()
+        b = model.bins.get(max(r - 1, 0))
+        if b is not None and b.remove(key):
+            self._bump(-1)
+            return True
+        return False
 
     def scan(self, lo: int, count: int) -> list[tuple[int, object]]:
         i = max(

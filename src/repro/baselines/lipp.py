@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.common import OrderedIndex, as_value_array, unique_tag
 from repro.concurrency.version_lock import OptimisticLock, RestartException
-from repro.obs.spans import current_profile
 from repro.sim.trace import MemoryMap, current_tracer, global_memory
 
 _ENTRY_BYTES = 24  # key + value/pointer + type/version byte, padded
@@ -150,13 +149,6 @@ class LippIndex(OrderedIndex):
 
     # -- operations -----------------------------------------------------
     def get(self, key: int):
-        prof = current_profile()
-        if prof is not None:
-            with prof.span("lipp.descend"):
-                return self._get(key)
-        return self._get(key)
-
-    def _get(self, key: int):
         node = self._root
         t = current_tracer()
         while node is not None:
@@ -176,12 +168,8 @@ class LippIndex(OrderedIndex):
         return None
 
     def insert(self, key: int, value) -> bool:
-        prof = current_profile()
         while True:
             try:
-                if prof is not None:
-                    with prof.span("lipp.descend"):
-                        return self._insert(key, value)
                 return self._insert(key, value)
             except RestartException:
                 continue
@@ -249,17 +237,12 @@ class LippIndex(OrderedIndex):
 
     def _maybe_rebuild(self, path: list[_LippNode]) -> None:
         """FMCD readjustment: rebuild the deepest crowded subtree."""
-        prof = current_profile()
         for i in range(len(path) - 1, -1, -1):
             node = path[i]
             if (
                 node.build_size >= _REBUILD_MIN
                 and node.num_inserts > node.build_size
             ):
-                if prof is not None:
-                    with prof.span("lipp.rebuild"):
-                        self._rebuild_at(path, i, node)
-                    return
                 self._rebuild_at(path, i, node)
                 return
 
@@ -297,13 +280,6 @@ class LippIndex(OrderedIndex):
             node.lock.write_unlock()
 
     def remove(self, key: int) -> bool:
-        prof = current_profile()
-        if prof is not None:
-            with prof.span("lipp.descend"):
-                return self._remove(key)
-        return self._remove(key)
-
-    def _remove(self, key: int) -> bool:
         node = self._root
         t = current_tracer()
         while node is not None:

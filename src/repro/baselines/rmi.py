@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common import sorted_hits
-from repro.obs.spans import current_profile
 from repro.sim.trace import MemoryMap, current_tracer, global_memory
 
 
@@ -117,14 +116,9 @@ class TwoStageRMI:
 
     def predict(self, key: int) -> tuple[int, int]:
         """(predicted position, error bound) for ``key``."""
-        prof = current_profile()
-        if prof is not None:
-            prof.enter("rmi.predict")
         model = self._model_for(key)
         pos = model.predict(float(key))
         pos = min(max(pos, 0), len(self._keys) - 1)
-        if prof is not None:
-            prof.exit()
         return pos, model.max_error
 
     def lookup(self, key: int) -> int:
@@ -141,9 +135,6 @@ class TwoStageRMI:
         hi = min(pos + err + 1, n)
         keys = self._keys
         t = current_tracer()
-        prof = current_profile()
-        if prof is not None:
-            prof.enter("rmi.secondary")
         base = 24 * (self.n_models + 1)
         k64 = np.uint64(key)
         while lo < hi:
@@ -156,8 +147,6 @@ class TwoStageRMI:
                 lo = mid + 1
             else:
                 hi = mid
-        if prof is not None:
-            prof.exit()
         if lo < n and keys[lo] == k64:
             return lo
         return -1
@@ -202,9 +191,6 @@ class TwoStageRMI:
         hi = min(pos + err + 1, n)
         keys = self._keys
         t = current_tracer()
-        prof = current_profile()
-        if prof is not None:
-            prof.enter("rmi.secondary")
         base = 24 * (self.n_models + 1)
         k64 = np.uint64(key)
         # Widen if the prediction bracket missed the true rank
@@ -222,8 +208,6 @@ class TwoStageRMI:
                 lo = mid + 1
             else:
                 hi = mid
-        if prof is not None:
-            prof.exit()
         return lo
 
     def free(self) -> None:

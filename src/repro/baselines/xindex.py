@@ -27,7 +27,6 @@ import numpy as np
 from repro.baselines.rmi import TwoStageRMI, _LinearModel
 from repro.common import BatchIndex, OrderedIndex, SortedView, as_value_array, unique_tag
 from repro.concurrency.version_lock import OptimisticLock, RestartException
-from repro.obs.spans import current_profile
 from repro.sim.trace import MemoryMap, current_tracer, global_memory
 
 _ENTRY_BYTES = 16
@@ -292,16 +291,11 @@ class XIndex(OrderedIndex):
 
     # -- operations ------------------------------------------------------
     def get(self, key: int):
-        prof = current_profile()
         while True:
             try:
-                if prof is not None:
-                    prof.enter("xindex.group_probe")
                 group = self._group_for(key)
                 version = group.lock.read_lock_or_restart()
                 i = group.find_in_array(key)
-                if prof is not None:
-                    prof.exit()
                 if i >= 0:
                     if key in group.deleted:
                         group.lock.read_unlock_or_restart(version)
@@ -309,11 +303,7 @@ class XIndex(OrderedIndex):
                     value = group.values[i]
                     group.lock.read_unlock_or_restart(version)
                     return value
-                if prof is not None:
-                    prof.enter("xindex.buffer")
                 j = group.find_in_buffer(key)
-                if prof is not None:
-                    prof.exit()
                 value = group.buf_values[j] if j >= 0 else None
                 group.lock.read_unlock_or_restart(version)
                 return value
@@ -356,21 +346,14 @@ class XIndex(OrderedIndex):
         return out
 
     def insert(self, key: int, value) -> bool:
-        prof = current_profile()
         while True:
-            if prof is not None:
-                prof.enter("xindex.group_probe")
             group = self._group_for(key)
             try:
                 group.lock.write_lock_or_restart()
             except RestartException:
-                if prof is not None:
-                    prof.exit()
                 continue
             try:
                 i = group.find_in_array(key)
-                if prof is not None:
-                    prof.exit()
                 if i >= 0 and key not in group.deleted:
                     group.values[i] = value
                     return False
@@ -379,16 +362,12 @@ class XIndex(OrderedIndex):
                     group.values[i] = value
                     self._bump(1)
                     return True
-                if prof is not None:
-                    prof.enter("xindex.buffer")
                 new = group.buffer_insert(key, value)
                 if new:
                     self._view.invalidate()
                 if len(group.buf_keys) >= self.buffer_threshold:
                     group.compact()
                     self._view.invalidate()
-                if prof is not None:
-                    prof.exit()
                 if new:
                     self._bump(1)
                 return new
@@ -396,39 +375,26 @@ class XIndex(OrderedIndex):
                 group.lock.write_unlock()
 
     def remove(self, key: int) -> bool:
-        prof = current_profile()
         while True:
-            if prof is not None:
-                prof.enter("xindex.group_probe")
             group = self._group_for(key)
             try:
                 group.lock.write_lock_or_restart()
             except RestartException:
-                if prof is not None:
-                    prof.exit()
                 continue
             try:
                 i = group.find_in_array(key)
-                if prof is not None:
-                    prof.exit()
                 if i >= 0 and key not in group.deleted:
                     group.deleted.add(key)
                     self._bump(-1)
                     return True
-                if prof is not None:
-                    prof.enter("xindex.buffer")
-                try:
-                    j = group.find_in_buffer(key)
-                    if j >= 0:
-                        del group.buf_keys[j]
-                        del group.buf_values[j]
-                        self._view.invalidate()
-                        self._bump(-1)
-                        return True
-                    return False
-                finally:
-                    if prof is not None:
-                        prof.exit()
+                j = group.find_in_buffer(key)
+                if j >= 0:
+                    del group.buf_keys[j]
+                    del group.buf_values[j]
+                    self._view.invalidate()
+                    self._bump(-1)
+                    return True
+                return False
             finally:
                 group.lock.write_unlock()
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.chaos.protocols import RUNNERS, find_violating_seed
+from repro.chaos.protocols import CASE_BUILDERS, find_violating_seed, run_schedule
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -40,7 +40,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--protocol",
-        choices=[*RUNNERS, "all"],
+        choices=[*CASE_BUILDERS, "all"],
         default="all",
         help="which protocol to exercise (default: all)",
     )
@@ -85,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    protocols = list(RUNNERS) if args.protocol == "all" else [args.protocol]
+    protocols = list(CASE_BUILDERS) if args.protocol == "all" else [args.protocol]
     seeds = [args.seed] if args.seed is not None else list(range(args.seeds))
     ok = True
     timeline_runs: list[tuple[str, int, object]] = []
@@ -115,7 +115,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if ok else 1
 
     for proto in protocols:
-        run = RUNNERS[proto]
         if args.planted_bug:
             report = find_violating_seed(proto, seeds if args.seed is not None else range(64))
             if report is None:
@@ -123,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
                 ok = False
                 continue
             print(report.summary())
-            replay = run(report.seed, planted=True)
+            replay = run_schedule(proto, report.seed, planted=True)
             same = replay.fingerprint == report.fingerprint
             print(
                 f"{proto:<8} replay seed={report.seed} "
@@ -133,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
             ok = ok and same
             continue
         for seed in seeds:
-            report = run(seed)
+            report = run_schedule(proto, seed)
             if report.scheduler is not None:
                 timeline_runs.append((proto, seed, report.scheduler))
             print(report.summary())
@@ -141,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
                 ok = False
                 for op in report.ops:
                     print(f"    {op!r}")
-            replay = run(seed)
+            replay = run_schedule(proto, seed)
             if replay.fingerprint != report.fingerprint:
                 print(
                     f"{proto:<8} replay seed={seed} DIVERGED: "

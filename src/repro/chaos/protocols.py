@@ -8,8 +8,8 @@ handoff, and the sharded scatter-gather — as a
 :class:`ProtocolCase`: fresh shared state, named tasks, a history
 recorder, and a correctness check.  The same case runs two ways:
 
-- **seeded** — the ``run_*_schedule`` runners drive a case under a
-  :class:`ChaosScheduler` RNG seed and return a replayable
+- **seeded** — :func:`run_schedule` drives a case under a
+  :class:`ChaosScheduler` RNG seed and returns a replayable
   :class:`ScheduleReport`;
 - **exhaustive** — :func:`repro.chaos.dpor.explore` re-executes a case
   factory once per schedule, enumerating *every* interleaving of a small
@@ -97,61 +97,6 @@ class ScheduleReport:
         )
 
 
-def _report(
-    protocol: str,
-    seed: int,
-    planted: bool,
-    sched: ChaosScheduler,
-    ops: list[OpRecord],
-    check: CheckResult,
-) -> ScheduleReport:
-    """Package a finished schedule; failed checks dump a postmortem.
-
-    When a flight recorder is installed, a non-linearizable history
-    freezes the per-thread rings — the "what led up to it" view that a
-    seed alone doesn't give you.
-    """
-    report = ScheduleReport(
-        protocol=protocol,
-        seed=seed,
-        planted=planted,
-        fingerprint=sched.fingerprint(),
-        ops=ops,
-        check=check,
-        crashed=sched.crashed_tasks(),
-        scheduler=sched,
-    )
-    if not check.ok:
-        obs_recorder.auto_dump(
-            "linearizability_violation",
-            {
-                "protocol": protocol,
-                "seed": seed,
-                "planted": planted,
-                "reason": check.reason,
-                "schedule_fingerprint": report.fingerprint,
-            },
-        )
-    return report
-
-
-def _run_case(
-    case: ProtocolCase, seed: int, crash_point: str | None = None
-) -> ScheduleReport:
-    """Drive a freshly-built case under one seeded schedule."""
-    sched = ChaosScheduler(seed=seed)
-    for name, fn in case.tasks:
-        sched.spawn(name, fn)
-    if crash_point is not None:
-        sched.crash_at(crash_point)
-    sched.run()
-    if case.cleanup is not None:
-        case.cleanup()
-    return _report(
-        case.protocol, seed, case.planted, sched, case.rec.ops, case.check()
-    )
-
-
 # ----------------------------------------------------------------------
 # GPL seqlock: read-modify-write over one gapped-array slot
 # ----------------------------------------------------------------------
@@ -226,11 +171,6 @@ def build_gpl_case(
     )
 
 
-def run_gpl_schedule(seed: int, planted: bool = False) -> ScheduleReport:
-    """Seeded schedule over :func:`build_gpl_case`."""
-    return _run_case(build_gpl_case(planted), seed)
-
-
 # ----------------------------------------------------------------------
 # Fast-pointer spin lock: deduplicated registration
 # ----------------------------------------------------------------------
@@ -298,11 +238,6 @@ def build_spinlock_case(
     )
 
 
-def run_spinlock_schedule(seed: int, planted: bool = False) -> ScheduleReport:
-    """Seeded schedule over :func:`build_spinlock_case`."""
-    return _run_case(build_spinlock_case(planted), seed)
-
-
 # ----------------------------------------------------------------------
 # ART optimistic lock coupling: insert-if-absent races
 # ----------------------------------------------------------------------
@@ -362,11 +297,6 @@ def build_art_case(
         ),
         snapshot=lambda: tree.search(150),
     )
-
-
-def run_art_schedule(seed: int, planted: bool = False) -> ScheduleReport:
-    """Seeded schedule over :func:`build_art_case`."""
-    return _run_case(build_art_case(planted), seed)
 
 
 # ----------------------------------------------------------------------
@@ -443,11 +373,6 @@ def build_art_merge_case(
         check=lambda: check_linearizable(rec.ops, init=dict(_MERGE_INIT)),
         snapshot=lambda: tuple(tree.search(k) for k in keys),
     )
-
-
-def run_art_merge_schedule(seed: int, planted: bool = False) -> ScheduleReport:
-    """Seeded schedule over :func:`build_art_merge_case`."""
-    return _run_case(build_art_merge_case(planted), seed)
 
 
 # ----------------------------------------------------------------------
@@ -551,11 +476,6 @@ def build_epoch_case(
     )
 
 
-def run_epoch_schedule(seed: int, planted: bool = False) -> ScheduleReport:
-    """Seeded schedule over :func:`build_epoch_case`."""
-    return _run_case(build_epoch_case(planted), seed)
-
-
 # ----------------------------------------------------------------------
 # ALT write-back: repatriating an ART key into its predicted slot
 # ----------------------------------------------------------------------
@@ -634,18 +554,6 @@ def build_writeback_case(
     )
 
 
-def run_writeback_schedule(
-    seed: int, planted: bool = False, crash_point: str | None = None
-) -> ScheduleReport:
-    """Seeded schedule over :func:`build_writeback_case`.
-
-    ``crash_point`` arms a crash (e.g. ``"alt.writeback"``, dying between
-    the ART hit and the slot write) — the fixture generator for the
-    flight-recorder postmortem uses exactly that.
-    """
-    return _run_case(build_writeback_case(planted), seed, crash_point=crash_point)
-
-
 # ----------------------------------------------------------------------
 # ALT insert: two writers predicted onto one EMPTY slot
 # ----------------------------------------------------------------------
@@ -706,11 +614,6 @@ def build_insert_case(planted: bool = False, *, getter_reps: int = 1) -> Protoco
         check=lambda: check_linearizable(rec.ops, init={100: "v100"}),
         snapshot=lambda: (idx.get(170), idx.get(180)),
     )
-
-
-def run_insert_schedule(seed: int, planted: bool = False) -> ScheduleReport:
-    """Seeded schedule over :func:`build_insert_case`."""
-    return _run_case(build_insert_case(planted), seed)
 
 
 # ----------------------------------------------------------------------
@@ -840,11 +743,6 @@ def build_retrain_case(
         check=check,
         snapshot=lambda: (do_get(0), do_get(1)),
     )
-
-
-def run_retrain_schedule(seed: int, planted: bool = False) -> ScheduleReport:
-    """Seeded schedule over :func:`build_retrain_case`."""
-    return _run_case(build_retrain_case(planted), seed)
 
 
 # ----------------------------------------------------------------------
@@ -989,22 +887,65 @@ def build_shard_case(
     )
 
 
-def run_shard_batch_schedule(seed: int, planted: bool = False) -> ScheduleReport:
-    """Seeded schedule over :func:`build_shard_case`."""
-    return _run_case(build_shard_case(planted), seed)
-
-
-RUNNERS = {
-    "gpl": run_gpl_schedule,
-    "spinlock": run_spinlock_schedule,
-    "art": run_art_schedule,
-    "art-merge": run_art_merge_schedule,
-    "epoch": run_epoch_schedule,
-    "writeback": run_writeback_schedule,
-    "insert": run_insert_schedule,
-    "retrain": run_retrain_schedule,
-    "shard": run_shard_batch_schedule,
+#: protocol -> case builder; each takes ``planted`` first.
+CASE_BUILDERS: dict[str, Callable[..., ProtocolCase]] = {
+    "gpl": build_gpl_case,
+    "spinlock": build_spinlock_case,
+    "art": build_art_case,
+    "art-merge": build_art_merge_case,
+    "epoch": build_epoch_case,
+    "writeback": build_writeback_case,
+    "insert": build_insert_case,
+    "retrain": build_retrain_case,
+    "shard": build_shard_case,
 }
+
+
+def run_schedule(
+    protocol: str, seed: int, planted: bool = False, crash_point: str | None = None
+) -> ScheduleReport:
+    """Drive a fresh ``protocol`` case under one seeded schedule.
+
+    ``crash_point`` arms a crash (e.g. ``"alt.writeback"`` on the
+    writeback case, dying between the ART hit and the slot write) — the
+    fixture generator for the flight-recorder postmortem uses exactly
+    that.  When a flight recorder is installed, a non-linearizable
+    history freezes the per-thread rings — the "what led up to it" view
+    that a seed alone doesn't give you.
+    """
+    case = CASE_BUILDERS[protocol](planted)
+    sched = ChaosScheduler(seed=seed)
+    for name, fn in case.tasks:
+        sched.spawn(name, fn)
+    if crash_point is not None:
+        sched.crash_at(crash_point)
+    sched.run()
+    if case.cleanup is not None:
+        case.cleanup()
+    check = case.check()
+    report = ScheduleReport(
+        protocol=case.protocol,
+        seed=seed,
+        planted=case.planted,
+        fingerprint=sched.fingerprint(),
+        ops=case.rec.ops,
+        check=check,
+        crashed=sched.crashed_tasks(),
+        scheduler=sched,
+    )
+    if not check.ok:
+        obs_recorder.auto_dump(
+            "linearizability_violation",
+            {
+                "protocol": case.protocol,
+                "seed": seed,
+                "planted": case.planted,
+                "reason": check.reason,
+                "schedule_fingerprint": report.fingerprint,
+            },
+        )
+    return report
+
 
 #: Small case factories for systematic exploration, per protocol:
 #: ``(clean_factory, planted_factory)``.  Sized so the planted mutant is
@@ -1071,9 +1012,8 @@ def find_violating_seed(
     produced an adversarial interleaving (the race window was never
     hit).  Deterministic: the same scan always lands on the same seed.
     """
-    run = RUNNERS[protocol]
     for seed in seeds:
-        report = run(seed, planted=True)
+        report = run_schedule(protocol, seed, planted=True)
         if not report.ok:
             return report
     return None

@@ -131,12 +131,14 @@ class OrderedIndex(BatchIndex, abc.ABC):
         cursor = lo
         while True:
             batch = self.scan(cursor, 256)
-            if not batch:
-                return out
             for k, v in batch:
                 if k > hi:
                     return out
                 out.append((k, v))
+            # Stopping at hi also keeps the cursor inside uint64 when the
+            # largest key is 2**64 - 1.
+            if not batch or batch[-1][0] >= hi:
+                return out
             cursor = batch[-1][0] + 1
 
     # -- accounting ---------------------------------------------------------------

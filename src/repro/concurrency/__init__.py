@@ -22,11 +22,7 @@ from repro.concurrency.retry import (
     StuckWriterError,
 )
 from repro.concurrency.spinlock import SpinLock
-from repro.concurrency.version_lock import (
-    OptimisticLock,
-    RestartException,
-    SlotVersion,
-)
+from repro.concurrency.version_lock import OptimisticLock, RestartException
 
 __all__ = [
     "BoundedRetry",
@@ -35,7 +31,6 @@ __all__ = [
     "OptimisticLock",
     "RestartException",
     "RetryBudgetExceeded",
-    "SlotVersion",
     "SpinLock",
     "StuckWriterError",
 ]

@@ -19,7 +19,6 @@ from typing import Callable
 
 from repro import chaos
 from repro.obs import metrics as obs_metrics
-from repro.obs.spans import current_profile
 
 
 class EpochGuard:
@@ -92,31 +91,24 @@ class EpochManager:
         objects retired two epochs before the new epoch — was reclaimed).
         """
         chaos.point("epoch.advance")
-        prof = current_profile()
-        if prof is not None:
-            prof.enter("epoch.reclaim")
-        try:
-            with self._lock:
-                if any(e < self._epoch for e in self._active.values()):
-                    return False
-                self._epoch += 1
-                # Slot (epoch+1) % 3 holds objects retired at epoch-2:
-                # (epoch-2) % 3 == (epoch+1) % 3.  Freeing the new
-                # epoch's own slot instead (the old behaviour) delayed
-                # every free by one extra advance.
-                oldest = self._limbo[(self._epoch + 1) % 3]
-                self._limbo[(self._epoch + 1) % 3] = []
-            for free in oldest:
-                free()
-            with self._lock:
-                self.reclaimed += len(oldest)
-            obs_metrics.inc("epoch.advances")
-            if oldest:
-                obs_metrics.inc("epoch.reclaimed", len(oldest))
-            return True
-        finally:
-            if prof is not None:
-                prof.exit()
+        with self._lock:
+            if any(e < self._epoch for e in self._active.values()):
+                return False
+            self._epoch += 1
+            # Slot (epoch+1) % 3 holds objects retired at epoch-2:
+            # (epoch-2) % 3 == (epoch+1) % 3.  Freeing the new
+            # epoch's own slot instead (the old behaviour) delayed
+            # every free by one extra advance.
+            oldest = self._limbo[(self._epoch + 1) % 3]
+            self._limbo[(self._epoch + 1) % 3] = []
+        for free in oldest:
+            free()
+        with self._lock:
+            self.reclaimed += len(oldest)
+        obs_metrics.inc("epoch.advances")
+        if oldest:
+            obs_metrics.inc("epoch.reclaimed", len(oldest))
+        return True
 
     def pending(self) -> int:
         """Retired objects whose ``free()`` has not run yet.
@@ -129,9 +121,6 @@ class EpochManager:
 
     def drain(self) -> int:
         """Force-reclaim everything (quiescent shutdown). Returns count."""
-        prof = current_profile()
-        if prof is not None:
-            prof.enter("epoch.reclaim")
         freed = 0
         for _ in range(3):
             with self._lock:
@@ -145,6 +134,4 @@ class EpochManager:
             self.reclaimed += freed
         if freed:
             obs_metrics.inc("epoch.reclaimed", freed)
-        if prof is not None:
-            prof.exit()
         return freed

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from repro import chaos
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as obs_recorder
-from repro.obs.spans import current_profile
 from repro.sim.trace import active_tracer
 
 
@@ -126,48 +125,39 @@ class RetryState:
         exhaustion raises :class:`StuckWriterError` (carrying ``slot``)
         instead of the generic :class:`RetryBudgetExceeded`.
         """
-        prof = current_profile()
-        if prof is not None:
-            prof.enter("retry.backoff")
-        try:
-            active_tracer().retries += 1
-            obs_metrics.inc("retry.attempts")
-            self.attempts += 1
-            rec = obs_recorder._active
+        active_tracer().retries += 1
+        obs_metrics.inc("retry.attempts")
+        self.attempts += 1
+        rec = obs_recorder._active
+        if rec is not None:
+            rec.record("retry", self.site, {"attempts": self.attempts, "slot": slot})
+        policy = self.policy
+        if self.attempts >= policy.max_retries:
+            obs_metrics.inc("retry.budget_exceeded")
+            reason = "stuck_writer" if stuck else "retry_budget_exceeded"
+            context = {
+                "site": self.site,
+                "attempts": self.attempts,
+                "slot": slot,
+            }
             if rec is not None:
-                rec.record(
-                    "retry", self.site, {"attempts": self.attempts, "slot": slot}
-                )
-            policy = self.policy
-            if self.attempts >= policy.max_retries:
-                obs_metrics.inc("retry.budget_exceeded")
-                reason = "stuck_writer" if stuck else "retry_budget_exceeded"
-                context = {
-                    "site": self.site,
-                    "attempts": self.attempts,
-                    "slot": slot,
-                }
-                if rec is not None:
-                    rec.record("error", reason, context)
-                    rec.auto_dump(reason, context)
-                if stuck:
-                    raise StuckWriterError(self.site, self.attempts, slot)
-                raise RetryBudgetExceeded(self.site, self.attempts)
-            chaos.point(self._point)
-            if chaos.is_active():
-                return  # the schedule decides who runs; no wall-clock waits
-            if self.attempts <= policy.spin_budget:
-                time.sleep(0)  # release the GIL so the writer can finish
-                return
-            exp = self.attempts - policy.spin_budget
-            delay = min(
-                policy.backoff_base_s * policy.backoff_factor ** (exp - 1),
-                policy.backoff_max_s,
-            )
-            time.sleep(delay * (1.0 + policy.rng.random() * policy.jitter))
-        finally:
-            if prof is not None:
-                prof.exit()
+                rec.record("error", reason, context)
+                rec.auto_dump(reason, context)
+            if stuck:
+                raise StuckWriterError(self.site, self.attempts, slot)
+            raise RetryBudgetExceeded(self.site, self.attempts)
+        chaos.point(self._point)
+        if chaos.is_active():
+            return  # the schedule decides who runs; no wall-clock waits
+        if self.attempts <= policy.spin_budget:
+            time.sleep(0)  # release the GIL so the writer can finish
+            return
+        exp = self.attempts - policy.spin_budget
+        delay = min(
+            policy.backoff_base_s * policy.backoff_factor ** (exp - 1),
+            policy.backoff_max_s,
+        )
+        time.sleep(delay * (1.0 + policy.rng.random() * policy.jitter))
 
     @property
     def should_fallback(self) -> bool:
@@ -176,15 +166,10 @@ class RetryState:
 
     def count_fallback(self) -> None:
         """Record a pessimistic fallback in the ambient tracer."""
-        prof = current_profile()
-        if prof is not None:
-            prof.enter("retry.fallback")
         active_tracer().fallbacks += 1
         obs_metrics.inc("retry.fallbacks")
         obs_metrics.observe("retry.attempts_at_fallback", self.attempts)
         obs_recorder.record("fallback", self.site, {"attempts": self.attempts})
-        if prof is not None:
-            prof.exit()
 
 
 def acquire_cooperative(lock, state: RetryState) -> None:

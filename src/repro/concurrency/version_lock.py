@@ -2,8 +2,8 @@
 
 Two protocols from the paper:
 
-- :class:`SlotVersion` / :class:`SlotVersionArray` — §III-E's per-data-slot
-  atomic version numbers in the GPL model.  Even = idle, odd = writer
+- :class:`SlotVersionArray` — §III-E's per-data-slot atomic version
+  numbers in the GPL model.  Even = idle, odd = writer
   active.  Writers spin the version odd, write, then bump it even; readers
   snapshot the version, read, and revalidate.
 
@@ -38,78 +38,6 @@ from repro.sim.trace import active_tracer
 
 class RestartException(Exception):
     """Raised when an optimistic read/write must restart from the root."""
-
-
-class SlotVersion:
-    """A single seqlock-style slot version (§III-E write-write protocol)."""
-
-    __slots__ = ("_value", "_cas", "_retry")
-
-    def __init__(self, retry: BoundedRetry | None = None) -> None:
-        self._value = 0
-        self._cas = threading.Lock()
-        self._retry = retry or DEFAULT_RETRY
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def read_begin(self) -> int:
-        """Snapshot the version, spinning (bounded) while a writer is odd."""
-        v = self._value
-        if v % 2 == 0:
-            return v
-        state = self._retry.begin("slot.read_begin")
-        while True:
-            state.step(stuck=True)
-            v = self._value
-            if v % 2 == 0:
-                return v
-
-    def read_validate(self, version: int) -> bool:
-        """True if no writer intervened since :meth:`read_begin`."""
-        return self._value == version
-
-    def write_begin(self) -> None:
-        """Acquire: spin until even, then flip odd (emulated CAS)."""
-        active_tracer().atomic_rmw += 1
-        chaos.point("slot.write_cas")
-        state = None
-        while True:
-            latched = False
-            with self._cas:
-                if self._value % 2 == 0:
-                    self._value += 1
-                    latched = True
-            if latched:
-                # Point deliberately outside the CAS mutex: a crash here
-                # models a writer dying with the latch held (odd version).
-                chaos.point("slot.write_latched")
-                return
-            if state is None:
-                state = self._retry.begin("slot.write_begin")
-            state.step(stuck=True)
-
-    def write_end(self) -> None:
-        """Release: bump back to even, publishing the write."""
-        chaos.point("slot.write_publish")
-        with self._cas:
-            if self._value % 2 == 0:
-                raise RuntimeError("write_end without matching write_begin")
-            self._value += 1
-
-    def force_recover(self) -> bool:
-        """Break a dead writer's latch: bump an odd version to even.
-
-        Returns True if the version was odd (a latch was broken).  Only
-        call after a stuck-writer diagnosis — breaking a *live* writer's
-        latch publishes its half-done write.
-        """
-        with self._cas:
-            if self._value % 2 == 0:
-                return False
-            self._value += 1
-            return True
 
 
 class SlotVersionArray:

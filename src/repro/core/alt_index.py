@@ -47,7 +47,6 @@ from repro.core.learned_layer import EMPTY, FULL, TOMBSTONE, LearnedLayer
 from repro.core.retrain import finish_expansion, maybe_start_expansion
 from repro.obs import health as obs_health
 from repro.obs import metrics as obs_metrics
-from repro.obs.spans import current_profile
 from repro.sim.trace import MemoryMap, current_tracer, global_memory
 
 _UINT64_MAX = 2**64 - 1
@@ -161,16 +160,8 @@ class ALTIndex(OrderedIndex):
         return self._fastptr.entry(model.fast_index)
 
     def _art_insert(self, key: int, value, index: int, model) -> bool:
-        prof = current_profile()
-        if prof is not None:
-            prof.enter("alt.fastptr")
         entry = self._entry_for(index, model, key)
-        if prof is not None:
-            prof.exit()
-            prof.enter("alt.art_conflict")
         new = self._art.insert(key, value, from_node=entry, upsert=True)
-        if prof is not None:
-            prof.exit()
         self.conflict_inserts += 1
         obs_metrics.inc("alt.conflict_inserts")
         return new
@@ -230,69 +221,63 @@ class ALTIndex(OrderedIndex):
                 model.write_slot(slot, key, value)
 
     # -- stuck-writer recovery (crash-induced odd versions) --------------
-    def _recover_stuck_slot(self, model, slot: int) -> None:
+    def _recover_stuck_slot(self, model, slot: int, locked: bool) -> None:
         """A reader timed out on a latched slot: the writer died mid-write.
 
         Break the latch, tombstone the (possibly torn) slot, and
         repatriate whatever pair was salvageable into the ART-OPT layer
-        — the write-back path migrates it home on a later lookup.
+        — the write-back path migrates it home on a later lookup.  The
+        tombstone is a slot write, so a reader (``locked=False``) first
+        takes the model's writer lock, which the arena fold
+        (``LearnedLayer._geometry``) also holds while it copies slots.
         """
         chaos.point("alt.recover")
-        prof = current_profile()
-        if prof is not None:
-            prof.enter("alt.recover")
-        pair = model.recover_slot(slot)
-        self.recoveries += 1
-        obs_metrics.inc("alt.recoveries")
-        if pair is not None:
-            self._art.insert(pair[0], pair[1], upsert=True)
-        if prof is not None:
-            prof.exit()
-
-    def _read_slot_recovering(self, model, slot: int, prof=None):
-        """``model.read_slot`` with stuck-writer detection and recovery."""
-        if prof is not None:
-            prof.enter("alt.gpl_probe")
+        lock = model.writer_lock
+        if not locked:
+            acquire_writer_lock(lock, "alt.writer_lock")
         try:
-            try:
-                return model.read_slot(slot)
-            except StuckWriterError:
-                self._recover_stuck_slot(model, slot)
-                return model.read_slot(slot)
+            pair = model.recover_slot(slot)
+            self.recoveries += 1
+            obs_metrics.inc("alt.recoveries")
+            if pair is not None:
+                self._art.insert(pair[0], pair[1], upsert=True)
         finally:
-            if prof is not None:
-                prof.exit()
+            if not locked:
+                lock.release()
+
+    def _read_slot_recovering(self, model, slot: int, locked: bool = True):
+        """``model.read_slot`` with stuck-writer detection and recovery;
+        ``locked`` tells whether the caller holds the model's writer lock."""
+        try:
+            return model.read_slot(slot)
+        except StuckWriterError:
+            self._recover_stuck_slot(model, slot, locked)
+            return model.read_slot(slot)
+
+    def _write_back(self, model, slot: int, key: int, value) -> None:
+        """Algorithm 2 lines 10-13: repatriate an ART-resident key into its
+        free predicted slot, under the model's writer lock."""
+        chaos.point("alt.writeback")
+        model.write_slot(slot, key, value)
+        self._art.remove(key)
+        self.writebacks += 1
+        obs_metrics.inc("alt.writebacks")
 
     # ------------------------------------------------------------------
     # Algorithm 2: Search
     # ------------------------------------------------------------------
     def get(self, key: int):
         obs_health.tick(self)
-        prof = current_profile()
-        if prof is not None:
-            prof.enter("alt.model_probe")
         i, model = self._route(key)
         if model is None:
-            if prof is not None:
-                prof.exit()
-                prof.enter("alt.art_conflict")
-            value = self._art.search(key)
-            if prof is not None:
-                prof.exit()
-            return value
+            return self._art.search(key)
         slot = model.slot_of(key)
-        if prof is not None:
-            prof.exit()
-        state, resident, value = self._read_slot_recovering(model, slot, prof)
+        state, resident, value = self._read_slot_recovering(model, slot, False)
         if state == FULL and resident == key:
             return value
         exp = model.expansion
         if exp is not None:
-            if prof is not None:
-                prof.enter("alt.retrain")
             found, bval = exp.lookup(key)
-            if prof is not None:
-                prof.exit()
             if found:
                 return bval
         # The write-back below is a write: it needs the model's writer
@@ -300,15 +285,8 @@ class ALTIndex(OrderedIndex):
         lock = model.writer_lock
         locked = exp is None and state != FULL and lock.acquire(blocking=False)
         try:
-            if prof is not None:
-                prof.enter("alt.fastptr")
             entry = self._entry_for(i, model, key)
-            if prof is not None:
-                prof.exit()
-                prof.enter("alt.art_conflict")
             value = self._art.search(key, from_node=entry)
-            if prof is not None:
-                prof.exit()
             if (
                 locked
                 and value is not None
@@ -316,17 +294,7 @@ class ALTIndex(OrderedIndex):
                 and model.np_state[slot] != FULL
                 and self._layer.models[i] is model
             ):
-                # Write-back: Algorithm 2 lines 10-13 — repatriate the key
-                # from ART into its (still free) predicted slot.
-                chaos.point("alt.writeback")
-                if prof is not None:
-                    prof.enter("alt.writeback")
-                model.write_slot(slot, key, value)
-                self._art.remove(key)
-                if prof is not None:
-                    prof.exit()
-                self.writebacks += 1
-                obs_metrics.inc("alt.writebacks")
+                self._write_back(model, slot, key, value)
         finally:
             if locked:
                 lock.release()
@@ -418,8 +386,6 @@ class ALTIndex(OrderedIndex):
         Equivalent to the scalar insert loop — flags, values, counters and
         the one-home invariant all match — and delegates to exactly that
         loop under an active tracer so CostTrace totals stay identical.
-        The span guard (``current_profile``) is fetched once per batch,
-        not per key; spans are entered at batch-phase granularity.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         values = as_value_array(keys, values)
@@ -429,7 +395,6 @@ class ALTIndex(OrderedIndex):
         if current_tracer() is not None or not self._layer.models:
             return BatchIndex.batch_insert(self, keys, values)
         obs_health.tick(self, n)
-        prof = current_profile()  # fetched once per batch
         out = np.zeros(n, dtype=bool)
 
         # Later occurrences of a duplicate key are value updates whose
@@ -438,11 +403,7 @@ class ALTIndex(OrderedIndex):
         # order (first occurrence inserts, later ones update).
         vec_mask, dup_idx = first_occurrences(keys)
 
-        if prof is not None:
-            prof.enter("alt.batch_probe")
         midx, slots, flat, state, resident = self._layer.probe_live(keys)
-        if prof is not None:
-            prof.exit()
         models = self._layer.models
 
         # Models whose expansion could engage during this batch keep the
@@ -492,37 +453,28 @@ class ALTIndex(OrderedIndex):
                     empty_is.append(i)
 
         new_count = 0
-        if empty_is or upsert_is:
-            if prof is not None:
-                prof.enter("alt.batch_place")
-            for i in empty_is:
-                model = models[mi_l[i]]
-                k = keys_l[i]
-                model.write_slot(sl_l[i], k, values[i])
-                if k > model.last_key:
-                    model.last_key = k
-                model.insert_count += 1
-                out[i] = True
-                new_count += 1
-            for i in upsert_is:
-                models[mi_l[i]].write_slot(sl_l[i], keys_l[i], values[i])
-            if prof is not None:
-                prof.exit()
+        for i in empty_is:
+            model = models[mi_l[i]]
+            k = keys_l[i]
+            model.write_slot(sl_l[i], k, values[i])
+            if k > model.last_key:
+                model.last_key = k
+            model.insert_count += 1
+            out[i] = True
+            new_count += 1
+        for i in upsert_is:
+            models[mi_l[i]].write_slot(sl_l[i], keys_l[i], values[i])
 
         route_is = conflict_is + tomb_is
         if route_is:
             # Batched conflict routing: group the overflow keys, sort
             # them, and repatriate to the ART in one pass.
             route_is.sort(key=keys_l.__getitem__)
-            if prof is not None:
-                prof.enter("alt.batch_conflict")
             flags = self._art.bulk_insert(
                 [keys_l[i] for i in route_is],
                 [values[i] for i in route_is],
                 upsert=True,
             )
-            if prof is not None:
-                prof.exit()
             for j, i in enumerate(route_is):
                 if flags[j]:
                     out[i] = True
@@ -555,15 +507,10 @@ class ALTIndex(OrderedIndex):
         if current_tracer() is not None or not self._layer.models:
             return BatchIndex.batch_remove(self, keys)
         obs_health.tick(self, n)
-        prof = current_profile()  # fetched once per batch
         out = np.zeros(n, dtype=bool)
         vec_mask, dup_idx = first_occurrences(keys)
 
-        if prof is not None:
-            prof.enter("alt.batch_probe")
         midx, slots, _, state, resident = self._layer.probe_live(keys)
-        if prof is not None:
-            prof.exit()
         models = self._layer.models
 
         keys_l = keys.tolist()
@@ -583,22 +530,13 @@ class ALTIndex(OrderedIndex):
                 art_is.append(i)
 
         removed = 0
-        if clear_is:
-            if prof is not None:
-                prof.enter("alt.batch_place")
-            for i in clear_is:
-                models[mi_l[i]].clear_slot(sl_l[i], tombstone=True)
-                out[i] = True
-                removed += 1
-            if prof is not None:
-                prof.exit()
+        for i in clear_is:
+            models[mi_l[i]].clear_slot(sl_l[i], tombstone=True)
+            out[i] = True
+            removed += 1
         if art_is:
             art_is.sort(key=keys_l.__getitem__)
-            if prof is not None:
-                prof.enter("alt.batch_conflict")
             flags = self._art.bulk_remove([keys_l[i] for i in art_is])
-            if prof is not None:
-                prof.exit()
             for j, i in enumerate(art_is):
                 if flags[j]:
                     out[i] = True
@@ -617,21 +555,16 @@ class ALTIndex(OrderedIndex):
     # ------------------------------------------------------------------
     def insert(self, key: int, value) -> bool:
         obs_health.tick(self)
-        prof = current_profile()
-        if prof is not None:
-            prof.enter("alt.model_probe")
         i, model = self._route(key)
         if model is None:
             i, model = self._bootstrap_model(key)
-        if prof is not None:
-            prof.exit()
         i, model = self._lock_model(key, i, model)
         try:
-            return self._insert_locked(key, value, i, model, prof)
+            return self._insert_locked(key, value, i, model)
         finally:
             model.writer_lock.release()
 
-    def _insert_locked(self, key: int, value, i: int, model, prof) -> bool:
+    def _insert_locked(self, key: int, value, i: int, model) -> bool:
         """Algorithm 2's insert body, under ``model``'s writer lock."""
         if self._retraining:
             exp = model.expansion
@@ -643,50 +576,36 @@ class ALTIndex(OrderedIndex):
                     self.expansions += 1
                     obs_metrics.inc("alt.expansions")
             if exp is not None:
-                if prof is not None:
-                    prof.enter("alt.retrain")
-                try:
-                    spilled_self = False
+                spilled_self = False
 
-                    def spill(k, v):
-                        nonlocal spilled_self
-                        if k == key:
-                            spilled_self = True
-                        return self._art_insert(k, v, i, model)
+                def spill(k, v):
+                    nonlocal spilled_self
+                    if k == key:
+                        spilled_self = True
+                    return self._art_insert(k, v, i, model)
 
-                    new = exp.absorb(key, value, spill)
-                    if new and not spilled_self and self._art.remove(key):
-                        # The key already lived in ART (its old predicted
-                        # slot was full); the buffer copy supersedes it.
-                        new = False
-                    model.insert_count += 1
-                    if exp.is_complete():
-                        new_model = finish_expansion(
-                            self._layer,
-                            i,
-                            lambda k, v: self._art_insert(k, v, i, model),
-                        )
-                        self._move_home(i, new_model)
-                    if new:
-                        self._bump(1)
-                    return new
-                finally:
-                    if prof is not None:
-                        prof.exit()
+                new = exp.absorb(key, value, spill)
+                if new and not spilled_self and self._art.remove(key):
+                    # The key already lived in ART (its old predicted
+                    # slot was full); the buffer copy supersedes it.
+                    new = False
+                model.insert_count += 1
+                if exp.is_complete():
+                    new_model = finish_expansion(
+                        self._layer,
+                        i,
+                        lambda k, v: self._art_insert(k, v, i, model),
+                    )
+                    self._move_home(i, new_model)
+                if new:
+                    self._bump(1)
+                return new
 
-        if prof is not None:
-            prof.enter("alt.model_probe")
         slot = model.slot_of(key)
-        if prof is not None:
-            prof.exit()
-        state, resident, _ = self._read_slot_recovering(model, slot, prof)
+        state, resident, _ = self._read_slot_recovering(model, slot)
         if state == FULL:
             if resident == key:
-                if prof is not None:
-                    prof.enter("alt.gpl_probe")
                 model.write_slot(slot, key, value)  # in-place upsert
-                if prof is not None:
-                    prof.exit()
                 return False
             new = self._art_insert(key, value, i, model)
             model.insert_count += 1
@@ -701,11 +620,7 @@ class ALTIndex(OrderedIndex):
             if new:
                 self._bump(1)
             return new
-        if prof is not None:
-            prof.enter("alt.gpl_probe")
         model.write_slot(slot, key, value)
-        if prof is not None:
-            prof.exit()
         if key > model.last_key:
             model.last_key = key
         model.insert_count += 1
@@ -717,85 +632,47 @@ class ALTIndex(OrderedIndex):
     # ------------------------------------------------------------------
     def update(self, key: int, value) -> bool:
         obs_health.tick(self)
-        prof = current_profile()
-        if prof is not None:
-            prof.enter("alt.model_probe")
         i, model = self._route(key)
         if model is None:
-            if prof is not None:
-                prof.exit()
             return False
         i, model = self._lock_model(key, i, model)
         try:
             slot = model.slot_of(key)
-            if prof is not None:
-                prof.exit()
-            state, resident, _ = self._read_slot_recovering(model, slot, prof)
+            state, resident, _ = self._read_slot_recovering(model, slot)
             if state == FULL and resident == key:
-                if prof is not None:
-                    prof.enter("alt.gpl_probe")
                 model.write_slot(slot, key, value)
-                if prof is not None:
-                    prof.exit()
                 return True
             exp = model.expansion
             if exp is not None and exp.update(key, value):
                 return True
-            if prof is not None:
-                prof.enter("alt.fastptr")
             entry = self._entry_for(i, model, key)
-            if prof is not None:
-                prof.exit()
-                prof.enter("alt.art_conflict")
-            try:
-                if self._art.search(key, from_node=entry) is None:
-                    return False
-                self._art.insert(key, value, from_node=entry, upsert=True)
-                return True
-            finally:
-                if prof is not None:
-                    prof.exit()
+            if self._art.search(key, from_node=entry) is None:
+                return False
+            self._art.insert(key, value, from_node=entry, upsert=True)
+            return True
         finally:
             model.writer_lock.release()
 
     def remove(self, key: int) -> bool:
         obs_health.tick(self)
-        prof = current_profile()
-        if prof is not None:
-            prof.enter("alt.model_probe")
         i, model = self._route(key)
         if model is None:
-            if prof is not None:
-                prof.exit()
-                prof.enter("alt.art_conflict")
             removed = self._art.remove(key)
-            if prof is not None:
-                prof.exit()
             if removed:
                 self._bump(-1)
             return removed
         i, model = self._lock_model(key, i, model)
         try:
             slot = model.slot_of(key)
-            if prof is not None:
-                prof.exit()
-            state, resident, _ = self._read_slot_recovering(model, slot, prof)
+            state, resident, _ = self._read_slot_recovering(model, slot)
             removed = False
             if state == FULL and resident == key:
-                if prof is not None:
-                    prof.enter("alt.gpl_probe")
                 model.clear_slot(slot, tombstone=True)
-                if prof is not None:
-                    prof.exit()
                 removed = True
             elif model.expansion is not None and model.expansion.remove(key):
                 removed = True
             if not removed:
-                if prof is not None:
-                    prof.enter("alt.art_conflict")
                 removed = self._art.remove(key)
-                if prof is not None:
-                    prof.exit()
         finally:
             model.writer_lock.release()
         if removed:
@@ -834,25 +711,6 @@ class ALTIndex(OrderedIndex):
                 out.append(b)
                 b = next(art, None)
         return out
-
-    def range_query(self, lo: int, hi: int) -> list[tuple[int, object]]:
-        gpl = list(self._layer.items(lo, hi))
-        art = self._art.items(lo, hi)
-        merged: list[tuple[int, object]] = []
-        ia = ib = 0
-        while ia < len(gpl) and ib < len(art):
-            ka, kb = gpl[ia][0], art[ib][0]
-            if ka <= kb:
-                if ka == kb:
-                    ib += 1
-                merged.append(gpl[ia])
-                ia += 1
-            else:
-                merged.append(art[ib])
-                ib += 1
-        merged.extend(gpl[ia:])
-        merged.extend(art[ib:])
-        return merged
 
     # ------------------------------------------------------------------
     # introspection

@@ -8,8 +8,3 @@ class ReproError(Exception):
 class KeysNotSortedError(ReproError):
     """Bulk-load input must be strictly increasing (the paper excludes
     duplicate keys; none of the evaluated indexes support them)."""
-
-
-class CapacityError(ReproError):
-    """A fixed-capacity structure (node, bin) received more entries than
-    it can hold."""

@@ -18,7 +18,10 @@ Five instruments, one package (see docs/OBSERVABILITY.md):
 
 All follow the repository's ambient-instrumentation rule: hot paths pay
 a module-global load and a ``None`` test when the instrument is
-disabled, and nothing else.
+disabled, and nothing else.  Spans go further: the structures carry no
+span code, and :func:`~repro.obs.spans.profiled` wraps the entry points
+that :data:`~repro.obs.taxonomy.SPAN_TARGETS` names only while a
+profile is active.
 
 The legal span and metric names live in :mod:`repro.obs.taxonomy`;
 ``repro.tools.check_spans`` (tier-1) keeps code and taxonomy in sync.

@@ -5,23 +5,24 @@ The paper's analysis figures are *attribution* claims: which layer
 path vs. retraining) an operation spends its modeled time in.  The span
 tracer answers them by bucketing the events the ambient
 :class:`repro.sim.trace.CostTrace` already records — scalar counters and
-cache-line touches — under named spans opened by structure code.
+cache-line touches — under named spans, one per layer.
 
 Design constraints, in order:
 
-1. **Near-zero overhead when off.**  Structure hot paths fetch the
-   active profile once per operation (:func:`current_profile`, a module
-   counter check before any TLS access — the :func:`repro.chaos.point`
-   pattern) and guard each span site with a plain ``if prof is not
-   None``.  With no profile installed anywhere, the whole apparatus is
-   one function call per operation.
+1. **Zero overhead when off.**  The structures carry no span code.
+   :data:`repro.obs.taxonomy.SPAN_TARGETS` names the entry points whose
+   code is each layer; :func:`profiled` wraps them in self-time shims on
+   the first activation (across all threads) and puts the original
+   attributes back on the last.  With no profile active the index runs
+   its own, unwrapped functions.
 2. **Exact attribution.**  Spans are *self-time* buckets: at every span
    boundary (enter or exit) the events recorded since the previous
    boundary are charged to the span that was open.  Summing every
    bucket of a profile therefore reproduces the total trace exactly —
    no event is double-counted and none is lost, which is what lets the
    harness assert that per-layer totals sum to the experiment's total
-   modeled cost.
+   modeled cost.  A target called inside another target's call is
+   charged to its own span.
 3. **Composition, not duplication.**  Spans never record events of
    their own; they only partition what the ambient tracer records.  A
    profile active without a tracer still counts span entries and wall
@@ -31,29 +32,26 @@ Usage::
 
     with profiled() as prof:
         with tracer():
-            index.get(key)
+            with prof.span("op.read"):
+                index.get(key)
     prof.breakdown(CostModel())   # per-layer modeled-ns rows
 
-Structure code (hot path idiom, mirroring ``current_tracer``)::
-
-    prof = current_profile()
-    if prof is not None:
-        prof.enter("alt.model_probe")
-    ...  # straight-line work
-    if prof is not None:
-        prof.exit()
-
-Span names must be registered in :mod:`repro.obs.taxonomy`; the
-``check_spans`` tier-1 tool rejects unregistered literals.
+Only operation envelopes (the harness's ``op.*``) are opened explicitly,
+with :meth:`SpanProfile.span` or ``enter``/``exit``.  Span names must be
+registered in :mod:`repro.obs.taxonomy`; the ``check_spans`` tier-1 tool
+checks the table and rejects unregistered literals.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 import threading
 import time
 from contextlib import contextmanager
 
 from repro.obs import recorder as obs_recorder
+from repro.obs.taxonomy import SPAN_TARGETS
 from repro.sim.trace import CostTrace, current_tracer
 
 _FIELDS = CostTrace._SCALAR_FIELDS
@@ -61,13 +59,14 @@ _NFIELDS = len(_FIELDS)
 _ZEROS = (0,) * _NFIELDS
 
 _tls = threading.local()
-#: Count of live ``profiled()`` activations across all threads.  Hot
-#: paths read this before touching thread-local state, so the fully
-#: disabled case costs one global load and an int test.  Updated under
-#: ``_n_active_lock``: a lost update could leave it at 0 while a profile
-#: is live, silently dropping that profile's spans.
+#: Count of live ``profiled()`` activations across all threads.  Updated
+#: under ``_n_active_lock``, which also orders the shim installation on
+#: the first activation and the restore on the last: a lost update could
+#: leave the shims off while a profile is live, or on after the last.
 _n_active = 0
 _n_active_lock = threading.Lock()
+#: ``(owner, attribute, original)`` of every installed shim.
+_installed: list[tuple[object, str, object]] = []
 
 
 class SpanStats:
@@ -291,8 +290,7 @@ def span(name: str):
 
     Returns a context manager: the active profile's exception-safe span
     when profiling is on, a shared no-op singleton (no allocation) when
-    off.  Hot per-event sites should use the ``current_profile()`` +
-    ``enter``/``exit`` idiom instead.
+    off.
     """
     if not _n_active:
         return NULL_SPAN
@@ -302,22 +300,69 @@ def span(name: str):
     return _SpanCtx(prof, name)
 
 
+def span_targets():
+    """Yield ``(span, owner, attribute)`` for every :data:`SPAN_TARGETS`
+    entry, with the owner class or module imported."""
+    for name, targets in SPAN_TARGETS.items():
+        for module, owner, attr in targets:
+            obj = importlib.import_module(module)
+            yield name, getattr(obj, owner) if owner else obj, attr
+
+
+def _shim(name: str, fn):
+    """``fn`` charged to span ``name`` in the calling thread's profile,
+    through the exception-safe :class:`_SpanCtx`."""
+
+    @functools.wraps(fn)
+    def shim(*args, **kwargs):
+        prof = getattr(_tls, "profile", None)
+        if prof is None:
+            return fn(*args, **kwargs)
+        with _SpanCtx(prof, name):
+            return fn(*args, **kwargs)
+
+    return shim
+
+
+def _restore() -> None:
+    while _installed:
+        owner, attr, original = _installed.pop()
+        setattr(owner, attr, original)
+
+
+def _install() -> None:
+    try:
+        for name, owner, attr in span_targets():
+            original = vars(owner)[attr]
+            _installed.append((owner, attr, original))
+            setattr(owner, attr, _shim(name, original))
+    except BaseException:
+        _restore()
+        raise
+
+
 @contextmanager
 def profiled(profile: SpanProfile | None = None):
     """Activate span profiling for the current thread.
 
     Yields the active :class:`SpanProfile`.  Nesting stacks (the inner
     profile shadows the outer one), mirroring :func:`repro.sim.trace.tracer`.
+    The first activation in the process installs the span shims and the
+    last one restores the original attributes.
     """
     global _n_active
     profile = profile if profile is not None else SpanProfile()
+    with _n_active_lock:
+        if not _n_active:
+            _install()
+        _n_active += 1
     prev = getattr(_tls, "profile", None)
     _tls.profile = profile
-    with _n_active_lock:
-        _n_active += 1
     try:
         yield profile
     finally:
+        _tls.profile = prev
         with _n_active_lock:
             _n_active -= 1
-        _tls.profile = prev
+            if not _n_active:
+                _restore()

@@ -1,4 +1,4 @@
-"""The registered span namespace and its mapping onto chaos points.
+"""The registered span namespace, its code, and its chaos points.
 
 Two name spaces thread through the instrumented code: observability
 spans (:mod:`repro.obs.spans`) and chaos interleaving points
@@ -8,9 +8,14 @@ the outcome" — and they drift apart silently if nothing ties them
 together.  This module is the single source of truth:
 
 - :data:`SPAN_TAXONOMY` registers every legal span name with a
-  one-line meaning.  ``repro.tools.check_spans`` (tier-1) rejects any
-  span literal in the source tree that is not registered here, and any
-  registered name that no code uses.
+  one-line meaning.
+- :data:`SPAN_TARGETS` names the code of each layer: the entry points
+  that :func:`repro.obs.spans.profiled` wraps in self-time shims.  The
+  structures themselves carry no span code; only the harness's ``op.*``
+  envelopes are opened explicitly.  ``repro.tools.check_spans``
+  (tier-1) checks that every target resolves, that every table span is
+  registered, and that every registered span has a table entry or a
+  literal site.
 - :data:`CHAOS_SPAN_MAP` maps each chaos point to the span that covers
   it, so every interleaving point is guaranteed to be attributable to a
   layer in the breakdown tables.
@@ -26,22 +31,18 @@ from __future__ import annotations
 
 #: Every legal span name -> one-line description.
 SPAN_TAXONOMY: dict[str, str] = {
-    # -- operation envelopes (opened by the harness / batch layer) -------
+    # -- operation envelopes (opened explicitly by the harness) ----------
     "op.read": "one point lookup, end to end",
     "op.insert": "one insert, end to end",
     "op.scan": "one range scan, end to end",
     # -- ALT-index layers (§III) ----------------------------------------
     "alt.model_probe": "learned-layer routing: segment search + slope/intercept predict",
     "alt.gpl_probe": "gapped-probe-list slot read/write (seqlock protocol)",
-    "alt.fastptr": "fast-pointer buffer hit path: register/lookup/repair",
-    "alt.art_conflict": "ART conflict path: insert/lookup of overflow keys",
+    "alt.fastptr": "fast-pointer buffer: register and entry lookup",
     "alt.retrain": "expansion/retrain pipeline: absorb, rebuild, swap",
     "alt.writeback": "repatriating ART-resident keys into fresh GPL slots",
     "alt.recover": "stuck-slot recovery: salvage, tombstone, repatriate",
-    # -- ALT-index batch write path (vectorized Algorithm 2) -------------
-    "alt.batch_probe": "whole-batch learned-layer probe: snapshot searchsorted + slot predict",
-    "alt.batch_place": "columnwise placement/clearing of batch keys in GPL slots",
-    "alt.batch_conflict": "batched conflict routing: sorted one-pass ART bulk insert/remove",
+    "alt.batch_probe": "whole-batch learned-layer probe: vectorized route + slot predict",
     # -- sharded serving layer (repro.shard) ------------------------------
     "shard.route": "partitioner routing: key(s) -> shard id(s)",
     "shard.scatter": "splitting a batch into per-shard sub-batches",
@@ -49,7 +50,7 @@ SPAN_TAXONOMY: dict[str, str] = {
     # -- shared concurrency machinery ------------------------------------
     "retry.backoff": "bounded-retry spin/backoff while a protocol step is contended",
     "retry.fallback": "pessimistic fallback after the optimistic budget is spent",
-    "epoch.reclaim": "epoch-based reclamation: enter/retire/advance/drain",
+    "epoch.reclaim": "epoch-based reclamation: advance and drain",
     # -- baseline equivalents -------------------------------------------
     "alex.model_probe": "ALEX+ model routing to a data node",
     "alex.node_search": "ALEX+ in-node gapped-array search",
@@ -60,10 +61,101 @@ SPAN_TAXONOMY: dict[str, str] = {
     "xindex.buffer": "XIndex per-group delta-buffer access",
     "finedex.model_probe": "FINEdex level-model probe",
     "finedex.bin": "FINEdex per-position insert-bin access",
-    "art.descend": "ART trie descent (OLC read/write protocol)",
+    "art.descend": "ART trie work: OLC descent, insert/remove, scans, batch passes",
     "btree.descend": "B+-tree root-to-leaf descent + leaf ops",
     "rmi.predict": "RMI two-stage model prediction",
     "rmi.secondary": "RMI bounded secondary search around the prediction",
+}
+
+_LL = "repro.core.learned_layer"
+_ART = "repro.art.tree"
+
+#: span name -> ``(module, owner, attribute)`` entry points whose code is
+#: that layer.  ``owner`` is a class, or ``""`` for a module-level
+#: function, which is patched in the module where its caller looks it
+#: up.  A call nested in another target's call is charged to its own
+#: span (self-time), so a span names the code that runs, not its caller.
+SPAN_TARGETS: dict[str, tuple[tuple[str, str, str], ...]] = {
+    "alt.model_probe": ((_LL, "LearnedLayer", "route"), (_LL, "GPLModel", "slot_of")),
+    "alt.gpl_probe": (
+        (_LL, "GPLModel", "read_slot"),
+        (_LL, "GPLModel", "write_slot"),
+        (_LL, "GPLModel", "clear_slot"),
+    ),
+    "alt.batch_probe": ((_LL, "LearnedLayer", "probe_live"),),
+    "alt.fastptr": (
+        ("repro.core.fast_pointer", "FastPointerBuffer", "register"),
+        ("repro.core.fast_pointer", "FastPointerBuffer", "entry"),
+    ),
+    "alt.retrain": (
+        ("repro.core.retrain", "ExpansionBuffer", "absorb"),
+        ("repro.core.retrain", "ExpansionBuffer", "lookup"),
+        ("repro.core.retrain", "ExpansionBuffer", "update"),
+        ("repro.core.retrain", "ExpansionBuffer", "remove"),
+        ("repro.core.alt_index", "", "finish_expansion"),
+        ("repro.core.alt_index", "ALTIndex", "_move_home"),
+    ),
+    "alt.writeback": (("repro.core.alt_index", "ALTIndex", "_write_back"),),
+    "alt.recover": (("repro.core.alt_index", "ALTIndex", "_recover_stuck_slot"),),
+    "art.descend": tuple(
+        (_ART, "AdaptiveRadixTree", attr)
+        for attr in (
+            "search", "insert", "remove", "scan", "items",
+            "bulk_insert", "bulk_remove", "sorted_view",
+        )
+    ),
+    "shard.route": (
+        ("repro.shard.partitioner", "RangePartitioner", "shard_of"),
+        ("repro.shard.partitioner", "RangePartitioner", "route_batch"),
+    ),
+    "shard.scatter": (("repro.shard.sharded", "ShardedALTIndex", "scatter"),),
+    "shard.gather": (("repro.shard.sharded", "ShardedALTIndex", "_gather"),),
+    "retry.backoff": (("repro.concurrency.retry", "RetryState", "step"),),
+    "retry.fallback": (("repro.concurrency.retry", "RetryState", "count_fallback"),),
+    "epoch.reclaim": (
+        ("repro.concurrency.epoch", "EpochManager", "try_advance"),
+        ("repro.concurrency.epoch", "EpochManager", "drain"),
+    ),
+    "alex.model_probe": (("repro.baselines.alex", "AlexIndex", "_node_for"),),
+    "alex.node_search": (("repro.baselines.alex", "_DataNode", "get"),),
+    "alex.modify": (
+        ("repro.baselines.alex", "_DataNode", "insert"),
+        ("repro.baselines.alex", "_DataNode", "remove"),
+        ("repro.baselines.alex", "AlexIndex", "_split_node"),
+    ),
+    "lipp.descend": (
+        ("repro.baselines.lipp", "LippIndex", "get"),
+        ("repro.baselines.lipp", "LippIndex", "_insert"),
+        ("repro.baselines.lipp", "LippIndex", "remove"),
+    ),
+    "lipp.rebuild": (("repro.baselines.lipp", "LippIndex", "_rebuild_at"),),
+    "xindex.group_probe": (
+        ("repro.baselines.xindex", "XIndex", "_group_for"),
+        ("repro.baselines.xindex", "_Group", "find_in_array"),
+    ),
+    "xindex.buffer": (
+        ("repro.baselines.xindex", "_Group", "find_in_buffer"),
+        ("repro.baselines.xindex", "_Group", "buffer_insert"),
+        ("repro.baselines.xindex", "_Group", "compact"),
+    ),
+    "finedex.model_probe": (
+        ("repro.baselines.finedex", "FINEdex", "_model_for"),
+        ("repro.baselines.finedex", "_FineModel", "rank"),
+    ),
+    "finedex.bin": (
+        ("repro.baselines.finedex", "_LevelBin", "find"),
+        ("repro.baselines.finedex", "_LevelBin", "insert"),
+        ("repro.baselines.finedex", "_LevelBin", "remove"),
+    ),
+    "btree.descend": tuple(
+        ("repro.baselines.btree", "BPlusTreeIndex", attr)
+        for attr in ("get", "insert", "remove", "scan")
+    ),
+    "rmi.predict": (("repro.baselines.rmi", "TwoStageRMI", "predict"),),
+    "rmi.secondary": (
+        ("repro.baselines.rmi", "TwoStageRMI", "lookup"),
+        ("repro.baselines.rmi", "TwoStageRMI", "position_for"),
+    ),
 }
 
 #: chaos point -> covering span.  check_spans asserts every

@@ -42,7 +42,6 @@ from repro import chaos
 from repro.common import OrderedIndex, as_value_array, unique_tag
 from repro.core.alt_index import ALTIndex
 from repro.obs import metrics as obs_metrics
-from repro.obs.spans import current_profile
 from repro.shard.partitioner import RangePartitioner
 from repro.sim.trace import MemoryMap, global_memory
 
@@ -138,13 +137,7 @@ class ShardedALTIndex(OrderedIndex):
 
     def _shard_for(self, key: int):
         chaos.point("shard.route")
-        prof = current_profile()
-        if prof is not None:
-            prof.enter("shard.route")
-        sid = self._partitioner.shard_of(key)
-        if prof is not None:
-            prof.exit()
-        return self._shards[sid]
+        return self._shards[self._partitioner.shard_of(key)]
 
     def scatter(self, keys) -> list[tuple[int, np.ndarray, np.ndarray]]:
         """Split a key batch into per-shard sub-batches.
@@ -156,13 +149,7 @@ class ShardedALTIndex(OrderedIndex):
         """
         keys = np.asarray(keys, dtype=np.uint64)
         chaos.point("shard.route")
-        prof = current_profile()
-        if prof is not None:
-            prof.enter("shard.route")
         sid = self._partitioner.route_batch(keys)
-        if prof is not None:
-            prof.exit()
-            prof.enter("shard.scatter")
         order = np.argsort(sid, kind="stable")
         bounds = np.searchsorted(sid[order], np.arange(self.nshards + 1))
         parts = [
@@ -170,8 +157,6 @@ class ShardedALTIndex(OrderedIndex):
             for s in range(self.nshards)
             if bounds[s] != bounds[s + 1]
         ]
-        if prof is not None:
-            prof.exit()
         obs_metrics.inc("shard.routed_keys", len(keys))
         if len(parts) > 1:
             obs_metrics.inc("shard.cross_shard_batches")
@@ -179,16 +164,11 @@ class ShardedALTIndex(OrderedIndex):
 
     def _gather(self, n: int, parts, results) -> list:
         chaos.point("shard.gather")
-        prof = current_profile()
-        if prof is not None:
-            prof.enter("shard.gather")
         out = np.empty(n, dtype=object)
         for (_s, pos, _sub), vals in zip(parts, results):
             # fromiter keeps each result one object: a tuple or list
             # value is never broadcast across positions.
             out[pos] = np.fromiter(vals, object, len(pos))
-        if prof is not None:
-            prof.exit()
         return out.tolist()
 
     # ------------------------------------------------------------------

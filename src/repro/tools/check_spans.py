@@ -2,12 +2,16 @@
 
 The observability layer only works if its two name spaces stay closed:
 
-1. **Every span literal is registered.**  A ``prof.enter("...")`` /
-   ``prof.span("...")`` / ``obs.span("...")`` call site whose name is
-   not in :data:`repro.obs.taxonomy.SPAN_TAXONOMY` produces buckets the
-   breakdown tables and docs know nothing about.
-2. **Every registered span is used.**  A taxonomy entry no source file
-   references is documentation drift.
+1. **The span table is sound.**  Every
+   :data:`repro.obs.taxonomy.SPAN_TARGETS` entry names a registered
+   span, and every ``(module, owner, attribute)`` target resolves to a
+   plain function defined on that owner — the object
+   :func:`repro.obs.spans.profiled` wraps and later restores.  A literal
+   span-opening call (``prof.enter("...")`` / ``prof.span("...")`` /
+   ``span("...")``, the harness's ``op.*`` envelopes) must name a
+   registered span too.
+2. **Every registered span is used.**  A taxonomy entry with no table
+   entry and no literal in the scanned sources is documentation drift.
 3. **Every chaos point is attributable, and every mapping is live.**
    Each ``chaos.point("...")`` literal must map to a covering span in
    :data:`~repro.obs.taxonomy.CHAOS_SPAN_MAP` or be explicitly exempt
@@ -39,14 +43,17 @@ Usage::
 from __future__ import annotations
 
 import ast
+import inspect
 import sys
 from pathlib import Path
 
+from repro.obs.spans import span_targets
 from repro.obs.taxonomy import (
     CHAOS_SPAN_MAP,
     METRIC_NON_LITERAL_ALLOWLIST,
     METRIC_TAXONOMY,
     NON_LITERAL_POINT_ALLOWLIST,
+    SPAN_TARGETS,
     SPAN_TAXONOMY,
     is_exempt_point,
 )
@@ -188,6 +195,25 @@ def check_source(
     return failures, used
 
 
+def check_targets() -> list[str]:
+    """Failures of the span table: unregistered spans, dead targets."""
+    failures = [
+        f"SPAN_TARGETS span {name!r} is not registered in SPAN_TAXONOMY"
+        for name in SPAN_TARGETS
+        if name not in SPAN_TAXONOMY
+    ]
+    try:
+        for name, owner, attr in span_targets():
+            if not inspect.isfunction(vars(owner).get(attr)):
+                failures.append(
+                    f"SPAN_TARGETS {name!r}: {owner.__name__}.{attr} is not "
+                    "a function defined on that owner"
+                )
+    except (ImportError, AttributeError) as exc:
+        failures.append(f"SPAN_TARGETS target does not resolve: {exc}")
+    return failures
+
+
 def check_file(path: Path, root: Path | None = None) -> tuple[list[str], set[str]]:
     rel = path.as_posix()
     allow = any(rel.endswith(entry) for entry in NON_LITERAL_POINT_ALLOWLIST)
@@ -210,8 +236,8 @@ def main(argv: list[str] | None = None) -> int:
     else:
         paths = sorted((root / DEFAULT_ROOT).rglob("*.py"))
     taxonomy_file = (root / "src/repro/obs/taxonomy.py").resolve()
-    failures: list[str] = []
-    used: set[str] = set()
+    failures = check_targets()
+    used = set(SPAN_TARGETS)
     for path in paths:
         if not path.exists():
             failures.append(f"{path}: file not found")
@@ -224,8 +250,8 @@ def main(argv: list[str] | None = None) -> int:
     if not args:  # unused check only makes sense over the full tree
         for name in sorted(set(SPAN_TAXONOMY) - used):
             failures.append(
-                f"span {name!r} is registered in SPAN_TAXONOMY but no "
-                "scanned source references it"
+                f"span {name!r} is registered in SPAN_TAXONOMY but has no "
+                "SPAN_TARGETS entry and no scanned source references it"
             )
         for name in sorted(set(METRIC_TAXONOMY) - used):
             failures.append(

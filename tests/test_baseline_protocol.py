@@ -114,6 +114,14 @@ class TestProtocol:
         got = [k for k, _ in idx.range_query(lo, hi)]
         assert got == [int(k) for k in half if lo <= int(k) <= hi]
 
+    @pytest.mark.parametrize("cls", ALL_INDEXES, ids=IDS)
+    def test_range_query_reaches_the_largest_key(self, cls):
+        top = 2**64 - 1
+        keys = np.array([1, 5, 9, top - 1, top], dtype=np.uint64)
+        idx = cls.bulk_load(keys, memory=MemoryMap())
+        assert [k for k, _ in idx.range_query(0, top)] == keys.tolist()
+        assert [k for k, _ in idx.range_query(top - 1, top)] == [top - 1, top]
+
     def test_memory_accounted(self, built):
         idx, _, _ = built
         assert idx.memory_bytes() > 0

@@ -176,7 +176,7 @@ class TestRetrainSchedule:
         from repro.chaos import protocols
 
         for seed in range(6):
-            report = protocols.run_retrain_schedule(seed)
+            report = protocols.run_schedule("retrain", seed)
             assert report.ok, f"seed={seed}: {report.check.reason}"
 
     def test_planted_swap_before_migrate_detected_and_replayable(self):
@@ -184,6 +184,6 @@ class TestRetrainSchedule:
 
         report = protocols.find_violating_seed("retrain", range(64))
         assert report is not None, "planted handoff hole never hit"
-        replay = protocols.run_retrain_schedule(report.seed, planted=True)
+        replay = protocols.run_schedule("retrain", report.seed, planted=True)
         assert not replay.ok
         assert replay.fingerprint == report.fingerprint

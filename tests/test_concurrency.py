@@ -9,45 +9,47 @@ from repro.concurrency.spinlock import SpinLock
 from repro.concurrency.version_lock import (
     OptimisticLock,
     RestartException,
-    SlotVersion,
     SlotVersionArray,
 )
 from repro.sim.trace import CostTrace, tracer
 
 
 class TestSlotVersion:
+    """The seqlock protocol of one slot of a :class:`SlotVersionArray`."""
+
     def test_initial_readable(self):
-        v = SlotVersion()
-        assert v.read_begin() == 0
-        assert v.read_validate(0)
+        v = SlotVersionArray(1)
+        assert v.read_begin(0) == 0
+        assert v.read_validate(0, 0)
 
     def test_write_cycle_bumps_twice(self):
-        v = SlotVersion()
-        v.write_begin()
-        assert v.value == 1
-        v.write_end()
-        assert v.value == 2
+        v = SlotVersionArray(1)
+        v.write_begin(0)
+        assert v.odd_slots() == [0]
+        v.write_end(0)
+        assert v.odd_slots() == []
+        assert v.read_begin(0) == 2
 
     def test_read_validation_fails_after_write(self):
-        v = SlotVersion()
-        snap = v.read_begin()
-        v.write_begin()
-        v.write_end()
-        assert not v.read_validate(snap)
+        v = SlotVersionArray(1)
+        snap = v.read_begin(0)
+        v.write_begin(0)
+        v.write_end(0)
+        assert not v.read_validate(0, snap)
 
     def test_write_end_without_begin_raises(self):
         with pytest.raises(RuntimeError):
-            SlotVersion().write_end()
+            SlotVersionArray(1).write_end(0)
 
     def test_concurrent_writers_serialize(self):
-        v = SlotVersion()
+        v = SlotVersionArray(1)
         counter = [0]
 
         def writer():
             for _ in range(500):
-                v.write_begin()
+                v.write_begin(0)
                 counter[0] += 1
-                v.write_end()
+                v.write_end(0)
 
         threads = [threading.Thread(target=writer) for _ in range(8)]
         for t in threads:
@@ -55,7 +57,7 @@ class TestSlotVersion:
         for t in threads:
             t.join()
         assert counter[0] == 4000
-        assert v.value == 8000  # two bumps per write
+        assert v.read_begin(0) == 8000  # two bumps per write
 
 
 class TestSlotVersionArray:

@@ -7,6 +7,9 @@ recoverable — at the model level and through the full ALTIndex lookup
 path (salvage → ART repatriation → write-back migration home).
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -125,6 +128,26 @@ class TestIndexRecovery:
         assert index.get(key) == key  # detect, recover, repatriate, answer
         assert index.recoveries == 1
         assert model.versions.odd_slots() == []
+
+    def test_get_recovers_only_under_the_writer_lock(self, index):
+        """The recovery tombstone is a slot write, so a reader takes the
+        model's writer lock first — the lock the arena fold holds while
+        it copies the slot arrays."""
+        key = 2000
+        model, slot = self._wedge(index, key)
+        answers = []
+        with model.writer_lock:
+            reader = threading.Thread(target=lambda: answers.append(index.get(key)))
+            reader.start()
+            time.sleep(0.2)  # ample time to time out on the latch
+            assert reader.is_alive()
+            assert model.versions.odd_slots() == [slot]
+            assert index.recoveries == 0
+        reader.join(10)
+        assert not reader.is_alive()
+        assert answers == [key]
+        assert model.versions.odd_slots() == []
+        assert index.recoveries == 1
 
     def test_salvaged_pair_repatriated_to_art(self, index):
         key = 2400

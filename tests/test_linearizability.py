@@ -8,13 +8,7 @@ deliberately planted lost-update mutation in each.
 import pytest
 
 from repro.chaos.history import HistoryRecorder, OpRecord, check_linearizable
-from repro.chaos.protocols import (
-    RUNNERS,
-    find_violating_seed,
-    run_art_schedule,
-    run_gpl_schedule,
-    run_spinlock_schedule,
-)
+from repro.chaos.protocols import CASE_BUILDERS, find_violating_seed, run_schedule
 
 SEEDS = range(3)
 
@@ -101,16 +95,16 @@ class TestChecker:
 
 class TestProtocolSchedules:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("proto", sorted(RUNNERS))
+    @pytest.mark.parametrize("proto", sorted(CASE_BUILDERS))
     def test_clean_protocols_linearizable(self, proto, seed):
-        report = RUNNERS[proto](seed)
+        report = run_schedule(proto, seed)
         assert report.ok, report.check.reason
         assert not report.crashed
 
-    @pytest.mark.parametrize("proto", sorted(RUNNERS))
+    @pytest.mark.parametrize("proto", sorted(CASE_BUILDERS))
     def test_replay_reproduces_fingerprint(self, proto):
-        a = RUNNERS[proto](11)
-        b = RUNNERS[proto](11)
+        a = run_schedule(proto, 11)
+        b = run_schedule(proto, 11)
         assert a.fingerprint == b.fingerprint
         assert [(o.task, o.op, o.key, o.result) for o in a.ops] == [
             (o.task, o.op, o.key, o.result) for o in b.ops
@@ -120,13 +114,13 @@ class TestProtocolSchedules:
 class TestPlantedMutations:
     """The harness must catch its own planted lost-update bugs."""
 
-    @pytest.mark.parametrize("proto", sorted(RUNNERS))
+    @pytest.mark.parametrize("proto", sorted(CASE_BUILDERS))
     def test_planted_bug_detected(self, proto):
         report = find_violating_seed(proto, range(16))
         assert report is not None, f"no seed exposed the planted {proto} bug"
         assert not report.ok
         # And the failure replays exactly from its seed.
-        replay = RUNNERS[proto](report.seed, planted=True)
+        replay = run_schedule(proto, report.seed, planted=True)
         assert replay.fingerprint == report.fingerprint
         assert not replay.ok
 
@@ -151,12 +145,12 @@ class TestPlantedMutations:
 
 class TestRunnersSmoke:
     def test_reports_expose_schedule_metadata(self):
-        report = run_gpl_schedule(0)
+        report = run_schedule("gpl", 0)
         assert report.protocol == "gpl"
         assert report.seed == 0
         assert len(report.fingerprint) == 16
         assert "LINEARIZABLE" in report.summary()
 
     def test_each_runner_returns_ops(self):
-        assert len(run_spinlock_schedule(0).ops) == 6
-        assert len(run_art_schedule(0).ops) == 5
+        assert len(run_schedule("spinlock", 0).ops) == 6
+        assert len(run_schedule("art", 0).ops) == 5

@@ -162,8 +162,8 @@ class TestCrashPostmortemFixture:
     def test_rerunning_the_schedule_reproduces_the_fixture(self):
         rec = FlightRecorder(capacity=256)
         with flight_recorder(rec):
-            report = protocols.run_writeback_schedule(
-                seed=3, crash_point="alt.writeback"
+            report = protocols.run_schedule(
+                "writeback", 3, crash_point="alt.writeback"
             )
         assert report.crashed == ["getter-b"]
         doc = rec.postmortems[-1]
@@ -189,7 +189,7 @@ class TestAutoDumpTriggers:
     def test_injected_crash_dumps_with_schedule_context(self):
         rec = FlightRecorder()
         with flight_recorder(rec):
-            protocols.run_writeback_schedule(seed=3, crash_point="alt.writeback")
+            protocols.run_schedule("writeback", 3, crash_point="alt.writeback")
         (doc,) = [d for d in rec.postmortems if d["reason"] == "injected_crash"]
         assert doc["context"]["point"] == "alt.writeback"
         assert doc["context"]["seed"] == 3
@@ -198,7 +198,7 @@ class TestAutoDumpTriggers:
     def test_linearizability_violation_dumps(self):
         rec = FlightRecorder()
         with flight_recorder(rec):
-            report = protocols.run_epoch_schedule(2, planted=True)
+            report = protocols.run_schedule("epoch", 2, planted=True)
         assert not report.ok
         (doc,) = [
             d for d in rec.postmortems if d["reason"] == "linearizability_violation"
@@ -209,6 +209,6 @@ class TestAutoDumpTriggers:
     def test_clean_run_dumps_nothing(self):
         rec = FlightRecorder()
         with flight_recorder(rec):
-            report = protocols.run_writeback_schedule(seed=0)
+            report = protocols.run_schedule("writeback", 0)
         assert report.ok
         assert rec.postmortems == []

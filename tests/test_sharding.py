@@ -12,7 +12,7 @@ Acceptance (ISSUE 10):
    skew under a Zipf-routed probe, and partitioner split points falling
    exactly on present keys.
 3. **Chaos schedules** — the ``shard`` protocol case is registered in
-   ``RUNNERS`` (clean schedules linearizable, the planted shared-gather
+   ``CASE_BUILDERS`` (clean schedules linearizable, the planted shared-gather
    mutant detected and replayable).
 4. **Observatory** — the recorded ``BENCH_10.json`` carries sharded and
    unsharded scaling points and stays comparable against ``BENCH_8``.
@@ -25,10 +25,11 @@ import pytest
 
 from repro.bench.regress import compare, repo_root
 from repro.chaos.protocols import (
+    CASE_BUILDERS,
     EXHAUSTIVE_CASES,
-    RUNNERS,
+    build_shard_case,
     find_violating_seed,
-    run_shard_batch_schedule,
+    run_schedule,
 )
 from repro.core.alt_index import ALTIndex
 from repro.shard import RangePartitioner, ShardedALTIndex
@@ -257,12 +258,12 @@ class TestRebalanceEdges:
 
 class TestShardChaos:
     def test_registered_in_runners(self):
-        assert RUNNERS["shard"] is run_shard_batch_schedule
+        assert CASE_BUILDERS["shard"] is build_shard_case
         assert "shard" in EXHAUSTIVE_CASES
 
     @pytest.mark.parametrize("seed", range(3))
     def test_clean_cross_shard_batch_linearizable(self, seed):
-        report = run_shard_batch_schedule(seed)
+        report = run_schedule("shard", seed)
         assert report.ok, report.check.reason
         assert not report.crashed
         # The batcher's per-key records share one batch window each.
@@ -274,7 +275,7 @@ class TestShardChaos:
         report = find_violating_seed("shard", range(16))
         assert report is not None, "no seed exposed the shared-gather bug"
         assert not report.ok
-        replay = run_shard_batch_schedule(report.seed, planted=True)
+        replay = run_schedule("shard", report.seed, planted=True)
         assert replay.fingerprint == report.fingerprint
         assert not replay.ok
 
