@@ -11,18 +11,20 @@ learned indexes (XIndex, FINEdex) under read-only workloads.
 (b) Throughput vs error bound: both indexes peak around ε = 32-64 and
     decline as the bound grows (longer secondary searches).
 
-A third, repo-specific table rides along: the batch-layer speedup
-(scalar vs ``batch_get`` at batch 1024 on lognormal keys), the
-end-to-end check for the vectorized fast paths in
-:mod:`repro.core.learned_layer` and the baselines.
+Repo-specific tables ride along: the batch-layer speedup (scalar vs
+``batch_get`` at batch 1024 on lognormal keys) and the batch write
+speedups (``batch_insert``/``batch_remove`` at batch 256), the
+end-to-end checks for ALT-index's vectorized fast paths.  ALT-index is
+the only index with batch fast paths (the baselines inherit the per-key
+loops of :class:`repro.common.BatchIndex`), so it is the only row.
 """
 
 import numpy as np
 import pytest
 
 from repro.bench import batch_microbenchmark, format_table, get_dataset, run_experiment
+from repro.bench.harness import batch_write_microbenchmark
 from repro.bench.runner import base_ops, base_scale
-from repro.baselines.btree import BPlusTreeIndex
 from repro.baselines.finedex import FINEdex
 from repro.baselines.xindex import XIndex
 from repro.core.alt_index import ALTIndex
@@ -111,10 +113,7 @@ def test_fig3b_throughput_vs_error_bound(error_bound_sweep, report, benchmark):
 @pytest.fixture(scope="module")
 def batch_speedup_rows():
     lookups = max(base_ops(), 32_768)
-    return [
-        batch_microbenchmark(cls, n=SEG_N, batch_size=1024, lookups=lookups)
-        for cls in (ALTIndex, BPlusTreeIndex)
-    ]
+    return [batch_microbenchmark(ALTIndex, n=SEG_N, batch_size=1024, lookups=lookups)]
 
 
 @pytest.mark.paper
@@ -139,3 +138,19 @@ def test_batch_layer_speedup(batch_speedup_rows, report, benchmark):
     index = ALTIndex.bulk_load(keys)
     probe = np.random.default_rng(2).choice(keys, size=1024).astype(np.uint64)
     benchmark(lambda: index.batch_get(probe))
+
+
+@pytest.mark.paper
+@pytest.mark.batch
+@pytest.mark.parametrize(
+    "op, n", [("insert", 1_000_000), ("remove", 500_000)], ids=["insert", "remove"]
+)
+def test_batch_write_speedup(op, n, report):
+    """Scalar vs batch writes (lognormal keys, batch 256): the vectorized
+    write path must beat the per-key loop.  A wall-clock ratio, so it is
+    asserted here rather than in the unit suite, where host load once
+    read 0.83 for ``remove``.  The run itself verifies flags, sizes and
+    lookups against the scalar twin."""
+    row = batch_write_microbenchmark(ALTIndex, n=n, batch_size=256, writes=25_600, op=op)
+    report(f"Batch layer: scalar vs batch_{op} (lognormal, batch=256)", format_table([row]))
+    assert row["speedup"] > 1.0, row

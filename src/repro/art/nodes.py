@@ -21,6 +21,7 @@ following lines, and traversal records the specific line it dereferences.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterator, Optional
 
 from repro.concurrency.version_lock import OptimisticLock
@@ -115,6 +116,20 @@ class Node:
         )
 
 
+def _find_sorted(keys: list[int], children: list, byte: int):
+    """The child under ``byte`` in sorted parallel key/child lists.
+
+    Readers call this without the node lock, and a writer may shrink the
+    lists between two reads.  A torn read returns None or a wrong child,
+    never raises: the caller's version check then restarts it.
+    """
+    i = bisect_left(keys, byte)
+    try:
+        return children[i] if keys[i] == byte else None
+    except IndexError:
+        return None
+
+
 class Node4(Node):
     """Up to 4 children; sorted parallel key/child arrays."""
 
@@ -129,18 +144,10 @@ class Node4(Node):
         self.children: list = []
 
     def find_child(self, byte: int):
-        keys = self.keys
-        for i in range(len(keys)):
-            if keys[i] == byte:
-                return self.children[i]
-        return None
+        return _find_sorted(self.keys, self.children, byte)
 
     def _slot_of(self, byte: int) -> int:
-        lo = 0
-        keys = self.keys
-        while lo < len(keys) and keys[lo] < byte:
-            lo += 1
-        return lo
+        return bisect_left(self.keys, byte)
 
     def add_child(self, byte: int, child) -> None:
         i = self._slot_of(byte)
@@ -190,21 +197,10 @@ class Node16(Node):
         self.children: list = []
 
     def _search(self, byte: int) -> int:
-        lo, hi = 0, len(self.keys)
-        keys = self.keys
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if keys[mid] < byte:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect_left(self.keys, byte)
 
     def find_child(self, byte: int):
-        i = self._search(byte)
-        if i < len(self.keys) and self.keys[i] == byte:
-            return self.children[i]
-        return None
+        return _find_sorted(self.keys, self.children, byte)
 
     def add_child(self, byte: int, child) -> None:
         i = self._search(byte)

@@ -26,14 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.baselines.rmi import _LinearModel
-from repro.common import (
-    BatchIndex,
-    OrderedIndex,
-    SortedView,
-    as_value_array,
-    first_occurrences,
-    unique_tag,
-)
+from repro.common import OrderedIndex, as_value_array, unique_tag
 from repro.concurrency.version_lock import OptimisticLock, RestartException
 from repro.sim.trace import MemoryMap, current_tracer, global_memory
 
@@ -58,7 +51,6 @@ class _DataNode:
         "lock",
         "span",
         "first_key",
-        "_occ_view",
     )
 
     def __init__(self, keys: list[int], vals: list, memory: MemoryMap, tag: str):
@@ -69,7 +61,6 @@ class _DataNode:
         self.occ: list[bool] = [False] * self.n_slots
         self.num_keys = n
         self.first_key = keys[0] if n else 0
-        self._occ_view: tuple[np.ndarray, np.ndarray] | None = None
         self.lock = OptimisticLock()
         self.span = memory.alloc(
             _HEADER_BYTES + self.n_slots * _SLOT_BYTES, tag
@@ -107,21 +98,6 @@ class _DataNode:
     # -- search ------------------------------------------------------------
     def _slot_line(self, s: int) -> int:
         return self.span.line(_HEADER_BYTES + s * _SLOT_BYTES)
-
-    def occupied_view(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached ``(sorted occupied keys, their slot indexes)`` arrays.
-
-        The batch fast path probes this with one ``searchsorted`` per
-        node instead of per-key exponential searches; any layout change
-        (insert shift, remove) invalidates it.
-        """
-        view = self._occ_view
-        if view is None:
-            occ = np.array(self.occ, dtype=bool)
-            oidx = np.flatnonzero(occ)
-            okeys = np.array(self.slots, dtype=np.uint64)[oidx]
-            view = self._occ_view = (okeys, oidx)
-        return view
 
     def lower_bound(self, key: int) -> int:
         """Leftmost slot with value >= key, rolled onto an occupied slot
@@ -229,7 +205,6 @@ class _DataNode:
         self.vals[target] = value
         self.occ[target] = True
         self.num_keys += 1
-        self._occ_view = None
         if t is not None:
             t.writes.append(self._slot_line(target))
             t.writes.append(self.span.line(0))  # header: count + lock word
@@ -241,7 +216,6 @@ class _DataNode:
             self.occ[s] = False  # key value stays behind as a gap copy
             self.vals[s] = None
             self.num_keys -= 1
-            self._occ_view = None
             t = current_tracer()
             if t is not None:
                 t.writes.append(self._slot_line(s))
@@ -272,18 +246,17 @@ class AlexIndex(OrderedIndex):
     def __init__(self, *, memory: MemoryMap | None = None, tag: str | None = None):
         self._memory = memory or global_memory()
         self.mem_tag = tag or unique_tag("alex")
-        self._nodes: list[_DataNode] = []
-        self._first_keys = np.empty(0, dtype=np.uint64)
+        # The directory: data nodes in key order and their first keys,
+        # published together as one tuple (never mutated in place) so a
+        # reader that loads it once routes against a consistent pair.
+        self._dir: tuple[list[_DataNode], np.ndarray] = (
+            [], np.empty(0, dtype=np.uint64)
+        )
         self._dir_lock = OptimisticLock()
         self._dir_span = None
         self._size = 0
         self._size_lock = threading.Lock()
         self.splits = 0
-        # Nodes are ordered by first_key and each node's occupied view is
-        # sorted, so the per-node views concatenate into one sorted view.
-        self._view = SortedView(
-            lambda: ((n, *n.occupied_view()) for n in self._nodes)
-        )
 
     @classmethod
     def bulk_load(
@@ -293,37 +266,38 @@ class AlexIndex(OrderedIndex):
         values = as_value_array(keys, values)
         index = cls(**options)
         step = _MAX_NODE_KEYS // 2
+        nodes = []
         for start in range(0, len(keys), step):
             chunk = [int(k) for k in keys[start : start + step]]
             vals = list(values[start : start + step])
-            index._nodes.append(_DataNode(chunk, vals, index._memory, index.mem_tag))
-        if not index._nodes:
-            index._nodes.append(_DataNode([], [], index._memory, index.mem_tag))
-        index._rebuild_directory()
+            nodes.append(_DataNode(chunk, vals, index._memory, index.mem_tag))
+        if not nodes:
+            nodes.append(_DataNode([], [], index._memory, index.mem_tag))
+        index._publish(nodes)
         index._size = len(keys)
         return index
 
-    def _rebuild_directory(self) -> None:
-        self._first_keys = np.array(
-            [n.first_key for n in self._nodes], dtype=np.uint64
-        )
+    def _publish(self, nodes: list[_DataNode]) -> None:
+        """Install a new directory over ``nodes`` (a fresh list)."""
         if self._dir_span is not None:
             self._dir_span.free()
         self._dir_span = self._memory.alloc(
-            max(len(self._nodes) * 8, 8), f"{self.mem_tag}/dir"
+            max(len(nodes) * 8, 8), f"{self.mem_tag}/dir"
         )
+        self._dir = (nodes, np.array([n.first_key for n in nodes], dtype=np.uint64))
 
     def _node_for(self, key: int) -> _DataNode:
         t = current_tracer()
-        i = int(np.searchsorted(self._first_keys, np.uint64(key), side="right")) - 1
+        nodes, first_keys = self._dir
+        i = int(np.searchsorted(first_keys, np.uint64(key), side="right")) - 1
         i = max(i, 0)
         if t is not None:
-            steps = max(len(self._nodes).bit_length(), 1)
+            steps = max(len(nodes).bit_length(), 1)
             t.model_calcs += 1
             t.comparisons += steps
             for probe in range(min(steps, 4)):
                 t.reads.append(self._dir_span.line(((i >> probe) * 8) % self._dir_span.nbytes))
-        return self._nodes[i]
+        return nodes[i]
 
     # -- operations ------------------------------------------------------------
     def get(self, key: int):
@@ -365,16 +339,15 @@ class AlexIndex(OrderedIndex):
                 node.lock.write_lock_or_restart()
             except RestartException:
                 return
+            nodes = self._dir[0]
             try:
-                i = self._nodes.index(node)
+                i = nodes.index(node)
             except ValueError:
                 node.lock.write_unlock()
                 return  # already replaced
             left, right = node.split(self._memory, self.mem_tag)
-            self._nodes[i : i + 1] = [left, right]
-            self._rebuild_directory()
+            self._publish(nodes[:i] + [left, right] + nodes[i + 1 :])
             self.splits += 1
-            self._view.invalidate()
             t = current_tracer()
             if t is not None:
                 t.writes.append(self._dir_span.line(0))
@@ -398,82 +371,15 @@ class AlexIndex(OrderedIndex):
                 self._bump(-1)
             return removed
 
-    def batch_get(self, keys) -> list:
-        """Vectorized lookup: one ``searchsorted`` over the sorted view of
-        every node's occupied keys resolves the whole batch; hit values
-        are read live from their nodes.  Delegates to the per-key loop
-        under an active tracer (identical CostTrace totals)."""
-        if current_tracer() is not None:
-            return BatchIndex.batch_get(self, keys)
-        keys = np.asarray(keys, dtype=np.uint64)
-        out: list = [None] * len(keys)
-        hit_i, nodes, slots = self._view.find(keys)
-        for i, node, s in zip(hit_i.tolist(), nodes, slots):
-            out[i] = node.vals[s]
-        return out
-
-    def batch_insert(self, keys, values=None) -> np.ndarray:
-        """Batch insert through the sorted view where layout allows:
-        existing keys are pure value updates applied via the cached
-        ``(node, slot)`` mapping (no shift, no split, view stays valid);
-        new keys — which may shift slots or split nodes — replay the
-        scalar path afterwards.  Delegates under an active tracer."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        values = as_value_array(keys, values)
-        n = len(keys)
-        if n == 0:
-            return np.empty(0, dtype=bool)
-        if current_tracer() is not None:
-            return BatchIndex.batch_insert(self, keys, values)
-        out = np.zeros(n, dtype=bool)
-        # Value updates first, in batch order, while (node, slot) are
-        # still valid — scalar inserts below may split.
-        hit_i, nodes, slots = self._view.find(keys)
-        for i, node, s in zip(hit_i.tolist(), nodes, slots):
-            node.vals[s] = values[i]
-        new = np.ones(n, dtype=bool)
-        new[hit_i] = False
-        for i in np.flatnonzero(new).tolist():
-            out[i] = self.insert(int(keys[i]), values[i])
-        return out
-
-    def batch_remove(self, keys) -> np.ndarray:
-        """Batch remove through the sorted view: present keys clear their
-        ``(node, slot)`` entry directly (a remove never shifts or
-        splits); later duplicate occurrences replay the scalar path.
-        Delegates under an active tracer."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        n = len(keys)
-        if n == 0:
-            return np.empty(0, dtype=bool)
-        if current_tracer() is not None:
-            return BatchIndex.batch_remove(self, keys)
-        out = np.zeros(n, dtype=bool)
-        first, dup_idx = first_occurrences(keys)
-        first_i = np.flatnonzero(first)
-        hit_j, nodes, slots = self._view.find(keys[first_i])
-        for node, s in zip(nodes, slots):
-            node.occ[s] = False  # key value stays behind as a gap copy
-            node.vals[s] = None
-            node.num_keys -= 1
-            node._occ_view = None
-        out[first_i[hit_j]] = True
-        if len(hit_j):
-            self._bump(-len(hit_j))
-        for i in dup_idx:
-            out[i] = self.remove(int(keys[i]))
-        return out
-
     def scan(self, lo: int, count: int) -> list[tuple[int, object]]:
-        i = max(
-            int(np.searchsorted(self._first_keys, np.uint64(lo), side="right")) - 1, 0
-        )
+        nodes, first_keys = self._dir
+        i = max(int(np.searchsorted(first_keys, np.uint64(lo), side="right")) - 1, 0)
         out: list[tuple[int, object]] = []
         if count <= 0:
             return out
         t = current_tracer()
         first = True
-        for node in self._nodes[i:]:
+        for node in nodes[i:]:
             # First node: jump to lo's slot; gapped arrays scan densely.
             start = node.lower_bound(lo) if first else 0
             first = False
@@ -493,19 +399,18 @@ class AlexIndex(OrderedIndex):
     def _bump(self, delta: int) -> None:
         with self._size_lock:
             self._size += delta
-            self._view.invalidate()
 
     def __len__(self) -> int:
         return self._size
 
     def stats(self) -> dict:
+        nodes = self._dir[0]
         return {
-            "data_nodes": len(self._nodes),
-            "model_count": len(self._nodes),
+            "data_nodes": len(nodes),
+            "model_count": len(nodes),
             "splits": self.splits,
             "avg_density": (
-                sum(n.num_keys for n in self._nodes)
-                / max(sum(n.n_slots for n in self._nodes), 1)
+                sum(n.num_keys for n in nodes) / max(sum(n.n_slots for n in nodes), 1)
             ),
             "memory_bytes": self.memory_bytes(),
         }

@@ -19,14 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.common import (
-    BatchIndex,
-    OrderedIndex,
-    SortedView,
-    as_value_array,
-    first_occurrences,
-    unique_tag,
-)
+from repro.common import OrderedIndex, as_value_array, unique_tag
 from repro.concurrency.version_lock import OptimisticLock
 from repro.sim.trace import MemoryMap, current_tracer, global_memory
 
@@ -36,7 +29,7 @@ _ENTRY_BYTES = 16
 
 
 class _BNode:
-    __slots__ = ("keys", "children", "values", "next_leaf", "is_leaf", "span", "lock", "_np_keys")
+    __slots__ = ("keys", "children", "values", "next_leaf", "is_leaf", "span", "lock")
 
     def __init__(self, is_leaf: bool, memory: MemoryMap, tag: str):
         self.keys: list[int] = []
@@ -46,14 +39,6 @@ class _BNode:
         self.is_leaf = is_leaf
         self.span = memory.alloc(_HEADER_BYTES + _ORDER * _ENTRY_BYTES, tag)
         self.lock = OptimisticLock()
-        self._np_keys: np.ndarray | None = None
-
-    def keys_np(self) -> np.ndarray:
-        """Cached NumPy view of this leaf's keys for batch ``searchsorted``
-        probes; invalidated by every structural mutation."""
-        if self._np_keys is None:
-            self._np_keys = np.array(self.keys, dtype=np.uint64)
-        return self._np_keys
 
     def trace_visit(self) -> None:
         t = current_tracer()
@@ -75,7 +60,6 @@ class BPlusTreeIndex(OrderedIndex):
         self._root = _BNode(True, self._memory, self.mem_tag)
         self._size = 0
         self._lock = threading.RLock()
-        self._view = SortedView(self._leaf_parts)
 
     @classmethod
     def bulk_load(
@@ -129,89 +113,6 @@ class BPlusTreeIndex(OrderedIndex):
             return leaf.values[i]
         return None
 
-    def _leaf_parts(self):
-        """The linked leaf chain, whose concatenated keys are globally
-        sorted: the parts of the batch fast paths' :class:`SortedView`."""
-        leaf = self._root
-        while not leaf.is_leaf:
-            leaf = leaf.children[0]
-        while leaf is not None:
-            yield leaf, leaf.keys_np(), np.arange(len(leaf.keys), dtype=np.int64)
-            leaf = leaf.next_leaf
-
-    def batch_get(self, keys) -> list:
-        """Vectorized lookup: one ``searchsorted`` over the sorted
-        leaf-chain view resolves the whole batch; hit values are read
-        live from their leaves.  Delegates to the per-key loop under an
-        active tracer (identical CostTrace totals)."""
-        if current_tracer() is not None:
-            return BatchIndex.batch_get(self, keys)
-        keys = np.asarray(keys, dtype=np.uint64)
-        out: list = [None] * len(keys)
-        hit_i, leaves, slots = self._view.find(keys)
-        for i, leaf, s in zip(hit_i.tolist(), leaves, slots):
-            out[i] = leaf.values[s]
-        return out
-
-    def batch_insert(self, keys, values=None) -> np.ndarray:
-        """Vectorized insert: keys already present resolve through the
-        sorted leaf-chain view and become in-place value updates; only
-        the genuinely new keys take the per-key descent (which may split
-        leaves).  Updates are applied before the scalar misses so the
-        ``(leaf, slot)`` coordinates stay valid.  Delegates to the
-        per-key loop under an active tracer."""
-        if current_tracer() is not None:
-            return BatchIndex.batch_insert(self, keys, values)
-        keys = np.asarray(keys, dtype=np.uint64)
-        values = as_value_array(keys, values)
-        n = len(keys)
-        out = np.zeros(n, dtype=bool)
-        if n == 0:
-            return out
-        hit_i, leaves, slots = self._view.find(keys)
-        with self._lock:
-            for i, leaf, s in zip(hit_i.tolist(), leaves, slots):
-                leaf.values[s] = values[i]
-        new = np.ones(n, dtype=bool)
-        new[hit_i] = False
-        for i in np.flatnonzero(new).tolist():
-            out[i] = self.insert(int(keys[i]), values[i])
-        return out
-
-    def batch_remove(self, keys) -> np.ndarray:
-        """Vectorized remove: present keys are located with one
-        ``searchsorted`` and deleted straight from their leaves (per
-        leaf, in descending slot order so earlier deletions don't shift
-        later slots); misses return False without a descent.  Duplicate
-        keys in the batch replay through the scalar path so only the
-        first occurrence succeeds."""
-        if current_tracer() is not None:
-            return BatchIndex.batch_remove(self, keys)
-        keys = np.asarray(keys, dtype=np.uint64)
-        n = len(keys)
-        out = np.zeros(n, dtype=bool)
-        if n == 0:
-            return out
-        first, dup_idx = first_occurrences(keys)
-        first_i = np.flatnonzero(first)
-        hit_j, leaves, slots = self._view.find(keys[first_i])
-        if len(hit_j):
-            per_leaf: dict[_BNode, list[int]] = {}
-            for leaf, s in zip(leaves, slots):
-                per_leaf.setdefault(leaf, []).append(s)
-            with self._lock:
-                for leaf, doomed in per_leaf.items():
-                    for s in sorted(doomed, reverse=True):
-                        del leaf.keys[s]
-                        del leaf.values[s]
-                    leaf._np_keys = None
-                self._size -= len(hit_j)
-                self._view.invalidate()
-            out[first_i[hit_j]] = True
-        for i in dup_idx:
-            out[i] = self.remove(int(keys[i]))
-        return out
-
     def insert(self, key: int, value) -> bool:
         with self._lock:
             new = self._insert_rec(self._root, key, value)
@@ -224,7 +125,6 @@ class BPlusTreeIndex(OrderedIndex):
                 root.children = [self._root, right]
                 self._root = root
             self._size += 1
-            self._view.invalidate()
             return True
 
     def _insert_rec(self, node: _BNode, key: int, value):
@@ -237,7 +137,6 @@ class BPlusTreeIndex(OrderedIndex):
                 return False
             node.keys.insert(i, key)
             node.values.insert(i, value)
-            node._np_keys = None
             if t is not None:
                 t.writes.append(node.span.line(_HEADER_BYTES + (i * _ENTRY_BYTES) % (_ORDER * _ENTRY_BYTES)))
                 t.slots_shifted += len(node.keys) - i
@@ -264,7 +163,6 @@ class BPlusTreeIndex(OrderedIndex):
         right.values = node.values[mid:]
         node.keys = node.keys[:mid]
         node.values = node.values[:mid]
-        node._np_keys = None
         right.next_leaf = node.next_leaf
         node.next_leaf = right
         return right.keys[0], right
@@ -286,9 +184,7 @@ class BPlusTreeIndex(OrderedIndex):
             if i < len(leaf.keys) and leaf.keys[i] == key:
                 del leaf.keys[i]
                 del leaf.values[i]
-                leaf._np_keys = None
                 self._size -= 1
-                self._view.invalidate()
                 return True
             return False
 

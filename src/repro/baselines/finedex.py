@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.baselines.rmi import _LinearModel
-from repro.common import BatchIndex, OrderedIndex, SortedView, as_value_array, unique_tag
+from repro.common import OrderedIndex, as_value_array, unique_tag
 from repro.core.segmentation import lpa_partition
 from repro.sim.trace import MemoryMap, current_tracer, global_memory
 
@@ -199,12 +199,6 @@ class FINEdex(OrderedIndex):
         self._upper_span = None
         self._size = 0
         self._size_lock = threading.Lock()
-        # Training arrays are immutable after bulk_load (runtime inserts
-        # go to level bins, removals to the per-model deleted sets), so
-        # the view is built once and never invalidated.
-        self._view = SortedView(
-            lambda: ((m, m.keys, np.arange(len(m.keys))) for m in self._models)
-        )
 
     @classmethod
     def bulk_load(
@@ -261,41 +255,6 @@ class FINEdex(OrderedIndex):
             return None
         found, value = b.find(key)
         return value if found else None
-
-    def batch_get(self, keys) -> list:
-        """Vectorized lookup: one ``searchsorted`` over the sorted view of
-        the training arrays routes and ranks the whole batch; only
-        bin-resident keys fall back to the per-key level-bin chase.
-        Delegates to the scalar loop under an active tracer (trace
-        equivalence).
-        """
-        if current_tracer() is not None:
-            return BatchIndex.batch_get(self, keys)
-        keys = np.asarray(keys, dtype=np.uint64)
-        n = len(keys)
-        out: list = [None] * n
-        keys_l = keys.tolist()
-        hit_i, models, slots = self._view.find(keys)
-        for i, m, s in zip(hit_i.tolist(), models, slots):
-            if keys_l[i] not in m.deleted:
-                out[i] = m.values[s]
-        miss = np.ones(n, dtype=bool)
-        miss[hit_i] = False
-        miss_i = np.flatnonzero(miss)
-        if len(miss_i):
-            # A missing key's bin hangs off the largest training key below
-            # it, in that key's model (models partition the sorted key
-            # space); keys below every training key use model 0's bin 0.
-            vkeys, owners, vslots = self._view.arrays()
-            below = (np.searchsorted(vkeys, keys[miss_i]) - 1).tolist()
-            for i, b in zip(miss_i.tolist(), below):
-                m, s = (owners[b], int(vslots[b])) if b >= 0 else (self._models[0], 0)
-                bin_ = m.bins.get(s)
-                if bin_ is not None:
-                    found, value = bin_.find(keys_l[i])
-                    if found:
-                        out[i] = value
-        return out
 
     def insert(self, key: int, value) -> bool:
         model = self._model_for(key)

@@ -122,7 +122,14 @@ class _LippNode:
 
 
 class LippIndex(OrderedIndex):
-    """Concurrent LIPP with per-node statistics counters."""
+    """Concurrent LIPP with per-node statistics counters.
+
+    Writers run one at a time under ``_write_lock``, as the B+-tree's do:
+    a subtree rebuild copies every node below it, and an insert or remove
+    racing that copy inside the subtree would be lost or undone.  The
+    per-node lock words are still taken, so traces charge their atomic
+    RMWs; readers stay lock-free (entries are replaced whole).
+    """
 
     NAME = "LIPP+"
 
@@ -132,6 +139,7 @@ class LippIndex(OrderedIndex):
         self._root: _LippNode | None = None
         self._size = 0
         self._size_lock = threading.Lock()
+        self._write_lock = threading.Lock()
         self.rebuilds = 0
 
     @classmethod
@@ -168,11 +176,12 @@ class LippIndex(OrderedIndex):
         return None
 
     def insert(self, key: int, value) -> bool:
-        while True:
-            try:
-                return self._insert(key, value)
-            except RestartException:
-                continue
+        with self._write_lock:
+            while True:
+                try:
+                    return self._insert(key, value)
+                except RestartException:
+                    continue
 
     def _insert(self, key: int, value) -> bool:
         node = self._root
@@ -280,29 +289,30 @@ class LippIndex(OrderedIndex):
             node.lock.write_unlock()
 
     def remove(self, key: int) -> bool:
-        node = self._root
-        t = current_tracer()
-        while node is not None:
-            s = node.predict(key)
-            e = node.entries[s]
-            if e is None:
-                return False
-            if isinstance(e, _LippNode):
-                node = e
-                continue
-            if e[0] != key:
-                return False
-            try:
-                node.lock.write_lock_or_restart()
-            except RestartException:
-                continue
-            node.entries[s] = None
-            node.lock.write_unlock()
-            if t is not None:
-                t.writes.append(node.entry_line(s))
-            self._bump(-1)
-            return True
-        return False
+        with self._write_lock:
+            node = self._root
+            t = current_tracer()
+            while node is not None:
+                s = node.predict(key)
+                e = node.entries[s]
+                if e is None:
+                    return False
+                if isinstance(e, _LippNode):
+                    node = e
+                    continue
+                if e[0] != key:
+                    return False
+                try:
+                    node.lock.write_lock_or_restart()
+                except RestartException:
+                    continue
+                node.entries[s] = None
+                node.lock.write_unlock()
+                if t is not None:
+                    t.writes.append(node.entry_line(s))
+                self._bump(-1)
+                return True
+            return False
 
     def scan(self, lo: int, count: int) -> list[tuple[int, object]]:
         out: list[tuple[int, object]] = []

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common import sorted_hits
 from repro.sim.trace import MemoryMap, current_tracer, global_memory
 
 
@@ -93,14 +92,6 @@ class TwoStageRMI:
             self._stage2.append(_LinearModel.fit(xs[lo:hi], ys[lo:hi]))
         self._span = self._memory.alloc(24 * (n_models + 1) + 16 * n, tag)
         self.max_error = max((m.max_error for m in self._stage2), default=0)
-        # Stage-2 parameters as parallel arrays: the batch fast path
-        # evaluates every model of a key batch with four NumPy kernels.
-        self._s2_slope = np.array([m.slope for m in self._stage2], dtype=np.float64)
-        self._s2_intercept = np.array(
-            [m.intercept for m in self._stage2], dtype=np.float64
-        )
-        self._s2_x0 = np.array([m.x0 for m in self._stage2], dtype=np.float64)
-        self._s2_err = np.array([m.max_error for m in self._stage2], dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -150,36 +141,6 @@ class TwoStageRMI:
         if lo < n and keys[lo] == k64:
             return lo
         return -1
-
-    # -- batch operations ---------------------------------------------------
-    def predict_batch(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`predict`: (positions, error bounds) arrays.
-
-        Stage-1 routing and stage-2 evaluation each run as one NumPy
-        expression over the whole batch; results are element-wise
-        identical to per-key ``predict``.
-        """
-        xs = np.asarray(keys, dtype=np.uint64).astype(np.float64)
-        s1 = self._stage1
-        j = (s1.slope * (xs - s1.x0) + s1.intercept).astype(np.int64)
-        np.clip(j, 0, self.n_models - 1, out=j)
-        pos = (self._s2_slope[j] * (xs - self._s2_x0[j]) + self._s2_intercept[j]).astype(
-            np.int64
-        )
-        np.clip(pos, 0, max(len(self._keys) - 1, 0), out=pos)
-        return pos, self._s2_err[j]
-
-    def lookup_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`lookup`: exact positions (-1 where absent).
-
-        The per-key ε-bounded bracket is subsumed by one ``searchsorted``
-        over the key array — same result, one C kernel per batch.
-        """
-        keys = np.asarray(keys, dtype=np.uint64)
-        out = np.full(len(keys), -1, dtype=np.int64)
-        pos, hit = sorted_hits(self._keys, keys)
-        out[hit] = pos[hit]
-        return out
 
     def position_for(self, key: int) -> int:
         """Rank (insertion position) of ``key`` via the same search."""

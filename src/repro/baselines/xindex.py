@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.baselines.rmi import TwoStageRMI, _LinearModel
-from repro.common import BatchIndex, OrderedIndex, SortedView, as_value_array, unique_tag
+from repro.common import OrderedIndex, as_value_array, unique_tag
 from repro.concurrency.version_lock import OptimisticLock, RestartException
 from repro.sim.trace import MemoryMap, current_tracer, global_memory
 
@@ -250,10 +250,6 @@ class XIndex(OrderedIndex):
         self._pivots = np.empty(0, dtype=np.uint64)
         self._size = 0
         self._size_lock = threading.Lock()
-        # The batch fast path's view, invalidated when a buffer entry
-        # appears/disappears or a group compacts (value updates and
-        # deleted-set changes are read live).
-        self._view = SortedView(self._group_parts)
 
     @classmethod
     def bulk_load(
@@ -310,41 +306,6 @@ class XIndex(OrderedIndex):
             except RestartException:
                 continue
 
-    def _group_parts(self):
-        """One sorted part per group: its data array merged with its
-        delta buffer, buffer position ``b`` encoded as slot ``-(b + 1)``.
-        Groups partition the key space in order, so sorting within each
-        group is enough for the whole view to be sorted."""
-        for g in self._groups:
-            slots = np.arange(len(g.keys), dtype=np.int64)
-            if not g.buf_keys:
-                yield g, g.keys, slots
-                continue
-            keys = np.concatenate([g.keys, np.array(g.buf_keys, dtype=np.uint64)])
-            slots = np.concatenate([slots, -np.arange(1, len(g.buf_keys) + 1)])
-            order = np.argsort(keys)
-            yield g, keys[order], slots[order]
-
-    def batch_get(self, keys) -> list:
-        """Vectorized lookup: one ``searchsorted`` over the sorted view of
-        group arrays and delta buffers resolves the whole batch (the
-        RMI's ``position_for`` group locate is subsumed — a key is only
-        ever stored in the group it routes to).  Delegates to the scalar
-        loop under an active tracer (trace equivalence).
-        """
-        if current_tracer() is not None:
-            return BatchIndex.batch_get(self, keys)
-        keys = np.asarray(keys, dtype=np.uint64)
-        out: list = [None] * len(keys)
-        hit_i, groups, slots = self._view.find(keys)
-        keys_l = keys.tolist()
-        for i, g, s in zip(hit_i.tolist(), groups, slots):
-            if s < 0:
-                out[i] = g.buf_values[-s - 1]
-            elif keys_l[i] not in g.deleted:
-                out[i] = g.values[s]
-        return out
-
     def insert(self, key: int, value) -> bool:
         while True:
             group = self._group_for(key)
@@ -363,11 +324,8 @@ class XIndex(OrderedIndex):
                     self._bump(1)
                     return True
                 new = group.buffer_insert(key, value)
-                if new:
-                    self._view.invalidate()
                 if len(group.buf_keys) >= self.buffer_threshold:
                     group.compact()
-                    self._view.invalidate()
                 if new:
                     self._bump(1)
                 return new
@@ -391,7 +349,6 @@ class XIndex(OrderedIndex):
                 if j >= 0:
                     del group.buf_keys[j]
                     del group.buf_values[j]
-                    self._view.invalidate()
                     self._bump(-1)
                     return True
                 return False

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.common import OrderedIndex
-from repro.obs.spans import SpanProfile, current_profile, profiled
+from repro.obs.spans import SpanProfile, profiled, span
 from repro.sim.engine import SimConfig, SimResult, simulate
 from repro.sim.metrics import LatencySummary, summarize_latencies
 from repro.sim.trace import CostTrace, tracer
@@ -94,22 +94,15 @@ def trace_ops(index: OrderedIndex, ops: list[Operation]) -> list[CostTrace]:
     """
     traces: list[CostTrace] = []
     append = traces.append
-    prof = current_profile()
     for op in ops:
         kind = op.kind
-        with tracer() as t:
-            if prof is not None:
-                prof.enter(_OP_SPAN[kind])
-            try:
-                if kind == "read":
-                    index.get(op.key)
-                elif kind == "insert":
-                    index.insert(op.key, op.key)
-                else:
-                    index.scan(op.key, op.length)
-            finally:
-                if prof is not None:
-                    prof.exit()
+        with tracer() as t, span(_OP_SPAN[kind]):
+            if kind == "read":
+                index.get(op.key)
+            elif kind == "insert":
+                index.insert(op.key, op.key)
+            else:
+                index.scan(op.key, op.length)
         t.op_label = kind
         append(t)
     return traces
@@ -153,25 +146,18 @@ def trace_ops_batched(
     scalar-loop sum; scans stay per-op and per-op priced.
     """
     traces: list[CostTrace] = []
-    prof = current_profile()
     for kind, group in batch_ops(ops, batch_size):
-        with tracer() as t:
-            if prof is not None:
-                prof.enter(_OP_SPAN[kind])
-            try:
-                if kind == "read":
-                    index.batch_get(np.array([op.key for op in group], dtype=np.uint64))
-                    t.batch_n = len(group)
-                elif kind == "insert":
-                    ks = np.array([op.key for op in group], dtype=np.uint64)
-                    index.batch_insert(ks, [op.key for op in group])
-                    t.batch_n = len(group)
-                else:
-                    for op in group:  # scans stay per-op: results vary per cursor
-                        index.scan(op.key, op.length)
-            finally:
-                if prof is not None:
-                    prof.exit()
+        with tracer() as t, span(_OP_SPAN[kind]):
+            if kind == "read":
+                index.batch_get(np.array([op.key for op in group], dtype=np.uint64))
+                t.batch_n = len(group)
+            elif kind == "insert":
+                ks = np.array([op.key for op in group], dtype=np.uint64)
+                index.batch_insert(ks, [op.key for op in group])
+                t.batch_n = len(group)
+            else:
+                for op in group:  # scans stay per-op: results vary per cursor
+                    index.scan(op.key, op.length)
         t.op_label = kind
         traces.append(t)
     return traces

@@ -17,11 +17,12 @@ from repro.sim.trace import global_memory
 
 
 class BatchIndex:
-    """Mixin: vectorized batch operations over an ordered index.
+    """Mixin: batch operations over an ordered index.
 
-    Every :class:`OrderedIndex` inherits these generic, loop-based
-    implementations for free; indexes whose data layout allows it
-    (contiguous model arrays, sorted slot arrays) override them with
+    Every :class:`OrderedIndex` inherits these per-key loops, so a batch
+    call runs the same locking protocol as the scalar calls it is made
+    of and is exactly as thread-safe.  Only ALT-index (and
+    :class:`repro.shard.ShardedALTIndex` over it) overrides them with
     NumPy-vectorized fast paths.  See ``docs/API.md`` for the contract.
 
     Two invariants every override must preserve:
@@ -36,14 +37,11 @@ class BatchIndex:
        when a tracer is active, so equality holds by construction and
        ``repro.sim`` results are unchanged).
 
-    Batch fast paths read index internals without per-slot seqlock
-    validation, so they assume no *concurrent* writers (the scalar
+    ALT-index's fast paths read index internals without per-slot seqlock
+    validation, so they assume no *concurrent* writers (its scalar
     operations remain safe under the paper's concurrency protocols);
     interleaving batch calls with scalar mutations from the same thread
-    is always safe.  The baselines resolve a batch through one
-    :class:`SortedView` (one ``searchsorted`` for the whole batch) and
-    replay repeated keys of a write batch through the scalar path
-    (:func:`first_occurrences`).
+    is always safe.
     """
 
     def batch_get(self, keys: Iterable[int] | np.ndarray) -> list:
@@ -188,50 +186,3 @@ def first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, list[int]]:
     first = np.zeros(len(keys), dtype=bool)
     first[np.unique(keys, return_index=True)[1]] = True
     return first, np.flatnonzero(~first).tolist()
-
-
-class SortedView:
-    """One cached, globally sorted key array over an index's containers.
-
-    ``build()`` yields one ``(container, keys, slots)`` part per node,
-    leaf or group, in key order: each part's keys are sorted and lie
-    below the next part's, so the concatenation is sorted and a whole
-    batch resolves with one ``searchsorted``.  ``slots[j]`` locates
-    ``keys[j]`` inside its container.  Values are read live through
-    ``(container, slot)``, so value updates keep the view valid; any
-    structural change (a key appears or disappears, a container splits
-    or compacts) must call :meth:`invalidate`.
-    """
-
-    __slots__ = ("_build", "_arrays")
-
-    def __init__(self, build):
-        self._build = build
-        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def invalidate(self) -> None:
-        self._arrays = None
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(keys, containers, slots)``, one entry per key (``containers``
-        is an object array); rebuilt on first use after :meth:`invalidate`."""
-        if self._arrays is None:
-            parts = [p for p in self._build() if len(p[1])]
-            owners = np.empty(len(parts), dtype=object)
-            owners[:] = [c for c, _, _ in parts]
-            counts = [len(k) for _, k, _ in parts]
-            self._arrays = (
-                np.concatenate([k for _, k, _ in parts] or [np.empty(0, np.uint64)]),
-                np.repeat(owners, counts),
-                np.concatenate([s for _, _, s in parts] or [np.empty(0, np.int64)]),
-            )
-        return self._arrays
-
-    def find(self, probe: np.ndarray) -> tuple[np.ndarray, list, list[int]]:
-        """``(hit_i, containers, slots)``: the positions in ``probe`` of the
-        keys present, and per hit the container and slot holding it."""
-        keys, owners, slots = self.arrays()
-        pos, hit = sorted_hits(keys, probe)
-        hit_i = np.flatnonzero(hit)
-        hp = pos[hit_i]
-        return hit_i, owners[hp].tolist(), slots[hp].tolist()

@@ -499,6 +499,11 @@ class ALTIndex(OrderedIndex):
         the rest.  Tombstone/recovery semantics are the scalar ones —
         cleared slots become tombstones, so the Algorithm-2 write-back
         and the remove-then-reinsert ART detour still apply.
+
+        Like scalar ``remove``, it classifies and removes under the
+        writer locks of the models it touches (taken in model order, as
+        the arena fold takes them), so a concurrent scalar writer cannot
+        start an expansion, write back or fold in between.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         n = len(keys)
@@ -510,37 +515,50 @@ class ALTIndex(OrderedIndex):
         out = np.zeros(n, dtype=bool)
         vec_mask, dup_idx = first_occurrences(keys)
 
-        midx, slots, _, state, resident = self._layer.probe_live(keys)
-        models = self._layer.models
+        layer = self._layer
+        version = layer.version
+        midx, slots, flat, _, _ = layer.probe_live(keys)
+        models = layer.models
+        held = [models[mi] for mi in np.unique(midx[vec_mask]).tolist()]
 
         keys_l = keys.tolist()
         mi_l = midx.tolist()
         sl_l = slots.tolist()
-        st_l = state.tolist()
-        res_l = resident.tolist()
         clear_is: list[int] = []  # FULL, same key -> tombstone the slot
         art_is: list[int] = []  # everything else -> batched ART removal
         scalar_is: list[int] = []  # models under expansion -> scalar
-        for i in np.flatnonzero(vec_mask).tolist():
-            if models[mi_l[i]].expansion is not None:
-                scalar_is.append(i)
-            elif st_l[i] == FULL and res_l[i] == keys_l[i]:
-                clear_is.append(i)
-            else:
-                art_is.append(i)
-
         removed = 0
-        for i in clear_is:
-            models[mi_l[i]].clear_slot(sl_l[i], tombstone=True)
-            out[i] = True
-            removed += 1
-        if art_is:
-            art_is.sort(key=keys_l.__getitem__)
-            flags = self._art.bulk_remove([keys_l[i] for i in art_is])
-            for j, i in enumerate(art_is):
-                if flags[j]:
-                    out[i] = True
-                    removed += 1
+        for m in held:
+            acquire_writer_lock(m.writer_lock, "alt.writer_lock")
+        try:
+            if layer.version != version:
+                # A model was swapped since the probe, so its slots moved.
+                scalar_is = np.flatnonzero(vec_mask).tolist()
+            else:
+                # Slot states are read under the locks, as remove reads them.
+                st_l = layer.np_state[flat].tolist()
+                res_l = layer.np_keys[flat].tolist()
+                for i in np.flatnonzero(vec_mask).tolist():
+                    if models[mi_l[i]].expansion is not None:
+                        scalar_is.append(i)
+                    elif st_l[i] == FULL and res_l[i] == keys_l[i]:
+                        clear_is.append(i)
+                    else:
+                        art_is.append(i)
+            for i in clear_is:
+                models[mi_l[i]].clear_slot(sl_l[i], tombstone=True)
+                out[i] = True
+                removed += 1
+            if art_is:
+                art_is.sort(key=keys_l.__getitem__)
+                flags = self._art.bulk_remove([keys_l[i] for i in art_is])
+                for j, i in enumerate(art_is):
+                    if flags[j]:
+                        out[i] = True
+                        removed += 1
+        finally:
+            for m in held:
+                m.writer_lock.release()
         if removed:
             self._bump(-removed)
         obs_metrics.inc("alt.batch_removes")

@@ -421,6 +421,12 @@ class LearnedLayer:
         self._version += 1
         old.free()
 
+    @property
+    def version(self) -> int:
+        """Structural version, bumped by every model swap or append; a
+        ``probe_live`` result locates live slots while it is unchanged."""
+        return self._version
+
     # -- batch probing (vectorized Algorithm 2, lines 2-4) ---------------------
     def _geometry(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         """Per-model ``(version, slopes, last_slot, offsets)`` arrays

@@ -72,12 +72,14 @@ class TestAlexDataNode:
 
     def test_index_split_updates_directory(self, sorted_keys):
         idx = AlexIndex.bulk_load(sorted_keys, memory=MemoryMap())
-        nodes0 = len(idx._nodes)
+        nodes0 = len(idx._dir[0])
         extra = sorted_keys.astype(np.int64) + 1
         for k in extra:
             idx.insert(int(k), int(k))
         assert idx.splits > 0
-        assert len(idx._nodes) > nodes0
+        nodes, first_keys = idx._dir
+        assert len(nodes) > nodes0
+        assert first_keys.tolist() == [n.first_key for n in nodes]
         for k in extra[::23]:
             assert idx.get(int(k)) == int(k)
 
@@ -168,8 +170,12 @@ class TestXIndexGroups:
                 inserted.append(probe)
             probe += step
         assert sum(gr.compactions for gr in idx._groups) >= 1
+        assert g.buf_keys, "the last inserts stay in the delta buffer"
         for p in inserted:
             assert idx.get(p) == p
+        # batch_get resolves delta-buffered, compacted and bulk keys alike.
+        bulk = int(sorted_keys[1])
+        assert idx.batch_get(inserted + [bulk]) == inserted + [bulk]
 
     def test_compaction_is_background_traced(self, sorted_keys):
         idx = XIndex.bulk_load(

@@ -4,6 +4,9 @@ Each index — ALT-index and all competitors — must behave identically as
 an ordered key-value map.  The harness depends on it.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -154,6 +157,64 @@ class TestProtocol:
                     model[k] = k - 1
         for k in pool[::11]:
             assert idx.get(k) == model.get(k)
+
+
+@pytest.mark.parametrize("cls", ALL_INDEXES, ids=IDS)
+def test_batch_remove_races_scalar_inserts(cls):
+    """A batch call is as thread-safe as the scalar calls it is made of.
+
+    One thread scalar-inserts the unloaded half of the keys while another
+    ``batch_remove``s half of the loaded keys in 64-key batches.  Both
+    start on a barrier with a tiny switch interval, so their steps
+    interleave.  Afterwards every victim must have been reported removed
+    and the index must hold exactly the dict oracle's pairs: no
+    exception, no key lost or wrongly deleted, and an exact ``len()``.
+    """
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            keys = np.sort(rng.choice(2**40, size=4096, replace=False)).astype(np.uint64)
+            loaded, pending = keys[::2].copy(), keys[1::2].tolist()
+            victims = rng.choice(loaded, size=len(loaded) // 2, replace=False)
+            idx = cls.bulk_load(loaded, memory=MemoryMap())
+            barrier = threading.Barrier(2)
+            errors: list[BaseException] = []
+            flags: list[bool] = []
+
+            def run(work):
+                try:
+                    barrier.wait()
+                    work()
+                except BaseException as exc:  # surfaced by the assert below
+                    errors.append(exc)
+
+            def insert_pending():
+                for k in pending:
+                    idx.insert(k, k)
+
+            def remove_victims():
+                for i in range(0, len(victims), 64):
+                    flags.extend(idx.batch_remove(victims[i : i + 64]).tolist())
+
+            threads = [
+                threading.Thread(target=run, args=(insert_pending,)),
+                threading.Thread(target=run, args=(remove_victims,)),
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert not errors, f"seed {seed}: {errors[0]!r}"
+            assert flags.count(True) == len(victims), f"seed {seed}"
+            oracle = {int(k): int(k) for k in keys}
+            for k in victims.tolist():
+                del oracle[k]
+            assert idx.range_query(0, 2**64 - 1) == sorted(oracle.items()), f"seed {seed}"
+            assert len(idx) == len(oracle), f"seed {seed}"
+    finally:
+        sys.setswitchinterval(old_interval)
 
 
 @pytest.mark.parametrize("cls", ALL_INDEXES, ids=IDS)

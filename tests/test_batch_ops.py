@@ -10,12 +10,12 @@ docs/API.md states two invariants for the vectorized batch layer:
 
 These tests drive both through mutation sequences chosen to hit the
 fast-path invalidation machinery: the ALT-index layer-wide slot arena
-(folded on every structural version) and the ART's delta-patched
-sorted view, the baselines' ``repro.common.SortedView`` across ALEX+/
-B+tree splits and XIndex compactions, and ALT-index expansion buffers
-(batch lookups during and after a retrain).  A seeded random stream of
-batch and scalar writes is checked step by step against a dict oracle
-on every index.
+(folded on every structural version), the ART's delta-patched sorted
+view, and ALT-index expansion buffers (batch lookups during and after a
+retrain).  The baselines inherit ``BatchIndex``'s per-key loops, so for
+them the same checks cover the scalar paths across ALEX+/B+tree splits
+and XIndex compactions.  A seeded random stream of batch and scalar
+writes is checked step by step against a dict oracle on every index.
 """
 
 import contextlib
@@ -33,7 +33,6 @@ from repro.baselines import (
     LippIndex,
     XIndex,
 )
-from repro.baselines.rmi import TwoStageRMI
 from repro.common import BatchIndex
 from repro.core import learned_layer
 from repro.core.alt_index import ALTIndex
@@ -787,34 +786,13 @@ class TestALTBatchWriteInternals:
         assert batched.writebacks == scalar.writebacks
 
 
-class TestRMIBatch:
-    def test_lookup_batch_matches_scalar(self, sorted_keys):
-        rmi = TwoStageRMI(sorted_keys, 16, MemoryMap(), "rmi")
-        probe = np.concatenate(
-            [sorted_keys[::5], sorted_keys[::7] + 1, np.array([0, 2**63], dtype=np.uint64)]
-        ).astype(np.uint64)
-        expected = np.array([rmi.lookup(int(k)) for k in probe], dtype=np.int64)
-        assert np.array_equal(rmi.lookup_batch(probe), expected)
-
-    def test_predict_batch_matches_scalar(self, sorted_keys):
-        rmi = TwoStageRMI(sorted_keys, 16, MemoryMap(), "rmi")
-        probe = sorted_keys[::3]
-        pos, err = rmi.predict_batch(probe)
-        for i, k in enumerate(probe):
-            sp, se = rmi.predict(int(k))
-            assert (int(pos[i]), int(err[i])) == (sp, se)
-
-
 def test_generic_fallback_used_by_unoptimized_indexes():
-    """Indexes without overrides inherit the generic loop from the mixin."""
-    assert LippIndex.batch_get is BatchIndex.batch_get
-    assert ArtIndex.batch_get is BatchIndex.batch_get
-    for cls in (ALTIndex, AlexIndex, BPlusTreeIndex, FINEdex, XIndex):
-        assert cls.batch_get is not BatchIndex.batch_get, cls.NAME
-    # Write fast paths: ALT-index plus the sorted-view baselines.
-    for cls in (ALTIndex, AlexIndex, BPlusTreeIndex):
-        assert cls.batch_insert is not BatchIndex.batch_insert, cls.NAME
-        assert cls.batch_remove is not BatchIndex.batch_remove, cls.NAME
-    for cls in (LippIndex, ArtIndex, FINEdex, XIndex):
-        assert cls.batch_insert is BatchIndex.batch_insert, cls.NAME
-        assert cls.batch_remove is BatchIndex.batch_remove, cls.NAME
+    """The baselines inherit every batch loop from the mixin; only
+    ALT-index and the sharded ALT-index override them."""
+    ops = ("batch_get", "batch_insert", "batch_remove")
+    for cls in (AlexIndex, BPlusTreeIndex, FINEdex, XIndex, LippIndex, ArtIndex):
+        for op in ops:
+            assert getattr(cls, op) is getattr(BatchIndex, op), (cls.NAME, op)
+    for cls in (ALTIndex, ShardedALTIndex):
+        for op in ops:
+            assert getattr(cls, op) is not getattr(BatchIndex, op), (cls.__name__, op)

@@ -69,24 +69,28 @@ class TestRunExperiment:
 
 
 class TestBatchWriteSmoke:
-    """The vectorized write path must actually be faster — the claim
-    docs/BENCHMARKS.md records (batch >= 64 beats the scalar loop on
-    lognormal keys).  Verification inside the microbenchmark also
-    cross-checks batch results against the scalar twin."""
+    """``batch_write_microbenchmark`` at a small size: its built-in
+    verification cross-checks the batch run against the scalar twin
+    (per-key flags, index sizes, lookups).  The wall-clock speedup
+    assertions live in ``benchmarks/bench_fig3.py``, where host load
+    cannot fail the unit suite."""
 
-    @pytest.mark.slow
-    def test_batch_insert_beats_scalar_on_1m_keys(self):
+    @pytest.mark.parametrize("op", ["insert", "remove"])
+    def test_batch_write_verifies(self, op):
         row = batch_write_microbenchmark(
-            ALTIndex, n=1_000_000, batch_size=256, writes=25_600, op="insert"
+            ALTIndex, n=20_000, batch_size=256, writes=2_560, op=op
         )
-        assert row["speedup"] > 1.0, row
+        assert (row["op"], row["n_keys"], row["batch"]) == (op, 20_000, 256)
 
-    @pytest.mark.slow
-    def test_batch_remove_beats_scalar(self):
-        row = batch_write_microbenchmark(
-            ALTIndex, n=500_000, batch_size=256, writes=25_600, op="remove"
-        )
-        assert row["speedup"] > 1.0, row
+    def test_verification_catches_wrong_flags(self):
+        class WrongFlags(ALTIndex):
+            def batch_remove(self, keys):
+                return ~super().batch_remove(keys)
+
+        with pytest.raises(AssertionError, match="flags diverge"):
+            batch_write_microbenchmark(
+                WrongFlags, n=4_000, batch_size=64, writes=256, op="remove"
+            )
 
 
 class TestDatasets:
