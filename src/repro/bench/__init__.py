@@ -11,10 +11,8 @@
 from repro.bench.harness import (
     ExperimentResult,
     batch_microbenchmark,
-    batch_ops,
     run_experiment,
     trace_ops,
-    trace_ops_batched,
 )
 from repro.bench.memory import memory_breakdown
 from repro.bench.reporting import format_table
@@ -31,11 +29,9 @@ __all__ = [
     "base_ops",
     "base_scale",
     "batch_microbenchmark",
-    "batch_ops",
     "format_table",
     "get_dataset",
     "memory_breakdown",
     "run_experiment",
     "trace_ops",
-    "trace_ops_batched",
 ]

@@ -108,61 +108,6 @@ def trace_ops(index: OrderedIndex, ops: list[Operation]) -> list[CostTrace]:
     return traces
 
 
-def batch_ops(ops: list[Operation], batch_size: int) -> list[tuple[str, list[Operation]]]:
-    """Group consecutive same-kind operations into batches.
-
-    Batches never reorder operations across kind boundaries, so a
-    batched run applies mutations in the same order as the scalar run.
-    """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    groups: list[tuple[str, list[Operation]]] = []
-    cur_kind: str | None = None
-    cur: list[Operation] = []
-    for op in ops:
-        if op.kind != cur_kind or len(cur) >= batch_size:
-            if cur:
-                groups.append((cur_kind, cur))
-            cur_kind, cur = op.kind, []
-        cur.append(op)
-    if cur:
-        groups.append((cur_kind, cur))
-    return groups
-
-
-def trace_ops_batched(
-    index: OrderedIndex, ops: list[Operation], batch_size: int
-) -> list[CostTrace]:
-    """Drive operations through the batch API, one cost trace per batch.
-
-    Because batch operations accumulate the same aggregate CostTrace
-    totals as the equivalent per-key loops (see
-    :class:`repro.common.BatchIndex`), the summed counts over a workload
-    equal the scalar run's — only the trace granularity changes (one
-    trace per batch instead of per op).  Read and insert batch traces
-    are stamped with ``batch_n`` so the simulator prices them with the
-    calibrated per-batch amortization
-    (:meth:`repro.sim.cost_model.CostModel.batch_factor`) instead of the
-    scalar-loop sum; scans stay per-op and per-op priced.
-    """
-    traces: list[CostTrace] = []
-    for kind, group in batch_ops(ops, batch_size):
-        with tracer() as t, span(_OP_SPAN[kind]):
-            if kind == "read":
-                index.batch_get(np.array([op.key for op in group], dtype=np.uint64))
-                t.batch_n = len(group)
-            elif kind == "insert":
-                ks = np.array([op.key for op in group], dtype=np.uint64)
-                index.batch_insert(ks, [op.key for op in group])
-                t.batch_n = len(group)
-            else:
-                for op in group:  # scans stay per-op: results vary per cursor
-                    index.scan(op.key, op.length)
-        t.op_label = kind
-        traces.append(t)
-    return traces
-
-
 def run_experiment(
     index_cls,
     dataset_name: str,
@@ -176,7 +121,6 @@ def run_experiment(
     warmup_frac: float = 0.5,
     sim_config: SimConfig | None = None,
     bulk_options: dict | None = None,
-    batch_size: int | None = None,
     profile: SpanProfile | None = None,
     timeline=None,
 ) -> ExperimentResult:
@@ -185,11 +129,6 @@ def run_experiment(
     ``warmup_frac`` extra operations are prepended and executed but
     excluded from the reported metrics, so virtual caches measure steady
     state rather than cold starts.
-
-    With ``batch_size`` set, the workload is driven through the batch
-    API (:class:`repro.common.BatchIndex`): consecutive same-kind ops
-    are grouped into batches of that size and each batch is traced as
-    one operation.  Aggregate trace totals equal the scalar run's.
 
     ``profile`` activates layer-attributed span accounting for the trace
     phase (see :mod:`repro.obs.spans`); ``timeline`` is handed to the
@@ -203,23 +142,16 @@ def run_experiment(
     warmup = int(n_ops * warmup_frac)
     ops = generate_ops(spec, split, n_ops + warmup, theta=theta, seed=seed)
 
-    def _trace() -> tuple[list[CostTrace], int]:
-        if batch_size is not None:
-            warm = trace_ops_batched(index, ops[:warmup], batch_size)
-            return warm + trace_ops_batched(index, ops[warmup:], batch_size), len(warm)
-
-        return trace_ops(index, ops), warmup
-
     config = sim_config or SimConfig(threads=threads)
     modeled_total_ns = 0.0
     if profile is not None:
         with profiled(profile):
-            traces, sim_warmup = _trace()
+            traces = trace_ops(index, ops)
         modeled_total_ns = sum(config.cost_model.sequential_ns(t) for t in traces)
     else:
-        traces, sim_warmup = _trace()
-    sim = simulate(traces, config, warmup=sim_warmup, timeline=timeline)
-    measured = traces[sim_warmup:]
+        traces = trace_ops(index, ops)
+    sim = simulate(traces, config, warmup=warmup, timeline=timeline)
+    measured = traces[warmup:]
     index_stats = index.stats()
     return ExperimentResult(
         index_name=index_cls.NAME,
@@ -403,43 +335,6 @@ def batch_write_microbenchmark(
     }
 
 
-def calibrate_batch_cost(
-    index_cls,
-    dataset_name: str = "lognormal",
-    n: int = 200_000,
-    lookups: int = 40_960,
-    seed: int = 0,
-    batch_sizes: tuple[int, ...] = (8, 32, 128, 512, 1024),
-) -> dict:
-    """Fit the simulator's batch amortization from wall-clock rows.
-
-    Runs :func:`batch_microbenchmark` at each batch size and feeds the
-    ``(batch, scalar_us_op, batch_us_op)`` rows to
-    :func:`repro.sim.cost_model.fit_batch_cost`.  The returned
-    ``discount``/``halfwidth`` are what the
-    :class:`~repro.sim.cost_model.CostModel` defaults were fit from; see
-    docs/BENCHMARKS.md for the recorded values.
-    """
-    from repro.sim.cost_model import fit_batch_cost
-
-    rows = [
-        batch_microbenchmark(
-            index_cls,
-            dataset_name=dataset_name,
-            n=n,
-            batch_size=b,
-            lookups=lookups,
-            seed=seed,
-            verify=False,
-        )
-        for b in batch_sizes
-    ]
-    discount, halfwidth = fit_batch_cost(
-        [(r["batch"], r["scalar_us_op"], r["batch_us_op"]) for r in rows]
-    )
-    return {"rows": rows, "discount": discount, "halfwidth": halfwidth}
-
-
 def run_observed_experiment(
     index_cls,
     dataset_name: str,
@@ -504,14 +399,14 @@ def metrics_document(
 def main(argv: list[str] | None = None) -> int:
     """``python -m repro.bench.harness``: the batch-layer microbenchmark.
 
-    Measures scalar-vs-batch lookup throughput (the EXPERIMENTS.md
-    batch table) and optionally a simulated workload cell driven through
-    the batch API (``--workload``).
+    Measures scalar-vs-batch wall-clock throughput (the EXPERIMENTS.md
+    batch table) of ``--op`` get, insert or remove.
 
     With ``--emit-metrics`` / ``--emit-timeline``, runs one fully
-    observed workload cell instead: span attribution + metrics registry
-    land in the metrics JSON, and the simulator's virtual-thread
-    schedule lands in a Chrome trace-event file loadable in Perfetto.
+    observed simulated workload cell (``--workload``) instead: span
+    attribution + metrics registry land in the metrics JSON, and the
+    simulator's virtual-thread schedule lands in a Chrome trace-event
+    file loadable in Perfetto.
     """
     import argparse
     import json
@@ -519,6 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.bench.reporting import format_span_table, format_table
     from repro.bench.runner import INDEX_FACTORIES
     from repro.baselines.btree import BPlusTreeIndex
+    from repro.workloads import WORKLOADS
 
     factories = dict(INDEX_FACTORIES)
     factories[BPlusTreeIndex.NAME] = BPlusTreeIndex
@@ -537,12 +433,6 @@ def main(argv: list[str] | None = None) -> int:
         default="get",
         help="which batch path to microbenchmark (default: get)",
     )
-    parser.add_argument(
-        "--calibrate",
-        action="store_true",
-        help="sweep batch sizes and fit the simulator's batch "
-        "amortization constants (discount/halfwidth)",
-    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=32)
     parser.add_argument("--ops", type=int, default=20_000, help="workload ops to trace")
@@ -555,7 +445,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--workload",
         default=None,
-        help="also run this workload through run_experiment(batch_size=...)",
+        choices=sorted(WORKLOADS),
+        help="workload of the --emit-metrics/--emit-timeline cell "
+        "(default: balanced)",
     )
     parser.add_argument("--no-verify", action="store_true")
     parser.add_argument(
@@ -574,10 +466,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.batch_size < 1:
         parser.error(f"--batch-size must be >= 1, got {args.batch_size}")
+    if args.workload is not None and not (args.emit_metrics or args.emit_timeline):
+        parser.error("--workload needs --emit-metrics or --emit-timeline")
 
     if args.emit_metrics or args.emit_timeline:
         from repro.datasets.generators import dataset
-        from repro.workloads import WORKLOADS
 
         spec = WORKLOADS[args.workload or "balanced"]
         keys = dataset(args.dataset, args.n, seed=args.seed)
@@ -602,22 +495,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.emit_timeline:
             recorder.write(args.emit_timeline)
             print(f"timeline -> {args.emit_timeline} ({len(recorder.events)} events)")
-        return 0
-
-    if args.calibrate:
-        cls = factories[args.index[0] if args.index else "ALT-index"]
-        fit = calibrate_batch_cost(
-            cls,
-            dataset_name=args.dataset,
-            n=args.n,
-            lookups=args.lookups,
-            seed=args.seed,
-        )
-        print(format_table(fit["rows"]))
-        print(
-            f"fit: batch_compute_discount={fit['discount']} "
-            f"batch_halfwidth={fit['halfwidth']}"
-        )
         return 0
 
     rows = []
@@ -648,18 +525,6 @@ def main(argv: list[str] | None = None) -> int:
                 )
             )
     print(format_table(rows))
-
-    if args.workload is not None:
-        from repro.datasets.generators import dataset
-        from repro.workloads import WORKLOADS
-
-        spec = WORKLOADS[args.workload]
-        keys = dataset(args.dataset, args.n, seed=args.seed)
-        cls = factories[args.index[0] if args.index else "ALT-index"]
-        result = run_experiment(
-            cls, args.dataset, keys, spec, batch_size=args.batch_size
-        )
-        print(format_table([result.row()]))
     return 0
 
 

@@ -33,9 +33,11 @@ class BatchIndex:
     2. **Trace equivalence** — under an active
        :func:`repro.sim.trace.tracer`, a batch operation accumulates the
        same aggregate :class:`~repro.sim.trace.CostTrace` totals as the
-       equivalent per-key loop (overrides delegate to the scalar path
-       when a tracer is active, so equality holds by construction and
-       ``repro.sim`` results are unchanged).
+       equivalent per-key loop: overrides delegate to the scalar path
+       when a tracer is active, so a traced batch call costs what its
+       scalar loop costs by construction.  No simulated workload traces
+       batch calls; ``tracer()`` is also how the chaos ``shard`` case
+       forces a sharded batch onto the scalar path.
 
     ALT-index's fast paths read index internals without per-slot seqlock
     validation, so they assume no *concurrent* writers (its scalar

@@ -708,7 +708,9 @@ class ALTIndex(OrderedIndex):
         while True:  # bounded: cursor advances; short batch ends the scan
             batch = self._art.scan(cursor, chunk)
             yield from batch
-            if len(batch) < chunk:
+            # A full chunk ending at 2**64 - 1 has nothing after it, and
+            # its successor would not fit a uint64 key.
+            if len(batch) < chunk or batch[-1][0] == _UINT64_MAX:
                 return
             cursor = batch[-1][0] + 1
 

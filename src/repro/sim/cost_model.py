@@ -26,7 +26,6 @@ DRAM bandwidth         100e9   bytes/s aggregate cap (dual socket)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.sim.trace import CACHE_LINE_BYTES, CostTrace
 
@@ -57,26 +56,6 @@ class CostModel:
     fallback_ns: float = 250.0
     retry_fraction: float = 0.5
     dram_bandwidth_bytes_per_s: float = 100e9
-    # Batch amortization (the vectorized batch API).  A trace recorded
-    # through ``batch_*`` covers ``batch_n`` operations whose compute is
-    # executed columnwise: one ``searchsorted`` over contiguous arrays
-    # replaces per-key model probes, so branch-predictor, SIMD-lane and
-    # cache-line reuse shave an asymptotic fraction of the scalar-loop
-    # cost.  The saturating form
-    # ``f(n) = 1 - discount * (n-1) / (n-1 + halfwidth)`` gives f(1)=1
-    # (a batch of one IS the scalar op) and f(inf) = 1 - discount.
-    # Constants fit from harness wall-clock measurements via
-    # ``python -m repro.bench.harness --calibrate``: scalar-vs-batch
-    # ALT-index lookups at batch sizes 8..1024 on a 200K-key lognormal
-    # set gave discount 0.95 (clamped at the fit cap — the Python
-    # scalar loop exaggerates per-op overhead relative to the modeled
-    # hardware) with half the saving realized around batch 36.  The
-    # dispatch charge covers snapshot lookup + array marshalling and is
-    # what makes tiny batches (n < ~8) price worse than the scalar
-    # loop, matching the measured crossover.  See docs/BENCHMARKS.md.
-    batch_dispatch_ns: float = 400.0
-    batch_compute_discount: float = 0.95
-    batch_halfwidth: float = 35.5
     # Hot-line budget per virtual thread.  Sized relative to the scaled
     # datasets: the paper's 200M-key indexes (3-6 GB) dwarf a 25 MB LLC
     # (<1% resident); at the default 100K-key scale (~2-4 MB of modeled
@@ -98,24 +77,6 @@ class CostModel:
             + trace.fallbacks * self.fallback_ns
         )
 
-    def batch_factor(self, n: int) -> float:
-        """Per-op compute/memory multiplier for an ``n``-op batch.
-
-        Saturating amortization: 1.0 for a batch of one, approaching
-        ``1 - batch_compute_discount`` as the batch grows, with half the
-        discount realized at ``n = 1 + batch_halfwidth``.
-        """
-        if n <= 1:
-            return 1.0
-        g = (n - 1.0) / (n - 1.0 + self.batch_halfwidth)
-        return 1.0 - self.batch_compute_discount * g
-
-    def batch_ns(self, trace: CostTrace, mem_ns: float = 0.0) -> float:
-        """Price a batch trace: amortized scalar cost plus dispatch."""
-        n = trace.batch_n or 1
-        base = self.compute_ns(trace) + mem_ns
-        return base * self.batch_factor(n) + self.batch_dispatch_ns
-
     def miss_bytes(self, n_misses: int) -> int:
         """Bytes pulled from DRAM by ``n_misses`` cache misses."""
         return n_misses * CACHE_LINE_BYTES
@@ -135,36 +96,3 @@ class CostModel:
             + misses * self.cache_miss_ns
             + hits * self.cache_hit_ns
         )
-
-
-def fit_batch_cost(
-    rows: Sequence[tuple[int, float, float]],
-) -> tuple[float, float]:
-    """Fit ``(batch_compute_discount, batch_halfwidth)`` from harness rows.
-
-    ``rows`` are ``(batch_size, scalar_us_per_op, batch_us_per_op)``
-    wall-clock measurements, e.g. from
-    :func:`repro.bench.harness.batch_microbenchmark` at several batch
-    sizes.  The observed per-op ratio ``r(n) = batch/scalar`` is fit to
-    the saturating amortization ``f(n) = 1 - d * g(n)`` with
-    ``g(n) = (n-1)/(n-1+h)``: for each candidate halfwidth ``h`` on a
-    log-spaced grid the best discount has the closed form
-    ``d = sum(g * (1-r)) / sum(g^2)`` (least squares, no SciPy needed),
-    and the ``(d, h)`` pair with the smallest residual wins.
-    """
-    pts = [(int(n), b / s) for n, s, b in rows if n > 1 and s > 0]
-    if not pts:
-        raise ValueError("need at least one row with batch_size > 1")
-    best: tuple[float, float, float] | None = None
-    h = 1.0
-    while h <= 4096.0:
-        gs = [(n - 1.0) / (n - 1.0 + h) for n, _ in pts]
-        denom = sum(g * g for g in gs)
-        d = sum(g * (1.0 - r) for g, (_, r) in zip(gs, pts)) / denom
-        d = min(max(d, 0.0), 0.95)
-        resid = sum((r - (1.0 - d * g)) ** 2 for g, (_, r) in zip(gs, pts))
-        if best is None or resid < best[0]:
-            best = (resid, d, h)
-        h *= 1.25
-    _, d, h = best
-    return round(d, 3), round(h, 1)

@@ -228,14 +228,7 @@ def simulate(
             misses += op_misses
             invals += op_invals
 
-        # Traces recorded through the batch API carry batch_n and are
-        # priced with the calibrated per-batch amortization (SIMD /
-        # cache-line reuse discount plus a fixed dispatch overhead)
-        # instead of the scalar-loop sum.
-        if trace.batch_n is not None and trace.batch_n > 1:
-            base_ns = model.batch_ns(trace, mem_ns)
-        else:
-            base_ns = model.compute_ns(trace) + mem_ns
+        base_ns = model.compute_ns(trace) + mem_ns
         if op_conflict:
             if measured:
                 conflicts += 1

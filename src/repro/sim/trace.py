@@ -151,13 +151,6 @@ class CostTrace:
     #: Optional label ("read"/"insert"/"scan"/...) attached by the
     #: harness; the timeline exporter uses it to name op slices.
     op_label: str | None = None
-    #: Number of index operations this trace covers when it was recorded
-    #: through the batch API (one trace per batch).  ``None`` means a
-    #: scalar per-op trace.  The simulator prices batch traces with the
-    #: calibrated per-batch amortization of
-    #: :meth:`repro.sim.cost_model.CostModel.batch_factor` instead of
-    #: charging the scalar-loop cost.
-    batch_n: int | None = None
 
     # -- memory events ---------------------------------------------------
     def read_line(self, line: int) -> None:
@@ -187,7 +180,6 @@ class CostTrace:
             return self
         nr, nw = self.background_split
         fg = CostTrace(reads=self.reads[:nr], writes=self.writes[:nw])
-        fg.batch_n = self.batch_n
         assert self._bg_scalars is not None
         for name, value in self._bg_scalars.items():
             setattr(fg, name, value)

@@ -254,6 +254,21 @@ class TestScans:
         keys = [k for k, _ in got]
         assert keys == sorted(set(keys))
 
+    @pytest.mark.parametrize("retraining", [True, False])
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
+    def test_scan_reaches_the_largest_key(self, retraining, sharded):
+        # Keys past the last model clamp onto its last slot, so all but
+        # one land in the ART; a full ART chunk then ends at 2**64 - 1.
+        load = (1000 * np.arange(1, 2001)).astype(np.uint64)
+        cls = ShardedALTIndex if sharded else ALTIndex
+        idx = cls.bulk_load(load, retraining=retraining, memory=MemoryMap())
+        top = [2**64 - 101 + i for i in range(101)]
+        for k in top:
+            idx.insert(k, k)
+        assert len((idx.shards[-1] if sharded else idx).art) >= 100
+        assert idx.scan(2**64 - 8, 64) == [(k, k) for k in top[-8:]]
+        assert [k for k, _ in idx.scan(2**64 - 101, 1000)] == top
+
 
 class TestAblations:
     def test_no_fast_pointers_still_correct(self, sorted_keys):

@@ -1,5 +1,7 @@
 """Tests for the benchmark harness, reporting, and memory accounting."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.bench import (
     run_experiment,
     trace_ops,
 )
-from repro.bench.harness import batch_write_microbenchmark
+from repro.bench.harness import batch_write_microbenchmark, main
 from repro.bench.memory import bytes_per_key
 from repro.bench.reporting import banner
 from repro.core.alt_index import ALTIndex
@@ -91,6 +93,23 @@ class TestBatchWriteSmoke:
             batch_write_microbenchmark(
                 WrongFlags, n=4_000, batch_size=64, writes=256, op="remove"
             )
+
+
+class TestHarnessCli:
+    def test_workload_without_emit_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--workload", "read-only"])
+        assert exc.value.code == 2
+        assert "--workload needs --emit-metrics" in capsys.readouterr().err
+
+    def test_emit_metrics_runs_the_named_workload(self, tmp_path):
+        out = tmp_path / "metrics.json"
+        argv = ["--n", "5000", "--ops", "400", "--threads", "4"]
+        assert main(argv + ["--workload", "read-only", "--emit-metrics", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["experiment"]["workload"] == "read-only"
+        assert doc["experiment"]["threads"] == 4
+        assert doc["modeled_total_ns"] == pytest.approx(doc["span_total_modeled_ns"])
 
 
 class TestDatasets:

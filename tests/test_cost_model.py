@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.cost_model import CostModel, fit_batch_cost
+from repro.sim.cost_model import CostModel
 from repro.sim.trace import CACHE_LINE_BYTES, CostTrace
 
 
@@ -60,57 +60,6 @@ class TestSequentialEstimate:
     def test_frozen(self):
         with pytest.raises(Exception):
             CostModel().cache_hit_ns = 1.0
-
-
-class TestBatchPricing:
-    """The calibrated per-batch amortization factor and its fit."""
-
-    def test_factor_is_one_for_scalar_ops(self):
-        m = CostModel()
-        assert m.batch_factor(1) == 1.0
-        assert m.batch_factor(0) == 1.0
-        assert m.batch_factor(-5) == 1.0
-
-    def test_factor_monotonically_decreasing_and_bounded(self):
-        m = CostModel()
-        sizes = [2, 4, 8, 64, 512, 4096, 1 << 20]
-        factors = [m.batch_factor(n) for n in sizes]
-        assert all(a > b for a, b in zip(factors, factors[1:]))
-        floor = 1.0 - m.batch_compute_discount
-        assert all(floor < f < 1.0 for f in factors)
-
-    def test_batch_ns_applies_factor_plus_dispatch(self):
-        m = CostModel()
-        t = CostTrace(comparisons=100, batch_n=256)
-        base = m.compute_ns(t) + 50.0
-        expected = base * m.batch_factor(256) + m.batch_dispatch_ns
-        assert m.batch_ns(t, mem_ns=50.0) == pytest.approx(expected)
-        # Unstamped trace: factor 1, still pays the dispatch overhead.
-        assert m.batch_ns(CostTrace(comparisons=100), mem_ns=50.0) == pytest.approx(
-            m.compute_ns(CostTrace(comparisons=100)) + 50.0 + m.batch_dispatch_ns
-        )
-
-    def test_fit_recovers_synthetic_parameters(self):
-        true_d, true_h = 0.8, 32.0
-        rows = []
-        for n in (2, 8, 32, 128, 512, 2048):
-            f = 1.0 - true_d * (n - 1.0) / (n - 1.0 + true_h)
-            rows.append((n, 100.0, 100.0 * f))
-        d, h = fit_batch_cost(rows)
-        assert d == pytest.approx(true_d, abs=0.05)
-        assert 0.5 * true_h <= h <= 2.0 * true_h
-
-    def test_fit_ignores_scalar_rows_and_rejects_empty(self):
-        with pytest.raises(ValueError):
-            fit_batch_cost([])
-        with pytest.raises(ValueError):
-            fit_batch_cost([(1, 100.0, 100.0), (0, 50.0, 50.0)])
-
-    def test_fit_clamps_discount_to_cap(self):
-        # batch cost ~0 would imply discount 1.0; the fit caps at 0.95.
-        rows = [(n, 100.0, 1e-9) for n in (64, 256, 1024)]
-        d, _ = fit_batch_cost(rows)
-        assert d == 0.95
 
 
 class TestCalibration:

@@ -4,10 +4,12 @@ Runs the `python -m repro.tools.check_docs` checker programmatically so
 tier-1 fails the moment a rename or removal strands a documented name.
 """
 
+import re
 from pathlib import Path
 
 import pytest
 
+from repro.bench import harness
 from repro.tools import check_docs
 
 REPO = Path(__file__).resolve().parents[1]
@@ -108,3 +110,15 @@ def test_checker_fails_on_stale_cli_invocation(tmp_path):
     bad = tmp_path / "bad.md"
     bad.write_text("```bash\npython -m repro.no_such_cli --flag\n```\n")
     assert check_docs.main([str(bad)]) == 1
+
+
+def test_harness_flag_table_matches_cli(capsys):
+    """Every flag row of BENCHMARKS.md's harness table is a real option."""
+    doc = (REPO / "docs" / "BENCHMARKS.md").read_text()
+    section = doc.split("## The harness CLI", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(--[a-z-]+)", section, flags=re.M)
+    assert "--emit-metrics" in rows
+    with pytest.raises(SystemExit):
+        harness.main(["--help"])
+    options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert sorted(set(rows) - options) == []

@@ -166,39 +166,6 @@ class TestBandwidth:
         assert r.bandwidth_factor == 1.0
 
 
-class TestBatchPricing:
-    """Traces stamped with batch_n get the calibrated amortized price."""
-
-    def test_batched_run_cheaper_than_scalar_equivalent(self):
-        plain = [op(model_calcs=64, comparisons=256) for _ in range(64)]
-        batched = [
-            op(model_calcs=64, comparisons=256, batch_n=256) for _ in range(64)
-        ]
-        a = simulate(plain, SimConfig(threads=4))
-        b = simulate(batched, SimConfig(threads=4))
-        assert b.makespan_ns < a.makespan_ns
-
-    def test_batch_n_one_is_not_discounted(self):
-        plain = [op(model_calcs=64) for _ in range(32)]
-        stamped = [op(model_calcs=64, batch_n=1) for _ in range(32)]
-        a = simulate(plain, SimConfig(threads=2))
-        b = simulate(stamped, SimConfig(threads=2))
-        assert b.makespan_ns == pytest.approx(a.makespan_ns)
-
-    def test_larger_batches_price_lower(self):
-        runs = {}
-        for n in (8, 64, 1024):
-            traces = [op(model_calcs=128, batch_n=n) for _ in range(16)]
-            runs[n] = simulate(traces, SimConfig(threads=1)).makespan_ns
-        assert runs[1024] < runs[64] < runs[8]
-
-    def test_foreground_view_carries_batch_n(self):
-        t = CostTrace(model_calcs=4, batch_n=512)
-        t.begin_background()
-        t.model_calcs += 1
-        assert t.foreground_view().batch_n == 512
-
-
 class TestResultApi:
     def test_percentiles_and_hit_rate(self):
         ops = [op(reads=[i % 3]) for i in range(100)]
