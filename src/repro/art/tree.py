@@ -18,8 +18,11 @@ Additions required by ALT-index:
   so fast pointers can be repaired (§III-C3 scenarios ① and ②);
 - ``common_ancestor(k1, k2)`` finds the deepest node shared by two keys'
   lookup footprints, used to build fast pointers;
-- ``sorted_view()`` hands batch readers a sorted numpy view of the whole
-  tree, patched from a change delta instead of re-walked after writes.
+- ``lookup_sorted(keys)`` resolves a batch of keys with one
+  ``searchsorted`` over each of two sorted runs: a frozen *main* run of
+  the whole tree and a small *overlay* of the changes since main was
+  built.  A write patches the overlay; main is rebuilt only when the
+  overlay outgrows ``1 / _OVERLAY_FRACTION`` of it.
 
 Writers acquire node write locks via non-blocking upgrade and restart on
 failure, so the protocol is deadlock-free; readers never write shared
@@ -75,8 +78,13 @@ _HEADER = 16
 
 ReplaceListener = Callable[[object, object], None]
 
-# Delta marker for a key removed since the last sorted view.
+# Overlay/delta marker for a key removed since main was built.
 _REMOVED = object()
+
+# The overlay is folded into main once it holds more than
+# 1/_OVERLAY_FRACTION as many keys as main: an O(n) main rebuild then
+# pays for about n/16 changed keys.
+_OVERLAY_FRACTION = 16
 
 
 class AdaptiveRadixTree:
@@ -103,14 +111,16 @@ class AdaptiveRadixTree:
         self._root_lock = OptimisticLock()
         self._size = 0
         self._size_lock = threading.Lock()
-        # sorted_view() state: the last view handed out, the changes
-        # since (key -> value or _REMOVED; None while no view is kept)
-        # and the delta size past which both are dropped.
-        self._view: tuple[np.ndarray, np.ndarray] | None = None
+        # lookup_sorted() state: the runs last published, as one
+        # (main keys, main values, overlay keys, overlay values) tuple;
+        # the changes since they were built (key -> value or _REMOVED;
+        # None while no runs are kept); and the delta size past which
+        # all of it is dropped.
+        self._runs: tuple[np.ndarray, ...] | None = None
         self._delta: dict[int, object] | None = None
         self._delta_cap = 0
         self._delta_lock = threading.Lock()  # record vs swap/drop
-        self._view_lock = threading.Lock()  # one view builder at a time
+        self._runs_lock = threading.Lock()  # one thread rebuilds the runs at a time
         self._replace_listeners: list[ReplaceListener] = []
         # Nothing retires into this manager (replaced nodes are freed at
         # once), so pending() stays 0; it is kept only because the
@@ -224,12 +234,14 @@ class AdaptiveRadixTree:
         last key is its node's prefix, the runs of equal byte after it
         are the children, and the node type is the smallest that fits.
         No other thread can reach the tree yet, so building the nodes
-        takes no locks, restarts or chaos points and records no view
-        delta; only publishing the root takes the root lock.  Raises
-        ``ValueError`` on a non-empty tree or on keys that are not
-        strictly increasing.
+        takes no locks, restarts or chaos points; only publishing the
+        root takes the root lock.  The sorted input is published as the
+        main run of :meth:`lookup_sorted`, so the first batch read walks
+        nothing.  Raises ``ValueError`` on a non-empty tree or on keys
+        that are not strictly increasing.
         """
-        keys = np.asarray(keys, dtype=np.uint64).tolist()
+        key_arr = np.array(keys, dtype=np.uint64)
+        keys = key_arr.tolist()
         values = list(values)
         if len(values) != len(keys):
             raise ValueError("values must align with keys")
@@ -242,8 +254,11 @@ class AdaptiveRadixTree:
         self._root = root
         self._size = len(keys)
         self._root_lock.write_unlock()
-        with self._delta_lock:  # a view of the empty tree is stale now
-            self._view = self._delta = None
+        main = _frozen(key_arr, np.fromiter(values, dtype=object, count=len(values)))
+        with self._delta_lock:
+            self._runs = (*main, *_EMPTY_RUN)
+            self._delta = {}
+            self._delta_cap = len(keys)
 
     def _build_run(self, keys: list, values: list, lo: int, hi: int, depth: int):
         """Subtree over ``keys[lo:hi]``, which share their first ``depth``
@@ -282,46 +297,83 @@ class AdaptiveRadixTree:
         return out
 
     # ------------------------------------------------------------------
-    # sorted view (batch readers)
+    # sorted runs (batch readers)
     # ------------------------------------------------------------------
-    def sorted_view(self) -> tuple[np.ndarray, np.ndarray]:
-        """The whole tree as sorted ``(uint64 keys, object values)`` arrays.
+    def lookup_sorted(self, keys) -> list:
+        """The value of each of ``keys``, or ``None`` where absent.
 
-        The first call walks the tree.  Later calls patch the previous
-        view from the delta the four public mutators record while a view
-        is kept, so a view after Δ changes costs O(Δ log Δ) plus O(n)
-        array copies in C instead of an O(n) Python walk.  A delta that grows
-        past the view's key count drops both; the next call walks again.
+        Resolves the whole batch with one ``searchsorted`` over the main
+        run and, if the overlay is not empty, one over the overlay, whose
+        entries (a value or a removal) shadow main's.  See
+        :meth:`_fresh_runs` for how the runs follow the tree.
+        """
+        mkeys, mvals, okeys, ovals = self._fresh_runs()
+        probe = np.asarray(keys, dtype=np.uint64)
+        if len(mkeys):
+            vals, hit = _search_run(mkeys, mvals, probe)
+            vals[~hit] = None
+        else:
+            vals = np.full(len(probe), None, dtype=object)
+        if not len(okeys):
+            return vals.tolist()
+        ovals_at, hit = _search_run(okeys, ovals, probe)
+        shadowed = np.flatnonzero(hit)
+        vals[shadowed] = ovals_at[shadowed]
+        out = vals.tolist()
+        for i in shadowed.tolist():
+            if out[i] is _REMOVED:
+                out[i] = None
+        return out
+
+    def _fresh_runs(self) -> tuple[np.ndarray, ...]:
+        """The published ``(main keys, main values, overlay keys, overlay
+        values)`` runs, brought up to date with the tree.
+
+        The first call (and the first after a drop) walks the tree into
+        main.  Later calls merge the delta the four public mutators
+        record into the overlay, in O(overlay + Δ log Δ); when the
+        overlay then holds more than ``1 / _OVERLAY_FRACTION`` as many
+        keys as main, it is folded into a new main in one O(n) pass.  A
+        delta that grows past main's key count while no reader comes
+        drops the delta and both runs; the next call walks again.
 
         Ordering invariant, which keeps a concurrent writer's change from
         being lost: a writer records *after* its tree write, and a reader
-        marks a fresh delta *before* walking or patching.  A writer that
+        swaps in a fresh delta *before* walking or merging.  A writer that
         saw no delta therefore finished its write before the walk began;
         one that saw a delta records under ``_delta_lock`` either before
-        the reader's swap (patched now) or after it (patched next time).
+        the reader's swap (merged now) or after it (merged next time).
         Re-applying a change the walk already saw is harmless: entries
-        are upserts and removals.  Returned arrays are read-only and a
-        view once handed out is never mutated.
+        are upserts and removals.  Main and overlay are published as one
+        tuple, so no reader pairs a folded main with an older overlay
+        (which could bring back a removed key).  Returned arrays are
+        read-only and never mutated.
         """
-        with self._view_lock:
+        with self._runs_lock:
             with self._delta_lock:
-                view, delta = self._view, self._delta  # a view implies a delta
-                if view is not None and not delta:
-                    return view
+                runs, delta = self._runs, self._delta  # runs imply a delta
+                if runs is not None and not delta:
+                    return runs
                 self._delta = {}
-                self._delta_cap = len(view[0]) if view is not None else self._size
-            if view is None:
-                view = self._walk_view()
+                self._delta_cap = len(runs[0]) if runs is not None else self._size
+            if runs is None:
+                runs = (*self._walk_main(), *_EMPTY_RUN)
             else:
-                view = _patch_view(view, delta)
+                dkeys, dvals = _sorted_changes(delta)
+                okeys, ovals = _patch_run(runs[2:], dkeys, dvals, drop_removed=False)
+                if len(okeys) * _OVERLAY_FRACTION > len(runs[0]):
+                    main = _patch_run(runs[:2], okeys, ovals, drop_removed=True)
+                    runs = (*main, *_EMPTY_RUN)
+                else:
+                    runs = (*runs[:2], okeys, ovals)
             with self._delta_lock:
                 if self._delta is not None:  # not dropped meanwhile
-                    self._view = view
-                    self._delta_cap = len(view[0])
-            return view
+                    self._runs = runs
+                    self._delta_cap = len(runs[0])
+            return runs
 
     def _record(self, changes) -> None:
-        """Add ``(key, value | _REMOVED)`` changes to the view delta."""
+        """Add ``(key, value | _REMOVED)`` changes to the runs' delta."""
         with self._delta_lock:
             delta = self._delta
             if delta is None:
@@ -329,9 +381,9 @@ class AdaptiveRadixTree:
             for key, value in changes:
                 delta[int(key)] = value
             if len(delta) > self._delta_cap:
-                self._view = self._delta = None
+                self._runs = self._delta = None
 
-    def _walk_view(self) -> tuple[np.ndarray, np.ndarray]:
+    def _walk_main(self) -> tuple[np.ndarray, np.ndarray]:
         pairs = self.items()
         keys = np.fromiter((k for k, _ in pairs), dtype=np.uint64, count=len(pairs))
         values = np.fromiter((v for _, v in pairs), dtype=object, count=len(pairs))
@@ -879,22 +931,50 @@ def _frozen(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return keys, values
 
 
-def _patch_view(
-    view: tuple[np.ndarray, np.ndarray], delta: dict[int, object]
-) -> tuple[np.ndarray, np.ndarray]:
-    """A new sorted view: ``view`` with ``delta`` applied.
+_EMPTY_RUN = _frozen(np.empty(0, dtype=np.uint64), np.empty(0, dtype=object))
 
-    Present keys take their new value (on a copy of the values) or are
-    deleted; absent keys are inserted at their sorted position, and
-    absent removals are no-ops.  ``view`` is left untouched.
-    """
-    vkeys, vvals = view
+
+def _search_run(
+    keys: np.ndarray, values: np.ndarray, probe: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, hit)`` per probe key in a non-empty sorted run: the value
+    at its ``searchsorted`` position (a writable copy) and whether the key
+    is present there."""
+    pos = np.searchsorted(keys, probe)
+    np.minimum(pos, len(keys) - 1, out=pos)
+    return values[pos], keys[pos] == probe
+
+
+def _sorted_changes(delta: dict[int, object]) -> tuple[np.ndarray, np.ndarray]:
+    """A change delta as key-sorted ``(uint64 keys, object values)``."""
     n = len(delta)
-    dkeys = np.fromiter(delta.keys(), dtype=np.uint64, count=n)
-    dvals = np.fromiter(delta.values(), dtype=object, count=n)
-    removed = np.fromiter((v is _REMOVED for v in dvals), dtype=bool, count=n)
-    order = np.argsort(dkeys)
-    dkeys, dvals, removed = dkeys[order], dvals[order], removed[order]
+    keys = np.fromiter(delta.keys(), dtype=np.uint64, count=n)
+    values = np.fromiter(delta.values(), dtype=object, count=n)
+    order = np.argsort(keys)
+    return keys[order], values[order]
+
+
+def _patch_run(
+    run: tuple[np.ndarray, np.ndarray],
+    dkeys: np.ndarray,
+    dvals: np.ndarray,
+    drop_removed: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A new sorted run: ``run`` with the sorted changes applied.
+
+    Present keys take their new value (on a copy of the values) and
+    absent keys are inserted at their sorted position.  With
+    ``drop_removed`` a ``_REMOVED`` change deletes its key (and an absent
+    removal is a no-op); without it the marker is kept as the key's
+    value, as the overlay keeps it to shadow main.  ``run`` is left
+    untouched.
+    """
+    vkeys, vvals = run
+    n = len(dkeys)
+    if drop_removed:
+        removed = np.fromiter((v is _REMOVED for v in dvals), dtype=bool, count=n)
+    else:
+        removed = np.zeros(n, dtype=bool)
     pos, present = sorted_hits(vkeys, dkeys)
     upd = present & ~removed
     if upd.any():

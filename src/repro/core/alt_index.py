@@ -37,7 +37,6 @@ from repro.common import (
     OrderedIndex,
     as_value_array,
     first_occurrences,
-    sorted_hits,
     unique_tag,
 )
 from repro.concurrency.retry import StuckWriterError, acquire_writer_lock
@@ -319,60 +318,80 @@ class ALTIndex(OrderedIndex):
         if current_tracer() is not None or not self._layer.models:
             return BatchIndex.batch_get(self, keys)
         obs_health.tick(self, n)
-        midx, slots, flat, state, resident = self._layer.probe_live(keys)
-        hit = (state == FULL) & (resident == keys)
+        layer = self._layer
+        version = layer.version
+        midx, slots, flat, state, resident = layer.probe_live(keys)
         # Every hit's value in one gather from the layer's value arena.
-        vals = self._layer.np_values[flat]
+        # A hit needs its key in place both before and after that gather:
+        # a writer clears a slot's key before its value and fills its
+        # value before its key, so the value read between is the key's.
+        vals = layer.np_values[flat]
+        hit = (state == FULL) & (resident == keys) & (layer.np_keys[flat] == keys)
         if bool(hit.all()):
             return vals.tolist()
         miss = np.flatnonzero(~hit)
         vals[miss] = None
         out = vals.tolist()
         # Conflict remainder (Algorithm 2 lines 5-13): the expansion
-        # buffer, then the ART.
-        models = self._layer.models
+        # buffer, then the ART.  A miss whose slot is free may be written
+        # back, which is a write: as scalar ``get`` does, it takes the
+        # model's writer lock without blocking and holds it across the
+        # ART lookup, and a busy lock skips the write-back.
+        models = layer.models
         mi_l = midx.tolist()
         keys_l = keys.tolist()
+        st_l = state.tolist()
         miss_i: list[int] = []
         miss_keys: list[int] = []
-        for i in miss.tolist():
-            exp = models[mi_l[i]].expansion
-            if exp is not None:
-                found, bval = exp.lookup(keys_l[i])
-                if found:
-                    out[i] = bval
+        held: dict[int, object] = {}  # model index -> model whose lock is held
+        try:
+            for i in miss.tolist():
+                mi = mi_l[i]
+                model = models[mi]
+                exp = model.expansion
+                if exp is not None:
+                    found, bval = exp.lookup(keys_l[i])
+                    if found:
+                        out[i] = bval
+                        continue
+                elif st_l[i] != FULL and mi not in held and model.writer_lock.acquire(
+                    blocking=False
+                ):
+                    held[mi] = model
+                miss_i.append(i)
+                miss_keys.append(keys_l[i])
+            if not miss_keys:
+                return out
+            # One searchsorted per ART run resolves every conflict key.
+            sl_l = slots.tolist()
+            for i, value in zip(miss_i, self._art.lookup_sorted(miss_keys)):
+                if value is None:
                     continue
-            miss_i.append(i)
-            miss_keys.append(keys_l[i])
-        if not miss_keys:
-            return out
-        # One searchsorted over the ART's sorted view resolves every
-        # conflict key at once.
-        vkeys, vvals = self._art.sorted_view()
-        pos, found = sorted_hits(vkeys, np.array(miss_keys, dtype=np.uint64))
-        pos_l = pos.tolist()
-        found_l = found.tolist()
-        sl_l = slots.tolist()
-        st_l = state.tolist()
-        for j, i in enumerate(miss_i):
-            if not found_l[j]:
-                continue
-            value = vvals[pos_l[j]]
-            out[i] = value
-            model = models[mi_l[i]]
-            if model.expansion is None and st_l[i] in (EMPTY, TOMBSTONE):
-                # Write-back (Algorithm 2 lines 10-13): repatriate the
-                # key into its now-free predicted slot.  The slot state
-                # is re-read live — an earlier write-back in this batch
+                out[i] = value
+                model = held.get(mi_l[i])
+                # Write-back (Algorithm 2 lines 10-13) into the predicted
+                # slot, re-read live: an earlier write-back in this batch
                 # may have filled it (two conflict keys can share a
-                # predicted slot), and overwriting would lose that key.
-                # The removal guard keeps a duplicate key later in the
-                # batch from writing back twice.
-                live_state = int(model.np_state[sl_l[i]])
-                if live_state != FULL and self._art.remove(keys_l[i]):
-                    model.write_slot(sl_l[i], keys_l[i], value)
-                    self.writebacks += 1
-                    obs_metrics.inc("alt.writebacks")
+                # predicted slot, or a key can repeat).  An unchanged
+                # layer version means the probed model is still live.
+                if (
+                    model is not None
+                    and layer.version == version
+                    and model.expansion is None
+                    and model.np_state[sl_l[i]] != FULL
+                ):
+                    self._write_back(model, sl_l[i], keys_l[i], value)
+        finally:
+            for model in held.values():
+                model.writer_lock.release()
+        if layer.version != version:
+            # A model was swapped since the probe: a miss may have been
+            # checked against the new model instead of the one probed
+            # (e.g. a key evicted to the old model's expansion buffer).
+            # Replay the unresolved ones on the scalar path.
+            for i in miss_i:
+                if out[i] is None:
+                    out[i] = self.get(keys_l[i])
         return out
 
     # ------------------------------------------------------------------

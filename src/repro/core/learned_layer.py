@@ -231,9 +231,12 @@ class GPLModel:
         self.versions.write_begin(slot)
         self.keys[slot] = None
         chaos.point("gpl.slot_fields")
-        self.values[slot] = None
+        # Key and state before the value: a batch reader that gathers the
+        # value before re-reading the key then never pairs the cleared
+        # value with the old key (ALTIndex.batch_get).
         self.np_keys[slot] = 0
         self.np_state[slot] = TOMBSTONE if tombstone else EMPTY
+        self.values[slot] = None
         self.versions.write_end(slot)
         self._trace_write(slot)
 
@@ -496,9 +499,10 @@ class LearnedLayer:
         ``np_state``/``np_keys`` at the flat slot — O(batch), with no
         copy of the layer to rebuild after a slot write.
 
-        Assumes no concurrent writer (the ``BatchIndex`` contract): the
-        gathered columns are not one consistent snapshot of a slot a
-        writer is changing.  The fold itself is safe against scalar
+        The gathered columns are not one consistent snapshot of a slot a
+        writer is changing; ``ALTIndex.batch_get`` re-reads the keys
+        after its value gather, and ``batch_insert`` assumes no
+        concurrent writer.  The fold itself is safe against scalar
         writers, which it excludes with their writer locks.
 
         Returns ``(model_idx, slot, flat_slot, state, resident_key)``.

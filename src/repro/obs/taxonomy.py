@@ -101,7 +101,7 @@ SPAN_TARGETS: dict[str, tuple[tuple[str, str, str], ...]] = {
         (_ART, "AdaptiveRadixTree", attr)
         for attr in (
             "search", "insert", "remove", "scan", "items",
-            "bulk_insert", "bulk_remove", "sorted_view",
+            "bulk_insert", "bulk_remove", "lookup_sorted",
         )
     ),
     "shard.route": (

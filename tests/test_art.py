@@ -17,7 +17,7 @@ from repro.art.nodes import (
     common_prefix_len,
     encode_key,
 )
-from repro.art.tree import AdaptiveRadixTree
+from repro.art.tree import _OVERLAY_FRACTION, _REMOVED, AdaptiveRadixTree
 from repro.sim.trace import MemoryMap, tracer
 
 
@@ -480,18 +480,34 @@ class TestConcurrentART:
         assert len(tree) == 20_000
 
 
-def assert_view_matches(tree, view):
-    pairs = tree.items()
-    keys, values = view
-    assert keys.dtype == np.uint64
-    assert keys.tolist() == [k for k, _ in pairs]
-    assert values.tolist() == [v for _, v in pairs]
+def run_pairs(tree):
+    """The sorted (key, value) pairs the tree's published runs stand for:
+    main with the overlay's values and removals applied."""
+    mkeys, mvals, okeys, ovals = tree._fresh_runs()
+    assert mkeys.dtype == np.uint64 and okeys.dtype == np.uint64
+    assert np.all(mkeys[1:] > mkeys[:-1]) and np.all(okeys[1:] > okeys[:-1])
+    merged = dict(zip(mkeys.tolist(), mvals.tolist()))
+    for k, v in zip(okeys.tolist(), ovals.tolist()):
+        if v is _REMOVED:
+            merged.pop(k, None)
+        else:
+            merged[k] = v
+    return sorted(merged.items())
+
+
+def assert_runs_match(tree, probe=()):
+    """The runs stand for exactly ``items()``, and ``lookup_sorted``
+    answers as ``search`` does on every key of ``probe``."""
+    assert run_pairs(tree) == tree.items()
+    probe = list(probe)
+    assert tree.lookup_sorted(probe) == [tree.search(k) for k in probe]
 
 
 class TestSortedView:
-    """``sorted_view`` is built by one walk and then patched from the
-    change delta the public mutators record; every view must equal a
-    fresh walk (``items``)."""
+    """``lookup_sorted`` searches two sorted runs: a frozen main run,
+    built by one walk (or seeded by ``build_sorted``), and a small
+    overlay patched from the change delta the public mutators record.
+    Main plus overlay must always stand for a fresh walk (``items``)."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_differential_against_items(self, tree, seed):
@@ -517,57 +533,90 @@ class TestSortedView:
                 ks = sorted(set(rnd.sample(universe, rnd.randrange(1, 12))))
                 tree.bulk_remove(ks)
             else:
-                view = tree.sorted_view()
-                assert_view_matches(tree, view)
-                handed_out.append((view, view[0].tolist(), view[1].tolist()))
-        assert_view_matches(tree, tree.sorted_view())
-        # A view once handed out is never mutated by later patches.
-        for (keys, values), key_list, value_list in handed_out:
-            assert keys.tolist() == key_list and values.tolist() == value_list
-            assert not keys.flags.writeable and not values.flags.writeable
+                assert_runs_match(tree, universe)
+                runs = tree._runs
+                assert len(runs[2]) * _OVERLAY_FRACTION <= len(runs[0])
+                handed_out.append((runs, [r.tolist() for r in runs]))
+        assert_runs_match(tree, universe)
+        # Runs once handed out are never mutated by later merges.
+        for runs, lists in handed_out:
+            assert [r.tolist() for r in runs] == lists
+            assert not any(r.flags.writeable for r in runs)
 
     def test_unchanged_tree_returns_the_same_view(self, tree):
         for k in range(100):
             tree.insert(k * 3, k)
-        view = tree.sorted_view()
-        assert tree.sorted_view() is view
+        runs = tree._fresh_runs()
+        assert tree._fresh_runs() is runs
         tree.insert(5, "x", upsert=False)  # new key
         tree.insert(3, "y", upsert=False)  # present, not upserted: no change
-        patched = tree.sorted_view()
-        assert patched is not view
-        assert tree.sorted_view() is patched
-        assert_view_matches(tree, patched)
+        patched = tree._fresh_runs()
+        assert patched is not runs and patched[0] is runs[0]  # main kept
+        assert patched[2].tolist() == [5]
+        assert tree._fresh_runs() is patched
+        assert_runs_match(tree, range(300))
+
+    def test_small_writes_patch_the_overlay_not_main(self, tree):
+        """Main is rebuilt only when the overlay outgrows its bound; after
+        any lookup the overlay is within it."""
+        keys = list(range(0, 3200, 10))
+        tree.build_sorted(keys, keys)
+        main = tree._runs[0]
+        bound = len(main) // _OVERLAY_FRACTION
+        for i in range(bound):
+            tree.insert(i * 10 + 1, i)  # one new key per lookup
+            assert tree.lookup_sorted([i * 10 + 1, 0]) == [i, 0]
+            assert tree._runs[0] is main and len(tree._runs[2]) == i + 1
+        tree.remove(0)
+        assert tree.lookup_sorted([0, 10]) == [None, 10]
+        runs = tree._runs
+        assert runs[0] is not main and len(runs[2]) == 0  # folded
+        assert len(runs[0]) == len(tree) == len(keys) + bound - 1
+        assert_runs_match(tree, range(3200))
+
+    def test_build_sorted_seeds_main_without_a_walk(self, tree, monkeypatch):
+        keys = [3, 9, 2**40, 2**64 - 1]
+        tree.build_sorted(keys, ["a", "b", "c", "d"])
+        monkeypatch.setattr(tree, "_walk_main", None)  # a walk would fail
+        assert tree.lookup_sorted([9, 4, 2**64 - 1]) == ["b", None, "d"]
+        tree.remove(9)
+        tree.insert(4, "e")
+        assert tree.lookup_sorted([9, 4, 3]) == [None, "e", "a"]
+        assert_runs_match(tree, keys + [4])
 
     def test_no_delta_is_recorded_without_a_view(self, tree):
         for k in range(200):
             tree.insert(k, k)
         tree.remove(7)
         tree.bulk_insert([1000, 1001], ["a", "b"])
-        assert tree._delta is None and tree._view is None
+        assert tree._delta is None and tree._runs is None
 
     def test_delta_larger_than_the_view_is_dropped(self, tree):
         for k in range(50):
             tree.insert(k * 10, k)
-        tree.sorted_view()
-        for k in range(50):  # 50 changes: the delta equals the view size
+        tree.lookup_sorted([])
+        for k in range(50):  # 50 changes: the delta equals main's size
             tree.insert(k * 10 + 1, k)
         assert tree._delta is not None and len(tree._delta) == 50
-        tree.remove(0)  # the 51st change outgrows the 50-key view
-        assert tree._delta is None and tree._view is None
+        tree.remove(0)  # the 51st change outgrows the 50-key main
+        assert tree._delta is None and tree._runs is None
         tree.insert(123_456, "after")  # nothing is recorded once dropped
         assert tree._delta is None
-        assert_view_matches(tree, tree.sorted_view())
+        assert_runs_match(tree, [0, 1, 11, 123_456])
         assert tree._delta == {}
 
     def test_writer_thread_changes_are_not_lost(self, tree):
         """A writer thread runs while two reader threads walk the first
-        view and patch later ones; after it joins, the view is exact."""
+        main run and merge later overlays; keys the writer never touches
+        always resolve, and after it joins the runs are exact."""
         import sys
 
         for k in range(0, 20_000, 2):
             tree.insert(k, k)
+        # Even keys k with (k + 1) % 3 != 0 are never removed.
+        stable = [k for k in range(0, 20_000, 2) if (k + 1) % 3][::7]
         started, done = threading.Event(), threading.Event()
-        unsorted = []
+        bad = []
 
         def writer():
             started.set()
@@ -580,9 +629,11 @@ class TestSortedView:
         def reader():
             started.wait(10)
             while not done.is_set():
-                keys, _ = tree.sorted_view()
-                if not np.all(keys[1:] > keys[:-1]):
-                    unsorted.append(len(keys))
+                if tree.lookup_sorted(stable) != stable:
+                    bad.append("stable key lost")
+                mkeys, _, okeys, _ = tree._fresh_runs()
+                if not (np.all(mkeys[1:] > mkeys[:-1]) and np.all(okeys[1:] > okeys[:-1])):
+                    bad.append("unsorted run")
 
         threads = [threading.Thread(target=f) for f in (reader, reader, writer)]
         interval = sys.getswitchinterval()
@@ -596,8 +647,8 @@ class TestSortedView:
             done.set()
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert not unsorted
-        assert_view_matches(tree, tree.sorted_view())
+        assert not bad
+        assert_runs_match(tree, range(20_000))
 
 
 class TestConcurrentInsertRaces:

@@ -10,8 +10,8 @@ docs/API.md states two invariants for the vectorized batch layer:
 
 These tests drive both through mutation sequences chosen to hit the
 fast-path invalidation machinery: the ALT-index layer-wide slot arena
-(folded on every structural version), the ART's delta-patched sorted
-view, and ALT-index expansion buffers (batch lookups during and after a
+(folded on every structural version), the ART's sorted main run and
+delta-patched overlay, and ALT-index expansion buffers (batch lookups during and after a
 retrain).  The baselines inherit ``BatchIndex``'s per-key loops, so for
 them the same checks cover the scalar paths across ALEX+/B+tree splits
 and XIndex compactions.  A seeded random stream of batch and scalar
@@ -37,9 +37,11 @@ from repro.common import BatchIndex
 from repro.core import learned_layer
 from repro.core.alt_index import ALTIndex
 from repro.core.learned_layer import EMPTY, FULL, TOMBSTONE, LearnedLayer
+from repro.datasets.generators import dataset
 from repro.obs.metrics import metrics_registry
 from repro.shard import ShardedALTIndex
 from repro.sim.trace import MemoryMap, tracer
+from tests.test_art import assert_runs_match
 
 pytestmark = pytest.mark.batch
 
@@ -578,8 +580,8 @@ class TestALTBatchInternals:
         self._assert_mirrors_fold_the_lists(layer)
 
     def test_interleaved_writes_keep_the_patched_art_view_exact(self, rng):
-        """batch_get resolves conflict keys against the ART's delta-patched
-        sorted view; interleave it with scalar and batch writes,
+        """batch_get resolves conflict keys against the ART's sorted main
+        run and delta-patched overlay; interleave it with scalar and batch writes,
         write-backs and expansion finishes, and compare every answer with
         a twin index driven only through the scalar path."""
         base = np.sort(rng.choice(2**45, size=4_000, replace=False).astype(np.uint64))
@@ -618,10 +620,7 @@ class TestALTBatchInternals:
         assert batched.writebacks > 0, "no write-back fired"
         pending = sum(m.expansion is not None for m in batched.layer.models)
         assert batched.expansions > pending, "no expansion finished"
-        keys, values = batched.art.sorted_view()
-        pairs = batched.art.items()
-        assert keys.tolist() == [k for k, _ in pairs]
-        assert values.tolist() == [v for _, v in pairs]
+        assert_runs_match(batched.art, live + victims)
         probe = np.array(live, dtype=np.uint64)
         assert batched.batch_get(probe) == scalar_gets(twin, probe)
 
@@ -638,6 +637,132 @@ class TestALTBatchInternals:
             counted = reg.delta(snap)["counters"].get("alt.writebacks", 0)
         assert idx.writebacks > before
         assert counted == idx.writebacks - before
+
+    def test_batch_writeback_skips_a_busy_model_lock(self, sorted_keys):
+        """The batch write-back takes the model's writer lock without
+        blocking, as scalar ``get`` does: while a writer holds it, the
+        key is answered from the ART and stays there."""
+        idx = ALTIndex.bulk_load(sorted_keys, memory=MemoryMap())
+        victims = [int(k) for k in sorted_keys[10:40]]
+        for k in victims:
+            idx.remove(k)
+            idx.insert(k, k * 2)  # tombstoned slot: lands in the ART
+        locks = {id(m): m.writer_lock for m in (idx.layer.route(k)[1] for k in victims)}
+        for lock in locks.values():
+            assert lock.acquire(blocking=False)
+        try:
+            assert idx.batch_get(victims) == [k * 2 for k in victims]
+        finally:
+            for lock in locks.values():
+                lock.release()
+        assert idx.writebacks == 0
+        assert [idx.art.search(k) for k in victims] == [k * 2 for k in victims]
+        assert idx.batch_get(victims) == [k * 2 for k in victims]
+        assert idx.writebacks > 0
+
+    def test_misses_replay_after_a_model_swap_mid_batch(self, monkeypatch):
+        """A model swapped between the probe and the miss loop: a key the
+        probe saw tombstoned in the old model (evicted into its expansion
+        buffer, which the swap made the live model) must still be found."""
+        keys = dataset("fb", 20_000, seed=0)
+        loaded, pending = keys[::2].copy(), iter(keys[1::2].tolist())
+        idx = ALTIndex.bulk_load(loaded, memory=MemoryMap())
+        layer = idx.layer
+        while True:  # until a loaded key is evicted into a buffer
+            idx.insert(next(pending), 0)
+            midx, _, _, state, _ = layer.probe_live(loaded)
+            evicted = [
+                i for i in np.flatnonzero(state == TOMBSTONE).tolist()
+                if layer.models[midx[i]].expansion is not None
+            ]
+            if evicted:
+                break
+        mi = int(midx[evicted[0]])
+        model = layer.models[mi]
+        taken = set(keys.tolist())
+        hi = layer.next_first_key(mi) or 2**64
+        fresh = (k for k in range(model.first_key + 1, hi) if k not in taken)
+        probe_live = layer.probe_live
+
+        def probe_then_swap(batch):
+            out = probe_live(batch)
+            while layer.models[mi] is model:  # finish that expansion
+                idx.insert(next(fresh), 0)
+            return out
+
+        monkeypatch.setattr(layer, "probe_live", probe_then_swap)
+        got = idx.batch_get(loaded[evicted])
+        assert layer.models[mi] is not model
+        assert got == loaded[evicted].tolist()
+
+    def test_one_art_write_leaves_the_main_run_alone(self, sorted_keys):
+        """Bulk load seeds the ART's main run; a one-key ART write and a
+        batch read then patch only the overlay."""
+        idx = ALTIndex.bulk_load(sorted_keys, memory=MemoryMap())
+        art_keys = [k for k, _ in idx.art.items()]
+        main = idx.art._runs[0]
+        assert main.tolist() == art_keys
+        idx.remove(art_keys[0])
+        probe = sorted_keys[::7]
+        assert idx.batch_get(probe) == scalar_gets(idx, probe)
+        assert idx.art._runs[0] is main
+        assert idx.art._runs[2].tolist() == [art_keys[0]]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_get_races_scalar_inserts_with_retraining(self, seed):
+        """A batch read is as thread-safe as the scalar reads it stands
+        for.  One thread scalar-inserts the unloaded half of an fb key set,
+        which starts and finishes many expansions; another loops
+        ``batch_get`` over the loaded half, none of which is ever removed
+        or updated, so every answer must be the key's own value.  Swapped
+        models and half-cleared slots are what this catches."""
+        import sys
+
+        keys = dataset("fb", 20_000, seed=seed)
+        loaded, pending = keys[::2].copy(), keys[1::2].tolist()
+        idx = ALTIndex.bulk_load(loaded, memory=MemoryMap())
+        barrier = threading.Barrier(2)
+        done = threading.Event()
+        errors: list[BaseException] = []
+        wrong: list[int] = []
+
+        def insert_pending():
+            try:
+                barrier.wait()
+                for k in pending:
+                    idx.insert(k, k)
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def read_loaded():
+            try:
+                barrier.wait()
+                while not done.is_set():
+                    for i in range(0, len(loaded), 512):
+                        chunk = loaded[i : i + 512].tolist()
+                        got = idx.batch_get(chunk)
+                        wrong.extend(k for k, v in zip(chunk, got) if v != k)
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=f) for f in (insert_pending, read_loaded)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, repr(errors[0])
+        assert idx.expansions > 0
+        assert not wrong, f"{len(wrong)} loaded keys misread"
+        assert idx.batch_get(keys) == keys.tolist()
 
 
 class TestBatchWriteEquivalence:
