@@ -235,13 +235,11 @@ class AdaptiveRadixTree:
         are the children, and the node type is the smallest that fits.
         No other thread can reach the tree yet, so building the nodes
         takes no locks, restarts or chaos points; only publishing the
-        root takes the root lock.  The sorted input is published as the
-        main run of :meth:`lookup_sorted`, so the first batch read walks
-        nothing.  Raises ``ValueError`` on a non-empty tree or on keys
-        that are not strictly increasing.
+        root takes the root lock.  A tree with batch readers then hands
+        the same input to :meth:`publish_main`.  Raises ``ValueError``
+        on a non-empty tree or on keys that are not strictly increasing.
         """
-        key_arr = np.array(keys, dtype=np.uint64)
-        keys = key_arr.tolist()
+        keys = np.asarray(keys, dtype=np.uint64).tolist()
         values = list(values)
         if len(values) != len(keys):
             raise ValueError("values must align with keys")
@@ -254,7 +252,16 @@ class AdaptiveRadixTree:
         self._root = root
         self._size = len(keys)
         self._root_lock.write_unlock()
-        main = _frozen(key_arr, np.fromiter(values, dtype=object, count=len(values)))
+
+    def publish_main(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Publish the tree's whole content, the strictly increasing uint64
+        ``keys`` and the object array ``values`` a :meth:`build_sorted`
+        was just given, as the main run of :meth:`lookup_sorted`, so the
+        first batch read walks nothing.  Call it before the tree is
+        shared; both arrays are frozen in place.  A tree nobody
+        batch-reads skips it and keeps no runs and records no delta.
+        """
+        main = _frozen(keys, values)
         with self._delta_lock:
             self._runs = (*main, *_EMPTY_RUN)
             self._delta = {}

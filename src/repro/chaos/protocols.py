@@ -980,7 +980,7 @@ EXHAUSTIVE_CASES: dict[str, tuple[Callable[[], ProtocolCase], Callable[[], Proto
         ),
     ),
     "writeback": (
-        lambda: build_writeback_case(False, getters=1, getter_reps=1),
+        lambda: build_writeback_case(False, getters=2, getter_reps=1),
         lambda: build_writeback_case(True, getters=1, getter_reps=2),
     ),
     "insert": (

@@ -130,7 +130,12 @@ class ALTIndex(OrderedIndex):
             keys, values, epsilon, index._memory, f"{index.mem_tag}/learned", gap
         )
         index._layer = layer
-        index._art.build_sorted([k for k, _ in conflicts], [v for _, v in conflicts])
+        n = len(conflicts)
+        ckeys = np.fromiter((k for k, _ in conflicts), dtype=np.uint64, count=n)
+        cvals = np.fromiter((v for _, v in conflicts), dtype=object, count=n)
+        index._art.build_sorted(ckeys, cvals)
+        # Batch reads resolve ART keys from the sorted runs: seed main.
+        index._art.publish_main(ckeys, cvals)
         if index._fastptr is not None:
             index._fastptr.build_for_layer(layer)
         index._size = len(keys)
@@ -206,9 +211,11 @@ class ALTIndex(OrderedIndex):
 
         A scalar insert writes an EMPTY slot without consulting the ART,
         so leaving such a key in the ART would give it two homes once
-        it is re-inserted.  The ART copy is removed first and the slot
-        written only if that removal succeeded, as the batch write-back
-        does; keys whose new slot is a tombstone still migrate lazily.
+        it is re-inserted.  As in ``_write_back``, the slot is written
+        before the ART copy is removed, so a reader finds the key in one
+        of the two throughout; the caller holds the model's writer lock,
+        which every writer of this key range takes.  Keys whose new slot
+        is a tombstone still migrate lazily.
         """
         lo = model.first_key if index else 0  # model 0 also takes keys below it
         hi = self._layer.next_first_key(index)
@@ -216,8 +223,9 @@ class ALTIndex(OrderedIndex):
             if hi is not None and key >= hi:
                 return
             slot = model.slot_of(key)
-            if model.np_state[slot] == EMPTY and self._art.remove(key):
+            if model.np_state[slot] == EMPTY:
                 model.write_slot(slot, key, value)
+                self._art.remove(key)
 
     # -- stuck-writer recovery (crash-induced odd versions) --------------
     def _recover_stuck_slot(self, model, slot: int, locked: bool) -> None:
@@ -227,8 +235,8 @@ class ALTIndex(OrderedIndex):
         repatriate whatever pair was salvageable into the ART-OPT layer
         — the write-back path migrates it home on a later lookup.  The
         tombstone is a slot write, so a reader (``locked=False``) first
-        takes the model's writer lock, which the arena fold
-        (``LearnedLayer._geometry``) also holds while it copies slots.
+        takes the model's writer lock, which the arena compaction
+        (``LearnedLayer._compact``) also holds while it copies slots.
         """
         chaos.point("alt.recover")
         lock = model.writer_lock
@@ -285,10 +293,26 @@ class ALTIndex(OrderedIndex):
         locked = exp is None and state != FULL and lock.acquire(blocking=False)
         try:
             entry = self._entry_for(i, model, key)
+            chaos.point("alt.art_fallback")
             value = self._art.search(key, from_node=entry)
+            if value is None:
+                # A write-back (or move-home) writes the slot, then drops
+                # the ART copy: a key that missed the slot above and the
+                # ART here was moved home meanwhile, into this slot or,
+                # after a swap, into the buffer that replaced the model.
+                # Unvalidated key peeks (untraced, like the np_state
+                # checks) keep a plain miss free of extra slot reads.
+                if model.keys[slot] == key:
+                    state, resident, value = self._read_slot_recovering(model, slot, locked)
+                    return value if state == FULL and resident == key else None
+                exp = model.expansion
+                if exp is not None:
+                    buf = exp.buffer
+                    if buf.keys[buf.slot_of(key)] == key:
+                        return exp.lookup(key)[1]
+                return None
             if (
                 locked
-                and value is not None
                 and model.expansion is None
                 and model.np_state[slot] != FULL
                 and self._layer.models[i] is model
@@ -384,14 +408,14 @@ class ALTIndex(OrderedIndex):
         finally:
             for model in held.values():
                 model.writer_lock.release()
-        if layer.version != version:
-            # A model was swapped since the probe: a miss may have been
-            # checked against the new model instead of the one probed
-            # (e.g. a key evicted to the old model's expansion buffer).
-            # Replay the unresolved ones on the scalar path.
-            for i in miss_i:
-                if out[i] is None:
-                    out[i] = self.get(keys_l[i])
+        # A miss may be a key that moved while this batch looked for it:
+        # into its slot from the ART after the probe (a write-back or
+        # move-home writes the slot, then drops the ART copy), or into a
+        # model swapped in since the probe.  Replay every unresolved one
+        # on the scalar path, which re-reads the slot after an ART miss.
+        for i in miss_i:
+            if out[i] is None:
+                out[i] = self.get(keys_l[i])
         return out
 
     # ------------------------------------------------------------------
@@ -521,8 +545,8 @@ class ALTIndex(OrderedIndex):
 
         Like scalar ``remove``, it classifies and removes under the
         writer locks of the models it touches (taken in model order, as
-        the arena fold takes them), so a concurrent scalar writer cannot
-        start an expansion, write back or fold in between.
+        the arena compaction takes them), so a concurrent scalar writer
+        cannot start an expansion, write back or swap in between.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         n = len(keys)

@@ -26,11 +26,19 @@ memory-overhead experiment (Fig. 8a) accounts.
 
 Physically, a :class:`LearnedLayer` stores every model's slot *state*,
 resident *key* and *value* in three layer-wide NumPy arrays (the
-"arena": ``np_state``, ``np_keys``, ``np_values``) in model order, and
-each model holds views into them.  The value arena is the only copy of
-a slot's value, so a batch probe resolves every learned-layer hit with
-one gather.  The per-model ``keys`` list is the seqlocked key the
-scalar read validates; ``np_keys`` repeats it for the batch probe.
+"arena": ``np_state``, ``np_keys``, ``np_values``), and each model holds
+views into them at its offset in the published geometry.  The value
+arena is the only copy of a slot's value, so a batch probe resolves
+every learned-layer hit with one gather.  The per-model ``keys`` list
+is the seqlocked key the scalar read validates; ``np_keys`` repeats it
+for the batch probe.
+
+The arena keeps a free *tail* of ``1 / _TAIL_FRACTION`` of its live
+slots.  A model swapped in by an expansion (or appended) is copied into
+the next free tail range, in O(model); the range of the model it
+replaces becomes dead space.  Only when the tail has no room does the
+next batch probe *compact* the layer: it copies every live model, in
+model order, into a fresh arena with a new tail.
 """
 
 from __future__ import annotations
@@ -77,9 +85,21 @@ EMPTY = 0
 FULL = 1
 TOMBSTONE = 2
 
-#: (LearnedLayer attribute, GPLModel attribute) of each slot array the
-#: layer-wide arena holds, in the order a fold copies them.
-_ARENA = (("np_keys", "np_keys"), ("np_state", "np_state"), ("np_values", "values"))
+#: (LearnedLayer attribute, GPLModel attribute, fill of a free slot) of
+#: each slot array the layer-wide arena holds, in the order a
+#: compaction copies them.
+_ARENA = (
+    ("np_keys", "np_keys", 0),
+    ("np_state", "np_state", EMPTY),
+    ("np_values", "values", None),
+)
+
+#: The arena reserves a free tail of 1/_TAIL_FRACTION of its live slots
+#: for models swapped in or appended, so a swap copies one model, not
+#: the layer.  A compaction runs only once the tail is used up, so its
+#: O(n) copy pays for about n/16 slots of swapped-in models, as the ART
+#: overlay's fold pays for n/16 changed keys.
+_TAIL_FRACTION = 16
 
 
 def model_bytes(n_slots: int) -> int:
@@ -344,12 +364,20 @@ class LearnedLayer:
         self._first_key_list: list[int] = []
         self._upper_span = None
         self._version = 0
-        self._geo_cache: tuple | None = None
-        # The layer-wide slot arena in model order; every model's
-        # np_keys/np_state/values is a view at its _geometry() offset.
+        # The layer-wide slot arena; every live model's
+        # np_keys/np_state/values is a view at its geometry offset, and
+        # [_tail, len) is free.
         self.np_keys = np.empty(0, dtype=np.uint64)
         self.np_state = np.empty(0, dtype=np.uint8)
         self.np_values = np.empty(0, dtype=object)
+        self._tail = 0
+        # Serializes tail placement and geometry publication; taken
+        # after a model writer lock, never before one.
+        self._tail_lock = threading.Lock()
+        # The published (version, first_keys, slopes, last_slot, offsets)
+        # of the live models, or None while a model waits for compaction.
+        empty = np.empty(0, dtype=np.float64)
+        self._geo: tuple | None = (0, self._first_keys, empty, empty, np.empty(0, dtype=np.int64))
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -367,6 +395,7 @@ class LearnedLayer:
         layer = cls(memory, tag, gap)
         if len(keys) == 0:
             layer._rebuild_upper()
+            layer._version += 1
             return layer, []
         segments = gpl_partition(keys, epsilon)
         # Every model's geometry first, so the layer-wide arena is
@@ -375,10 +404,12 @@ class LearnedLayer:
         slopes = np.array([g[0] for g in geos], dtype=np.float64)
         n_slots = np.array([g[1] for g in geos], dtype=np.int64)
         offsets = np.cumsum(n_slots) - n_slots
-        total = int(n_slots.sum())
+        live = int(n_slots.sum())
+        total = live + live // _TAIL_FRACTION
         layer.np_keys = np.zeros(total, dtype=np.uint64)
         layer.np_state = np.zeros(total, dtype=np.uint8)
         layer.np_values = np.full(total, None, dtype=object)
+        layer._tail = live
         conflicts: list[tuple[int, object]] = []
         for seg, (slope, ns), lo in zip(segments, geos, offsets.tolist()):
             seg_keys = keys[seg.start : seg.end]
@@ -388,7 +419,10 @@ class LearnedLayer:
             conflicts.extend(model.place_bulk(seg_keys, seg_vals))
             layer.models.append(model)
         layer._rebuild_upper()
-        layer._geo_cache = (layer._version, slopes, (n_slots - 1).astype(np.float64), offsets)
+        layer._version += 1
+        layer._geo = (
+            layer._version, layer._first_keys, slopes, (n_slots - 1).astype(np.float64), offsets
+        )
         return layer, conflicts
 
     def _model_geometry(self, seg: Segment, seg_keys: np.ndarray) -> tuple[float, int]:
@@ -400,7 +434,6 @@ class LearnedLayer:
         return slope_eff, max(int(slope_eff * span_keys) + 2, len(seg_keys))
 
     def _rebuild_upper(self) -> None:
-        self._version += 1
         self._first_key_list = [m.first_key for m in self.models]
         self._first_keys = np.array(self._first_key_list, dtype=np.uint64)
         if self._upper_span is not None:
@@ -408,21 +441,68 @@ class LearnedLayer:
         self._upper_span = self._memory.alloc(max(len(self.models) * 8, 8), self._tag)
 
     def append_overflow_model(self, first_key: int, slope_eff: float, n_slots: int) -> GPLModel:
-        """New rightmost model for out-of-range inserts (§III-F)."""
+        """New rightmost model for out-of-range inserts (§III-F), placed
+        at the arena tail like a swapped-in model."""
         if self.models and first_key <= self.models[-1].first_key:
             raise KeysNotSortedError("overflow model must extend the key range")
         model = GPLModel(first_key, slope_eff, max(n_slots, 2), self._memory, self._tag)
-        self.models.append(model)
-        self._rebuild_upper()
+        with self._tail_lock:
+            offset = self._place(model)
+            self.models.append(model)
+            self._rebuild_upper()
+            self._publish(len(self.models) - 1, model, offset)
         return model
 
     def replace_model(self, index: int, new_model: GPLModel) -> None:
-        """Swap in an expanded model (same first_key, new geometry)."""
+        """Swap in an expanded model (same first_key, new geometry).
+
+        The caller holds the model's writer lock, so no slot of
+        ``new_model`` changes while it is copied into the arena tail.
+        The geometry with the new model's offset is published before
+        the version moves, so a reader that sees the new version never
+        pairs it with the old geometry.  With no room in the tail the
+        geometry is withdrawn instead and the next probe compacts.
+        """
         old = self.models[index]
         new_model.fast_index = old.fast_index
-        self.models[index] = new_model
-        self._version += 1
+        with self._tail_lock:
+            offset = self._place(new_model)
+            self.models[index] = new_model
+            self._publish(index, new_model, offset)
         old.free()
+
+    def _place(self, model: GPLModel) -> int | None:
+        """Copy ``model``'s slot arrays into the next free tail range and
+        rebind its views there; returns the range's offset, or None when
+        the tail has no room or a compaction is pending.  The caller
+        holds the tail lock, and ``model`` has no concurrent writer."""
+        lo = self._tail
+        hi = lo + model.n_slots
+        if self._geo is None or hi > len(self.np_keys):
+            return None
+        for layer_attr, model_attr, _ in _ARENA:
+            arena = getattr(self, layer_attr)
+            arena[lo:hi] = getattr(model, model_attr)
+            setattr(model, model_attr, arena[lo:hi])
+        self._tail = hi
+        return lo
+
+    def _publish(self, index: int, model: GPLModel, offset: int | None) -> None:
+        """Publish the geometry with ``model`` at ``index`` and arena
+        ``offset`` (None withdraws it until a compaction), then bump the
+        version.  The published arrays are never mutated: each is copied
+        (and grown by one on an append).  The caller holds the tail lock."""
+        geo = None
+        if offset is not None:
+            _, _, slopes, last_slot, offsets = self._geo
+            n = len(self.models)
+            slopes, last_slot, offsets = (np.resize(a, n) for a in (slopes, last_slot, offsets))
+            slopes[index] = model.slope_eff
+            last_slot[index] = model.n_slots - 1
+            offsets[index] = offset
+            geo = (self._version + 1, self._first_keys, slopes, last_slot, offsets)
+        self._geo = geo
+        self._version += 1
 
     @property
     def version(self) -> int:
@@ -431,37 +511,53 @@ class LearnedLayer:
         return self._version
 
     # -- batch probing (vectorized Algorithm 2, lines 2-4) ---------------------
-    def _geometry(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-model ``(version, slopes, last_slot, offsets)`` arrays
-        (``last_slot`` as float64, the clamp of the float prediction).
+    def _geometry(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The published per-model ``(version, first_keys, slopes,
+        last_slot, offsets)`` arrays (``last_slot`` as float64, the clamp
+        of the float prediction).
 
-        Cached per structural version: slot writes never change model
-        geometry, so a mutating batch does not invalidate this cache.  A
-        new structural version (``replace_model``,
-        ``append_overflow_model``) also *folds* the layer: the models'
-        current slot arrays are concatenated into a fresh layer-wide
-        arena and every model's arrays are rebound as views at its
-        offset.  The fold holds every model's writer lock, so no scalar
-        write lands in an array it has already copied, and it copies one
-        array at a time, so at most one old arena is alive beside the
-        new one.
+        Slot writes never change model geometry, and a swap or append
+        with room in the arena tail publishes the next geometry itself.
+        Otherwise the geometry is withdrawn and this call *compacts* the
+        layer first (:meth:`_compact`).
         """
-        geo = self._geo_cache
-        if geo is None or geo[0] != self._version:
-            with self._locked_models() as models:
-                n_slots = np.array([m.n_slots for m in models], dtype=np.int64)
-                slopes = np.array([m.slope_eff for m in models], dtype=np.float64)
-                offsets = np.cumsum(n_slots) - n_slots
-                offsets_l = offsets.tolist()
-                for layer_attr, model_attr in _ARENA:
-                    arena = np.concatenate([getattr(m, model_attr) for m in models])
-                    setattr(self, layer_attr, arena)
-                    for m, lo in zip(models, offsets_l):
-                        setattr(m, model_attr, arena[lo : lo + m.n_slots])
-                geo = self._geo_cache = (
-                    self._version, slopes, (n_slots - 1).astype(np.float64), offsets
-                )
+        geo = self._geo
+        while geo is None:  # bounded: retried only after a concurrent append
+            with self._locked_models() as models, self._tail_lock:
+                if self._geo is None and len(models) == len(self.models):
+                    self._compact(models)
+                geo = self._geo
         return geo
+
+    def _compact(self, models: list[GPLModel]) -> None:
+        """Copy every live model, in model order, into a fresh arena with
+        a new free tail, and publish the geometry.
+
+        The caller holds every model's writer lock, so no scalar write
+        lands in an array already copied, and the tail lock, so no
+        append places a model meanwhile.  The arrays are copied one at a
+        time, so at most one old arena array is alive beside the new
+        one.  The new arena is never shorter than the old, so a reader
+        still holding an older geometry gathers in bounds (models only
+        grow, so the live slots alone nearly always see to that).
+        """
+        n_slots = np.array([m.n_slots for m in models], dtype=np.int64)
+        slopes = np.array([m.slope_eff for m in models], dtype=np.float64)
+        offsets = np.cumsum(n_slots) - n_slots
+        offsets_l = offsets.tolist()
+        live = int(n_slots.sum())
+        total = max(live + live // _TAIL_FRACTION, len(self.np_keys))
+        for layer_attr, model_attr, fill in _ARENA:
+            arena = np.empty(total, dtype=getattr(self, layer_attr).dtype)
+            np.concatenate([getattr(m, model_attr) for m in models], out=arena[:live])
+            arena[live:] = fill
+            setattr(self, layer_attr, arena)
+            for m, lo in zip(models, offsets_l):
+                setattr(m, model_attr, arena[lo : lo + m.n_slots])
+        self._tail = live
+        self._geo = (
+            self._version, self._first_keys, slopes, (n_slots - 1).astype(np.float64), offsets
+        )
 
     @contextlib.contextmanager
     def _locked_models(self) -> Iterator[list[GPLModel]]:
@@ -496,20 +592,20 @@ class LearnedLayer:
         every key at once, bit-identical to per-key ``route`` +
         ``slot_of`` + ``read_slot`` on a quiescent layer.  State and
         resident keys come from one gather over the layer-wide
-        ``np_state``/``np_keys`` at the flat slot — O(batch), with no
-        copy of the layer to rebuild after a slot write.
+        ``np_state``/``np_keys`` at the flat slot (the model's geometry
+        offset plus its slot) — O(batch), with no copy of the layer to
+        rebuild after a slot write or a swap that fits the tail.
 
         The gathered columns are not one consistent snapshot of a slot a
         writer is changing; ``ALTIndex.batch_get`` re-reads the keys
         after its value gather, and ``batch_insert`` assumes no
-        concurrent writer.  The fold itself is safe against scalar
+        concurrent writer.  A compaction is safe against scalar
         writers, which it excludes with their writer locks.
 
         Returns ``(model_idx, slot, flat_slot, state, resident_key)``.
         """
         keys = np.asarray(keys, dtype=np.uint64)
-        _, slopes, last_slot, offsets = self._geometry()
-        fks = self._first_keys
+        _, fks, slopes, last_slot, offsets = self._geometry()
         # Searching the first keys past model 0 yields the clamped
         # route() index directly: keys left of model 0 land on it.
         midx = np.searchsorted(fks[1:], keys, side="right")

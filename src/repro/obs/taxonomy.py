@@ -178,6 +178,7 @@ CHAOS_SPAN_MAP: dict[str, str] = {
     "olc.write_locked": "art.descend",
     "olc.write_unlock": "art.descend",
     "art.merge": "art.descend",
+    "alt.art_fallback": "art.descend",
     "art.fallback": "retry.fallback",
     # shared machinery
     "spin.acquire": "retry.backoff",

@@ -221,6 +221,66 @@ class TestWriteBack:
         assert idx.writebacks == 1
         assert idx.art.search(164) is None
 
+    @pytest.mark.parametrize("reader", ["get", "batch_get"])
+    def test_readers_never_miss_a_key_moving_home(self, reader):
+        """A write-back writes the slot, then drops the ART copy.  A
+        reader that found the slot free before the write and searches
+        the ART after the removal must still find the key: every ART
+        key here is present throughout, so every answer is its value.
+        One thread's scalar gets drive the write-backs (the learned
+        resident of each ART key's predicted slot is removed first);
+        another reads the same keys in a loop."""
+        keys = dataset("fb", 20_000, seed=0)
+        idx = ALTIndex.bulk_load(keys, retraining=False, memory=MemoryMap())
+        art_keys = [k for k, _ in idx.art.items()]
+        for k in art_keys:
+            _, model = idx.layer.route(k)
+            state, resident, _ = model.read_slot(model.slot_of(k))
+            if state == FULL and resident != k:
+                idx.remove(resident)
+        wb0 = idx.writebacks
+        barrier = threading.Barrier(2)
+        done = threading.Event()
+        errors: list[BaseException] = []
+        wrong: list[int] = []
+
+        def write_back():
+            try:
+                barrier.wait()
+                for k in art_keys:
+                    idx.get(k)
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def read():
+            try:
+                barrier.wait()
+                while not done.is_set():
+                    if reader == "get":
+                        got = [idx.get(k) for k in art_keys]
+                    else:
+                        got = idx.batch_get(art_keys)
+                    wrong.extend(k for k, v in zip(art_keys, got) if v != k)
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=f) for f in (write_back, read)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert idx.writebacks - wb0 > 500, "too few write-backs to race"
+        assert wrong == []
+
 
 class TestScans:
     def test_scan_merges_layers_sorted(self, loaded):

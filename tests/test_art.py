@@ -505,7 +505,7 @@ def assert_runs_match(tree, probe=()):
 
 class TestSortedView:
     """``lookup_sorted`` searches two sorted runs: a frozen main run,
-    built by one walk (or seeded by ``build_sorted``), and a small
+    built by one walk (or published after ``build_sorted``), and a small
     overlay patched from the change delta the public mutators record.
     Main plus overlay must always stand for a fresh walk (``items``)."""
 
@@ -561,6 +561,7 @@ class TestSortedView:
         any lookup the overlay is within it."""
         keys = list(range(0, 3200, 10))
         tree.build_sorted(keys, keys)
+        tree.publish_main(np.array(keys, dtype=np.uint64), np.array(keys, dtype=object))
         main = tree._runs[0]
         bound = len(main) // _OVERLAY_FRACTION
         for i in range(bound):
@@ -574,9 +575,12 @@ class TestSortedView:
         assert len(runs[0]) == len(tree) == len(keys) + bound - 1
         assert_runs_match(tree, range(3200))
 
-    def test_build_sorted_seeds_main_without_a_walk(self, tree, monkeypatch):
+    def test_published_main_needs_no_walk(self, tree, monkeypatch):
         keys = [3, 9, 2**40, 2**64 - 1]
-        tree.build_sorted(keys, ["a", "b", "c", "d"])
+        values = ["a", "b", "c", "d"]
+        tree.build_sorted(keys, values)
+        assert tree._runs is None and tree._delta is None  # not seeded by itself
+        tree.publish_main(np.array(keys, dtype=np.uint64), np.array(values, dtype=object))
         monkeypatch.setattr(tree, "_walk_main", None)  # a walk would fail
         assert tree.lookup_sorted([9, 4, 2**64 - 1]) == ["b", None, "d"]
         tree.remove(9)
@@ -590,6 +594,18 @@ class TestSortedView:
         tree.remove(7)
         tree.bulk_insert([1000, 1001], ["a", "b"])
         assert tree._delta is None and tree._runs is None
+
+    def test_art_baseline_keeps_no_runs(self):
+        """The ART baseline never batch-reads the runs, so its bulk load
+        seeds none and its writes record no delta."""
+        from repro.baselines import ArtIndex
+
+        keys = np.arange(1, 2_000, 3, dtype=np.uint64)
+        idx = ArtIndex.bulk_load(keys, memory=MemoryMap())
+        assert idx.tree._runs is None and idx.tree._delta is None
+        assert idx.insert(2, "x") and idx.remove(1)
+        assert idx.batch_get([1, 2, 4]) == [None, "x", 4]
+        assert idx.tree._runs is None and idx.tree._delta is None
 
     def test_delta_larger_than_the_view_is_dropped(self, tree):
         for k in range(50):

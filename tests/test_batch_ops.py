@@ -10,7 +10,8 @@ docs/API.md states two invariants for the vectorized batch layer:
 
 These tests drive both through mutation sequences chosen to hit the
 fast-path invalidation machinery: the ALT-index layer-wide slot arena
-(folded on every structural version), the ART's sorted main run and
+(swapped models placed at its free tail, compacted once the tail is
+used up), the ART's sorted main run and
 delta-patched overlay, and ALT-index expansion buffers (batch lookups during and after a
 retrain).  The baselines inherit ``BatchIndex``'s per-key loops, so for
 them the same checks cover the scalar paths across ALEX+/B+tree splits
@@ -64,8 +65,8 @@ def scalar_gets(idx, keys):
 
 class _PauseAfterValueCopy:
     """Stands in for NumPy inside ``repro.core.learned_layer``: the
-    fold's copy of the value arena parks until ``resume`` is set, or
-    half a second passes."""
+    compaction's copy of the value arena parks until ``resume`` is set,
+    or half a second passes."""
 
     def __init__(self):
         self.copied = threading.Event()
@@ -74,8 +75,8 @@ class _PauseAfterValueCopy:
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def concatenate(self, arrays):
-        out = np.concatenate(arrays)
+    def concatenate(self, arrays, **kwargs):
+        out = np.concatenate(arrays, **kwargs)
         if out.dtype == object:
             self.copied.set()
             self.resume.wait(timeout=0.5)
@@ -84,7 +85,7 @@ class _PauseAfterValueCopy:
 
 @contextlib.contextmanager
 def _unlocked_models(layer):
-    """A fold that takes no writer lock (the planted race)."""
+    """A compaction that takes no writer lock (the planted race)."""
     yield list(layer.models)
 
 
@@ -315,38 +316,51 @@ class TestALTBatchInternals:
 
     @staticmethod
     def _assert_probe_is_scalar(idx, keys):
-        """probe_live equals per-key route + slot_of + read_slot."""
+        """probe_live equals per-key route + slot_of + read_slot, at the
+        flat slot its model's geometry offset gives."""
         layer = idx.layer
         midx, slots, flat, state, resident = layer.probe_live(keys)
-        starts = np.cumsum([0] + [m.n_slots for m in layer.models])
+        offsets = layer._geo[4]
         for i, k in enumerate(keys.tolist()):
             mi, m = layer.route(k)
             s = m.slot_of(k)
             st, rk, _ = m.read_slot(s)
-            assert (midx[i], slots[i], flat[i], state[i]) == (mi, s, starts[mi] + s, st)
+            assert (midx[i], slots[i], flat[i], state[i]) == (mi, s, offsets[mi] + s, st)
             assert resident[i] == (rk if st == FULL else 0)
 
     @staticmethod
-    def _assert_mirrors_fold_the_lists(layer):
-        """Every model's slot arrays are views of the layer-wide arena,
-        and the arena equals the seqlocked key lists and the scalar
+    def _assert_arena_mirrors_the_lists(layer):
+        """Every model's slot arrays are the views of the layer-wide
+        arena at its geometry offset, the models' ranges are disjoint
+        and below the free tail, every tail slot is free, and each
+        model's slice equals its seqlocked key list and the scalar
         read_slot states and values slot for slot (the values by
         identity: the arena is their only copy)."""
-        state, keys, values = [], [], []
-        for m in layer.models:
-            assert np.shares_memory(m.np_keys, layer.np_keys)
-            assert np.shares_memory(m.np_state, layer.np_state)
-            assert np.shares_memory(m.values, layer.np_values)
+        version, _, _, _, offsets = layer._geometry()
+        assert version == layer.version
+        taken = np.zeros(len(layer.np_keys), dtype=bool)
+        arenas = (layer.np_keys, layer.np_state, layer.np_values)
+        for m, lo in zip(layer.models, offsets.tolist()):
+            hi = lo + m.n_slots
+            assert hi <= layer._tail and not taken[lo:hi].any()
+            taken[lo:hi] = True
+            for view, arena in zip((m.np_keys, m.np_state, m.values), arenas):
+                assert view.base is arena and len(view) == m.n_slots
+                start = view.__array_interface__["data"][0]
+                assert start == arena[lo:].__array_interface__["data"][0]
+            state, keys, values = [], [], []
             for s, k in enumerate(m.keys):
                 st, _, v = m.read_slot(s)
                 assert (st == FULL) == (k is not None)
                 state.append(st)
                 keys.append(0 if k is None else k)
                 values.append(v)
-        assert layer.np_state.tolist() == state
-        assert layer.np_keys.tolist() == keys
-        assert len(layer.np_values) == len(values)
-        assert all(a is b for a, b in zip(layer.np_values.tolist(), values))
+            assert layer.np_state[lo:hi].tolist() == state
+            assert layer.np_keys[lo:hi].tolist() == keys
+            assert all(a is b for a, b in zip(layer.np_values[lo:hi].tolist(), values))
+        tail = slice(layer._tail, None)
+        assert not layer.np_state[tail].any() and not layer.np_keys[tail].any()
+        assert all(v is None for v in layer.np_values[tail].tolist())
 
     def test_empty_index_bootstrap_probe_matches_scalar(self, rng):
         """The first insert into an empty index appends the overflow
@@ -373,7 +387,7 @@ class TestALTBatchInternals:
             # last slot, as slot_of() does, not wrap to slot 0.
             probe = np.array(live + [k0 + 63, k0 + 30_000, 7, 2**64 - 1], dtype=np.uint64)
             self._assert_probe_is_scalar(idx, probe)
-            self._assert_mirrors_fold_the_lists(idx.layer)
+            self._assert_arena_mirrors_the_lists(idx.layer)
             assert idx.batch_get(probe) == scalar_gets(idx, probe)
         assert idx.layer.model_count == 1
         assert idx.layer._version > 1, "no expansion replaced the overflow model"
@@ -418,22 +432,23 @@ class TestALTBatchInternals:
             probe = np.array([live[i] for i in picks] + absent, dtype=np.uint64)
             self._assert_probe_is_scalar(idx, probe)
             assert idx.batch_get(probe) == scalar_gets(idx, probe)
-        self._assert_mirrors_fold_the_lists(idx.layer)
+        self._assert_arena_mirrors_the_lists(idx.layer)
         assert idx.layer._version > v0, "no expansion finished"
 
     def test_layer_mirrors_stay_one_arena(self, rng):
-        """A fresh build is already folded; a structural change folds on
-        the next probe; slot writes after a fold show without a re-fold;
-        and batch_insert still tells apart two keys that predict the same
-        free slot."""
+        """A fresh build leaves a free tail; a model swap that fits it is
+        placed there with no compaction; slot writes after it show with
+        no compaction either; and batch_insert still tells apart two
+        keys that predict the same free slot."""
         universe = rng.choice(2**40, size=6_000, replace=False).astype(np.uint64)
         base = np.sort(universe[:2_000])
         idx = ALTIndex.bulk_load(base, memory=MemoryMap())
         layer = idx.layer
         arena = layer.np_keys
-        self._assert_mirrors_fold_the_lists(layer)
+        self._assert_arena_mirrors_the_lists(layer)
+        assert len(arena) > layer._tail, "a fresh build leaves a free tail"
         layer.probe_live(base[:8])
-        assert layer.np_keys is arena, "a fresh build must not fold"
+        assert layer.np_keys is arena, "a fresh build must not compact"
 
         version = layer._version
         for k in universe[2_000:].tolist():
@@ -442,10 +457,10 @@ class TestALTBatchInternals:
                 break
         assert layer._version != version, "no expansion finished"
         layer.probe_live(base[:8])
-        assert layer.np_keys is not arena
-        self._assert_mirrors_fold_the_lists(layer)
+        assert layer.np_keys is arena, "a swap that fits the tail must not compact"
+        self._assert_arena_mirrors_the_lists(layer)
 
-        # Slot writes after the fold land in the arena: no re-fold.
+        # Slot writes after the swap land in the arena: no compaction.
         arena, version = layer.np_keys, layer._version
         _, _, _, state, _ = layer.probe_live(base)
         k = int(base[int(np.flatnonzero(state == FULL)[0])])
@@ -457,8 +472,8 @@ class TestALTBatchInternals:
         _, _, _, state, resident = layer.probe_live(np.array([k], dtype=np.uint64))
         assert (state[0], resident[0]) == (FULL, k)
         assert layer.np_keys is arena and layer._version == version
-        assert layer._geo_cache[0] == version
-        self._assert_mirrors_fold_the_lists(layer)
+        assert layer._geo[0] == version
+        self._assert_arena_mirrors_the_lists(layer)
 
         # Two absent keys predicting one EMPTY slot of a model the batch
         # fast path handles: the first wins the slot, the second is a
@@ -484,16 +499,85 @@ class TestALTBatchInternals:
         assert idx.conflict_inserts == conflicts + 1
         assert idx.batch_get(np.array(pair, dtype=np.uint64)) == ["a", "b"]
         assert layer.np_keys is arena
-        self._assert_mirrors_fold_the_lists(layer)
+        self._assert_arena_mirrors_the_lists(layer)
+
+    def test_swap_with_room_is_placed_at_the_tail(self, rng):
+        """A swapped-in model is copied to the arena's free tail: the
+        arena object stays, the geometry is published for the new
+        version with the model at the old tail offset, and the probe
+        still equals the scalar route + slot_of + read_slot."""
+        universe = rng.choice(2**40, size=6_000, replace=False).astype(np.uint64)
+        base = np.sort(universe[:2_000])
+        idx = ALTIndex.bulk_load(base, memory=MemoryMap())
+        layer = idx.layer
+        arena, tail, version = layer.np_keys, layer._tail, layer.version
+        before = list(layer.models)
+        for k in universe[2_000:].tolist():
+            idx.insert(k, k)
+            if layer.version != version:
+                break
+        assert layer.version == version + 1, "no expansion finished"
+        mi = next(i for i, m in enumerate(layer.models) if m is not before[i])
+        new = layer.models[mi]
+        assert layer.np_keys is arena
+        assert layer._geo[0] == layer.version
+        assert layer._geo[4][mi] == tail and layer._tail == tail + new.n_slots
+        probe = np.concatenate([base, universe[2_000:2_500]])
+        self._assert_probe_is_scalar(idx, probe)
+        self._assert_arena_mirrors_the_lists(layer)
+        assert layer.np_keys is arena
+        assert idx.batch_get(probe) == scalar_gets(idx, probe)
+
+    def test_exhausting_the_tail_compacts_once(self, monkeypatch, rng):
+        """Swaps are placed at the tail until one does not fit; that one
+        withdraws the geometry, and the next probe compacts exactly once
+        into a fresh arena with a new free tail."""
+        compactions = []
+        compact = LearnedLayer._compact
+
+        def counting(layer, models):
+            compactions.append(layer.version)
+            compact(layer, models)
+
+        monkeypatch.setattr(LearnedLayer, "_compact", counting)
+        universe = rng.choice(2**40, size=20_000, replace=False).astype(np.uint64)
+        base = np.sort(universe[:2_000])
+        idx = ALTIndex.bulk_load(base, memory=MemoryMap())
+        layer = idx.layer
+        arena, version, placed = layer.np_keys, layer.version, 0
+        probe = np.concatenate([base[::7], universe[2_000::50]])
+        for k in universe[2_000:].tolist():
+            idx.insert(k, k)
+            if layer.version == version:
+                continue
+            version = layer.version
+            if layer._geo is None:
+                break
+            placed += 1
+            assert layer.np_keys is arena and not compactions
+            self._assert_probe_is_scalar(idx, probe)
+        else:
+            raise AssertionError("the tail never filled up")
+        assert placed > 0, "no swap fit the tail"
+        self._assert_probe_is_scalar(idx, probe)
+        self._assert_probe_is_scalar(idx, probe)
+        assert compactions == [layer.version]
+        assert layer.np_keys is not arena
+        live = sum(m.n_slots for m in layer.models)
+        assert layer._tail == live
+        assert len(layer.np_keys) == max(live + live // learned_layer._TAIL_FRACTION, len(arena))
+        self._assert_arena_mirrors_the_lists(layer)
+        assert idx.batch_get(probe) == scalar_gets(idx, probe)
 
     @pytest.mark.parametrize("locked", [True, False], ids=["fold-locks", "planted-unlocked"])
     def test_fold_never_loses_a_racing_scalar_write(self, monkeypatch, sorted_keys, locked):
-        """A fold parks right after copying the value arena, before it
-        rebinds the models' views; a scalar update of a learned-resident
-        key then races it.  The fold holds every model's writer lock, so
-        the update waits and lands in the new arena.  The planted mutant
-        folds without the locks: the update writes the old arena, the
-        rebind drops it, and scalar get still reads the old value."""
+        """A compaction parks right after copying the value arena, before
+        it rebinds the models' views; a scalar update of a learned-resident
+        key then races it.  The compaction holds every model's writer
+        lock, so the update waits and lands in the new arena.  The planted
+        mutant compacts without the locks: the update writes the old
+        arena, the rebind drops it, and scalar get still reads the old
+        value."""
         idx = ALTIndex.bulk_load(sorted_keys, memory=MemoryMap())
         layer = idx.layer
         _, _, _, state, resident = layer.probe_live(sorted_keys)
@@ -502,7 +586,7 @@ class TestALTBatchInternals:
         monkeypatch.setattr(learned_layer, "np", pause)
         if not locked:
             monkeypatch.setattr(LearnedLayer, "_locked_models", _unlocked_models)
-        layer._version += 1  # the next probe folds
+        layer._geo = None  # the next probe compacts
 
         def update():
             idx.update(k, "new")
@@ -520,14 +604,14 @@ class TestALTBatchInternals:
         assert lost == (not locked)
         if locked:
             assert idx.batch_get(np.array([k], dtype=np.uint64)) == ["new"]
-            self._assert_mirrors_fold_the_lists(layer)
+            self._assert_arena_mirrors_the_lists(layer)
 
     @pytest.mark.parametrize("cls", [ALTIndex, ShardedALTIndex], ids=lambda c: c.NAME)
     def test_batch_get_returns_the_scalar_objects(self, sorted_keys, cls):
         """Tuple, list, ndarray and str values come back from batch_get
         as the very objects scalar get returns (the value arena stores
         references; the shard gather never broadcasts a sequence), both
-        on the bulk-built arena and after a fold."""
+        on the bulk-built arena and after model swaps."""
         makers = (
             lambda k: (k, "t"),
             lambda k: [k],
@@ -551,22 +635,22 @@ class TestALTBatchInternals:
         assert_same_objects(base)
         for i, k in enumerate(extra.tolist()):
             idx.insert(k, makers[i % 4](k))
-        assert any(layer._version != v for layer, v in zip(layers, versions)), "no fold"
+        assert any(layer._version != v for layer, v in zip(layers, versions)), "no swap"
         assert_same_objects(np.concatenate([base, extra]))
         for layer in layers:
-            self._assert_mirrors_fold_the_lists(layer)
+            self._assert_arena_mirrors_the_lists(layer)
 
     def test_fold_keeps_one_old_arena_alive(self, sorted_keys):
-        """The fold copies the arena one array at a time: its traced
+        """A compaction copies the arena one array at a time: its traced
         peak stays below the largest array plus per-model bookkeeping,
         where copying all three at once would add the other two."""
         tracemalloc.start()
         try:
             idx = ALTIndex.bulk_load(sorted_keys, memory=MemoryMap())
             layer = idx.layer
-            layer._version += 1
-            layer.probe_live(sorted_keys[:4])  # a traced arena to fold from
-            layer._version += 1
+            layer._geo = None
+            layer.probe_live(sorted_keys[:4])  # a traced arena to compact from
+            layer._geo = None
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
             layer.probe_live(sorted_keys[:4])
@@ -577,7 +661,7 @@ class TestALTBatchInternals:
         largest = max(a.nbytes for a in arrays)
         assert peak - before < largest + 128 * len(layer.models) + 16 * 1024
         assert sum(a.nbytes for a in arrays) - largest > 128 * len(layer.models) + 16 * 1024
-        self._assert_mirrors_fold_the_lists(layer)
+        self._assert_arena_mirrors_the_lists(layer)
 
     def test_interleaved_writes_keep_the_patched_art_view_exact(self, rng):
         """batch_get resolves conflict keys against the ART's sorted main

@@ -131,8 +131,8 @@ class TestIndexRecovery:
 
     def test_get_recovers_only_under_the_writer_lock(self, index):
         """The recovery tombstone is a slot write, so a reader takes the
-        model's writer lock first — the lock the arena fold holds while
-        it copies the slot arrays."""
+        model's writer lock first — the lock the arena compaction holds
+        while it copies the slot arrays."""
         key = 2000
         model, slot = self._wedge(index, key)
         answers = []

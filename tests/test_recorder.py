@@ -163,7 +163,7 @@ class TestCrashPostmortemFixture:
         rec = FlightRecorder(capacity=256)
         with flight_recorder(rec):
             report = protocols.run_schedule(
-                "writeback", 3, crash_point="alt.writeback"
+                "writeback", 0, crash_point="alt.writeback"
             )
         assert report.crashed == ["getter-b"]
         doc = rec.postmortems[-1]
@@ -189,10 +189,10 @@ class TestAutoDumpTriggers:
     def test_injected_crash_dumps_with_schedule_context(self):
         rec = FlightRecorder()
         with flight_recorder(rec):
-            protocols.run_schedule("writeback", 3, crash_point="alt.writeback")
+            protocols.run_schedule("writeback", 0, crash_point="alt.writeback")
         (doc,) = [d for d in rec.postmortems if d["reason"] == "injected_crash"]
         assert doc["context"]["point"] == "alt.writeback"
-        assert doc["context"]["seed"] == 3
+        assert doc["context"]["seed"] == 0
         assert doc["context"]["task"] in ("getter-a", "getter-b", "churn")
 
     def test_linearizability_violation_dumps(self):
