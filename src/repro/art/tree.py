@@ -28,8 +28,9 @@ Writers acquire node write locks via non-blocking upgrade and restart on
 failure, so the protocol is deadlock-free; readers never write shared
 state.  A writer frees the node it replaces at once: CPython refcounting
 keeps the object alive while a reader still holds it, and ``free()`` only
-returns the node's modeled span to the memory map.  All operations
-record cache-line touches and node visits into the ambient cost trace.
+returns the node's modeled span to the memory map.  When a tracer is
+live, all operations record cache-line touches and node visits into the
+ambient cost trace; with none live, the descents skip that bookkeeping.
 
 Restarts are *bounded* (Leis et al. assume this; we enforce it): every
 public operation runs its restart loop through a
@@ -72,7 +73,7 @@ from repro.concurrency.retry import (
     acquire_cooperative,
 )
 from repro.concurrency.version_lock import OptimisticLock, RestartException
-from repro.sim.trace import MemoryMap, active_tracer, global_memory
+from repro.sim.trace import MemoryMap, active_tracer, current_tracer, global_memory
 
 _HEADER = 16
 
@@ -146,31 +147,39 @@ class AdaptiveRadixTree:
         """Register ``listener(old_node, new_node)`` for SMO notifications."""
         self._replace_listeners.append(listener)
 
-    def _with_restarts(self, site: str, attempt: Callable[[], object]):
-        """Run ``attempt`` under the bounded-restart protocol.
+    def _with_restarts(self, site: str, attempt: Callable[..., object], *args):
+        """Run ``attempt(*args)`` under the bounded-restart protocol.
 
-        Optimistic restarts retry through :class:`BoundedRetry`; past the
-        policy's fallback threshold the operation serializes through the
-        tree's pessimistic fallback lock (graceful degradation instead of
-        livelock), and budget exhaustion raises
+        The first attempt runs before any retry state exists, so an
+        operation that never restarts allocates none.  Optimistic restarts
+        retry through :class:`BoundedRetry`; past the policy's fallback
+        threshold (at least one failure) the operation serializes through
+        the tree's pessimistic fallback lock (graceful degradation instead
+        of livelock), and budget exhaustion raises
         :class:`repro.concurrency.retry.RetryBudgetExceeded`.
         """
-        state = self._retry.begin(site)
+        try:
+            return attempt(*args)
+        except RestartException:
+            state = self._retry.begin(site)
+            state.step()
         while not state.should_fallback:
             try:
-                return attempt()
+                return attempt(*args)
             except RestartException:
                 state.step()
-        return self._run_pessimistic(state, attempt)
+        return self._run_pessimistic(state, attempt, *args)
 
-    def _run_pessimistic(self, state: RetryState, attempt: Callable[[], object]):
+    def _run_pessimistic(
+        self, state: RetryState, attempt: Callable[..., object], *args
+    ):
         state.count_fallback()
         chaos.point("art.fallback")
         acquire_cooperative(self._fallback_lock, state)
         try:
             while True:
                 try:
-                    return attempt()
+                    return attempt(*args)
                 except RestartException:
                     # Still optimistic inside (a non-fallback writer can
                     # interleave), but aggressive retriers are serialized,
@@ -181,7 +190,7 @@ class AdaptiveRadixTree:
 
     def search(self, key: int, from_node=None):
         """Return the value for ``key`` or ``None``; restarts transparently."""
-        return self._with_restarts("art.search", lambda: self._search(key, from_node))
+        return self._with_restarts("art.search", self._search, key, from_node)
 
     def insert(self, key: int, value, from_node=None, upsert: bool = False) -> bool:
         """Insert ``key``.
@@ -190,7 +199,7 @@ class AdaptiveRadixTree:
         value is replaced when the key exists (still returning False).
         """
         new = self._with_restarts(
-            "art.insert", lambda: self._insert(key, value, from_node, upsert)
+            "art.insert", self._insert, key, value, from_node, upsert
         )
         if (new or upsert) and self._delta is not None:
             self._record(((key, value),))
@@ -198,7 +207,7 @@ class AdaptiveRadixTree:
 
     def remove(self, key: int) -> bool:
         """Delete ``key``; returns True if it was present."""
-        removed = self._with_restarts("art.remove", lambda: self._remove(key))
+        removed = self._with_restarts("art.remove", self._remove, key)
         if removed and self._delta is not None:
             self._record(((key, _REMOVED),))
         return removed
@@ -214,10 +223,7 @@ class AdaptiveRadixTree:
         out: list[bool] = []
         for key, value in zip(keys, values):
             out.append(
-                self._with_restarts(
-                    "art.insert",
-                    lambda k=key, v=value: self._insert(k, v, None, upsert),
-                )
+                self._with_restarts("art.insert", self._insert, key, value, None, upsert)
             )
         if self._delta is not None:
             self._record(
@@ -298,7 +304,7 @@ class AdaptiveRadixTree:
         match :meth:`remove`."""
         out: list[bool] = []
         for key in keys:
-            out.append(self._with_restarts("art.remove", lambda k=key: self._remove(k)))
+            out.append(self._with_restarts("art.remove", self._remove, key))
         if self._delta is not None:
             self._record((k, _REMOVED) for k, gone in zip(keys, out) if gone)
         return out
@@ -426,16 +432,18 @@ class AdaptiveRadixTree:
     ) -> None:
         if node is None or len(out) >= limit:
             return
-        trace = active_tracer()
+        trace = current_tracer()
         if isinstance(node, Leaf):
-            trace.read_span(node.span)
+            if trace is not None:
+                trace.read_span(node.span)
             if not tight or node.kbytes >= lo_bytes:
                 out.append((node.key, node.value))
             return
         version = node.lock.read_lock_or_restart()
         if node.match_level != depth:  # moved down: see _search
             raise RestartException
-        trace.read_span(node.span)
+        if trace is not None:
+            trace.read_span(node.span)
         p = node.prefix
         if tight and p:
             ref = lo_bytes[depth : depth + len(p)]
@@ -458,7 +466,14 @@ class AdaptiveRadixTree:
             for byte, child in children:
                 if len(out) >= limit:
                     return
-                self._scan(child, lo_bytes, depth + 1, tight and byte == bound, limit, out)
+                if tight and byte == bound:
+                    self._scan(child, lo_bytes, depth + 1, True, limit, out)
+                elif isinstance(child, Leaf):  # off the left edge: _scan, inlined
+                    if trace is not None:
+                        trace.read_span(child.span)
+                    out.append((child.key, child.value))
+                else:
+                    self._scan(child, lo_bytes, depth + 1, False, limit, out)
             if len(children) < want or len(out) >= limit:
                 return
             start = children[-1][0] + 1
@@ -519,7 +534,7 @@ class AdaptiveRadixTree:
     # ------------------------------------------------------------------
     def _search(self, key: int, from_node):
         kb = encode_key(key)
-        trace = active_tracer()
+        trace = current_tracer()
         if isinstance(from_node, Node) and not from_node.lock.is_obsolete:
             node = from_node
             depth = node.match_level
@@ -534,7 +549,8 @@ class AdaptiveRadixTree:
             if node is None:
                 return None
             if isinstance(node, Leaf):
-                trace.read_span(node.span)
+                if trace is not None:
+                    trace.read_span(node.span)
                 return node.value if node.kbytes == kb else None
             chaos.point("art.descend")
             version = node.lock.read_lock_or_restart()
@@ -544,15 +560,17 @@ class AdaptiveRadixTree:
                 # down in between; its match_level (read under the
                 # version validated below) then betrays the stale depth.
                 raise RestartException
-            trace.read_span(node.span)
-            trace.nodes_visited += 1
+            if trace is not None:
+                trace.read_span(node.span)
+                trace.nodes_visited += 1
             p = node.prefix
             if p and kb[depth : depth + len(p)] != p:
                 node.lock.read_unlock_or_restart(version)
                 return None
             depth += len(p)
             child = node.find_child(kb[depth])
-            trace.read_line(node.child_line(kb[depth]))
+            if trace is not None:
+                trace.read_line(node.child_line(kb[depth]))
             node.lock.read_unlock_or_restart(version)
             node = child
             depth += 1
@@ -610,7 +628,7 @@ class AdaptiveRadixTree:
 
     def _insert(self, key: int, value, from_node, upsert: bool) -> bool:
         kb = encode_key(key)
-        trace = active_tracer()
+        trace = current_tracer()
 
         if (
             from_node is not None
@@ -644,8 +662,9 @@ class AdaptiveRadixTree:
             version = node.lock.read_lock_or_restart()
             if node.match_level != depth:  # moved down: see _search
                 raise RestartException
-            trace.read_span(node.span)
-            trace.nodes_visited += 1
+            if trace is not None:
+                trace.read_span(node.span)
+                trace.nodes_visited += 1
             p = node.prefix
             cpl = common_prefix_len(p, kb[depth : depth + len(p)]) if p else 0
             if p and cpl < len(p):
@@ -781,7 +800,7 @@ class AdaptiveRadixTree:
     # ------------------------------------------------------------------
     def _remove(self, key: int) -> bool:
         kb = encode_key(key)
-        trace = active_tracer()
+        trace = current_tracer()
         rv = self._root_lock.read_lock_or_restart()
         node = self._root
         if node is None:
@@ -806,7 +825,8 @@ class AdaptiveRadixTree:
             version = node.lock.read_lock_or_restart()
             if node.match_level != depth:  # moved down: see _search
                 raise RestartException
-            trace.read_span(node.span)
+            if trace is not None:
+                trace.read_span(node.span)
             p = node.prefix
             if p and kb[depth : depth + len(p)] != p:
                 node.lock.read_unlock_or_restart(version)

@@ -18,7 +18,7 @@ from repro.art.nodes import (
     encode_key,
 )
 from repro.art.tree import _OVERLAY_FRACTION, _REMOVED, AdaptiveRadixTree
-from repro.sim.trace import MemoryMap, tracer
+from repro.sim.trace import NULL_TRACE, MemoryMap, tracer
 
 
 @pytest.fixture
@@ -402,6 +402,36 @@ class TestMidTreeEntry:
         assert tree.search(5001) == "n"
 
 
+# Trace counts of ``_op_mix(tree, seed=5)`` on an empty tree, pinned from
+# descents that recorded unconditionally: gating the bookkeeping on a
+# live tracer must not change what a traced run records.
+NODES_VISITED, READS, WRITES = 976, 2_465, 550
+
+
+def _op_mix(tree: AdaptiveRadixTree, seed: int) -> list:
+    """A seeded mix of search/insert/remove/scan over 200 keys that vary
+    in three key bytes, so nodes carry prefixes, grow to Node48 and
+    shrink; returns every result."""
+    rng = random.Random(seed)
+    pool = [
+        rng.randrange(3) << 40 | rng.randrange(40) << 24 | rng.randrange(6) << 8
+        for _ in range(200)
+    ]
+    out = []
+    for _ in range(600):
+        key = rng.choice(pool)
+        op = rng.random()
+        if op < 0.4:
+            out.append(tree.insert(key, key))
+        elif op < 0.7:
+            out.append(tree.search(key))
+        elif op < 0.9:
+            out.append(tree.remove(key))
+        else:
+            out.append(tree.scan(key, 8))
+    return out
+
+
 class TestTracing:
     def test_search_records_reads_and_visits(self, tree):
         for k in range(200):
@@ -416,6 +446,26 @@ class TestTracing:
         with tracer() as t:
             tree.insert(2**40, 2)
         assert len(t.writes) >= 1
+
+    def test_untraced_descents_skip_the_bookkeeping(self):
+        """With no tracer live the four descents record nothing, not even
+        into the null sink; under a tracer the same ops on a twin tree
+        give the same results and the counts pinned from the fully
+        traced descents."""
+        untraced = AdaptiveRadixTree(MemoryMap(), "u")
+        before = NULL_TRACE.nodes_visited
+        got = _op_mix(untraced, seed=5)
+        assert NULL_TRACE.nodes_visited == before
+
+        traced = AdaptiveRadixTree(MemoryMap(), "t")
+        with tracer() as t:
+            assert _op_mix(traced, seed=5) == got
+        assert traced.items() == untraced.items()
+        assert (t.nodes_visited, len(t.reads), len(t.writes)) == (
+            NODES_VISITED,
+            READS,
+            WRITES,
+        )
 
 
 class TestMemoryAccounting:

@@ -16,7 +16,8 @@ from repro.concurrency.retry import (
     acquire_cooperative,
 )
 from repro.concurrency.spinlock import SpinLock
-from repro.concurrency.version_lock import SlotVersionArray
+from repro.concurrency.version_lock import RestartException, SlotVersionArray
+from repro.obs.recorder import FlightRecorder, flight_recorder
 from repro.sim.cost_model import CostModel
 from repro.sim.trace import CostTrace, tracer
 
@@ -214,3 +215,85 @@ class TestARTFallback:
             assert tree.search(20) == 20
         assert t.fallbacks >= 1  # pessimistic degradation engaged
         assert t.retries >= 3
+
+
+def _restart_first(tree, name: str, failures: int) -> list[bool]:
+    """Make ``tree.<name>`` raise RestartException on its first
+    ``failures`` attempts.  Returns, per attempt, whether the tree's
+    fallback lock was held when the attempt ran."""
+    real = getattr(tree, name)
+    held: list[bool] = []
+
+    def attempt(*args):
+        held.append(tree._fallback_lock.locked())
+        if len(held) <= failures:
+            raise RestartException
+        return real(*args)
+
+    setattr(tree, name, attempt)
+    return held
+
+
+OPS = {
+    "search": ("_search", lambda tree: tree.search(20), 20),
+    "insert": ("_insert", lambda tree: tree.insert(25, 25), True),
+    "remove": ("_remove", lambda tree: tree.remove(30), True),
+}
+
+
+class TestARTRestartAccounting:
+    """One restart costs one retry step, as a restart loop that builds
+    its retry state up front counts it; the first attempt allocates none."""
+
+    @staticmethod
+    def _tree(policy: BoundedRetry = FAST) -> AdaptiveRadixTree:
+        tree = AdaptiveRadixTree(retry=policy)
+        for k in (10, 20, 30):
+            tree.insert(k, k)
+        return tree
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_one_restart_is_one_retry_and_one_chaos_point(self, op):
+        name, run, expected = OPS[op]
+        tree = self._tree()
+        held = _restart_first(tree, name, failures=1)
+        rec = FlightRecorder(capacity=4096)
+        t = CostTrace()
+        with flight_recorder(rec), tracer(t):
+            assert run(tree) == expected
+        assert held == [False, False]
+        assert (t.retries, t.fallbacks) == (1, 0)
+        points = [
+            e["name"]
+            for events in rec.threads().values()
+            for e in events
+            if e["kind"] == "point" and e["name"].endswith(".retry")
+        ]
+        assert points == [f"art.{op}.retry"]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_fallback_lock_taken_after_exactly_k_failures(self, op, k):
+        name, run, expected = OPS[op]
+        policy = BoundedRetry(
+            spin_budget=8, max_retries=64, fallback_after=k,
+            backoff_base_s=1e-9, backoff_max_s=1e-8,
+        )
+        tree = self._tree(policy)
+        held = _restart_first(tree, name, failures=k)
+        t = CostTrace()
+        with tracer(t):
+            assert run(tree) == expected
+        assert held == [False] * k + [True]
+        assert (t.retries, t.fallbacks) == (k, 1)
+        assert not tree._fallback_lock.locked()
+
+    def test_no_restart_takes_no_retry_state(self):
+        class NoState(BoundedRetry):
+            def begin(self, site):
+                raise AssertionError(f"retry state built at {site}")
+
+        tree = self._tree(NoState())
+        assert tree.search(20) == 20
+        assert tree.insert(25, 25)
+        assert tree.remove(30)
