@@ -22,15 +22,24 @@ Additions required by ALT-index:
   ``searchsorted`` over each of two sorted runs: a frozen *main* run of
   the whole tree and a small *overlay* of the changes since main was
   built.  A write patches the overlay; main is rebuilt only when the
-  overlay outgrows ``1 / _OVERLAY_FRACTION`` of it.
+  overlay outgrows ``1 / _OVERLAY_FRACTION`` of it;
+- ``search_runs(key)`` answers one key from the same runs and the
+  changes not yet merged into them, with no descent: the scalar read
+  an untraced ``ALTIndex.get`` uses for ART-resident keys;
+- ``iter_from(lo)`` walks the tree once, lazily, from ``lo``: the range
+  read behind ``scan``, ``ALTIndex.scan`` and an expansion's move-home.
 
 Writers acquire node write locks via non-blocking upgrade and restart on
 failure, so the protocol is deadlock-free; readers never write shared
-state.  A writer frees the node it replaces at once: CPython refcounting
+state (``search_runs`` reads one published snapshot and takes no lock;
+it declines while a public write is in flight, whose tree change the
+snapshot may lack).
+A writer frees the node it replaces at once: CPython refcounting
 keeps the object alive while a reader still holds it, and ``free()`` only
 returns the node's modeled span to the memory map.  When a tracer is
 live, all operations record cache-line touches and node visits into the
-ambient cost trace; with none live, the descents skip that bookkeeping.
+ambient cost trace; with none live, the descents, the walks and the
+writer helpers they call skip that bookkeeping.
 
 Restarts are *bounded* (Leis et al. assume this; we enforce it): every
 public operation runs its restart loop through a
@@ -73,7 +82,7 @@ from repro.concurrency.retry import (
     acquire_cooperative,
 )
 from repro.concurrency.version_lock import OptimisticLock, RestartException
-from repro.sim.trace import MemoryMap, active_tracer, current_tracer, global_memory
+from repro.sim.trace import MemoryMap, current_tracer, global_memory
 
 _HEADER = 16
 
@@ -81,6 +90,17 @@ ReplaceListener = Callable[[object, object], None]
 
 # Overlay/delta marker for a key removed since main was built.
 _REMOVED = object()
+
+# search_runs() result while the tree keeps no sorted runs.
+NO_RUNS = object()
+
+# A key with no entry in a delta or run.
+_ABSENT = object()
+
+# Children an iter_from() walk lists from a node between version checks.
+_WALK_BATCH = 8
+
+_UINT64_MAX = 2**64 - 1
 
 # The overlay is folded into main once it holds more than
 # 1/_OVERLAY_FRACTION as many keys as main: an O(n) main rebuild then
@@ -112,14 +132,18 @@ class AdaptiveRadixTree:
         self._root_lock = OptimisticLock()
         self._size = 0
         self._size_lock = threading.Lock()
-        # lookup_sorted() state: the runs last published, as one
-        # (main keys, main values, overlay keys, overlay values) tuple;
-        # the changes since they were built (key -> value or _REMOVED;
-        # None while no runs are kept); and the delta size past which
-        # all of it is dropped.
-        self._runs: tuple[np.ndarray, ...] | None = None
-        self._delta: dict[int, object] | None = None
+        # Sorted-run state, published as one ``(runs, delta, merging)``
+        # tuple so a reader takes one consistent snapshot: the runs last
+        # published, as a (main keys, main values, overlay keys, overlay
+        # values) tuple (None during the first walk); the live delta of
+        # changes since (key -> value or _REMOVED); and the delta that
+        # _fresh_runs swapped out and is merging (None when no merge
+        # runs).  None while no runs are kept.  _delta_cap is the delta
+        # size past which all of it is dropped.
+        self._view: tuple | None = None
         self._delta_cap = 0
+        # Public writes between their tree write's start and their record.
+        self._writing = 0
         self._delta_lock = threading.Lock()  # record vs swap/drop
         self._runs_lock = threading.Lock()  # one thread rebuilds the runs at a time
         self._replace_listeners: list[ReplaceListener] = []
@@ -142,6 +166,16 @@ class AdaptiveRadixTree:
     @property
     def root(self):
         return self._root
+
+    @property
+    def _runs(self) -> tuple[np.ndarray, ...] | None:
+        view = self._view
+        return None if view is None else view[0]
+
+    @property
+    def _delta(self) -> dict[int, object] | None:
+        view = self._view
+        return None if view is None else view[1]
 
     def add_replace_listener(self, listener: ReplaceListener) -> None:
         """Register ``listener(old_node, new_node)`` for SMO notifications."""
@@ -198,18 +232,28 @@ class AdaptiveRadixTree:
         Returns True if the key was newly inserted.  With ``upsert`` the
         value is replaced when the key exists (still returning False).
         """
-        new = self._with_restarts(
-            "art.insert", self._insert, key, value, from_node, upsert
-        )
-        if (new or upsert) and self._delta is not None:
-            self._record(((key, value),))
+        self._begin_write()
+        changes = ()
+        try:
+            new = self._with_restarts(
+                "art.insert", self._insert, key, value, from_node, upsert
+            )
+            if new or upsert:
+                changes = ((key, value),)
+        finally:
+            self._record(changes)
         return new
 
     def remove(self, key: int) -> bool:
         """Delete ``key``; returns True if it was present."""
-        removed = self._with_restarts("art.remove", self._remove, key)
-        if removed and self._delta is not None:
-            self._record(((key, _REMOVED),))
+        self._begin_write()
+        changes = ()
+        try:
+            removed = self._with_restarts("art.remove", self._remove, key)
+            if removed:
+                changes = ((key, _REMOVED),)
+        finally:
+            self._record(changes)
         return removed
 
     def bulk_insert(self, keys, values, upsert: bool = False) -> list[bool]:
@@ -221,11 +265,15 @@ class AdaptiveRadixTree:
         :meth:`insert`.
         """
         out: list[bool] = []
-        for key, value in zip(keys, values):
-            out.append(
-                self._with_restarts("art.insert", self._insert, key, value, None, upsert)
-            )
-        if self._delta is not None:
+        self._begin_write()
+        try:
+            for key, value in zip(keys, values):
+                out.append(
+                    self._with_restarts(
+                        "art.insert", self._insert, key, value, None, upsert
+                    )
+                )
+        finally:
             self._record(
                 (k, v) for k, v, new in zip(keys, values, out) if new or upsert
             )
@@ -269,8 +317,7 @@ class AdaptiveRadixTree:
         """
         main = _frozen(keys, values)
         with self._delta_lock:
-            self._runs = (*main, *_EMPTY_RUN)
-            self._delta = {}
+            self._view = ((*main, *_EMPTY_RUN), {}, None)
             self._delta_cap = len(keys)
 
     def _build_run(self, keys: list, values: list, lo: int, hi: int, depth: int):
@@ -303,9 +350,11 @@ class AdaptiveRadixTree:
         """Delete many **pre-sorted** keys in one pass; per-key flags
         match :meth:`remove`."""
         out: list[bool] = []
-        for key in keys:
-            out.append(self._with_restarts("art.remove", self._remove, key))
-        if self._delta is not None:
+        self._begin_write()
+        try:
+            for key in keys:
+                out.append(self._with_restarts("art.remove", self._remove, key))
+        finally:
             self._record((k, _REMOVED) for k, gone in zip(keys, out) if gone)
         return out
 
@@ -338,6 +387,30 @@ class AdaptiveRadixTree:
                 out[i] = None
         return out
 
+    def search_runs(self, key: int):
+        """``key``'s value from the kept runs, ``None`` where absent, or
+        :data:`NO_RUNS` while the tree keeps none (no batch reader seeded
+        them, or a delta overflow dropped them).
+
+        The scalar companion of :meth:`lookup_sorted`, and untraced: it
+        walks no node, merges nothing, and takes no lock.  From one
+        snapshot of ``(runs, delta, merging)`` it checks the live delta,
+        then the delta a merge has swapped out but not yet published,
+        then the overlay, then main; the two runs are probed with one
+        ``searchsorted`` each on a ``np.uint64`` probe (a Python-int probe
+        would cast the whole run).  A write is recorded after its tree
+        write, so while any public write is in flight this returns
+        :data:`NO_RUNS` too: the caller then searches the tree, and a
+        read that follows a tree walk which saw the write sees it too.
+        """
+        if self._writing:
+            return NO_RUNS  # the tree may hold a change the runs lack yet
+        view = self._view  # after the check: it holds every earlier record
+        if view is None or view[0] is None:
+            return NO_RUNS
+        chaos.point("art.view")  # snapshot taken: a merge may publish now
+        return view_value(*view, key)
+
     def _fresh_runs(self) -> tuple[np.ndarray, ...]:
         """The published ``(main keys, main values, overlay keys, overlay
         values)`` runs, brought up to date with the tree.
@@ -359,16 +432,23 @@ class AdaptiveRadixTree:
         Re-applying a change the walk already saw is harmless: entries
         are upserts and removals.  Main and overlay are published as one
         tuple, so no reader pairs a folded main with an older overlay
-        (which could bring back a removed key).  Returned arrays are
-        read-only and never mutated.
+        (which could bring back a removed key); the swap publishes the
+        old runs with the swapped-out delta as *merging*, and the merge
+        publishes the new runs with the live delta, so a
+        :meth:`search_runs` snapshot never misses a recorded change.
+        Returned arrays are read-only and never mutated.
         """
         with self._runs_lock:
             with self._delta_lock:
-                runs, delta = self._runs, self._delta  # runs imply a delta
+                view = self._view
+                runs, delta = (None, None) if view is None else view[:2]
                 if runs is not None and not delta:
                     return runs
-                self._delta = {}
+                # The swapped-out delta stays visible to search_runs
+                # until the merged runs are published.
+                self._view = (runs, {}, delta)
                 self._delta_cap = len(runs[0]) if runs is not None else self._size
+            chaos.point("art.view_merge")
             if runs is None:
                 runs = (*self._walk_main(), *_EMPTY_RUN)
             else:
@@ -380,21 +460,30 @@ class AdaptiveRadixTree:
                 else:
                     runs = (*runs[:2], okeys, ovals)
             with self._delta_lock:
-                if self._delta is not None:  # not dropped meanwhile
-                    self._runs = runs
+                view = self._view
+                if view is not None:  # not dropped meanwhile
+                    self._view = (runs, view[1], None)
                     self._delta_cap = len(runs[0])
             return runs
 
-    def _record(self, changes) -> None:
-        """Add ``(key, value | _REMOVED)`` changes to the runs' delta."""
+    def _begin_write(self) -> None:
+        """Count a public write as in flight until its :meth:`_record`."""
         with self._delta_lock:
-            delta = self._delta
-            if delta is None:
+            self._writing += 1
+
+    def _record(self, changes) -> None:
+        """End a write begun by :meth:`_begin_write`: add its ``(key,
+        value | _REMOVED)`` changes to the runs' delta, if runs are kept."""
+        with self._delta_lock:
+            self._writing -= 1
+            view = self._view
+            if view is None:
                 return
+            delta = view[1]
             for key, value in changes:
                 delta[int(key)] = value
             if len(delta) > self._delta_cap:
-                self._runs = self._delta = None
+                self._view = None
 
     def _walk_main(self) -> tuple[np.ndarray, np.ndarray]:
         pairs = self.items()
@@ -407,76 +496,122 @@ class AdaptiveRadixTree:
 
         def attempt() -> list[tuple[int, object]]:
             out: list[tuple[int, object]] = []
-            self._collect(self._root, lo, hi, out)
+            self._collect(self._root, lo, hi, out, current_tracer())
             return out
 
         return self._with_restarts("art.items", attempt)
 
     def scan(self, lo: int, limit: int) -> list[tuple[int, object]]:
-        """Up to ``limit`` sorted (key, value) pairs with key >= lo.
+        """Up to ``limit`` sorted (key, value) pairs with key >= lo: the
+        first ``limit`` pairs of :meth:`iter_from` (short-scan workload,
+        Fig. 8c)."""
+        return list(islice(self.iter_from(lo), max(limit, 0)))
 
-        Bounded in-order traversal: subtrees entirely below ``lo`` are
-        pruned byte-by-byte, and the walk stops once ``limit`` pairs are
-        collected (short-scan workload, Fig. 8c).
+    def iter_from(self, lo: int) -> Iterator[tuple[int, object]]:
+        """Every (key, value) pair with key >= ``lo``, in key order, from
+        one lazy walk under optimistic lock coupling.
+
+        Subtrees entirely below ``lo`` are pruned byte by byte.  An inner
+        node lists ``_WALK_BATCH`` children at a time and validates its
+        version after each listing, so a consumer that stops early pays
+        only for the nodes it reached.  A failed validation restarts the
+        walk from the root just past the last pair yielded, so no pair
+        repeats.  Restarts run through the bounded-retry policy with a
+        fresh state after every yielded pair: a long walk under steady
+        writes restarts many times, but never many times between two
+        pairs.  Past the policy's fallback threshold the walk holds the
+        fallback lock until its next pair, never across a ``yield``.
         """
-
-        def attempt() -> list[tuple[int, object]]:
-            out: list[tuple[int, object]] = []
-            self._scan(self._root, encode_key(lo), 0, True, limit, out)
-            return out
-
-        return self._with_restarts("art.scan", attempt)
-
-    def _scan(
-        self, node, lo_bytes: bytes, depth: int, tight: bool, limit: int, out: list
-    ) -> None:
-        if node is None or len(out) >= limit:
-            return
         trace = current_tracer()
-        if isinstance(node, Leaf):
-            if trace is not None:
-                trace.read_span(node.span)
-            if not tight or node.kbytes >= lo_bytes:
-                out.append((node.key, node.value))
-            return
-        version = node.lock.read_lock_or_restart()
-        if node.match_level != depth:  # moved down: see _search
-            raise RestartException
-        if trace is not None:
-            trace.read_span(node.span)
-        p = node.prefix
-        if tight and p:
-            ref = lo_bytes[depth : depth + len(p)]
-            if p > ref:
-                tight = False
-            elif p < ref:
-                node.lock.check_or_restart(version)
-                return
-        depth += len(p)
-        bound = start = lo_bytes[depth] if tight else 0
-        while True:  # bounded: start advances past every listed child
-            # A child subtree holds a leaf, so ``limit - len(out)``
-            # children fill the scan, and one more covers a tight first
-            # child whose keys all lie below ``lo``.  A subtree left
-            # empty by a skipped merge holds none, so list on while the
-            # listing comes back full.
-            want = limit - len(out) + 1
-            children = list(islice(node.iter_children(start), want))
-            node.lock.check_or_restart(version)
-            for byte, child in children:
-                if len(out) >= limit:
+        state = None
+        held = False
+        last = None  # the last pair yielded
+        try:
+            while True:  # bounded: each restart resumes past the last pair,
+                # and the retry state bounds the restarts between two pairs
+                try:
+                    for last in self._walk(encode_key(lo), trace):
+                        if held:
+                            self._fallback_lock.release()
+                            held = False
+                        state = None
+                        yield last
                     return
-                if tight and byte == bound:
-                    self._scan(child, lo_bytes, depth + 1, True, limit, out)
-                elif isinstance(child, Leaf):  # off the left edge: _scan, inlined
+                except RestartException:
+                    if last is not None:
+                        if last[0] == _UINT64_MAX:
+                            return
+                        lo = last[0] + 1
+                    if state is None:
+                        state = self._retry.begin("art.scan")
+                    state.step()
+                    if not held and state.should_fallback:
+                        state.count_fallback()
+                        chaos.point("art.fallback")
+                        acquire_cooperative(self._fallback_lock, state)
+                        held = True
+        finally:
+            if held:
+                self._fallback_lock.release()
+
+    def _walk(self, lo_bytes: bytes, trace) -> Iterator[tuple[int, object]]:
+        """One attempt of :meth:`iter_from`: the in-order pairs from the
+        key ``lo_bytes`` encodes, depth first with an explicit stack.
+
+        A frame is ``[node, version, depth, bound, children, listed]``: an
+        inner node, the version that validated its last listing, the key
+        depth below its prefix, ``lo``'s byte there while the walk is on
+        ``lo``'s own path (else -1), an iterator over that listing, and
+        the listing's last byte, or -1 once a short listing ended it.
+        """
+        stack: list[list] = []
+        node, depth, tight = self._root, 0, True
+        while True:  # bounded: every pass enters a node or ends a listing
+            if isinstance(node, Leaf):
+                if trace is not None:
+                    trace.read_span(node.span)
+                if not tight or node.kbytes >= lo_bytes:
+                    yield node.key, node.value
+            elif node is not None:
+                version = node.lock.read_lock_or_restart()
+                if node.match_level != depth:  # moved down: see _search
+                    raise RestartException
+                if trace is not None:
+                    trace.read_span(node.span)
+                p = node.prefix
+                below = False
+                if tight and p:
+                    ref = lo_bytes[depth : depth + len(p)]
+                    below = p < ref  # the whole subtree lies below lo
+                    tight = p == ref
+                if below:
+                    node.lock.check_or_restart(version)
+                else:
+                    depth += len(p)
+                    bound = lo_bytes[depth] if tight else -1
+                    stack.append(
+                        [node, version, depth, bound, *_list_children(node, version, bound)]
+                    )
+            # Find the next child to enter; off-edge leaves yield inline.
+            while stack:
+                frame = stack[-1]
+                bound = frame[3]
+                for byte, child in frame[4]:
+                    if byte == bound or not isinstance(child, Leaf):
+                        node, depth, tight = child, frame[2] + 1, byte == bound
+                        break
                     if trace is not None:
                         trace.read_span(child.span)
-                    out.append((child.key, child.value))
+                    yield child.key, child.value
                 else:
-                    self._scan(child, lo_bytes, depth + 1, False, limit, out)
-            if len(children) < want or len(out) >= limit:
+                    if frame[5] < 0:
+                        stack.pop()
+                    else:
+                        frame[4:] = _list_children(frame[0], frame[1], frame[5] + 1)
+                    continue
+                break
+            else:
                 return
-            start = children[-1][0] + 1
 
     def min_item(self) -> tuple[int, object] | None:
         """Smallest (key, value) pair, or None when empty."""
@@ -586,7 +721,7 @@ class AdaptiveRadixTree:
         with self._size_lock:
             self._size += delta
 
-    def _lock_parent_of(self, node):
+    def _lock_parent_of(self, node, trace):
         """Write-lock the edge above ``node``; returns an unlock closure
         and a ``replace(new_child)`` closure.  Restarts if the edge moved.
         """
@@ -616,8 +751,8 @@ class AdaptiveRadixTree:
         if parent.find_child(byte) is not node:
             parent.lock.write_unlock()
             raise RestartException
-        trace = active_tracer()
-        trace.write_span(parent.span)
+        if trace is not None:
+            trace.write_span(parent.span)
 
         def replace(new_child):
             parent.replace_child(byte, new_child)
@@ -657,7 +792,9 @@ class AdaptiveRadixTree:
         parent = None  # inner node the descent reached ``node`` through
         while True:  # bounded: descent; conflicts raise RestartException
             if isinstance(node, Leaf):
-                return self._insert_at_leaf(node, parent, key, kb, value, depth, upsert)
+                return self._insert_at_leaf(
+                    node, parent, key, kb, value, depth, upsert, trace
+                )
             chaos.point("art.descend")
             version = node.lock.read_lock_or_restart()
             if node.match_level != depth:  # moved down: see _search
@@ -668,23 +805,26 @@ class AdaptiveRadixTree:
             p = node.prefix
             cpl = common_prefix_len(p, kb[depth : depth + len(p)]) if p else 0
             if p and cpl < len(p):
-                return self._prefix_extract(node, version, key, kb, value, depth, cpl)
+                return self._prefix_extract(
+                    node, version, key, kb, value, depth, cpl, trace
+                )
             depth += len(p)
             byte = kb[depth]
             child = node.find_child(byte)
             node.lock.check_or_restart(version)
             if child is None:
-                return self._add_leaf(node, version, byte, key, value, depth)
+                return self._add_leaf(node, version, byte, key, value, depth, trace)
             parent = node
             node = child
             depth += 1
 
     def _insert_at_leaf(
-        self, leaf: Leaf, parent, key: int, kb: bytes, value, depth: int, upsert: bool
+        self, leaf: Leaf, parent, key: int, kb: bytes, value, depth: int, upsert: bool,
+        trace,
     ) -> bool:
-        trace = active_tracer()
-        trace.read_span(leaf.span)
-        unlock, replace = self._lock_parent_of(leaf)
+        if trace is not None:
+            trace.read_span(leaf.span)
+        unlock, replace = self._lock_parent_of(leaf, trace)
         try:
             if leaf.parent is not parent:
                 # A concurrent split or growth moved the leaf since the
@@ -694,7 +834,8 @@ class AdaptiveRadixTree:
                 if upsert:
                     new_leaf = Leaf(key, value, self._memory, self._tag)
                     replace(new_leaf)
-                    trace.write_span(new_leaf.span)
+                    if trace is not None:
+                        trace.write_span(new_leaf.span)
                     leaf.free()
                 return False
             cpl = common_prefix_len(leaf.kbytes, kb, depth)
@@ -702,7 +843,8 @@ class AdaptiveRadixTree:
             old_byte = leaf.kbytes[depth + cpl]
             new_byte = kb[depth + cpl]
             new_leaf = Leaf(key, value, self._memory, self._tag)
-            trace.write_span(new_leaf.span)
+            if trace is not None:
+                trace.write_span(new_leaf.span)
             new4.add_child(old_byte, leaf)
             new4.add_child(new_byte, new_leaf)
             leaf.parent = new4
@@ -710,14 +852,16 @@ class AdaptiveRadixTree:
             new_leaf.parent = new4
             new_leaf.pbyte = new_byte
             replace(new4)
-            trace.write_span(new4.span)
+            if trace is not None:
+                trace.write_span(new4.span)
             self._bump_size(1)
             return True
         finally:
             unlock()
 
     def _prefix_extract(
-        self, node: Node, version: int, key: int, kb: bytes, value, depth: int, cpl: int
+        self, node: Node, version: int, key: int, kb: bytes, value, depth: int, cpl: int,
+        trace,
     ) -> bool:
         """§III-C3 scenario ①: split the compressed prefix of ``node``.
 
@@ -725,8 +869,7 @@ class AdaptiveRadixTree:
         old node keeps the remainder.  Listeners are notified with
         ``(node, new_parent)`` so fast pointers move up to the new parent.
         """
-        trace = active_tracer()
-        unlock, replace = self._lock_parent_of(node)
+        unlock, replace = self._lock_parent_of(node, trace)
         try:
             node.lock.upgrade_to_write_lock_or_restart(version)
             p = node.prefix
@@ -735,7 +878,8 @@ class AdaptiveRadixTree:
             node.prefix = p[cpl + 1 :]
             node.match_level = depth + cpl + 1
             new_leaf = Leaf(key, value, self._memory, self._tag)
-            trace.write_span(new_leaf.span)
+            if trace is not None:
+                trace.write_span(new_leaf.span)
             leaf_byte = kb[depth + cpl]
             new_parent.add_child(node_byte, node)
             new_parent.add_child(leaf_byte, new_leaf)
@@ -744,8 +888,9 @@ class AdaptiveRadixTree:
             new_leaf.parent = new_parent
             new_leaf.pbyte = leaf_byte
             replace(new_parent)
-            trace.write_span(new_parent.span)
-            trace.write_span(node.span)
+            if trace is not None:
+                trace.write_span(new_parent.span)
+                trace.write_span(node.span)
             node.lock.write_unlock()
             self._notify_replace(node, new_parent)
             self._bump_size(1)
@@ -754,9 +899,8 @@ class AdaptiveRadixTree:
             unlock()
 
     def _add_leaf(
-        self, node: Node, version: int, byte: int, key: int, value, depth: int
+        self, node: Node, version: int, byte: int, key: int, value, depth: int, trace
     ) -> bool:
-        trace = active_tracer()
         if not node.is_full():
             node.lock.upgrade_to_write_lock_or_restart(version)
             if node.find_child(byte) is not None:
@@ -766,19 +910,21 @@ class AdaptiveRadixTree:
             node.add_child(byte, leaf)
             leaf.parent = node
             leaf.pbyte = byte
-            trace.write_span(node.span, _HEADER)
-            trace.write_span(leaf.span)
+            if trace is not None:
+                trace.write_span(node.span, _HEADER)
+                trace.write_span(leaf.span)
             node.lock.write_unlock()
             self._bump_size(1)
             return True
 
         # §III-C3 scenario ②: node expansion replaces the node object.
-        unlock, replace = self._lock_parent_of(node)
+        unlock, replace = self._lock_parent_of(node, trace)
         try:
             node.lock.upgrade_to_write_lock_or_restart(version)
             grown = node.grow(self._memory, self._tag)
             leaf = Leaf(key, value, self._memory, self._tag)
-            trace.write_span(leaf.span)
+            if trace is not None:
+                trace.write_span(leaf.span)
             grown.add_child(byte, leaf)
             leaf.parent = grown
             leaf.pbyte = byte
@@ -786,7 +932,8 @@ class AdaptiveRadixTree:
                 child.parent = grown
                 child.pbyte = cbyte
             replace(grown)
-            trace.write_span(grown.span)
+            if trace is not None:
+                trace.write_span(grown.span)
             node.lock.write_unlock_obsolete()
             node.free()
             self._notify_replace(node, grown)
@@ -840,22 +987,24 @@ class AdaptiveRadixTree:
             if isinstance(child, Leaf):
                 if child.key != key:
                     return False
-                return self._remove_leaf(node, version, byte, child)
+                return self._remove_leaf(node, version, byte, child, trace)
             node = child
             depth += 1
 
-    def _remove_leaf(self, node: Node, version: int, byte: int, leaf: Leaf) -> bool:
-        trace = active_tracer()
+    def _remove_leaf(
+        self, node: Node, version: int, byte: int, leaf: Leaf, trace
+    ) -> bool:
         node.lock.upgrade_to_write_lock_or_restart(version)
         node.remove_child(byte)
-        trace.write_span(node.span, _HEADER)
+        if trace is not None:
+            trace.write_span(node.span, _HEADER)
         leaf.free()
         self._bump_size(-1)
 
         if isinstance(node, Node4) and node.count == 1 and node.parent is not None:
             # Path-compression merge: replace node with its only child.
             try:
-                unlock, replace = self._lock_parent_of(node)
+                unlock, replace = self._lock_parent_of(node, trace)
             except RestartException:
                 node.lock.write_unlock()
                 return True  # deletion already done; merge is best-effort
@@ -885,7 +1034,7 @@ class AdaptiveRadixTree:
         shrink_at = getattr(node, "SHRINK_AT", None)
         if shrink_at is not None and node.count < shrink_at and node.parent is not None:
             try:
-                unlock, replace = self._lock_parent_of(node)
+                unlock, replace = self._lock_parent_of(node, trace)
             except RestartException:
                 node.lock.write_unlock()
                 return True
@@ -908,7 +1057,7 @@ class AdaptiveRadixTree:
     # ------------------------------------------------------------------
     # range scan
     # ------------------------------------------------------------------
-    def _collect(self, node, lo: int, hi: int, out: list) -> None:
+    def _collect(self, node, lo: int, hi: int, out: list, trace) -> None:
         if node is None:
             return
         if isinstance(node, Leaf):
@@ -918,10 +1067,10 @@ class AdaptiveRadixTree:
         version = node.lock.read_lock_or_restart()
         children = [c for _, c in node.iter_children()]
         node.lock.check_or_restart(version)
-        trace = active_tracer()
-        trace.read_span(node.span)
+        if trace is not None:
+            trace.read_span(node.span)
         for child in children:
-            self._collect(child, lo, hi, out)
+            self._collect(child, lo, hi, out, trace)
 
     # ------------------------------------------------------------------
     # diagnostics
@@ -970,6 +1119,41 @@ def _search_run(
     pos = np.searchsorted(keys, probe)
     np.minimum(pos, len(keys) - 1, out=pos)
     return values[pos], keys[pos] == probe
+
+
+def view_value(runs: tuple, delta: dict, merging: dict | None, key: int):
+    """``key``'s value in one ``(runs, delta, merging)`` snapshot, or
+    ``None``: the live delta shadows the in-merge delta, which shadows
+    the overlay, which shadows main."""
+    value = delta.get(key, _ABSENT)
+    if value is _ABSENT and merging is not None:
+        value = merging.get(key, _ABSENT)
+    if value is _ABSENT:
+        probe = np.uint64(key)
+        if len(runs[2]):
+            value = _probe_run(runs[2], runs[3], probe, key)
+        if value is _ABSENT:
+            value = _probe_run(runs[0], runs[1], probe, key)
+    return None if value is _ABSENT or value is _REMOVED else value
+
+
+def _probe_run(keys: np.ndarray, values: np.ndarray, probe: np.uint64, key: int):
+    """The value of ``key`` (``probe`` is the same key as ``np.uint64``)
+    in a sorted run, or ``_ABSENT``."""
+    pos = int(keys.searchsorted(probe))
+    if pos < len(keys) and keys.item(pos) == key:
+        return values[pos]
+    return _ABSENT
+
+
+def _list_children(node: Node, version: int, start: int) -> tuple[Iterator, int]:
+    """Up to ``_WALK_BATCH`` of ``node``'s children from byte ``start``,
+    validated against ``version``: an iterator over them, and the last
+    byte listed, or -1 if the listing came back short."""
+    children = list(islice(node.iter_children(max(start, 0)), _WALK_BATCH))
+    node.lock.check_or_restart(version)
+    last = children[-1][0] if len(children) == _WALK_BATCH else -1
+    return iter(children), last
 
 
 def _sorted_changes(delta: dict[int, object]) -> tuple[np.ndarray, np.ndarray]:

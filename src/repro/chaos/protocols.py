@@ -3,8 +3,9 @@
 Each *case builder* constructs a tiny concurrent workload over one
 protocol — the GPL seqlock (§III-E), the fast-pointer spin lock, the
 ART-OPT optimistic lock coupling, epoch reclamation, the Algorithm-2
-write-back, the ALT insert's per-model writer lock, the §III-F retrain
-handoff, and the sharded scatter-gather — as a
+write-back, scalar reads from the ART's sorted runs, the ALT insert's
+per-model writer lock, the §III-F retrain handoff, and the sharded
+scatter-gather — as a
 :class:`ProtocolCase`: fresh shared state, named tasks, a history
 recorder, and a correctness check.  The same case runs two ways:
 
@@ -17,11 +18,12 @@ recorder, and a correctness check.  The same case runs two ways:
 
 Every protocol also has a ``planted`` mode that swaps one protocol step
 for a classic mutation (lost update, check-then-act, free-before-quiesce,
-resurrection-after-remove, unlocked slot claim, swap-before-migrate,
-shared gather table).  A correct harness must
-keep the un-mutated protocols linearizable on every schedule and flag
-the mutants — that is the harness's own regression test: if the checker
-cannot see a planted bug, it cannot see a real one.
+resurrection-after-remove, a read that skips the in-merge delta,
+unlocked slot claim, swap-before-migrate, shared gather table).  A
+correct harness must keep the un-mutated protocols linearizable on
+every schedule and flag the mutants — that is the harness's own
+regression test: if the checker cannot see a planted bug, it cannot
+see a real one.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from repro import chaos
-from repro.art.tree import AdaptiveRadixTree
+from repro.art.tree import NO_RUNS, AdaptiveRadixTree, view_value
 from repro.chaos.history import CheckResult, HistoryRecorder, OpRecord, check_linearizable
 from repro.chaos.scheduler import ChaosScheduler
 from repro.concurrency.epoch import EpochManager
@@ -555,6 +557,98 @@ def build_writeback_case(
 
 
 # ----------------------------------------------------------------------
+# ART sorted runs: scalar reads from the view vs. a merging batch read
+# ----------------------------------------------------------------------
+
+# Bulk loaded with ε = 2, one model predicts 425 onto 420's slot, so 425
+# is the index's one conflict key and lives in the ART.
+_VIEW_INIT = {k: f"v{k}" for k in (100, 300, 420, 425, 500)}
+_VIEW_KEY = 425
+
+
+def build_view_case(
+    planted: bool = False, *, getter_reps: int = 3, batches: int = 2, writes: int = 2
+) -> ProtocolCase:
+    """Scalar ``get`` answered from the ART's sorted runs races a writer
+    and a ``batch_get`` that merges the runs' delta.
+
+    The index is built with :meth:`ALTIndex.bulk_load`, so its ART keeps
+    sorted runs and an untraced ``get`` of the conflict key 425 reads
+    them (``AdaptiveRadixTree.search_runs``) instead of descending.  An
+    upsert before the schedule leaves 425's current value in the delta
+    and the bulk-loaded one in main.  The writer's first ``writes`` of
+    (remove 425, insert it again) go through the index, each a change
+    the ART records in its delta; each of the batcher's ``batch_get``
+    calls swaps the delta out, merges it (the ``art.view_merge`` point
+    sits between the swap and the publish) and publishes new runs.  One
+    batcher only: the merge holds the ART's ``_runs_lock``, which a
+    second batcher would block on while holding the scheduler's baton.
+    The history is checked against the map oracle.
+
+    The planted mutant's reads ignore the delta that a merge has swapped
+    out but not yet published, as a reader that paired the runs with the
+    live delta alone would: for the length of a merge, 425 reads as the
+    value in the old runs, which a newer change has replaced.
+    """
+    idx = ALTIndex.bulk_load(
+        np.array(sorted(_VIEW_INIT), dtype=np.uint64),
+        [_VIEW_INIT[k] for k in sorted(_VIEW_INIT)],
+        epsilon=2.0,
+        fast_pointers=False,
+        retraining=False,
+        tag="chaos/view",
+    )
+    idx.insert(_VIEW_KEY, "u")  # so the batcher's first read always merges
+    init = {**_VIEW_INIT, _VIEW_KEY: "u"}
+    art = idx.art
+    if planted:
+
+        def search_runs(key: int):
+            view = art._view
+            if view is None or view[0] is None:
+                return NO_RUNS
+            chaos.point("art.view")
+            runs, delta, _merging = view  # the bug: the in-merge delta is dropped
+            return view_value(runs, delta, None, key)
+
+        # An instance attribute, so ALTIndex.get calls the mutant.
+
+        art.search_runs = search_runs
+    rec = HistoryRecorder()
+
+    def getter(task: str) -> None:
+        for _ in range(getter_reps):
+            rec.call(task, "get", _VIEW_KEY, lambda: idx.get(_VIEW_KEY))
+
+    def writer(task: str) -> None:
+        script = [
+            lambda: rec.call(task, "remove", _VIEW_KEY, lambda: idx.remove(_VIEW_KEY)),
+            lambda: rec.call(
+                task, "insert", _VIEW_KEY, lambda: idx.insert(_VIEW_KEY, "w"), arg="w"
+            ),
+        ]
+        for step in script[:writes]:
+            step()
+
+    def batcher(task: str) -> None:
+        for _ in range(batches):
+            rec.call(task, "get", _VIEW_KEY, lambda: idx.batch_get([_VIEW_KEY])[0])
+
+    return ProtocolCase(
+        protocol="view",
+        planted=planted,
+        tasks=[
+            ("writer", lambda: writer("writer")),
+            ("batcher", lambda: batcher("batcher")),
+            ("getter", lambda: getter("getter")),
+        ],
+        rec=rec,
+        check=lambda: check_linearizable(rec.ops, init=init),
+        snapshot=lambda: (idx.get(_VIEW_KEY), art._runs is None),
+    )
+
+
+# ----------------------------------------------------------------------
 # ALT insert: two writers predicted onto one EMPTY slot
 # ----------------------------------------------------------------------
 
@@ -895,6 +989,7 @@ CASE_BUILDERS: dict[str, Callable[..., ProtocolCase]] = {
     "art-merge": build_art_merge_case,
     "epoch": build_epoch_case,
     "writeback": build_writeback_case,
+    "view": build_view_case,
     "insert": build_insert_case,
     "retrain": build_retrain_case,
     "shard": build_shard_case,
@@ -982,6 +1077,12 @@ EXHAUSTIVE_CASES: dict[str, tuple[Callable[[], ProtocolCase], Callable[[], Proto
     "writeback": (
         lambda: build_writeback_case(False, getters=2, getter_reps=1),
         lambda: build_writeback_case(True, getters=1, getter_reps=2),
+    ),
+    "view": (
+        # One remove, one read, one merge: the mutant's window needs
+        # just the read inside the merge.
+        lambda: build_view_case(False, getter_reps=1, batches=1, writes=1),
+        lambda: build_view_case(True, getter_reps=1, batches=1, writes=1),
     ),
     "insert": (
         lambda: build_insert_case(False, getter_reps=0),

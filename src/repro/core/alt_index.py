@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import chaos
-from repro.art.tree import AdaptiveRadixTree
+from repro.art.tree import NO_RUNS, AdaptiveRadixTree
 from repro.common import (
     BatchIndex,
     OrderedIndex,
@@ -219,9 +219,13 @@ class ALTIndex(OrderedIndex):
         """
         lo = model.first_key if index else 0  # model 0 also takes keys below it
         hi = self._layer.next_first_key(index)
-        for key, value in self._art_scan_lazy(lo, 4096):
-            if hi is not None and key >= hi:
-                return
+        # Walk first, then move: a removal under the walk would restart it.
+        pairs = []
+        for pair in self._art.iter_from(lo):
+            if hi is not None and pair[0] >= hi:
+                break
+            pairs.append(pair)
+        for key, value in pairs:
             slot = model.slot_of(key)
             if model.np_state[slot] == EMPTY:
                 model.write_slot(slot, key, value)
@@ -294,7 +298,13 @@ class ALTIndex(OrderedIndex):
         try:
             entry = self._entry_for(i, model, key)
             chaos.point("alt.art_fallback")
-            value = self._art.search(key, from_node=entry)
+            # Untraced, the ART's sorted runs answer without a descent;
+            # a traced read keeps §III-C's fast-pointer descent.
+            value = NO_RUNS
+            if current_tracer() is None:
+                value = self._art.search_runs(key)
+            if value is NO_RUNS:
+                value = self._art.search(key, from_node=entry)
             if value is None:
                 # A write-back (or move-home) writes the slot, then drops
                 # the ART copy: a key that missed the slot above and the
@@ -743,24 +753,10 @@ class ALTIndex(OrderedIndex):
     # ------------------------------------------------------------------
     # range operations (§III-G Range Query)
     # ------------------------------------------------------------------
-    def _art_scan_lazy(self, lo: int, count: int):
-        """Chunked ART scan: the merge usually needs only the conflict
-        share of the range, so fetch in small batches."""
-        cursor = lo
-        chunk = max(8, count // 8)
-        while True:  # bounded: cursor advances; short batch ends the scan
-            batch = self._art.scan(cursor, chunk)
-            yield from batch
-            # A full chunk ending at 2**64 - 1 has nothing after it, and
-            # its successor would not fit a uint64 key.
-            if len(batch) < chunk or batch[-1][0] == _UINT64_MAX:
-                return
-            cursor = batch[-1][0] + 1
-
     def scan(self, lo: int, count: int) -> list[tuple[int, object]]:
         """Dual scan: GPL models and ART merged in key order."""
         gpl = self._layer.items(lo, _UINT64_MAX)
-        art = self._art_scan_lazy(lo, count)
+        art = self._art.iter_from(lo)
         out: list[tuple[int, object]] = []
         a = next(gpl, None)
         b = next(art, None)

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import importlib
+import inspect
 import threading
 import time
 from contextlib import contextmanager
@@ -312,6 +313,8 @@ def span_targets():
 def _shim(name: str, fn):
     """``fn`` charged to span ``name`` in the calling thread's profile,
     through the exception-safe :class:`_SpanCtx`."""
+    if inspect.isgeneratorfunction(fn):
+        return _generator_shim(name, fn)
 
     @functools.wraps(fn)
     def shim(*args, **kwargs):
@@ -320,6 +323,33 @@ def _shim(name: str, fn):
             return fn(*args, **kwargs)
         with _SpanCtx(prof, name):
             return fn(*args, **kwargs)
+
+    return shim
+
+
+def _generator_shim(name: str, fn):
+    """A generator target's shim: the generator's work runs between its
+    yields, whenever its consumer resumes it, so each resume is charged
+    to span ``name`` (and counts as one entry), and the consumer's code
+    between two resumes is not."""
+
+    @functools.wraps(fn)
+    def shim(*args, **kwargs):
+        gen = fn(*args, **kwargs)
+        try:
+            while True:  # bounded: ends when ``gen`` does
+                prof = getattr(_tls, "profile", None)
+                try:
+                    if prof is None:
+                        item = next(gen)
+                    else:
+                        with _SpanCtx(prof, name):
+                            item = next(gen)
+                except StopIteration:
+                    return
+                yield item
+        finally:
+            gen.close()
 
     return shim
 

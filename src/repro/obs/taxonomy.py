@@ -100,7 +100,7 @@ SPAN_TARGETS: dict[str, tuple[tuple[str, str, str], ...]] = {
     "art.descend": tuple(
         (_ART, "AdaptiveRadixTree", attr)
         for attr in (
-            "search", "insert", "remove", "scan", "items",
+            "search", "insert", "remove", "scan", "iter_from", "items",
             "bulk_insert", "bulk_remove", "lookup_sorted",
         )
     ),
@@ -178,6 +178,8 @@ CHAOS_SPAN_MAP: dict[str, str] = {
     "olc.write_locked": "art.descend",
     "olc.write_unlock": "art.descend",
     "art.merge": "art.descend",
+    "art.view": "art.descend",
+    "art.view_merge": "art.descend",
     "alt.art_fallback": "art.descend",
     "art.fallback": "retry.fallback",
     # shared machinery

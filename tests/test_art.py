@@ -252,7 +252,7 @@ class TestBoundedScan:
             for k in self._keys(h):
                 tree.insert(k, k)
 
-        def busy_parent(node):
+        def busy_parent(node, trace):
             raise RestartException
 
         monkeypatch.setattr(tree, "_lock_parent_of", busy_parent)
@@ -466,6 +466,27 @@ class TestTracing:
             READS,
             WRITES,
         )
+
+    def test_untraced_writers_make_no_null_sink_calls(self, monkeypatch):
+        """The writer helpers (leaf attach, leaf split, prefix extraction,
+        growth, removal, merge and shrink, parent locking) and ``items``
+        take the descent's tracer and skip the bookkeeping without one:
+        no module-level ``active_tracer`` lookup, no null-sink call."""
+        import repro.art.tree as tree_module
+        from repro.sim.trace import _NullTrace
+
+        def boom(*args, **kwargs):
+            raise AssertionError("tracing call on an untraced path")
+
+        monkeypatch.setattr(tree_module, "active_tracer", boom, raising=False)
+        for name in ("read_span", "write_span", "read_line"):
+            monkeypatch.setattr(_NullTrace, name, boom)
+        tree = AdaptiveRadixTree(MemoryMap(), "u")
+        got = _op_mix(tree, seed=5)
+        assert len(tree.items()) == len(tree)
+        monkeypatch.undo()
+        twin = AdaptiveRadixTree(MemoryMap(), "t")
+        assert _op_mix(twin, seed=5) == got
 
 
 class TestMemoryAccounting:
@@ -730,11 +751,11 @@ class TestConcurrentInsertRaces:
         paused, resume = threading.Event(), threading.Event()
         lock_parent_of = tree._lock_parent_of
 
-        def pausing_lock_parent_of(node):
+        def pausing_lock_parent_of(node, trace):
             if threading.current_thread().name == "b" and not resume.is_set():
                 paused.set()
                 resume.wait(10)
-            return lock_parent_of(node)
+            return lock_parent_of(node, trace)
 
         tree._lock_parent_of = pausing_lock_parent_of
         b = threading.Thread(name="b", target=lambda: tree.insert(1, "one"))

@@ -141,6 +141,27 @@ class TestSpanAttribution:
         assert rows == sorted(rows, key=lambda r: -r["modeled_ms"])
         assert sum(r["share"] for r in rows) == pytest.approx(1.0)
 
+    def test_a_lazily_consumed_walk_is_charged_to_its_span(self):
+        """``ALTIndex.scan`` resumes the ART walk (a generator target)
+        from its own merge loop: every resume is the ART's work, the
+        loop between resumes is the scan's, and the spans still
+        partition the trace."""
+        keys = _keys()
+        index = ALTIndex.bulk_load(keys[::2])
+        model = CostModel()
+        with profiled() as prof:
+            trace = CostTrace()
+            with tracer(trace):
+                for k in keys[1::40]:
+                    with prof.span("op.scan"):
+                        index.scan(int(k), 100)
+        art = prof.totals["art.descend"]
+        assert art.reads > 0 and prof.totals["op.scan"].reads > 0
+        assert art.count > len(keys[1::40])  # one entry per resume
+        assert prof.total_modeled_ns(model) == pytest.approx(
+            model.sequential_ns(trace), rel=1e-9
+        )
+
     def test_span_ctx_unwinds_on_exception(self):
         prof = SpanProfile()
         with profiled(prof):
