@@ -367,10 +367,14 @@ class AdaptiveRadixTree:
         Resolves the whole batch with one ``searchsorted`` over the main
         run and, if the overlay is not empty, one over the overlay, whose
         entries (a value or a removal) shadow main's.  See
-        :meth:`_fresh_runs` for how the runs follow the tree.
+        :meth:`_fresh_runs` for how the runs follow the tree.  While a
+        public write is in flight the keys are searched in the tree
+        instead, as :meth:`search_runs` declines then.
         """
-        mkeys, mvals, okeys, ovals = self._fresh_runs()
         probe = np.asarray(keys, dtype=np.uint64)
+        if self._writing:
+            return [self.search(k) for k in probe.tolist()]
+        mkeys, mvals, okeys, ovals = self._fresh_runs()
         if len(mkeys):
             vals, hit = _search_run(mkeys, mvals, probe)
             vals[~hit] = None

@@ -535,7 +535,8 @@ class ALTIndex(OrderedIndex):
             self.conflict_inserts += len(route_is)
             obs_metrics.inc("alt.conflict_inserts", len(route_is))
             for i in conflict_is:
-                models[mi_l[i]].insert_count += 1
+                if out[i]:
+                    models[mi_l[i]].insert_count += 1
 
         if new_count:
             self._bump(new_count)
@@ -679,8 +680,8 @@ class ALTIndex(OrderedIndex):
                 model.write_slot(slot, key, value)  # in-place upsert
                 return False
             new = self._art_insert(key, value, i, model)
-            model.insert_count += 1
-            if new:
+            if new:  # an upsert of a key already in the ART adds nothing
+                model.insert_count += 1
                 self._bump(1)
             return new
         if state == TOMBSTONE:

@@ -137,14 +137,16 @@ class TestGetFromTheRuns:
         assert t.do("get", art_keys[0]) == "back"
         t.check_all()
 
-    def test_a_get_after_a_walk_sees_the_write_the_walk_saw(self, monkeypatch):
+    @pytest.mark.parametrize("write", ["insert", "upsert"])
+    def test_a_read_after_a_walk_sees_the_write_the_walk_saw(self, monkeypatch, write):
         """A write lands in the tree before it is recorded for the runs.
-        While it is in flight ``get`` searches the tree, so a ``get``
-        that starts after a scan saw the write sees it too."""
+        While it is in flight ``get`` and ``batch_get`` search the tree,
+        so a read that starts after a scan saw the write sees it too."""
         load, _ = osm_split()
         idx = ALTIndex.bulk_load(load, memory=MemoryMap())
         key = next(k for k, _ in idx.art.items())
-        assert idx.remove(key)
+        if write == "insert":
+            assert idx.remove(key)
         paused, resume = threading.Event(), threading.Event()
         record = AdaptiveRadixTree._record
 
@@ -162,6 +164,7 @@ class TestGetFromTheRuns:
             assert paused.wait(10)
             assert idx.scan(key, 1) == [(key, "new")]
             assert idx.get(key) == "new"
+            assert idx.batch_get(np.array([key], dtype=np.uint64)) == ["new"]
         finally:
             resume.set()
             writer.join(10)
@@ -312,10 +315,7 @@ class TestViewRace:
         getter must never see a key's version go back: a read during a
         merge must still see the changes the merge swapped out."""
         load, _ = osm_split()
-        # No retraining: upserts of conflict keys count toward expansion.
-        idx = ALTIndex.bulk_load(
-            load, [0] * len(load), retraining=False, memory=MemoryMap()
-        )
+        idx = ALTIndex.bulk_load(load, [0] * len(load), memory=MemoryMap())
         keys = [k for k, _ in idx.art.items()]  # a merge of all of them is slow
         probe = np.array(keys, dtype=np.uint64)
         stop = threading.Event()

@@ -150,3 +150,28 @@ class TestFinishExpansion:
         # old resident keys survive the swap
         resident = {k for k, _ in new_model.iter_slots()}
         assert 1 in resident
+
+
+class TestUpsertsDoNotTrigger:
+    """Rewriting keys that already live in the ART inserts nothing, so it
+    must not count toward a model's expansion trigger: before, ten
+    rounds of upserting the 288 ART keys of a 4,000-key osm load started
+    60 expansions and grew the layer to 41,954,654 slots."""
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_rewriting_art_keys_never_expands(self, batch):
+        from repro import ALTIndex
+        from repro.datasets.generators import dataset
+
+        load = dataset("osm", 8000, seed=0)[::2]
+        idx = ALTIndex.bulk_load(load, [0] * len(load), memory=MemoryMap())
+        art = np.array([k for k, _ in idx.art.items()], dtype=np.uint64)
+        slots = idx.layer.total_slots()
+        for version in range(1, 11):
+            if batch:
+                assert not idx.batch_insert(art, [version] * len(art)).any()
+            else:
+                assert not any(idx.insert(int(k), version) for k in art)
+        assert idx.expansions == 0 and idx.layer.total_slots() == slots
+        assert len(idx) == len(load)
+        assert idx.batch_get(art) == [10] * len(art)
