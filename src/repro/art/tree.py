@@ -27,7 +27,8 @@ Additions required by ALT-index:
   changes not yet merged into them, with no descent: the scalar read
   an untraced ``ALTIndex.get`` uses for ART-resident keys;
 - ``iter_from(lo)`` walks the tree once, lazily, from ``lo``: the range
-  read behind ``scan``, ``ALTIndex.scan`` and an expansion's move-home.
+  read behind ``ALTIndex.scan`` and an expansion's move-home; ``scan``
+  takes a bounded prefix of the same walk.
 
 Writers acquire node write locks via non-blocking upgrade and restart on
 failure, so the protocol is deadlock-free; readers never write shared
@@ -142,8 +143,9 @@ class AdaptiveRadixTree:
         # size past which all of it is dropped.
         self._view: tuple | None = None
         self._delta_cap = 0
-        # Public writes between their tree write's start and their record.
-        self._writing = 0
+        # Public writes between their tree write's start and their record,
+        # one entry each: a list, as its append and pop are atomic.
+        self._writing: list[None] = []
         self._delta_lock = threading.Lock()  # record vs swap/drop
         self._runs_lock = threading.Lock()  # one thread rebuilds the runs at a time
         self._replace_listeners: list[ReplaceListener] = []
@@ -166,16 +168,6 @@ class AdaptiveRadixTree:
     @property
     def root(self):
         return self._root
-
-    @property
-    def _runs(self) -> tuple[np.ndarray, ...] | None:
-        view = self._view
-        return None if view is None else view[0]
-
-    @property
-    def _delta(self) -> dict[int, object] | None:
-        view = self._view
-        return None if view is None else view[1]
 
     def add_replace_listener(self, listener: ReplaceListener) -> None:
         """Register ``listener(old_node, new_node)`` for SMO notifications."""
@@ -472,22 +464,33 @@ class AdaptiveRadixTree:
 
     def _begin_write(self) -> None:
         """Count a public write as in flight until its :meth:`_record`."""
-        with self._delta_lock:
-            self._writing += 1
+        self._writing.append(None)
 
     def _record(self, changes) -> None:
         """End a write begun by :meth:`_begin_write`: add its ``(key,
-        value | _REMOVED)`` changes to the runs' delta, if runs are kept."""
+        value | _REMOVED)`` changes to the runs' delta, if runs are kept.
+
+        The write stops counting as in flight only once its changes are
+        in the delta (or the runs are dropped), so a lock-free reader
+        that sees no write in flight sees them too.  With no runs kept it
+        takes no lock: runs are first published by the swap that precedes
+        their walk, so a write that finds none has already reached the
+        tree that walk will read.
+        """
+        if self._view is None:
+            self._writing.pop()
+            return
         with self._delta_lock:
-            self._writing -= 1
-            view = self._view
-            if view is None:
-                return
-            delta = view[1]
-            for key, value in changes:
-                delta[int(key)] = value
-            if len(delta) > self._delta_cap:
-                self._view = None
+            try:
+                view = self._view
+                if view is not None:
+                    delta = view[1]
+                    for key, value in changes:
+                        delta[int(key)] = value
+                    if len(delta) > self._delta_cap:
+                        self._view = None
+            finally:
+                self._writing.pop()
 
     def _walk_main(self) -> tuple[np.ndarray, np.ndarray]:
         pairs = self.items()
@@ -506,10 +509,15 @@ class AdaptiveRadixTree:
         return self._with_restarts("art.items", attempt)
 
     def scan(self, lo: int, limit: int) -> list[tuple[int, object]]:
-        """Up to ``limit`` sorted (key, value) pairs with key >= lo: the
-        first ``limit`` pairs of :meth:`iter_from` (short-scan workload,
-        Fig. 8c)."""
-        return list(islice(self.iter_from(lo), max(limit, 0)))
+        """Up to ``limit`` sorted (key, value) pairs with key >= lo
+        (short-scan workload, Fig. 8c): the first ``limit`` pairs of one
+        :meth:`iter_from` walk, restarted from ``lo`` on a conflict."""
+        return self._with_restarts(
+            "art.scan",
+            lambda: list(
+                islice(self._walk(encode_key(lo), current_tracer()), max(limit, 0))
+            ),
+        )
 
     def iter_from(self, lo: int) -> Iterator[tuple[int, object]]:
         """Every (key, value) pair with key >= ``lo``, in key order, from

@@ -604,6 +604,8 @@ def build_view_case(
     if planted:
 
         def search_runs(key: int):
+            if art._writing:
+                return NO_RUNS
             view = art._view
             if view is None or view[0] is None:
                 return NO_RUNS
@@ -644,7 +646,7 @@ def build_view_case(
         ],
         rec=rec,
         check=lambda: check_linearizable(rec.ops, init=init),
-        snapshot=lambda: (idx.get(_VIEW_KEY), art._runs is None),
+        snapshot=lambda: (idx.get(_VIEW_KEY), art._view is None),
     )
 
 

@@ -605,7 +605,7 @@ class TestSortedView:
                 tree.bulk_remove(ks)
             else:
                 assert_runs_match(tree, universe)
-                runs = tree._runs
+                runs = tree._view[0]
                 assert len(runs[2]) * _OVERLAY_FRACTION <= len(runs[0])
                 handed_out.append((runs, [r.tolist() for r in runs]))
         assert_runs_match(tree, universe)
@@ -633,15 +633,15 @@ class TestSortedView:
         keys = list(range(0, 3200, 10))
         tree.build_sorted(keys, keys)
         tree.publish_main(np.array(keys, dtype=np.uint64), np.array(keys, dtype=object))
-        main = tree._runs[0]
+        main = tree._view[0][0]
         bound = len(main) // _OVERLAY_FRACTION
         for i in range(bound):
             tree.insert(i * 10 + 1, i)  # one new key per lookup
             assert tree.lookup_sorted([i * 10 + 1, 0]) == [i, 0]
-            assert tree._runs[0] is main and len(tree._runs[2]) == i + 1
+            assert tree._view[0][0] is main and len(tree._view[0][2]) == i + 1
         tree.remove(0)
         assert tree.lookup_sorted([0, 10]) == [None, 10]
-        runs = tree._runs
+        runs = tree._view[0]
         assert runs[0] is not main and len(runs[2]) == 0  # folded
         assert len(runs[0]) == len(tree) == len(keys) + bound - 1
         assert_runs_match(tree, range(3200))
@@ -650,7 +650,7 @@ class TestSortedView:
         keys = [3, 9, 2**40, 2**64 - 1]
         values = ["a", "b", "c", "d"]
         tree.build_sorted(keys, values)
-        assert tree._runs is None and tree._delta is None  # not seeded by itself
+        assert tree._view is None  # not seeded by itself
         tree.publish_main(np.array(keys, dtype=np.uint64), np.array(values, dtype=object))
         monkeypatch.setattr(tree, "_walk_main", None)  # a walk would fail
         assert tree.lookup_sorted([9, 4, 2**64 - 1]) == ["b", None, "d"]
@@ -664,7 +664,7 @@ class TestSortedView:
             tree.insert(k, k)
         tree.remove(7)
         tree.bulk_insert([1000, 1001], ["a", "b"])
-        assert tree._delta is None and tree._runs is None
+        assert tree._view is None
 
     def test_art_baseline_keeps_no_runs(self):
         """The ART baseline never batch-reads the runs, so its bulk load
@@ -673,10 +673,10 @@ class TestSortedView:
 
         keys = np.arange(1, 2_000, 3, dtype=np.uint64)
         idx = ArtIndex.bulk_load(keys, memory=MemoryMap())
-        assert idx.tree._runs is None and idx.tree._delta is None
+        assert idx.tree._view is None
         assert idx.insert(2, "x") and idx.remove(1)
         assert idx.batch_get([1, 2, 4]) == [None, "x", 4]
-        assert idx.tree._runs is None and idx.tree._delta is None
+        assert idx.tree._view is None
 
     def test_delta_larger_than_the_view_is_dropped(self, tree):
         for k in range(50):
@@ -684,13 +684,13 @@ class TestSortedView:
         tree.lookup_sorted([])
         for k in range(50):  # 50 changes: the delta equals main's size
             tree.insert(k * 10 + 1, k)
-        assert tree._delta is not None and len(tree._delta) == 50
+        assert tree._view is not None and len(tree._view[1]) == 50
         tree.remove(0)  # the 51st change outgrows the 50-key main
-        assert tree._delta is None and tree._runs is None
+        assert tree._view is None
         tree.insert(123_456, "after")  # nothing is recorded once dropped
-        assert tree._delta is None
+        assert tree._view is None
         assert_runs_match(tree, [0, 1, 11, 123_456])
-        assert tree._delta == {}
+        assert tree._view[1] == {}
 
     def test_writer_thread_changes_are_not_lost(self, tree):
         """A writer thread runs while two reader threads walk the first

@@ -93,27 +93,27 @@ class TestGetFromTheRuns:
             else:
                 t.do("batch_get", np.array(rng.sample(universe, 16), dtype=np.uint64))
         t.do("batch_get", np.array(art_keys, dtype=np.uint64))
-        assert len(art._runs[2]), "no overlay"
+        assert len(art._view[0][2]), "no overlay"
         t.check_all()
 
         # A fold: enough changes that the merged overlay outgrows its bound.
-        main = art._runs[0]
+        main = art._view[0][0]
         for k in art_keys:
             if k in t.oracle:
                 t.do("insert", k, ("fold", k))
         t.do("batch_get", np.array(art_keys[:4], dtype=np.uint64))
-        assert art._runs[0] is not main and not len(art._runs[2]), "no fold"
+        assert art._view[0][0] is not main and not len(art._view[0][2]), "no fold"
         t.check_all()
 
         # Removals shadow main: in the delta, then in the overlay.
         gone = [k for k in art_keys if k in t.oracle][:5]
-        assert set(gone) <= set(art._runs[0].tolist())
+        assert set(gone) <= set(art._view[0][0].tolist())
         for k in gone:
             assert t.do("remove", k)
             assert t.do("get", k) is None
         t.do("batch_get", np.array(gone, dtype=np.uint64))
-        assert set(gone) <= set(art._runs[0].tolist())
-        assert set(gone) <= set(art._runs[2].tolist())
+        assert set(gone) <= set(art._view[0][0].tolist())
+        assert set(gone) <= set(art._view[0][2].tolist())
         assert all(art.search_runs(k) is None for k in gone)
         assert all(t.do("get", k) is None for k in gone)
 
@@ -129,10 +129,10 @@ class TestGetFromTheRuns:
         for k, _ in art.items():
             t.do("remove", k)
         for k in rest:  # conflict inserts: new keys in the delta
-            if art._runs is None:
+            if art._view is None:
                 break
             t.do("insert", k, ("r", k))
-        assert art._runs is None and art.search_runs(art_keys[0]) is NO_RUNS
+        assert art._view is None and art.search_runs(art_keys[0]) is NO_RUNS
         t.do("insert", art_keys[0], "back")
         assert t.do("get", art_keys[0]) == "back"
         t.check_all()
@@ -170,6 +170,44 @@ class TestGetFromTheRuns:
             writer.join(10)
         assert not writer.is_alive()
         assert idx.art.search_runs(key) == "new"
+
+    @pytest.mark.parametrize("write", ["insert", "upsert"])
+    def test_a_write_is_in_flight_until_its_change_is_in_the_delta(self, write):
+        """A writer paused inside ``_record``, before its change reaches
+        the live delta, still counts as in flight: a ``get`` or
+        ``batch_get`` after a scan that saw the write searches the tree
+        and sees it too."""
+        load, _ = osm_split()
+        idx = ALTIndex.bulk_load(load, memory=MemoryMap())
+        art = idx.art
+        key = next(k for k, _ in art.items())
+        if write == "insert":
+            assert idx.remove(key)
+        idx.batch_get(np.array([key], dtype=np.uint64))  # merge: empty live delta
+        paused, resume = threading.Event(), threading.Event()
+
+        class PausingDelta(dict):
+            def __setitem__(self, k, v):
+                if threading.current_thread().name == "writer":
+                    paused.set()
+                    resume.wait(10)
+                super().__setitem__(k, v)
+
+        runs, delta, merging = art._view
+        assert not delta and merging is None
+        art._view = (runs, PausingDelta(), None)
+        writer = threading.Thread(name="writer", target=lambda: idx.insert(key, "new"))
+        writer.start()
+        try:
+            assert paused.wait(10)
+            assert idx.scan(key, 1) == [(key, "new")]
+            assert idx.get(key) == "new"
+            assert idx.batch_get(np.array([key], dtype=np.uint64)) == ["new"]
+        finally:
+            resume.set()
+            writer.join(10)
+        assert not writer.is_alive()
+        assert art.search_runs(key) == "new"
 
     def test_scan_across_a_model_under_expansion(self):
         load, rest = osm_split()

@@ -784,13 +784,13 @@ class TestALTBatchInternals:
         batch read then patch only the overlay."""
         idx = ALTIndex.bulk_load(sorted_keys, memory=MemoryMap())
         art_keys = [k for k, _ in idx.art.items()]
-        main = idx.art._runs[0]
+        main = idx.art._view[0][0]
         assert main.tolist() == art_keys
         idx.remove(art_keys[0])
         probe = sorted_keys[::7]
         assert idx.batch_get(probe) == scalar_gets(idx, probe)
-        assert idx.art._runs[0] is main
-        assert idx.art._runs[2].tolist() == [art_keys[0]]
+        assert idx.art._view[0][0] is main
+        assert idx.art._view[0][2].tolist() == [art_keys[0]]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_batch_get_races_scalar_inserts_with_retraining(self, seed):
