@@ -14,9 +14,13 @@ Node48      hdr 16 + index 256 + ptrs 384  656
 Node256     hdr 16 + ptrs 2048             2064
 ==========  =============================  ======
 
-The header line of each node's :class:`~repro.sim.trace.LineSpan` holds
-the lock word, prefix, and ``match_level``; child pointers live in the
-following lines, and traversal records the specific line it dereferences.
+Each node holds ``line``, the first cache line id that
+:meth:`~repro.sim.trace.MemoryMap.reserve` gave its ``SIZE_BYTES``; the
+tree calls :meth:`~repro.sim.trace.MemoryMap.release` with the same size
+when it frees the node.  The header line (``line`` itself) holds the
+lock word, prefix, and ``match_level``; child pointers live in the
+following lines, and traversal records the specific line it dereferences
+(``line + byte_offset // 64``, see :meth:`Node.child_line`).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from bisect import bisect_left
 from typing import Iterator, Optional
 
 from repro.concurrency.version_lock import OptimisticLock
-from repro.sim.trace import LineSpan, MemoryMap
+from repro.sim.trace import CACHE_LINE_BYTES, MemoryMap
 
 KEY_BYTES = 8
 _HEADER_BYTES = 16
@@ -43,7 +47,7 @@ class Leaf:
     keeps the parent pointer in the header, so it adds no modeled bytes.
     """
 
-    __slots__ = ("key", "kbytes", "value", "span", "parent", "pbyte")
+    __slots__ = ("key", "kbytes", "value", "line", "parent", "pbyte")
 
     SIZE_BYTES = 16
 
@@ -51,12 +55,9 @@ class Leaf:
         self.key = key
         self.kbytes = encode_key(key)
         self.value = value
-        self.span = memory.alloc(self.SIZE_BYTES, tag)
+        self.line = memory.reserve(self.SIZE_BYTES, tag)
         self.parent = None
         self.pbyte = 0
-
-    def free(self) -> None:
-        self.span.free()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Leaf({self.key})"
@@ -65,7 +66,7 @@ class Leaf:
 class Node:
     """Base inner node: compressed prefix, match level, OLC lock."""
 
-    __slots__ = ("prefix", "match_level", "lock", "span", "count", "parent", "pbyte")
+    __slots__ = ("prefix", "match_level", "lock", "line", "count", "parent", "pbyte")
 
     SIZE_BYTES = 0  # overridden
     CAPACITY = 0
@@ -74,20 +75,15 @@ class Node:
         self.prefix = prefix
         self.match_level = match_level
         self.lock = OptimisticLock()
-        self.span = memory.alloc(self.SIZE_BYTES, tag)
+        self.line = memory.reserve(self.SIZE_BYTES, tag)
         self.count = 0
         self.parent = None
         self.pbyte = 0
 
-    def free(self) -> None:
-        self.span.free()
-
     def child_line(self, byte: int) -> int:
         """Cache line holding the child pointer selected by ``byte``."""
         body = self.SIZE_BYTES - _HEADER_BYTES
-        if body <= 0:
-            return self.span.line(0)
-        return self.span.line(_HEADER_BYTES + (byte * 8) % body)
+        return self.line + (_HEADER_BYTES + (byte * 8) % body) // CACHE_LINE_BYTES
 
     def is_full(self) -> bool:
         return self.count >= self.CAPACITY

@@ -36,8 +36,8 @@ state (``search_runs`` reads one published snapshot and takes no lock;
 it declines while a public write is in flight, whose tree change the
 snapshot may lack).
 A writer frees the node it replaces at once: CPython refcounting
-keeps the object alive while a reader still holds it, and ``free()`` only
-returns the node's modeled span to the memory map.  When a tracer is
+keeps the object alive while a reader still holds it, and freeing only
+releases the node's modeled bytes to the memory map.  When a tracer is
 live, all operations record cache-line touches and node visits into the
 ambient cost trace; with none live, the descents, the walks and the
 writer helpers they call skip that bookkeeping.
@@ -84,8 +84,6 @@ from repro.concurrency.retry import (
 )
 from repro.concurrency.version_lock import OptimisticLock, RestartException
 from repro.sim.trace import MemoryMap, current_tracer, global_memory
-
-_HEADER = 16
 
 ReplaceListener = Callable[[object, object], None]
 
@@ -285,15 +283,18 @@ class AdaptiveRadixTree:
         the same input to :meth:`publish_main`.  Raises ``ValueError``
         on a non-empty tree or on keys that are not strictly increasing.
         """
-        keys = np.asarray(keys, dtype=np.uint64).tolist()
-        values = list(values)
+        keys = np.asarray(keys, dtype=np.uint64)
         if len(values) != len(keys):
             raise ValueError("values must align with keys")
         if self._root is not None:
             raise ValueError("build_sorted needs an empty tree")
-        if any(a >= b for a, b in zip(keys, islice(keys, 1, None))):
+        if not (keys[1:] > keys[:-1]).all():
             raise ValueError("build_sorted needs strictly increasing keys")
-        root = self._build_run(keys, values, 0, len(keys), 0) if keys else None
+        keys, values = keys.tolist(), list(values)
+        if len(keys) > 1:
+            root = self._build_run(keys, values, 0, len(keys), 0)
+        else:
+            root = Leaf(keys[0], values[0], self._memory, self._tag) if keys else None
         self._root_lock.write_lock_or_restart()
         self._root = root
         self._size = len(keys)
@@ -313,29 +314,40 @@ class AdaptiveRadixTree:
             self._delta_cap = len(keys)
 
     def _build_run(self, keys: list, values: list, lo: int, hi: int, depth: int):
-        """Subtree over ``keys[lo:hi]``, which share their first ``depth``
-        bytes; its parent and pbyte are left for the caller to set."""
+        """Inner node over the two or more ``keys[lo:hi]``, which share
+        their first ``depth`` bytes, allocated before its subtrees (the
+        insert loop's pre-order); its parent and pbyte are left for the
+        caller to set."""
         first = keys[lo]
-        if hi - lo == 1:
-            return Leaf(first, values[lo], self._memory, self._tag)
         # First byte where the run's extremes (and so some pair) differ.
         split = (64 - (first ^ keys[hi - 1]).bit_length()) >> 3
         shift = 56 - 8 * split
-        runs = []
+        bounds = [lo]
         i = lo
         while i < hi:
-            high = keys[i] >> shift
-            j = bisect_left(keys, (high + 1) << shift, i + 1, hi)
-            runs.append((high & 0xFF, i, j))
-            i = j
-        n = len(runs)
+            i = bisect_left(keys, ((keys[i] >> shift) + 1) << shift, i + 1, hi)
+            bounds.append(i)
+        n = len(bounds) - 1
         cls = Node4 if n <= 4 else Node16 if n <= 16 else Node48 if n <= 48 else Node256
-        node = cls(encode_key(first)[depth:split], depth, self._memory, self._tag)
-        for byte, i, j in runs:
-            child = self._build_run(keys, values, i, j, split + 1)
-            node.add_child(byte, child)
+        memory, tag = self._memory, self._tag
+        node = cls(encode_key(first)[depth:split], depth, memory, tag)
+        edges, children = [], []
+        for i, j in zip(bounds, islice(bounds, 1, None)):
+            if j - i == 1:
+                child = Leaf(keys[i], values[i], memory, tag)
+            else:
+                child = self._build_run(keys, values, i, j, split + 1)
             child.parent = node
-            child.pbyte = byte
+            child.pbyte = byte = (keys[i] >> shift) & 0xFF
+            edges.append(byte)
+            children.append(child)
+        # Children arrive in byte order: the sorted node types take the
+        # lists as they are, and the indexed ones fill slot after slot.
+        if n <= 16:
+            node.keys, node.children, node.count = edges, children, n
+        else:
+            for byte, child in zip(edges, children):
+                node.add_child(byte, child)
         return node
 
     def bulk_remove(self, keys) -> list[bool]:
@@ -581,7 +593,7 @@ class AdaptiveRadixTree:
         while True:  # bounded: every pass enters a node or ends a listing
             if isinstance(node, Leaf):
                 if trace is not None:
-                    trace.read_span(node.span)
+                    trace.read_line(node.line)
                 if not tight or node.kbytes >= lo_bytes:
                     yield node.key, node.value
             elif node is not None:
@@ -589,7 +601,7 @@ class AdaptiveRadixTree:
                 if node.match_level != depth:  # moved down: see _search
                     raise RestartException
                 if trace is not None:
-                    trace.read_span(node.span)
+                    trace.read_line(node.line)
                 p = node.prefix
                 below = False
                 if tight and p:
@@ -613,7 +625,7 @@ class AdaptiveRadixTree:
                         node, depth, tight = child, frame[2] + 1, byte == bound
                         break
                     if trace is not None:
-                        trace.read_span(child.span)
+                        trace.read_line(child.line)
                     yield child.key, child.value
                 else:
                     if frame[5] < 0:
@@ -697,7 +709,7 @@ class AdaptiveRadixTree:
                 return None
             if isinstance(node, Leaf):
                 if trace is not None:
-                    trace.read_span(node.span)
+                    trace.read_line(node.line)
                 return node.value if node.kbytes == kb else None
             chaos.point("art.descend")
             version = node.lock.read_lock_or_restart()
@@ -708,7 +720,7 @@ class AdaptiveRadixTree:
                 # version validated below) then betrays the stale depth.
                 raise RestartException
             if trace is not None:
-                trace.read_span(node.span)
+                trace.read_line(node.line)
                 trace.nodes_visited += 1
             p = node.prefix
             if p and kb[depth : depth + len(p)] != p:
@@ -764,7 +776,7 @@ class AdaptiveRadixTree:
             parent.lock.write_unlock()
             raise RestartException
         if trace is not None:
-            trace.write_span(parent.span)
+            trace.write_line(parent.line)
 
         def replace(new_child):
             parent.replace_child(byte, new_child)
@@ -812,7 +824,7 @@ class AdaptiveRadixTree:
             if node.match_level != depth:  # moved down: see _search
                 raise RestartException
             if trace is not None:
-                trace.read_span(node.span)
+                trace.read_line(node.line)
                 trace.nodes_visited += 1
             p = node.prefix
             cpl = common_prefix_len(p, kb[depth : depth + len(p)]) if p else 0
@@ -835,7 +847,7 @@ class AdaptiveRadixTree:
         trace,
     ) -> bool:
         if trace is not None:
-            trace.read_span(leaf.span)
+            trace.read_line(leaf.line)
         unlock, replace = self._lock_parent_of(leaf, trace)
         try:
             if leaf.parent is not parent:
@@ -847,8 +859,8 @@ class AdaptiveRadixTree:
                     new_leaf = Leaf(key, value, self._memory, self._tag)
                     replace(new_leaf)
                     if trace is not None:
-                        trace.write_span(new_leaf.span)
-                    leaf.free()
+                        trace.write_line(new_leaf.line)
+                    self._memory.release(leaf.SIZE_BYTES, self._tag)
                 return False
             cpl = common_prefix_len(leaf.kbytes, kb, depth)
             new4 = Node4(kb[depth : depth + cpl], depth, self._memory, self._tag)
@@ -856,7 +868,7 @@ class AdaptiveRadixTree:
             new_byte = kb[depth + cpl]
             new_leaf = Leaf(key, value, self._memory, self._tag)
             if trace is not None:
-                trace.write_span(new_leaf.span)
+                trace.write_line(new_leaf.line)
             new4.add_child(old_byte, leaf)
             new4.add_child(new_byte, new_leaf)
             leaf.parent = new4
@@ -865,7 +877,7 @@ class AdaptiveRadixTree:
             new_leaf.pbyte = new_byte
             replace(new4)
             if trace is not None:
-                trace.write_span(new4.span)
+                trace.write_line(new4.line)
             self._bump_size(1)
             return True
         finally:
@@ -891,7 +903,7 @@ class AdaptiveRadixTree:
             node.match_level = depth + cpl + 1
             new_leaf = Leaf(key, value, self._memory, self._tag)
             if trace is not None:
-                trace.write_span(new_leaf.span)
+                trace.write_line(new_leaf.line)
             leaf_byte = kb[depth + cpl]
             new_parent.add_child(node_byte, node)
             new_parent.add_child(leaf_byte, new_leaf)
@@ -901,8 +913,8 @@ class AdaptiveRadixTree:
             new_leaf.pbyte = leaf_byte
             replace(new_parent)
             if trace is not None:
-                trace.write_span(new_parent.span)
-                trace.write_span(node.span)
+                trace.write_line(new_parent.line)
+                trace.write_line(node.line)
             node.lock.write_unlock()
             self._notify_replace(node, new_parent)
             self._bump_size(1)
@@ -923,8 +935,8 @@ class AdaptiveRadixTree:
             leaf.parent = node
             leaf.pbyte = byte
             if trace is not None:
-                trace.write_span(node.span, _HEADER)
-                trace.write_span(leaf.span)
+                trace.write_line(node.line)
+                trace.write_line(leaf.line)
             node.lock.write_unlock()
             self._bump_size(1)
             return True
@@ -936,7 +948,7 @@ class AdaptiveRadixTree:
             grown = node.grow(self._memory, self._tag)
             leaf = Leaf(key, value, self._memory, self._tag)
             if trace is not None:
-                trace.write_span(leaf.span)
+                trace.write_line(leaf.line)
             grown.add_child(byte, leaf)
             leaf.parent = grown
             leaf.pbyte = byte
@@ -945,9 +957,9 @@ class AdaptiveRadixTree:
                 child.pbyte = cbyte
             replace(grown)
             if trace is not None:
-                trace.write_span(grown.span)
+                trace.write_line(grown.line)
             node.lock.write_unlock_obsolete()
-            node.free()
+            self._memory.release(node.SIZE_BYTES, self._tag)
             self._notify_replace(node, grown)
             self._bump_size(1)
             return True
@@ -973,7 +985,7 @@ class AdaptiveRadixTree:
                 raise RestartException
             self._root = None
             self._root_lock.write_unlock()
-            node.free()
+            self._memory.release(node.SIZE_BYTES, self._tag)
             self._bump_size(-1)
             return True
         self._root_lock.read_unlock_or_restart(rv)
@@ -985,7 +997,7 @@ class AdaptiveRadixTree:
             if node.match_level != depth:  # moved down: see _search
                 raise RestartException
             if trace is not None:
-                trace.read_span(node.span)
+                trace.read_line(node.line)
             p = node.prefix
             if p and kb[depth : depth + len(p)] != p:
                 node.lock.read_unlock_or_restart(version)
@@ -1009,8 +1021,8 @@ class AdaptiveRadixTree:
         node.lock.upgrade_to_write_lock_or_restart(version)
         node.remove_child(byte)
         if trace is not None:
-            trace.write_span(node.span, _HEADER)
-        leaf.free()
+            trace.write_line(node.line)
+        self._memory.release(leaf.SIZE_BYTES, self._tag)
         self._bump_size(-1)
 
         if isinstance(node, Node4) and node.count == 1 and node.parent is not None:
@@ -1037,7 +1049,7 @@ class AdaptiveRadixTree:
                     child.lock.write_unlock()
                 replace(child)
                 node.lock.write_unlock_obsolete()
-                node.free()
+                self._memory.release(node.SIZE_BYTES, self._tag)
                 self._notify_replace(node, child)
             finally:
                 unlock()
@@ -1057,7 +1069,7 @@ class AdaptiveRadixTree:
                     child.pbyte = cb
                 replace(shrunk)
                 node.lock.write_unlock_obsolete()
-                node.free()
+                self._memory.release(node.SIZE_BYTES, self._tag)
                 self._notify_replace(node, shrunk)
             finally:
                 unlock()
@@ -1080,7 +1092,7 @@ class AdaptiveRadixTree:
         children = [c for _, c in node.iter_children()]
         node.lock.check_or_restart(version)
         if trace is not None:
-            trace.read_span(node.span)
+            trace.read_line(node.line)
         for child in children:
             self._collect(child, lo, hi, out, trace)
 

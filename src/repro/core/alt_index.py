@@ -126,13 +126,10 @@ class ALTIndex(OrderedIndex):
             memory=memory,
             tag=tag,
         )
-        layer, conflicts = LearnedLayer.bulk_build(
+        layer, ckeys, cvals = LearnedLayer.bulk_build(
             keys, values, epsilon, index._memory, f"{index.mem_tag}/learned", gap
         )
         index._layer = layer
-        n = len(conflicts)
-        ckeys = np.fromiter((k for k, _ in conflicts), dtype=np.uint64, count=n)
-        cvals = np.fromiter((v for _, v in conflicts), dtype=object, count=n)
         index._art.build_sorted(ckeys, cvals)
         # Batch reads resolve ART keys from the sorted runs: seed main.
         index._art.publish_main(ckeys, cvals)

@@ -112,6 +112,51 @@ def model_bytes(n_slots: int) -> int:
     return _HEADER_BYTES + n_slots * _SLOT_BYTES + (n_slots + 7) // 8
 
 
+def place_sorted(models: list, keys, values, counts, offsets, arena) -> tuple:
+    """Place sorted ``keys`` at their predicted slots of the consecutive
+    ``models`` with array ops; returns the conflicts as ``(uint64 keys,
+    object values)`` arrays.
+
+    ``models[m]`` takes the next ``counts[m]`` keys, and its slots start
+    at ``offsets[m]`` of the ``(np_keys, np_state, values)`` ``arena``
+    arrays; its ``keys`` list, ``build_size`` and ``last_key`` are set
+    here.  Collisions are adjacent (the slot function is monotone), so
+    the first key of each equal-slot run wins and the rest are the
+    ART-OPT layer's conflict data.  Values keep their element objects (a
+    numeric array's as its NumPy scalars).
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    if not (isinstance(values, np.ndarray) and values.dtype == object):
+        values = np.fromiter(values, dtype=object, count=len(values))
+    if len(keys) == 0:
+        return keys, values
+    first = np.array([m.first_key for m in models], dtype=np.uint64)
+    slopes = np.array([m.slope_eff for m in models], dtype=np.float64)
+    last_slot = np.array([m.n_slots - 1 for m in models], dtype=np.int64)
+    # Exact integer subtraction first: keys can exceed 2^53 and the
+    # placement must agree bit-for-bit with slot_of()'s arithmetic.
+    rel = (keys - np.repeat(first, counts)).astype(np.float64)
+    slots = (np.repeat(slopes, counts) * rel).astype(np.int64)
+    np.clip(slots, 0, np.repeat(last_slot, counts), out=slots)
+    slots += np.repeat(offsets, counts)
+    win = np.ones(len(keys), dtype=bool)
+    win[1:] = slots[1:] != slots[:-1]
+    placed, won = slots[win], keys[win]
+    np_keys, np_state, np_values = arena
+    np_keys[placed] = won
+    np_state[placed] = FULL
+    np_values[placed] = values[win]
+    key_slots = np.full(len(np_keys), None, dtype=object)
+    key_slots[placed] = won.astype(object)  # Python ints
+    ends = np.cumsum(counts)
+    built = np.add.reduceat(win, ends - counts).tolist()
+    for m, lo, n, last in zip(models, np.asarray(offsets).tolist(), built, keys[ends - 1].tolist()):
+        m.keys = key_slots[lo : lo + m.n_slots].tolist()
+        m.build_size = n
+        m.last_key = last
+    return keys[~win], values[~win]
+
+
 class GPLModel:
     """One gapped, error-free linear model of the learned layer."""
 
@@ -287,39 +332,11 @@ class GPLModel:
         return None
 
     # -- bulk loading -------------------------------------------------------
-    def place_bulk(self, keys: np.ndarray, values) -> list[tuple[int, object]]:
-        """Place sorted keys at their predicted slots; returns conflicts.
-
-        Collisions are adjacent (the slot function is monotone), so the
-        first key of each equal-slot run wins and the rest are returned
-        for the ART-OPT layer (the paper's conflict data).
-        """
-        if len(keys) == 0:
-            return []
-        # Exact integer subtraction first: keys can exceed 2^53 and the
-        # placement must agree bit-for-bit with slot_of()'s arithmetic.
-        rel = (keys - np.uint64(self.first_key)).astype(np.float64)
-        slots = (self.slope_eff * rel).astype(np.int64)
-        np.clip(slots, 0, self.n_slots - 1, out=slots)
-        win = np.ones(len(keys), dtype=bool)
-        win[1:] = slots[1:] != slots[:-1]
-        conflicts: list[tuple[int, object]] = []
-        kl = self.keys
-        vl = self.values
-        for i in range(len(keys)):
-            k = int(keys[i])
-            if win[i]:
-                s = int(slots[i])
-                kl[s] = k
-                vl[s] = values[i]
-            else:
-                conflicts.append((k, values[i]))
-        placed = slots[win]
-        self.np_keys[placed] = keys[win]
-        self.np_state[placed] = FULL
-        self.build_size = int(win.sum())
-        self.last_key = int(keys[-1])
-        return conflicts
+    def place_bulk(self, keys: np.ndarray, values) -> tuple[np.ndarray, np.ndarray]:
+        """Place sorted keys at their predicted slots of this empty model:
+        :func:`place_sorted` for one model."""
+        arena = (self.np_keys, self.np_state, self.values)
+        return place_sorted([self], keys, values, [len(keys)], [0], arena)
 
     # -- introspection -------------------------------------------------------
     def occupancy(self) -> int:
@@ -389,14 +406,17 @@ class LearnedLayer:
         memory: MemoryMap | None = None,
         tag: str = "alt/learned",
         gap: float = 2.0,
-    ) -> tuple["LearnedLayer", list[tuple[int, object]]]:
-        """GPL-partition sorted keys into models; returns (layer, conflicts)."""
+    ) -> tuple["LearnedLayer", np.ndarray, np.ndarray]:
+        """GPL-partition sorted keys into models and place every key with
+        one :func:`place_sorted` pass over the layer-wide arena.  Returns
+        ``(layer, conflict keys, conflict values)``: the keys that lost
+        their slot to a smaller key, as a uint64 and an object array."""
         keys = np.asarray(keys, dtype=np.uint64)
         layer = cls(memory, tag, gap)
         if len(keys) == 0:
             layer._rebuild_upper()
             layer._version += 1
-            return layer, []
+            return layer, *place_sorted([], keys, values, [], [], ())
         segments = gpl_partition(keys, epsilon)
         # Every model's geometry first, so the layer-wide arena is
         # allocated once and each model is built on its views of it.
@@ -410,20 +430,18 @@ class LearnedLayer:
         layer.np_state = np.zeros(total, dtype=np.uint8)
         layer.np_values = np.full(total, None, dtype=object)
         layer._tail = live
-        conflicts: list[tuple[int, object]] = []
+        arena = (layer.np_keys, layer.np_state, layer.np_values)
         for seg, (slope, ns), lo in zip(segments, geos, offsets.tolist()):
-            seg_keys = keys[seg.start : seg.end]
-            seg_vals = values[seg.start : seg.end]
-            arena = tuple(a[lo : lo + ns] for a in (layer.np_keys, layer.np_state, layer.np_values))
-            model = GPLModel(int(seg_keys[0]), slope, ns, layer._memory, layer._tag, arena)
-            conflicts.extend(model.place_bulk(seg_keys, seg_vals))
-            layer.models.append(model)
+            view = tuple(a[lo : lo + ns] for a in arena)
+            layer.models.append(GPLModel(seg.first_key, slope, ns, layer._memory, layer._tag, view))
+        counts = np.array([seg.length for seg in segments], dtype=np.int64)
+        conflicts = place_sorted(layer.models, keys, values, counts, offsets, arena)
         layer._rebuild_upper()
         layer._version += 1
         layer._geo = (
             layer._version, layer._first_keys, slopes, (n_slots - 1).astype(np.float64), offsets
         )
-        return layer, conflicts
+        return layer, *conflicts
 
     def _model_geometry(self, seg: Segment, seg_keys: np.ndarray) -> tuple[float, int]:
         """``(slope_eff, n_slots)`` of the model built over ``seg_keys``."""

@@ -34,6 +34,11 @@ from dataclasses import dataclass, field
 CACHE_LINE_BYTES = 64
 
 
+def line_count(nbytes: int) -> int:
+    """Cache lines an allocation of ``nbytes`` covers (at least one)."""
+    return max(1, (nbytes + CACHE_LINE_BYTES - 1) // CACHE_LINE_BYTES)
+
+
 class LineSpan:
     """A contiguous modeled allocation, addressable by byte offset.
 
@@ -47,7 +52,7 @@ class LineSpan:
     def __init__(self, base: int, nbytes: int, tag: str, memory: "MemoryMap"):
         self.base = base
         self.nbytes = nbytes
-        self.nlines = max(1, (nbytes + CACHE_LINE_BYTES - 1) // CACHE_LINE_BYTES)
+        self.nlines = line_count(nbytes)
         self.tag = tag
         self._memory = memory
         self._freed = False
@@ -64,7 +69,7 @@ class LineSpan:
         """Release the modeled allocation (idempotent)."""
         if not self._freed:
             self._freed = True
-            self._memory._on_free(self)
+            self._memory.release(self.nbytes, self.tag)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"LineSpan(base={self.base}, nbytes={self.nbytes}, tag={self.tag!r})"
@@ -83,20 +88,29 @@ class MemoryMap:
         self._total_allocs = 0
         self._lock = threading.Lock()
 
-    def alloc(self, nbytes: int, tag: str = "untagged") -> LineSpan:
-        """Allocate ``nbytes`` of modeled memory under ``tag``."""
+    def reserve(self, nbytes: int, tag: str = "untagged") -> int:
+        """Account ``nbytes`` of modeled memory under ``tag``; returns the
+        first of the :func:`line_count` cache line ids it covers.  The
+        caller owns them until it calls :meth:`release` with the same
+        size and tag, exactly once."""
         if nbytes < 0:
             raise ValueError(f"allocation size must be non-negative, got {nbytes}")
         with self._lock:
-            span = LineSpan(self._next_line, nbytes, tag, self)
-            self._next_line += span.nlines
+            base = self._next_line
+            self._next_line += line_count(nbytes)
             self._live_bytes[tag] = self._live_bytes.get(tag, 0) + nbytes
             self._total_allocs += 1
-        return span
+        return base
 
-    def _on_free(self, span: LineSpan) -> None:
+    def release(self, nbytes: int, tag: str = "untagged") -> None:
+        """Return ``nbytes`` that :meth:`reserve` accounted under ``tag``."""
         with self._lock:
-            self._live_bytes[span.tag] -= span.nbytes
+            self._live_bytes[tag] -= nbytes
+
+    def alloc(self, nbytes: int, tag: str = "untagged") -> LineSpan:
+        """Allocate ``nbytes`` of modeled memory under ``tag`` as a
+        :class:`LineSpan`, whose :meth:`LineSpan.free` releases it once."""
+        return LineSpan(self.reserve(nbytes, tag), nbytes, tag, self)
 
     def live_bytes(self, tag: str | None = None) -> int:
         """Live modeled bytes, for one tag or in total."""
@@ -160,12 +174,6 @@ class CostTrace:
     def write_line(self, line: int) -> None:
         """Record a write of one modeled cache line."""
         self.writes.append(line)
-
-    def read_span(self, span: LineSpan, byte_offset: int = 0) -> None:
-        self.reads.append(span.line(byte_offset))
-
-    def write_span(self, span: LineSpan, byte_offset: int = 0) -> None:
-        self.writes.append(span.line(byte_offset))
 
     # -- background work -------------------------------------------------
     def begin_background(self) -> None:
@@ -239,12 +247,6 @@ class _NullTrace:
         pass
 
     def write_line(self, line: int) -> None:
-        pass
-
-    def read_span(self, span: LineSpan, byte_offset: int = 0) -> None:
-        pass
-
-    def write_span(self, span: LineSpan, byte_offset: int = 0) -> None:
         pass
 
     def begin_background(self) -> None:

@@ -15,6 +15,7 @@ from repro.core.retrain import ExpansionBuffer, finish_expansion
 from repro.datasets.generators import dataset
 from repro.shard.sharded import ShardedALTIndex
 from repro.sim.trace import MemoryMap, tracer
+from tests.test_art import reachable_bytes
 
 
 @pytest.fixture
@@ -485,6 +486,46 @@ class TestChurnMemory:
         self._churn(
             lambda keys, memory: ShardedALTIndex.bulk_load(keys, shards=4, memory=memory)
         )
+
+
+class TestExactARTMemory:
+    def test_art_bytes_after_move_home_and_write_back(self, monkeypatch):
+        """An expansion's move-home and a lookup's write-back each remove
+        ART keys; the ART's live bytes must then equal the sizes of the
+        nodes still reachable, so no node was released twice or leaked."""
+        rng = np.random.default_rng(0)
+        keys = np.unique(rng.integers(0, 2**40, 8_000, dtype=np.uint64))
+        memory = MemoryMap()
+        idx = ALTIndex.bulk_load(keys[::4], memory=memory)
+        tag = f"{idx.mem_tag}/art"
+        assert memory.live_bytes(tag) == reachable_bytes(idx.art.root)
+        moved = []
+        move_home = ALTIndex._move_home
+
+        def counting_move_home(self, index, model):
+            before = len(self.art)
+            move_home(self, index, model)
+            moved.append(before - len(self.art))
+
+        monkeypatch.setattr(ALTIndex, "_move_home", counting_move_home)
+        for k in np.setdiff1d(keys, keys[::4]).tolist():
+            idx.insert(k, k)
+        assert sum(moved) > 0, "no expansion moved an ART key home"
+        assert memory.live_bytes(tag) == reachable_bytes(idx.art.root)
+        # Tombstone the slot an ART key lost to a resident key, then look
+        # the ART key up: it is written back and leaves the ART.
+        for k, _ in idx.art.items():
+            _, model = idx.layer.route(k)
+            state, resident, _ = model.read_slot(model.slot_of(k))
+            if model.expansion is None and state == FULL:
+                break
+        else:
+            pytest.fail("no ART key shares its slot with a resident key")
+        assert idx.remove(resident)
+        writebacks = idx.writebacks
+        assert idx.get(k) == k
+        assert idx.writebacks == writebacks + 1 and idx.art.search(k) is None
+        assert memory.live_bytes(tag) == reachable_bytes(idx.art.root)
 
 
 @pytest.mark.slow

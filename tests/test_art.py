@@ -18,7 +18,7 @@ from repro.art.nodes import (
     encode_key,
 )
 from repro.art.tree import _OVERLAY_FRACTION, _REMOVED, AdaptiveRadixTree
-from repro.sim.trace import NULL_TRACE, MemoryMap, tracer
+from repro.sim.trace import NULL_TRACE, LineSpan, MemoryMap, line_count, tracer
 
 
 @pytest.fixture
@@ -479,7 +479,7 @@ class TestTracing:
             raise AssertionError("tracing call on an untraced path")
 
         monkeypatch.setattr(tree_module, "active_tracer", boom, raising=False)
-        for name in ("read_span", "write_span", "read_line"):
+        for name in ("read_line", "write_line"):
             monkeypatch.setattr(_NullTrace, name, boom)
         tree = AdaptiveRadixTree(MemoryMap(), "u")
         got = _op_mix(tree, seed=5)
@@ -487,6 +487,11 @@ class TestTracing:
         monkeypatch.undo()
         twin = AdaptiveRadixTree(MemoryMap(), "t")
         assert _op_mix(twin, seed=5) == got
+
+
+def reachable_bytes(root) -> int:
+    """Modeled bytes of the nodes reachable from ``root``."""
+    return sum(node.SIZE_BYTES for node in _all_nodes(root))
 
 
 class TestMemoryAccounting:
@@ -500,6 +505,69 @@ class TestMemoryAccounting:
         for k in range(500):
             tree.remove(k * 3)
         assert mem.live_bytes("m") < grown
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_live_bytes_are_exactly_the_reachable_nodes(self, seed, monkeypatch):
+        """Nodes carry no allocation object, so nothing stops one being
+        released twice, which would quietly lower the modeled bytes.  A
+        seeded mix of leaf splits, prefix extractions, growth through
+        all four node types, shrinks, merges and upserts must leave the
+        live bytes equal to the reachable nodes' sizes at every step."""
+        mem = MemoryMap()
+        tree = AdaptiveRadixTree(mem, "x")
+        events: set = set()
+
+        def classify(old, new):
+            if old.parent is new:
+                events.add("extract")
+            elif isinstance(old, Node4) and old.count == 1:
+                events.add("merge")
+            else:
+                events.add((type(old).__name__, type(new).__name__))
+
+        tree.add_replace_listener(classify)
+        split = tree._insert_at_leaf
+
+        def counting_split(*args):
+            new = split(*args)
+            events.add("split" if new else "upsert")
+            return new
+
+        monkeypatch.setattr(tree, "_insert_at_leaf", counting_split)
+        rnd = random.Random(seed)
+        bases = [rnd.getrandbits(40) << 24 for _ in range(4)]
+        oracle = {}
+        for step in range(4000):
+            base = rnd.choice(bases)
+            r = rnd.random()
+            if step < 2000 and r < 0.5 or step >= 2000 and r < 0.15:
+                k = base | rnd.randrange(256) << 8 | rnd.randrange(4)  # one byte fans out
+            elif r < 0.6:
+                k = base | rnd.getrandbits(24)  # diverges inside a prefix
+            elif r < 0.7 and oracle:
+                k = rnd.choice(sorted(oracle))  # an upsert
+            else:
+                k = None
+            if k is not None:
+                tree.insert(k, step, upsert=True)
+                oracle[k] = step
+            elif oracle:
+                k = rnd.choice(sorted(oracle))
+                assert tree.remove(k)
+                del oracle[k]
+            if step % 25 == 0:
+                assert mem.live_bytes("x") == reachable_bytes(tree.root)
+        assert mem.live_bytes("x") == reachable_bytes(tree.root)
+        assert tree.items() == sorted(oracle.items())
+        for k in sorted(oracle):
+            assert tree.remove(k)
+        assert len(tree) == 0  # an emptied inner root stays, counted
+        assert mem.live_bytes("x") == reachable_bytes(tree.root)
+        assert events >= {
+            "split", "upsert", "extract", "merge",
+            ("Node4", "Node16"), ("Node16", "Node48"), ("Node48", "Node256"),
+            ("Node256", "Node48"), ("Node48", "Node16"), ("Node16", "Node4"),
+        }
 
 
 @pytest.mark.slow
@@ -851,7 +919,9 @@ def assert_same_subtree(a, b) -> None:
     """``a`` and ``b`` agree node for node: type, modeled size, edge,
     prefix, match level, child count and layout, and every leaf."""
     assert type(a) is type(b)
-    assert (a.span.nbytes, a.span.nlines, a.pbyte) == (b.span.nbytes, b.span.nlines, b.pbyte)
+    assert (a.SIZE_BYTES, line_count(a.SIZE_BYTES), a.pbyte) == (
+        b.SIZE_BYTES, line_count(b.SIZE_BYTES), b.pbyte
+    )
     if isinstance(a, Leaf):
         assert (a.key, a.kbytes, a.value) == (b.key, b.kbytes, b.value)
         return
@@ -910,6 +980,40 @@ class TestBuildSorted:
     @given(sorted_key_sets())
     def test_matches_the_insert_loop(self, keys):
         self._check(keys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sorted_key_sets())
+    def test_line_ids(self, keys):
+        """Every node owns the lines ``[line, line + nlines)``; the build
+        makes one allocation per node, as many as the insert loop net of
+        the nodes it outgrew; and a traced search reads the header and
+        child-pointer lines a :class:`LineSpan` at each node's line gives."""
+        built_mem, grown_mem = MemoryMap(), MemoryMap()
+        built = AdaptiveRadixTree(built_mem, "t")
+        built.build_sorted(keys, keys)
+        nodes = list(_all_nodes(built.root))
+        ranges = sorted((n.line, n.line + line_count(n.SIZE_BYTES)) for n in nodes)
+        assert all(end <= start for (_, end), (start, _) in zip(ranges, ranges[1:]))
+        grown = AdaptiveRadixTree(grown_mem, "t")
+        outgrown = []
+        grown.add_replace_listener(
+            lambda old, new: old.parent is new or outgrown.append(old)
+        )
+        for k in keys:
+            grown.insert(k, k)
+        assert built_mem.total_allocations == len(nodes)
+        assert grown_mem.total_allocations - len(outgrown) == len(nodes)
+        for k in keys[:: max(1, len(keys) // 16)]:
+            with tracer() as t:
+                assert built.search(k) == k
+            expect, node, depth, kb = [], built.root, 0, encode_key(k)
+            while not isinstance(node, Leaf):
+                span = LineSpan(node.line, node.SIZE_BYTES, "t", MemoryMap())
+                depth += len(node.prefix)
+                byte = kb[depth]
+                expect += [span.line(0), span.line(16 + byte * 8 % (node.SIZE_BYTES - 16))]
+                node, depth = node.find_child(byte), depth + 1
+            assert t.reads == expect + [LineSpan(node.line, 16, "t", MemoryMap()).line(0)]
 
     @pytest.mark.parametrize(
         "keys",
@@ -1019,8 +1123,16 @@ class TestBuildSorted:
 
 
 def _inner_nodes(node):
-    if node is None or isinstance(node, Leaf):
-        return
-    yield node
-    for _, child in node.iter_children():
-        yield from _inner_nodes(child)
+    return (n for n in _all_nodes(node) if not isinstance(n, Leaf))
+
+
+def _all_nodes(node):
+    """Every node reachable from ``node``, in pre-order."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            continue
+        yield node
+        if not isinstance(node, Leaf):
+            stack.extend(reversed([c for _, c in node.iter_children()]))

@@ -68,9 +68,9 @@ class TestLayerIntegration:
         keys = np.sort(
             np.random.default_rng(0).choice(2**40, 5000, replace=False).astype(np.uint64)
         )
-        layer, conflicts = LearnedLayer.bulk_build(keys, keys, 16, mem, "t", 1.2)
+        layer, ckeys, cvals = LearnedLayer.bulk_build(keys, keys, 16, mem, "t", 1.2)
         art = AdaptiveRadixTree(mem, "t/art")
-        for k, v in conflicts:
+        for k, v in zip(ckeys.tolist(), cvals):
             art.insert(k, v)
         buf = FastPointerBuffer(art)
         buf.build_for_layer(layer)
@@ -78,7 +78,7 @@ class TestLayerIntegration:
         assert assigned, "expected at least some fast pointers"
         assert len(buf) <= buf.raw_count
         # Conflict keys must be findable through their model's pointer.
-        for k, _ in conflicts[:200]:
+        for k in ckeys[:200].tolist():
             i, m = layer.route(k)
             entry = buf.entry(m.fast_index)
             assert art.search(k, from_node=entry) == k

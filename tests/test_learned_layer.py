@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.common import as_value_array
 from repro.core.learned_layer import (
     EMPTY,
     FULL,
@@ -22,7 +25,8 @@ def mem():
 def build_layer(keys, eps=None, mem=None):
     keys = np.asarray(keys, dtype=np.uint64)
     eps = eps or max(len(keys) // 100, 8)
-    return LearnedLayer.bulk_build(keys, keys, eps, mem or MemoryMap(), "t", 2.0)
+    layer, ckeys, _ = LearnedLayer.bulk_build(keys, keys, eps, mem or MemoryMap(), "t", 2.0)
+    return layer, ckeys.tolist()
 
 
 class TestGPLModel:
@@ -54,9 +58,8 @@ class TestGPLModel:
         keys = np.array([0, 1, 2, 3, 100], dtype=np.uint64)
         # slope 0.5 -> keys 0/1 collide at slot 0, 2/3 at slot 1
         m = GPLModel(0, 0.5, 60, mem, "t")
-        conflicts = m.place_bulk(keys, keys)
-        conflict_keys = [k for k, _ in conflicts]
-        assert conflict_keys == [1, 3]
+        ckeys, cvals = m.place_bulk(keys, keys)
+        assert ckeys.tolist() == cvals.tolist() == [1, 3]
         assert m.build_size == 3
         assert m.read_slot(0)[1] == 0
         assert m.read_slot(1)[1] == 2
@@ -128,6 +131,115 @@ class TestGPLModel:
         assert len(t.reads) == 2  # bitmap line + slot line
 
 
+def per_key_placement(model, keys: np.ndarray, values) -> list:
+    """The per-key placement loop bulk loading ran before it became array
+    ops, kept as the reference: the first key of each run of keys
+    predicted onto one slot takes it, the rest are returned as pairs."""
+    if len(keys) == 0:
+        return []
+    rel = (keys - np.uint64(model.first_key)).astype(np.float64)
+    slots = (model.slope_eff * rel).astype(np.int64)
+    np.clip(slots, 0, model.n_slots - 1, out=slots)
+    win = np.ones(len(keys), dtype=bool)
+    win[1:] = slots[1:] != slots[:-1]
+    conflicts = []
+    for i in range(len(keys)):
+        k = int(keys[i])
+        if win[i]:
+            s = int(slots[i])
+            model.keys[s] = k
+            model.values[s] = values[i]
+        else:
+            conflicts.append((k, values[i]))
+    placed = slots[win]
+    model.np_keys[placed] = keys[win]
+    model.np_state[placed] = FULL
+    model.build_size = int(win.sum())
+    model.last_key = int(keys[-1])
+    return conflicts
+
+
+def same_value(a, b) -> bool:
+    """The same object, or equal NumPy scalars of one type (a numeric
+    value array hands out a new scalar per element read)."""
+    return a is b or (type(a) is type(b) and isinstance(a, np.generic) and a == b)
+
+
+@st.composite
+def placement_inputs(draw):
+    """Sorted keys in clusters of dense runs (which share slots) and
+    sparse strays, from a base that may lie above 2^53; values as none,
+    a list, or an object array of tuples; and an ε."""
+    high = draw(st.sampled_from([0, 2**53, 2**63]))
+    keys = set()
+    for _ in range(draw(st.integers(1, 5))):
+        base = high + draw(st.integers(0, 2**52))
+        if draw(st.booleans()):
+            keys.update(base + i for i in range(draw(st.integers(1, 40))))
+        else:
+            keys.update(base + o for o in draw(st.lists(st.integers(0, 2**20), max_size=40)))
+    keys = np.array(sorted(keys), dtype=np.uint64)
+    kind = draw(st.sampled_from(["none", "list", "tuples"]))
+    if kind == "none":
+        values = None
+    elif kind == "list":
+        values = [f"v{i}" for i in range(len(keys))]
+    else:
+        values = np.empty(len(keys), dtype=object)
+        for i, k in enumerate(keys.tolist()):
+            values[i] = (k, i)
+    return keys, values, draw(st.sampled_from([1.0, 2.0, 8.0, 64.0]))
+
+
+class TestPlacementParity:
+    """Array placement against the per-key loop: same slots, keys, build
+    sizes, last keys and conflict order, and the same value objects."""
+
+    @staticmethod
+    def _assert_same_model(m, ref):
+        assert m.keys == ref.keys
+        assert all(type(k) is int for k in m.keys if k is not None)
+        assert np.array_equal(m.np_keys, ref.np_keys)
+        assert np.array_equal(m.np_state, ref.np_state)
+        assert all(same_value(a, b) for a, b in zip(m.values, ref.values))
+        assert (m.build_size, m.last_key) == (ref.build_size, ref.last_key)
+
+    @staticmethod
+    def _assert_same_conflicts(ckeys, cvals, ref):
+        assert ckeys.dtype == np.uint64 and cvals.dtype == object
+        assert ckeys.tolist() == [k for k, _ in ref]
+        assert all(same_value(a, b) for a, (_, b) in zip(cvals, ref))
+
+    @settings(max_examples=120, deadline=None)
+    @given(placement_inputs())
+    def test_bulk_build_matches_the_per_key_loop(self, case):
+        keys, values, eps = case
+        values = as_value_array(keys, values)
+        layer, ckeys, cvals = LearnedLayer.bulk_build(keys, values, eps, MemoryMap(), "t")
+        firsts = np.array([m.first_key for m in layer.models], dtype=np.uint64)
+        bounds = np.searchsorted(keys, firsts).tolist() + [len(keys)]
+        ref_conflicts = []
+        for m, lo, hi in zip(layer.models, bounds, bounds[1:]):
+            ref = GPLModel(m.first_key, m.slope_eff, m.n_slots, MemoryMap(), "r")
+            ref_conflicts += per_key_placement(ref, keys[lo:hi], values[lo:hi])
+            self._assert_same_model(m, ref)
+        self._assert_same_conflicts(ckeys, cvals, ref_conflicts)
+        # place_bulk is the same routine for one model.
+        first, n_slots = int(keys[0]) if len(keys) else 0, max(len(keys) // 2, 2)
+        one = GPLModel(first, 0.37, n_slots, MemoryMap(), "o")
+        ref = GPLModel(first, 0.37, n_slots, MemoryMap(), "r")
+        self._assert_same_conflicts(
+            *one.place_bulk(keys, values), per_key_placement(ref, keys, values)
+        )
+        self._assert_same_model(one, ref)
+
+    def test_one_key_segments(self):
+        keys = np.array([0, 1, 2**40, 2**41, 3 * 2**41 + 7], dtype=np.uint64)
+        layer, ckeys, _ = LearnedLayer.bulk_build(keys, keys, 0.5, MemoryMap(), "t")
+        assert [m.n_slots for m in layer.models].count(2) >= 1  # a one-key model
+        assert ckeys.tolist() == [] and layer.occupancy() == len(keys)
+
+
 class TestLearnedLayerBuild:
     def test_empty(self):
         layer, conflicts = build_layer([])
@@ -141,7 +253,7 @@ class TestLearnedLayerBuild:
     def test_conflicts_not_resident(self, sorted_keys):
         layer, conflicts = build_layer(sorted_keys)
         resident = {k for k, _ in layer.items(0, 2**64 - 1)}
-        for k, _ in conflicts:
+        for k in conflicts:
             assert k not in resident
 
     def test_models_sorted_by_first_key(self, sorted_keys):

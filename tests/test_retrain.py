@@ -137,7 +137,7 @@ class TestTriggering:
 class TestFinishExpansion:
     def test_layer_swap(self, mem):
         keys = np.arange(0, 4000, 4, dtype=np.uint64)
-        layer, _ = LearnedLayer.bulk_build(keys, keys, 32, mem, "t", 2.0)
+        layer, _, _ = LearnedLayer.bulk_build(keys, keys, 32, mem, "t", 2.0)
         m = layer.models[0]
         m.fast_index = 3
         m.insert_count = m.build_size + 1

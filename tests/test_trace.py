@@ -110,8 +110,8 @@ class TestCostTrace:
         mem = MemoryMap()
         span = mem.alloc(128, "t")
         t = CostTrace()
-        t.read_span(span)
-        t.write_span(span, 64)
+        t.read_line(span.line(0))
+        t.write_line(span.line(64))
         t.read_line(999)
         assert t.reads == [span.line(0), 999]
         assert t.writes == [span.line(64)]
@@ -265,12 +265,8 @@ class TestAmbientTracer:
         assert trace_mod._n_active == 0
 
     def test_null_trace_accepts_events(self):
-        mem = MemoryMap()
-        span = mem.alloc(64, "t")
         NULL_TRACE.read_line(1)
         NULL_TRACE.write_line(2)
-        NULL_TRACE.read_span(span)
-        NULL_TRACE.write_span(span)
         NULL_TRACE.begin_background()  # all no-ops, no state
 
     def test_explicit_trace_object(self):
