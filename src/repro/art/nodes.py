@@ -14,9 +14,11 @@ Node48      hdr 16 + index 256 + ptrs 384  656
 Node256     hdr 16 + ptrs 2048             2064
 ==========  =============================  ======
 
-Each node holds ``line``, the first cache line id that
-:meth:`~repro.sim.trace.MemoryMap.reserve` gave its ``SIZE_BYTES``; the
-tree calls :meth:`~repro.sim.trace.MemoryMap.release` with the same size
+Each node holds ``line``, the first of the ``LINES`` cache line ids its
+``SIZE_BYTES`` cover.  The tree reserves them before it constructs the
+node (one :meth:`~repro.sim.trace.MemoryMap.reserve` per node, or one
+:meth:`~repro.sim.trace.MemoryMap.reserve_run` for a whole bulk build)
+and calls :meth:`~repro.sim.trace.MemoryMap.release` with the same size
 when it frees the node.  The header line (``line`` itself) holds the
 lock word, prefix, and ``match_level``; child pointers live in the
 following lines, and traversal records the specific line it dereferences
@@ -29,7 +31,7 @@ from bisect import bisect_left
 from typing import Iterator, Optional
 
 from repro.concurrency.version_lock import OptimisticLock
-from repro.sim.trace import CACHE_LINE_BYTES, MemoryMap
+from repro.sim.trace import CACHE_LINE_BYTES, line_count
 
 KEY_BYTES = 8
 _HEADER_BYTES = 16
@@ -51,11 +53,11 @@ class Leaf:
 
     SIZE_BYTES = 16
 
-    def __init__(self, key: int, value, memory: MemoryMap, tag: str):
+    def __init__(self, key: int, value, line: int):
         self.key = key
         self.kbytes = encode_key(key)
         self.value = value
-        self.line = memory.reserve(self.SIZE_BYTES, tag)
+        self.line = line
         self.parent = None
         self.pbyte = 0
 
@@ -71,11 +73,11 @@ class Node:
     SIZE_BYTES = 0  # overridden
     CAPACITY = 0
 
-    def __init__(self, prefix: bytes, match_level: int, memory: MemoryMap, tag: str):
+    def __init__(self, prefix: bytes, match_level: int, line: int):
         self.prefix = prefix
         self.match_level = match_level
         self.lock = OptimisticLock()
-        self.line = memory.reserve(self.SIZE_BYTES, tag)
+        self.line = line
         self.count = 0
         self.parent = None
         self.pbyte = 0
@@ -134,8 +136,8 @@ class Node4(Node):
     SIZE_BYTES = 52
     CAPACITY = 4
 
-    def __init__(self, prefix: bytes, match_level: int, memory: MemoryMap, tag: str):
-        super().__init__(prefix, match_level, memory, tag)
+    def __init__(self, prefix: bytes, match_level: int, line: int):
+        super().__init__(prefix, match_level, line)
         self.keys: list[int] = []
         self.children: list = []
 
@@ -165,8 +167,8 @@ class Node4(Node):
         i = self._slot_of(start)
         return zip(self.keys[i:], self.children[i:])
 
-    def grow(self, memory: MemoryMap, tag: str) -> "Node16":
-        node = Node16(self.prefix, self.match_level, memory, tag)
+    def grow(self, line: int) -> "Node16":
+        node = self.GROWN(self.prefix, self.match_level, line)
         node.keys = list(self.keys)
         node.children = list(self.children)
         node.count = self.count
@@ -187,8 +189,8 @@ class Node16(Node):
     CAPACITY = 16
     SHRINK_AT = 3
 
-    def __init__(self, prefix: bytes, match_level: int, memory: MemoryMap, tag: str):
-        super().__init__(prefix, match_level, memory, tag)
+    def __init__(self, prefix: bytes, match_level: int, line: int):
+        super().__init__(prefix, match_level, line)
         self.keys: list[int] = []
         self.children: list = []
 
@@ -218,14 +220,14 @@ class Node16(Node):
         i = self._search(start)
         return zip(self.keys[i:], self.children[i:])
 
-    def grow(self, memory: MemoryMap, tag: str) -> "Node48":
-        node = Node48(self.prefix, self.match_level, memory, tag)
+    def grow(self, line: int) -> "Node48":
+        node = self.GROWN(self.prefix, self.match_level, line)
         for byte, child in zip(self.keys, self.children):
             node.add_child(byte, child)
         return node
 
-    def shrink(self, memory: MemoryMap, tag: str) -> "Node4":
-        node = Node4(self.prefix, self.match_level, memory, tag)
+    def shrink(self, line: int) -> "Node4":
+        node = self.SHRUNK(self.prefix, self.match_level, line)
         node.keys = list(self.keys)
         node.children = list(self.children)
         node.count = self.count
@@ -242,8 +244,8 @@ class Node48(Node):
     SHRINK_AT = 12
     EMPTY = 0xFF
 
-    def __init__(self, prefix: bytes, match_level: int, memory: MemoryMap, tag: str):
-        super().__init__(prefix, match_level, memory, tag)
+    def __init__(self, prefix: bytes, match_level: int, line: int):
+        super().__init__(prefix, match_level, line)
         self.child_index = bytearray([self.EMPTY] * 256)
         self.children: list = [None] * 48
         self._free_slots = list(range(47, -1, -1))
@@ -277,14 +279,14 @@ class Node48(Node):
             if slot != self.EMPTY:
                 yield byte, self.children[slot]
 
-    def grow(self, memory: MemoryMap, tag: str) -> "Node256":
-        node = Node256(self.prefix, self.match_level, memory, tag)
+    def grow(self, line: int) -> "Node256":
+        node = self.GROWN(self.prefix, self.match_level, line)
         for byte, child in self.iter_children():
             node.add_child(byte, child)
         return node
 
-    def shrink(self, memory: MemoryMap, tag: str) -> "Node16":
-        node = Node16(self.prefix, self.match_level, memory, tag)
+    def shrink(self, line: int) -> "Node16":
+        node = self.SHRUNK(self.prefix, self.match_level, line)
         for byte, child in self.iter_children():
             node.add_child(byte, child)
         return node
@@ -299,8 +301,8 @@ class Node256(Node):
     CAPACITY = 256
     SHRINK_AT = 37
 
-    def __init__(self, prefix: bytes, match_level: int, memory: MemoryMap, tag: str):
-        super().__init__(prefix, match_level, memory, tag)
+    def __init__(self, prefix: bytes, match_level: int, line: int):
+        super().__init__(prefix, match_level, line)
         self.children: list = [None] * 256
 
     def find_child(self, byte: int):
@@ -324,11 +326,20 @@ class Node256(Node):
             if child is not None:
                 yield byte, child
 
-    def shrink(self, memory: MemoryMap, tag: str) -> "Node48":
-        node = Node48(self.prefix, self.match_level, memory, tag)
+    def shrink(self, line: int) -> "Node48":
+        node = self.SHRUNK(self.prefix, self.match_level, line)
         for byte, child in self.iter_children():
             node.add_child(byte, child)
         return node
+
+
+# The cache lines each node type covers, and the types an inner node
+# grows and shrinks into: the tree reserves the new node's lines before
+# it calls grow() or shrink().
+for _cls in (Leaf, Node4, Node16, Node48, Node256):
+    _cls.LINES = line_count(_cls.SIZE_BYTES)
+Node4.GROWN, Node16.GROWN, Node48.GROWN = Node16, Node48, Node256
+Node16.SHRUNK, Node48.SHRUNK, Node256.SHRUNK = Node4, Node16, Node48
 
 
 def common_prefix_len(a: bytes, b: bytes, start: int = 0) -> int:

@@ -55,6 +55,7 @@ step and lock transition for deterministic schedule exploration.
 
 from __future__ import annotations
 
+import gc
 import threading
 from bisect import bisect_left
 from itertools import islice
@@ -282,6 +283,20 @@ class AdaptiveRadixTree:
         root takes the root lock.  A tree with batch readers then hands
         the same input to :meth:`publish_main`.  Raises ``ValueError``
         on a non-empty tree or on keys that are not strictly increasing.
+
+        The build is sized with array ops first (:func:`_build_size`), so
+        one :meth:`MemoryMap.reserve_run` accounts for every node, and
+        the recursion hands the reserved lines out in the insert loop's
+        pre-order: each node gets the line one :meth:`MemoryMap.reserve`
+        per node would have given it.
+
+        The recursion runs with CPython's cyclic collector paused: it
+        only allocates, so a pass would find no garbage while traversing
+        every node built so far.  The switch is process-wide, so other
+        threads' collections are postponed until the build ends, never
+        skipped (the allocation counts that trigger them keep growing).
+        The collector is enabled again only if it was enabled on entry,
+        so a caller that disabled it keeps it disabled.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         if len(values) != len(keys):
@@ -290,11 +305,25 @@ class AdaptiveRadixTree:
             raise ValueError("build_sorted needs an empty tree")
         if not (keys[1:] > keys[:-1]).all():
             raise ValueError("build_sorted needs strictly increasing keys")
-        keys, values = keys.tolist(), list(values)
-        if len(keys) > 1:
-            root = self._build_run(keys, values, 0, len(keys), 0)
-        else:
-            root = Leaf(keys[0], values[0], self._memory, self._tag) if keys else None
+        root = None
+        if len(keys):
+            count, nbytes, nlines = _build_size(keys)
+            base = self._memory.reserve_run(count, nbytes, nlines, self._tag)
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                keys, values = keys.tolist(), list(values)
+                if len(keys) > 1:
+                    root, end = _build_run(keys, values, 0, len(keys), 0, base)
+                else:
+                    root, end = Leaf(keys[0], values[0], base), base + Leaf.LINES
+            except BaseException:
+                self._memory.release(nbytes, self._tag)
+                raise
+            finally:
+                if collecting:
+                    gc.enable()
+            assert end == base + nlines, "build_sorted sized a different tree"
         self._root_lock.write_lock_or_restart()
         self._root = root
         self._size = len(keys)
@@ -312,43 +341,6 @@ class AdaptiveRadixTree:
         with self._delta_lock:
             self._view = ((*main, *_EMPTY_RUN), {}, None)
             self._delta_cap = len(keys)
-
-    def _build_run(self, keys: list, values: list, lo: int, hi: int, depth: int):
-        """Inner node over the two or more ``keys[lo:hi]``, which share
-        their first ``depth`` bytes, allocated before its subtrees (the
-        insert loop's pre-order); its parent and pbyte are left for the
-        caller to set."""
-        first = keys[lo]
-        # First byte where the run's extremes (and so some pair) differ.
-        split = (64 - (first ^ keys[hi - 1]).bit_length()) >> 3
-        shift = 56 - 8 * split
-        bounds = [lo]
-        i = lo
-        while i < hi:
-            i = bisect_left(keys, ((keys[i] >> shift) + 1) << shift, i + 1, hi)
-            bounds.append(i)
-        n = len(bounds) - 1
-        cls = Node4 if n <= 4 else Node16 if n <= 16 else Node48 if n <= 48 else Node256
-        memory, tag = self._memory, self._tag
-        node = cls(encode_key(first)[depth:split], depth, memory, tag)
-        edges, children = [], []
-        for i, j in zip(bounds, islice(bounds, 1, None)):
-            if j - i == 1:
-                child = Leaf(keys[i], values[i], memory, tag)
-            else:
-                child = self._build_run(keys, values, i, j, split + 1)
-            child.parent = node
-            child.pbyte = byte = (keys[i] >> shift) & 0xFF
-            edges.append(byte)
-            children.append(child)
-        # Children arrive in byte order: the sorted node types take the
-        # lists as they are, and the indexed ones fill slot after slot.
-        if n <= 16:
-            node.keys, node.children, node.count = edges, children, n
-        else:
-            for byte, child in zip(edges, children):
-                node.add_child(byte, child)
-        return node
 
     def bulk_remove(self, keys) -> list[bool]:
         """Delete many **pre-sorted** keys in one pass; per-key flags
@@ -741,6 +733,10 @@ class AdaptiveRadixTree:
         for listener in self._replace_listeners:
             listener(old, new)
 
+    def _reserve(self, cls) -> int:
+        """Reserve the lines of one new ``cls`` node; returns its line."""
+        return self._memory.reserve(cls.SIZE_BYTES, self._tag)
+
     def _bump_size(self, delta: int) -> None:
         with self._size_lock:
             self._size += delta
@@ -804,7 +800,7 @@ class AdaptiveRadixTree:
                 if self._root is not None:
                     self._root_lock.write_unlock()
                     raise RestartException
-                leaf = Leaf(key, value, self._memory, self._tag)
+                leaf = Leaf(key, value, self._reserve(Leaf))
                 leaf.parent = None
                 self._root = leaf
                 self._root_lock.write_unlock()
@@ -856,17 +852,17 @@ class AdaptiveRadixTree:
                 raise RestartException
             if leaf.key == key:
                 if upsert:
-                    new_leaf = Leaf(key, value, self._memory, self._tag)
+                    new_leaf = Leaf(key, value, self._reserve(Leaf))
                     replace(new_leaf)
                     if trace is not None:
                         trace.write_line(new_leaf.line)
                     self._memory.release(leaf.SIZE_BYTES, self._tag)
                 return False
             cpl = common_prefix_len(leaf.kbytes, kb, depth)
-            new4 = Node4(kb[depth : depth + cpl], depth, self._memory, self._tag)
+            new4 = Node4(kb[depth : depth + cpl], depth, self._reserve(Node4))
             old_byte = leaf.kbytes[depth + cpl]
             new_byte = kb[depth + cpl]
-            new_leaf = Leaf(key, value, self._memory, self._tag)
+            new_leaf = Leaf(key, value, self._reserve(Leaf))
             if trace is not None:
                 trace.write_line(new_leaf.line)
             new4.add_child(old_byte, leaf)
@@ -897,11 +893,11 @@ class AdaptiveRadixTree:
         try:
             node.lock.upgrade_to_write_lock_or_restart(version)
             p = node.prefix
-            new_parent = Node4(p[:cpl], depth, self._memory, self._tag)
+            new_parent = Node4(p[:cpl], depth, self._reserve(Node4))
             node_byte = p[cpl]
             node.prefix = p[cpl + 1 :]
             node.match_level = depth + cpl + 1
-            new_leaf = Leaf(key, value, self._memory, self._tag)
+            new_leaf = Leaf(key, value, self._reserve(Leaf))
             if trace is not None:
                 trace.write_line(new_leaf.line)
             leaf_byte = kb[depth + cpl]
@@ -930,7 +926,7 @@ class AdaptiveRadixTree:
             if node.find_child(byte) is not None:
                 node.lock.write_unlock()
                 raise RestartException
-            leaf = Leaf(key, value, self._memory, self._tag)
+            leaf = Leaf(key, value, self._reserve(Leaf))
             node.add_child(byte, leaf)
             leaf.parent = node
             leaf.pbyte = byte
@@ -945,8 +941,8 @@ class AdaptiveRadixTree:
         unlock, replace = self._lock_parent_of(node, trace)
         try:
             node.lock.upgrade_to_write_lock_or_restart(version)
-            grown = node.grow(self._memory, self._tag)
-            leaf = Leaf(key, value, self._memory, self._tag)
+            grown = node.grow(self._reserve(node.GROWN))
+            leaf = Leaf(key, value, self._reserve(Leaf))
             if trace is not None:
                 trace.write_line(leaf.line)
             grown.add_child(byte, leaf)
@@ -1025,15 +1021,20 @@ class AdaptiveRadixTree:
         self._memory.release(leaf.SIZE_BYTES, self._tag)
         self._bump_size(-1)
 
-        if isinstance(node, Node4) and node.count == 1 and node.parent is not None:
+        # The root collapses too: _lock_parent_of locks the root pointer.
+        if (isinstance(node, Node4) and node.count == 1) or (
+            not node.count and node.parent is None
+        ):
             # Path-compression merge: replace node with its only child.
+            # Only a root can be left with no child (after a skipped
+            # merge), and the tree is then empty.
             try:
                 unlock, replace = self._lock_parent_of(node, trace)
             except RestartException:
                 node.lock.write_unlock()
                 return True  # deletion already done; merge is best-effort
             try:
-                cbyte, child = node.only_child
+                cbyte, child = node.only_child if node.count else (0, None)
                 if isinstance(child, Node):
                     # Re-prefix the child under its own write lock, so a
                     # reader inside it restarts instead of pairing the
@@ -1050,20 +1051,21 @@ class AdaptiveRadixTree:
                 replace(child)
                 node.lock.write_unlock_obsolete()
                 self._memory.release(node.SIZE_BYTES, self._tag)
-                self._notify_replace(node, child)
+                if child is not None:  # a pointer at an obsolete node is ignored
+                    self._notify_replace(node, child)
             finally:
                 unlock()
             return True
 
         shrink_at = getattr(node, "SHRINK_AT", None)
-        if shrink_at is not None and node.count < shrink_at and node.parent is not None:
+        if shrink_at is not None and node.count < shrink_at:
             try:
                 unlock, replace = self._lock_parent_of(node, trace)
             except RestartException:
                 node.lock.write_unlock()
                 return True
             try:
-                shrunk = node.shrink(self._memory, self._tag)
+                shrunk = node.shrink(self._reserve(node.SHRUNK))
                 for cb, child in shrunk.iter_children():
                     child.parent = shrunk
                     child.pbyte = cb
@@ -1123,6 +1125,85 @@ class AdaptiveRadixTree:
             )
 
         return depth_of(self._root)
+
+
+# Per inner node type, by _build_size's type index: cache lines, bytes,
+# and (for all but Node256) the largest fan-out the type holds.
+_NODE_TYPES = (Node4, Node16, Node48, Node256)
+_NODE_LINES = np.array([cls.LINES for cls in _NODE_TYPES])
+_NODE_BYTES = np.array([cls.SIZE_BYTES for cls in _NODE_TYPES])
+_NODE_CAPACITIES = [cls.CAPACITY for cls in _NODE_TYPES[:-1]]
+
+
+def _build_size(keys: np.ndarray) -> tuple[int, int, int]:
+    """``(nodes, bytes, lines)`` of the tree :func:`_build_run` makes from
+    the non-empty, strictly increasing uint64 ``keys``, found with array
+    ops: one leaf per key, and one inner node per group of keys that
+    share their first ``s`` bytes while some neighbours in the group
+    differ at byte ``s``.  Its children are 1 + the number of those
+    neighbour pairs, which picks the node type."""
+    n = len(keys)
+    nodes, nbytes, nlines = n, n * Leaf.SIZE_BYTES, n * Leaf.LINES
+    # The first byte at which each pair of neighbours differs.
+    diff = keys[1:] ^ keys[:-1]
+    split = np.zeros(n - 1, dtype=np.int8)
+    for b in range(1, KEY_BYTES):
+        split += diff < np.uint64(1 << (64 - 8 * b))
+    for s in range(KEY_BYTES):
+        at = np.flatnonzero(split == s)
+        if not len(at):
+            continue
+        if s:
+            group = keys[at] >> np.uint64(64 - 8 * s)
+            starts = np.flatnonzero(group[1:] != group[:-1]) + 1
+        else:
+            starts = np.empty(0, dtype=np.intp)  # every pair is the root's
+        children = np.diff(starts, prepend=0, append=len(at)) + 1
+        kind = np.searchsorted(_NODE_CAPACITIES, children)
+        nodes += len(children)
+        nbytes += int(_NODE_BYTES[kind].sum())
+        nlines += int(_NODE_LINES[kind].sum())
+    return nodes, nbytes, nlines
+
+
+def _build_run(keys: list, values: list, lo: int, hi: int, depth: int, line: int):
+    """``(node, next line)``: the inner node over the two or more
+    ``keys[lo:hi]``, which share their first ``depth`` bytes, with its
+    subtrees, numbered from ``line`` on in the insert loop's pre-order
+    (the node, then each child in byte order); its parent and pbyte are
+    left for the caller to set."""
+    first = keys[lo]
+    # First byte where the run's extremes (and so some pair) differ.
+    split = (64 - (first ^ keys[hi - 1]).bit_length()) >> 3
+    shift = 56 - 8 * split
+    bounds = [lo]
+    i = lo
+    while i < hi:
+        i = bisect_left(keys, ((keys[i] >> shift) + 1) << shift, i + 1, hi)
+        bounds.append(i)
+    n = len(bounds) - 1
+    cls = Node4 if n <= 4 else Node16 if n <= 16 else Node48 if n <= 48 else Node256
+    node = cls(encode_key(first)[depth:split], depth, line)
+    line += cls.LINES
+    edges, children = [], []
+    for i, j in zip(bounds, islice(bounds, 1, None)):
+        if j - i == 1:
+            child = Leaf(keys[i], values[i], line)
+            line += 1  # Leaf.LINES
+        else:
+            child, line = _build_run(keys, values, i, j, split + 1, line)
+        child.parent = node
+        child.pbyte = byte = (keys[i] >> shift) & 0xFF
+        edges.append(byte)
+        children.append(child)
+    # Children arrive in byte order: the sorted node types take the
+    # lists as they are, and the indexed ones fill slot after slot.
+    if n <= 16:
+        node.keys, node.children, node.count = edges, children, n
+    else:
+        for byte, child in zip(edges, children):
+            node.add_child(byte, child)
+    return node, line
 
 
 def _frozen(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -47,6 +47,7 @@ import bisect
 import contextlib
 import math
 import threading
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -343,19 +344,38 @@ class GPLModel:
         """Number of live keys resident in this model."""
         return int(np.count_nonzero(self.np_state == FULL))
 
-    def iter_slots(self, lo_slot: int = 0, hi_slot: int | None = None) -> Iterator[tuple[int, object]]:
-        """Live (key, value) pairs in slot (== key) order.
+    def iter_slots(
+        self, lo_slot: int = 0, lo: int = 0, hi: int = 2**64 - 1
+    ) -> Iterator[tuple[int, object]]:
+        """Live (key, value) pairs with ``lo <= key <= hi`` from slot
+        ``lo_slot`` on, in slot (== key) order.
 
-        Scans touch each slot line once (4 slots per 64-byte line).
+        Each live slot is read under its seqlock: a slot whose key is
+        set has its version read, then its value and key again, then its
+        version again.  A slot a writer holds (odd) or changed meanwhile
+        is re-read with :meth:`read_slot`, so no pair is torn (say, a
+        new key with the EMPTY slot's ``None`` value); an empty slot
+        costs no version read.  Scans touch each slot line once (4 slots
+        per 64-byte line).
         """
-        hi = self.n_slots if hi_slot is None else min(hi_slot, self.n_slots)
         t = current_tracer()
-        for s in range(lo_slot, hi):
+        keys, versions = self.keys, self.versions._versions
+        for s in range(lo_slot, self.n_slots):
             if t is not None and s % 4 == 0:
                 t.reads.append(self._slot_line(s))
-            k = self.keys[s]
+            k = keys[s]
             if k is not None:
-                yield k, self.values[s]
+                v = versions[s]
+                # self.values, not a local: a compaction rebinds the view.
+                value = self.values[s]
+                if v & 1 or keys[s] is not k or versions[s] != v:
+                    _, k, value = self.read_slot(s)
+                    if k is None:
+                        continue
+                if k > hi:
+                    return
+                if k >= lo:
+                    yield k, value
 
     def free(self) -> None:
         self.span.free()
@@ -697,6 +717,14 @@ class LearnedLayer:
         their temporal buffer (the two are disjoint: evicted slots are
         tombstoned).
         """
+        # Chained in C, so a pair costs one step of its model's
+        # iter_slots and no step of a generator around it.
+        return chain.from_iterable(self._model_items(lo, hi))
+
+    def _model_items(self, lo: int, hi: int) -> Iterator[Iterator[tuple[int, object]]]:
+        """One iterator per model in range for :meth:`items`.  Each
+        stops past ``hi``; the model after it then starts past ``hi``
+        and ends the models."""
         if not self.models:
             return
         start = max(bisect.bisect_right(self._first_key_list, lo) - 1, 0)
@@ -705,13 +733,10 @@ class LearnedLayer:
                 return
             lo_slot = m.slot_of(lo) if lo >= m.first_key else 0
             if m.expansion is None:
-                source = m.iter_slots(lo_slot)
+                yield m.iter_slots(lo_slot, lo, hi)
             else:
                 buf = m.expansion.buffer
                 buf_lo = buf.slot_of(lo) if lo >= buf.first_key else 0
-                source = _merge_sorted(m.iter_slots(lo_slot), buf.iter_slots(buf_lo))
-            for k, v in source:
-                if k > hi:
-                    return
-                if k >= lo:
-                    yield k, v
+                yield _merge_sorted(
+                    m.iter_slots(lo_slot, lo, hi), buf.iter_slots(buf_lo, lo, hi)
+                )

@@ -95,11 +95,20 @@ class MemoryMap:
         size and tag, exactly once."""
         if nbytes < 0:
             raise ValueError(f"allocation size must be non-negative, got {nbytes}")
+        return self.reserve_run(1, nbytes, line_count(nbytes), tag)
+
+    def reserve_run(self, count: int, nbytes: int, nlines: int, tag: str = "untagged") -> int:
+        """Account ``count`` allocations at once, as ``count`` calls of
+        :meth:`reserve` would: ``nbytes`` in total under ``tag`` over
+        ``nlines`` consecutive cache line ids, of which it returns the
+        first.  The caller hands the lines out in turn, each allocation
+        the :func:`line_count` of its own size, and releases each one
+        with :meth:`release` as if :meth:`reserve` had made it."""
         with self._lock:
             base = self._next_line
-            self._next_line += line_count(nbytes)
+            self._next_line += nlines
             self._live_bytes[tag] = self._live_bytes.get(tag, 0) + nbytes
-            self._total_allocs += 1
+            self._total_allocs += count
         return base
 
     def release(self, nbytes: int, tag: str = "untagged") -> None:

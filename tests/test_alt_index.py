@@ -330,6 +330,53 @@ class TestScans:
         assert idx.scan(2**64 - 8, 64) == [(k, k) for k in top[-8:]]
         assert [k for k, _ in idx.scan(2**64 - 101, 1000)] == top
 
+    def test_scan_waits_out_an_insert_into_an_empty_slot(self, monkeypatch):
+        """An insert into an EMPTY slot writes the key, then the value.
+        A scan in another thread that reads the slot in between must not
+        yield the key with the empty slot's ``None``: it re-reads the
+        held slot under the seqlock, which waits for the writer."""
+        from repro import chaos
+
+        rng = np.random.default_rng(3)
+        keys = np.unique(rng.integers(0, 2**40, 40_000, dtype=np.uint64))
+        idx = ALTIndex.bulk_load(keys[::2], retraining=False, memory=MemoryMap())
+        writer = threading.current_thread()
+        point = chaos.point
+        scanned, waiting, done = [], threading.Event(), threading.Event()
+
+        def scanner(lo):
+            try:
+                scanned.append(idx.scan(lo, 1))
+            finally:
+                done.set()
+
+        def hook(name):
+            point(name)
+            if name == "slot.read_begin.retry":  # a reader waits on the latch
+                waiting.set()
+            if name != "gpl.slot_fields" or threading.current_thread() is not writer:
+                return
+            # Mid-write: the slot's key is visible, its value not yet.
+            waiting.clear()
+            done.clear()
+            reader = threading.Thread(target=scanner, args=(current,))
+            reader.start()
+            deadline = time.monotonic() + 10
+            while not (waiting.is_set() or done.is_set()) and time.monotonic() < deadline:
+                time.sleep(0.001)
+            hooked.append(reader)
+
+        monkeypatch.setattr(chaos, "point", hook)
+        hooked, checked = [], 0
+        for current in (int(k) for k in keys[1:400:2]):
+            idx.insert(current, ("v", current))
+            if hooked:
+                hooked.pop().join(10)
+                assert scanned.pop() == [(current, ("v", current))]
+                checked += 1
+        monkeypatch.undo()
+        assert checked > 50  # inserts that went to EMPTY learned slots
+
 
 class TestAblations:
     def test_no_fast_pointers_still_correct(self, sorted_keys):

@@ -2,6 +2,7 @@
 
 import random
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -43,13 +44,12 @@ class TestEncoding:
 class TestNodeTypes:
     @pytest.mark.parametrize("cls", [Node4, Node16, Node48, Node256])
     def test_add_find_remove(self, cls):
-        mem = MemoryMap()
-        node = cls(b"", 0, mem, "t")
+        node = cls(b"", 0, 0)
         children = {}
         for byte in range(0, cls.CAPACITY * 5, 5):
             if byte > 255 or node.is_full():
                 break
-            leaf = Leaf(byte, byte, mem, "t")
+            leaf = Leaf(byte, byte, 0)
             node.add_child(byte, leaf)
             children[byte] = leaf
         for byte, leaf in children.items():
@@ -61,11 +61,11 @@ class TestNodeTypes:
 
     @pytest.mark.parametrize("cls", [Node4, Node16, Node48])
     def test_grow_preserves_children(self, cls):
-        mem = MemoryMap()
-        node = cls(b"pre", 3, mem, "t")
+        node = cls(b"pre", 3, 0)
         for byte in range(cls.CAPACITY):
-            node.add_child(byte, Leaf(byte, byte, mem, "t"))
-        grown = node.grow(mem, "t")
+            node.add_child(byte, Leaf(byte, byte, 0))
+        grown = node.grow(7)
+        assert type(grown) is cls.GROWN and grown.line == 7
         assert grown.count == cls.CAPACITY
         assert grown.prefix == b"pre"
         assert grown.match_level == 3
@@ -74,22 +74,21 @@ class TestNodeTypes:
 
     @pytest.mark.parametrize("cls", [Node16, Node48, Node256])
     def test_shrink_preserves_children(self, cls):
-        mem = MemoryMap()
-        node = cls(b"p", 1, mem, "t")
+        node = cls(b"p", 1, 0)
         n = cls.SHRINK_AT - 1
         for byte in range(n):
-            node.add_child(byte, Leaf(byte, byte, mem, "t"))
-        small = node.shrink(mem, "t")
+            node.add_child(byte, Leaf(byte, byte, 0))
+        small = node.shrink(7)
+        assert type(small) is cls.SHRUNK and small.line == 7
         assert small.count == n
         for byte in range(n):
             assert small.find_child(byte).key == byte
 
     def test_iter_children_sorted(self):
-        mem = MemoryMap()
         for cls in (Node4, Node16, Node48, Node256):
-            node = cls(b"", 0, mem, "t")
+            node = cls(b"", 0, 0)
             for byte in (200, 3, 77, 150):
-                node.add_child(byte, Leaf(byte, byte, mem, "t"))
+                node.add_child(byte, Leaf(byte, byte, 0))
             assert [b for b, _ in node.iter_children()] == [3, 77, 150, 200]
             for start in range(257):
                 got = [(b, c.key) for b, c in node.iter_children(start)]
@@ -392,9 +391,8 @@ class TestMidTreeEntry:
         # obsolete) by a structure modification.  Search must fall back
         # to the root.
         from repro.art.nodes import Node4
-        from repro.sim.trace import MemoryMap
 
-        stale = Node4(b"", 0, MemoryMap(), "x")
+        stale = Node4(b"", 0, 0)
         stale.lock.write_lock_or_restart()
         stale.lock.write_unlock_obsolete()
         assert tree.search(5000, from_node=stale) == 5
@@ -561,8 +559,8 @@ class TestMemoryAccounting:
         assert tree.items() == sorted(oracle.items())
         for k in sorted(oracle):
             assert tree.remove(k)
-        assert len(tree) == 0  # an emptied inner root stays, counted
-        assert mem.live_bytes("x") == reachable_bytes(tree.root)
+        assert len(tree) == 0 and tree.root is None  # the root collapsed too
+        assert mem.live_bytes("x") == 0
         assert events >= {
             "split", "upsert", "extract", "merge",
             ("Node4", "Node16"), ("Node16", "Node48"), ("Node48", "Node256"),
@@ -905,6 +903,37 @@ class TestPathCompressionMerge:
         assert [k for k, _ in tree.items()] == self.KEYS[1:]
         assert tree.search(self.KEPT) == self.KEPT
 
+    def test_root_merges_into_its_only_child(self):
+        mem = MemoryMap()
+        tree = AdaptiveRadixTree(mem, "t")
+        tree.build_sorted(self.KEYS, self.KEYS)
+        sub = tree.root.find_child(1)
+        assert tree.lookup_path_length(self.KEPT) == 3
+        assert tree.remove(2 << 56)
+        assert tree.root is sub and sub.parent is None
+        assert (sub.prefix, sub.match_level) == (b"\x01", 0)
+        assert tree.lookup_path_length(self.KEPT) == 2
+        assert [k for k, _ in tree.items()] == self.KEYS[:3]
+        assert mem.live_bytes("t") == reachable_bytes(tree.root)
+
+    def test_root_left_empty_by_a_skipped_merge_is_freed(self, monkeypatch):
+        from repro.concurrency.version_lock import RestartException
+
+        def busy_parent(node, trace):
+            raise RestartException
+
+        mem = MemoryMap()
+        tree = AdaptiveRadixTree(mem, "t")
+        tree.build_sorted([1, 2], [1, 2])
+        root = tree.root
+        with monkeypatch.context() as m:
+            m.setattr(tree, "_lock_parent_of", busy_parent)
+            assert tree.remove(1)
+        assert tree.root is root and root.count == 1  # the merge was skipped
+        assert tree.remove(2)
+        assert tree.root is None and mem.live_bytes("t") == 0
+        assert tree.insert(3, 3) and tree.search(3) == 3
+
     def test_reader_in_the_child_never_misses_on_any_schedule(self):
         """DPOR over a reader inside the child racing the merge: clean on
         every schedule; the planted unlocked merge makes it miss a key."""
@@ -1058,6 +1087,75 @@ class TestBuildSorted:
         with pytest.raises(ValueError):
             tree.build_sorted([1, 2, 3], [1, 2])
         assert tree.root is None and len(tree) == 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_state_is_restored(self, enabled, monkeypatch):
+        """The build pauses the cyclic collector and leaves it as the
+        caller had it: enabled, or disabled (as the benchmark harness
+        does), also when the build raises part way."""
+        import gc
+
+        from repro.art import tree as tree_module
+
+        real = tree_module._build_run
+        seen = []
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return real(*args)
+
+        def fail(*args):
+            raise MemoryError
+
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            monkeypatch.setattr(tree_module, "_build_run", spy)
+            AdaptiveRadixTree(MemoryMap(), "t").build_sorted([1, 2, 3], [1, 2, 3])
+            assert seen == [False] and gc.isenabled() is enabled
+            monkeypatch.setattr(tree_module, "_build_run", fail)
+            mem = MemoryMap()
+            tree = AdaptiveRadixTree(mem, "t")
+            with pytest.raises(MemoryError):
+                tree.build_sorted([1, 2, 3], [1, 2, 3])
+            assert gc.isenabled() is enabled
+            assert tree.root is None and len(tree) == 0 and mem.live_bytes("t") == 0
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_lines_stay_disjoint_from_a_concurrent_allocator(self):
+        """The build reserves all its lines in one call, so a thread
+        allocating from the same map while the build runs gets lines
+        no node of the tree covers."""
+        rng = np.random.default_rng(0)
+        keys = np.unique(rng.integers(0, 2**64 - 1, 60_000, dtype=np.uint64))
+        mem = MemoryMap()
+        building, stop = threading.Event(), threading.Event()
+        lines, during = [], []
+
+        def allocate():
+            while not stop.is_set():
+                lines.append(mem.reserve(64, "other"))
+                if building.is_set():
+                    during.append(lines[-1])
+
+        other = threading.Thread(target=allocate)
+        other.start()
+        while not lines:
+            time.sleep(0.001)
+        tree = AdaptiveRadixTree(mem, "t")
+        building.set()
+        tree.build_sorted(keys, keys.tolist())
+        building.clear()
+        stop.set()
+        other.join()
+        assert during  # the other thread allocated while the tree was built
+        ranges = sorted(
+            [(n.line, n.line + line_count(n.SIZE_BYTES)) for n in _all_nodes(tree.root)]
+            + [(line, line + 1) for line in lines]
+        )
+        assert all(end <= start for (_, end), (start, _) in zip(ranges, ranges[1:]))
+        assert mem.live_bytes("t") == reachable_bytes(tree.root)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_writes_after_build_match_a_dict(self, seed):
