@@ -1,11 +1,12 @@
 """ART node types: Leaf, Node4, Node16, Node48, Node256.
 
-Node sizes follow the C layout of the original paper (16-byte header +
-key/pointer arrays), so the modeled memory accounting matches what a C++
-ART would allocate:
+The four inner node types are modeled, not mirrored: each type class
+holds only the constants of its C layout in the original paper
+(16-byte header + key/pointer arrays), so the modeled memory accounting
+matches what a C++ ART would allocate:
 
 ==========  =============================  ======
-node        layout                         bytes
+node        C layout                       bytes
 ==========  =============================  ======
 Leaf        key (8) + value (8)            16
 Node4       hdr 16 + keys 4 + ptrs 32      52
@@ -13,6 +14,15 @@ Node16      hdr 16 + keys 16 + ptrs 128    160
 Node48      hdr 16 + index 256 + ptrs 384  656
 Node256     hdr 16 + ptrs 2048             2064
 ==========  =============================  ======
+
+In Python they share two layouts.  Node4 and Node16 keep sorted
+parallel ``keys``/``children`` lists searched by bisection; Node48 and
+Node256 keep one 256-slot ``children`` list indexed by the key byte
+(Node48's byte index and 48-slot array exist only in its
+``SIZE_BYTES``).  A type still decides what the tree does with a node:
+when it is full (``CAPACITY``), when it shrinks (``SHRINK_AT``), and
+which type replaces it (``GROWN``/``SHRUNK``, built by
+:meth:`Node.resized`).
 
 Each node holds ``line``, the first of the ``LINES`` cache line ids its
 ``SIZE_BYTES`` cover.  The tree reserves them before it constructs the
@@ -22,13 +32,14 @@ and calls :meth:`~repro.sim.trace.MemoryMap.release` with the same size
 when it frees the node.  The header line (``line`` itself) holds the
 lock word, prefix, and ``match_level``; child pointers live in the
 following lines, and traversal records the specific line it dereferences
-(``line + byte_offset // 64``, see :meth:`Node.child_line`).
+(``line + byte_offset // 64``, see :meth:`Node.child_line`), whatever the
+Python layout.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.concurrency.version_lock import OptimisticLock
 from repro.sim.trace import CACHE_LINE_BYTES, line_count
@@ -66,12 +77,18 @@ class Leaf:
 
 
 class Node:
-    """Base inner node: compressed prefix, match level, OLC lock."""
+    """Base inner node: compressed prefix, match level, OLC lock.
+
+    A layout subclass holds the children and implements ``load``,
+    ``find_child``, ``add_child``, ``replace_child``, ``remove_child``
+    and ``iter_children(start)`` (the ``(byte, child)`` pairs with
+    ``byte >= start``, in byte order).
+    """
 
     __slots__ = ("prefix", "match_level", "lock", "line", "count", "parent", "pbyte")
 
-    SIZE_BYTES = 0  # overridden
-    CAPACITY = 0
+    SIZE_BYTES = CAPACITY = SHRINK_AT = 0
+    GROWN = SHRUNK = None
 
     def __init__(self, prefix: bytes, match_level: int, line: int):
         self.prefix = prefix
@@ -90,22 +107,13 @@ class Node:
     def is_full(self) -> bool:
         return self.count >= self.CAPACITY
 
-    # The methods below are implemented per node type.
-    def find_child(self, byte: int):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def add_child(self, byte: int, child) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def replace_child(self, byte: int, child) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def remove_child(self, byte: int) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def iter_children(self, start: int = 0) -> Iterator[tuple[int, object]]:  # pragma: no cover
-        """``(byte, child)`` pairs with ``byte >= start``, in byte order."""
-        raise NotImplementedError
+    def resized(self, cls: type, line: int) -> "Node":
+        """A ``cls`` node at ``line`` with this node's prefix, match level
+        and children: what a growth or shrink replaces this node with."""
+        node = cls(self.prefix, self.match_level, line)
+        pairs = list(self.iter_children())
+        node.load([byte for byte, _ in pairs], [child for _, child in pairs])
+        return node
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -114,65 +122,50 @@ class Node:
         )
 
 
-def _find_sorted(keys: list[int], children: list, byte: int):
-    """The child under ``byte`` in sorted parallel key/child lists.
-
-    Readers call this without the node lock, and a writer may shrink the
-    lists between two reads.  A torn read returns None or a wrong child,
-    never raises: the caller's version check then restarts it.
-    """
-    i = bisect_left(keys, byte)
-    try:
-        return children[i] if keys[i] == byte else None
-    except IndexError:
-        return None
-
-
-class Node4(Node):
-    """Up to 4 children; sorted parallel key/child arrays."""
+class _SortedNode(Node):
+    """Node4/Node16 layout: sorted parallel ``keys``/``children`` lists."""
 
     __slots__ = ("keys", "children")
-
-    SIZE_BYTES = 52
-    CAPACITY = 4
 
     def __init__(self, prefix: bytes, match_level: int, line: int):
         super().__init__(prefix, match_level, line)
         self.keys: list[int] = []
         self.children: list = []
 
-    def find_child(self, byte: int):
-        return _find_sorted(self.keys, self.children, byte)
+    def load(self, edges: list[int], children: list) -> None:
+        """Fill this empty node from byte-ordered edges; takes the lists."""
+        self.keys, self.children, self.count = edges, children, len(edges)
 
-    def _slot_of(self, byte: int) -> int:
-        return bisect_left(self.keys, byte)
+    def find_child(self, byte: int):
+        """Readers call this without the node lock, and a writer may
+        shrink the lists between two reads.  A torn read returns None or
+        a wrong child, never raises: the caller's version check then
+        restarts it."""
+        keys = self.keys
+        i = bisect_left(keys, byte)
+        try:
+            return self.children[i] if keys[i] == byte else None
+        except IndexError:
+            return None
 
     def add_child(self, byte: int, child) -> None:
-        i = self._slot_of(byte)
+        i = bisect_left(self.keys, byte)
         self.keys.insert(i, byte)
         self.children.insert(i, child)
         self.count += 1
 
     def replace_child(self, byte: int, child) -> None:
-        i = self.keys.index(byte)
-        self.children[i] = child
+        self.children[bisect_left(self.keys, byte)] = child
 
     def remove_child(self, byte: int) -> None:
-        i = self.keys.index(byte)
+        i = bisect_left(self.keys, byte)
         del self.keys[i]
         del self.children[i]
         self.count -= 1
 
     def iter_children(self, start: int = 0) -> Iterator[tuple[int, object]]:
-        i = self._slot_of(start)
+        i = bisect_left(self.keys, start)
         return zip(self.keys[i:], self.children[i:])
-
-    def grow(self, line: int) -> "Node16":
-        node = self.GROWN(self.prefix, self.match_level, line)
-        node.keys = list(self.keys)
-        node.children = list(self.children)
-        node.count = self.count
-        return node
 
     @property
     def only_child(self):
@@ -180,130 +173,21 @@ class Node4(Node):
         return self.keys[0], self.children[0]
 
 
-class Node16(Node):
-    """Up to 16 children; sorted arrays with binary search."""
-
-    __slots__ = ("keys", "children")
-
-    SIZE_BYTES = 160
-    CAPACITY = 16
-    SHRINK_AT = 3
-
-    def __init__(self, prefix: bytes, match_level: int, line: int):
-        super().__init__(prefix, match_level, line)
-        self.keys: list[int] = []
-        self.children: list = []
-
-    def _search(self, byte: int) -> int:
-        return bisect_left(self.keys, byte)
-
-    def find_child(self, byte: int):
-        return _find_sorted(self.keys, self.children, byte)
-
-    def add_child(self, byte: int, child) -> None:
-        i = self._search(byte)
-        self.keys.insert(i, byte)
-        self.children.insert(i, child)
-        self.count += 1
-
-    def replace_child(self, byte: int, child) -> None:
-        i = self._search(byte)
-        self.children[i] = child
-
-    def remove_child(self, byte: int) -> None:
-        i = self._search(byte)
-        del self.keys[i]
-        del self.children[i]
-        self.count -= 1
-
-    def iter_children(self, start: int = 0) -> Iterator[tuple[int, object]]:
-        i = self._search(start)
-        return zip(self.keys[i:], self.children[i:])
-
-    def grow(self, line: int) -> "Node48":
-        node = self.GROWN(self.prefix, self.match_level, line)
-        for byte, child in zip(self.keys, self.children):
-            node.add_child(byte, child)
-        return node
-
-    def shrink(self, line: int) -> "Node4":
-        node = self.SHRUNK(self.prefix, self.match_level, line)
-        node.keys = list(self.keys)
-        node.children = list(self.children)
-        node.count = self.count
-        return node
-
-
-class Node48(Node):
-    """256-entry byte index into a 48-slot child array."""
-
-    __slots__ = ("child_index", "children", "_free_slots")
-
-    SIZE_BYTES = 656
-    CAPACITY = 48
-    SHRINK_AT = 12
-    EMPTY = 0xFF
-
-    def __init__(self, prefix: bytes, match_level: int, line: int):
-        super().__init__(prefix, match_level, line)
-        self.child_index = bytearray([self.EMPTY] * 256)
-        self.children: list = [None] * 48
-        self._free_slots = list(range(47, -1, -1))
-
-    def find_child(self, byte: int):
-        slot = self.child_index[byte]
-        if slot == self.EMPTY:
-            return None
-        return self.children[slot]
-
-    def add_child(self, byte: int, child) -> None:
-        slot = self._free_slots.pop()
-        self.child_index[byte] = slot
-        self.children[slot] = child
-        self.count += 1
-
-    def replace_child(self, byte: int, child) -> None:
-        self.children[self.child_index[byte]] = child
-
-    def remove_child(self, byte: int) -> None:
-        slot = self.child_index[byte]
-        self.child_index[byte] = self.EMPTY
-        self.children[slot] = None
-        self._free_slots.append(slot)
-        self.count -= 1
-
-    def iter_children(self, start: int = 0) -> Iterator[tuple[int, object]]:
-        index = self.child_index
-        for byte in range(start, 256):
-            slot = index[byte]
-            if slot != self.EMPTY:
-                yield byte, self.children[slot]
-
-    def grow(self, line: int) -> "Node256":
-        node = self.GROWN(self.prefix, self.match_level, line)
-        for byte, child in self.iter_children():
-            node.add_child(byte, child)
-        return node
-
-    def shrink(self, line: int) -> "Node16":
-        node = self.SHRUNK(self.prefix, self.match_level, line)
-        for byte, child in self.iter_children():
-            node.add_child(byte, child)
-        return node
-
-
-class Node256(Node):
-    """Direct 256-way child array."""
+class _SlotNode(Node):
+    """Node48/Node256 layout: one child slot per byte, None where empty."""
 
     __slots__ = ("children",)
-
-    SIZE_BYTES = 2064
-    CAPACITY = 256
-    SHRINK_AT = 37
 
     def __init__(self, prefix: bytes, match_level: int, line: int):
         super().__init__(prefix, match_level, line)
         self.children: list = [None] * 256
+
+    def load(self, edges: list[int], children: list) -> None:
+        """Fill this empty node from byte-ordered edges."""
+        slots = self.children
+        for byte, child in zip(edges, children):
+            slots[byte] = child
+        self.count = len(edges)
 
     def find_child(self, byte: int):
         return self.children[byte]
@@ -326,16 +210,37 @@ class Node256(Node):
             if child is not None:
                 yield byte, child
 
-    def shrink(self, line: int) -> "Node48":
-        node = self.SHRUNK(self.prefix, self.match_level, line)
-        for byte, child in self.iter_children():
-            node.add_child(byte, child)
-        return node
+
+class Node4(_SortedNode):
+    __slots__ = ()
+    SIZE_BYTES = 52
+    CAPACITY = 4
+
+
+class Node16(_SortedNode):
+    __slots__ = ()
+    SIZE_BYTES = 160
+    CAPACITY = 16
+    SHRINK_AT = 3
+
+
+class Node48(_SlotNode):
+    __slots__ = ()
+    SIZE_BYTES = 656
+    CAPACITY = 48
+    SHRINK_AT = 12
+
+
+class Node256(_SlotNode):
+    __slots__ = ()
+    SIZE_BYTES = 2064
+    CAPACITY = 256
+    SHRINK_AT = 37
 
 
 # The cache lines each node type covers, and the types an inner node
 # grows and shrinks into: the tree reserves the new node's lines before
-# it calls grow() or shrink().
+# it calls resized().
 for _cls in (Leaf, Node4, Node16, Node48, Node256):
     _cls.LINES = line_count(_cls.SIZE_BYTES)
 Node4.GROWN, Node16.GROWN, Node48.GROWN = Node16, Node48, Node256

@@ -28,7 +28,8 @@ Additions required by ALT-index:
   an untraced ``ALTIndex.get`` uses for ART-resident keys;
 - ``iter_from(lo)`` walks the tree once, lazily, from ``lo``: the range
   read behind ``ALTIndex.scan`` and an expansion's move-home; ``scan``
-  takes a bounded prefix of the same walk.
+  takes a bounded prefix of the same walk and ``items(lo, hi)`` its
+  pairs up to ``hi``.
 
 Writers acquire node write locks via non-blocking upgrade and restart on
 failure, so the protocol is deadlock-free; readers never write shared
@@ -58,7 +59,7 @@ from __future__ import annotations
 import gc
 import threading
 from bisect import bisect_left
-from itertools import islice
+from itertools import islice, takewhile
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -502,15 +503,21 @@ class AdaptiveRadixTree:
         values = np.fromiter((v for _, v in pairs), dtype=object, count=len(pairs))
         return _frozen(keys, values)
 
-    def items(self, lo: int = 0, hi: int = 2**64 - 1) -> list[tuple[int, object]]:
-        """Sorted (key, value) pairs with lo <= key <= hi."""
-
-        def attempt() -> list[tuple[int, object]]:
-            out: list[tuple[int, object]] = []
-            self._collect(self._root, lo, hi, out, current_tracer())
-            return out
-
-        return self._with_restarts("art.items", attempt)
+    def items(self, lo: int = 0, hi: int = _UINT64_MAX) -> list[tuple[int, object]]:
+        """Sorted (key, value) pairs with lo <= key <= hi: the pairs up to
+        ``hi`` of one :meth:`_walk` from ``lo``, restarted from ``lo`` on
+        a conflict.  The range is pruned at both ends: the walk skips the
+        subtrees below ``lo`` and stops at the first key past ``hi``, so
+        a narrow range visits only the nodes on its way."""
+        return self._with_restarts(
+            "art.items",
+            lambda: list(
+                takewhile(
+                    lambda pair: pair[0] <= hi,
+                    self._walk(encode_key(lo), current_tracer()),
+                )
+            ),
+        )
 
     def scan(self, lo: int, limit: int) -> list[tuple[int, object]]:
         """Up to ``limit`` sorted (key, value) pairs with key >= lo
@@ -629,15 +636,6 @@ class AdaptiveRadixTree:
             else:
                 return
 
-    def min_item(self) -> tuple[int, object] | None:
-        """Smallest (key, value) pair, or None when empty."""
-        node = self._root
-        while node is not None and not isinstance(node, Leaf):
-            node = next(iter(node.iter_children()))[1]
-        if node is None:
-            return None
-        return node.key, node.value
-
     def lookup_path_length(self, key: int, from_node=None) -> int:
         """Number of inner nodes visited to locate ``key`` (Fig. 10a)."""
         depth = from_node.match_level if isinstance(from_node, Node) else 0
@@ -743,7 +741,8 @@ class AdaptiveRadixTree:
 
     def _lock_parent_of(self, node, trace):
         """Write-lock the edge above ``node``; returns an unlock closure
-        and a ``replace(new_child)`` closure.  Restarts if the edge moved.
+        and a ``replace(new_child)`` closure, where ``replace(None)``
+        drops the edge.  Restarts if the edge moved.
         """
         parent = getattr(node, "parent", None)
         if parent is None:
@@ -775,6 +774,9 @@ class AdaptiveRadixTree:
             trace.write_line(parent.line)
 
         def replace(new_child):
+            if new_child is None:
+                parent.remove_child(byte)
+                return
             parent.replace_child(byte, new_child)
             new_child.parent = parent
             new_child.pbyte = byte
@@ -941,7 +943,7 @@ class AdaptiveRadixTree:
         unlock, replace = self._lock_parent_of(node, trace)
         try:
             node.lock.upgrade_to_write_lock_or_restart(version)
-            grown = node.grow(self._reserve(node.GROWN))
+            grown = node.resized(node.GROWN, self._reserve(node.GROWN))
             leaf = Leaf(key, value, self._reserve(Leaf))
             if trace is not None:
                 trace.write_line(leaf.line)
@@ -1022,12 +1024,10 @@ class AdaptiveRadixTree:
         self._bump_size(-1)
 
         # The root collapses too: _lock_parent_of locks the root pointer.
-        if (isinstance(node, Node4) and node.count == 1) or (
-            not node.count and node.parent is None
-        ):
+        if not node.count or (isinstance(node, Node4) and node.count == 1):
             # Path-compression merge: replace node with its only child.
-            # Only a root can be left with no child (after a skipped
-            # merge), and the tree is then empty.
+            # A node left with no child (after a skipped merge) loses
+            # its edge instead; a root then leaves the tree empty.
             try:
                 unlock, replace = self._lock_parent_of(node, trace)
             except RestartException:
@@ -1057,15 +1057,14 @@ class AdaptiveRadixTree:
                 unlock()
             return True
 
-        shrink_at = getattr(node, "SHRINK_AT", None)
-        if shrink_at is not None and node.count < shrink_at:
+        if node.count < node.SHRINK_AT:
             try:
                 unlock, replace = self._lock_parent_of(node, trace)
             except RestartException:
                 node.lock.write_unlock()
                 return True
             try:
-                shrunk = node.shrink(self._reserve(node.SHRUNK))
+                shrunk = node.resized(node.SHRUNK, self._reserve(node.SHRUNK))
                 for cb, child in shrunk.iter_children():
                     child.parent = shrunk
                     child.pbyte = cb
@@ -1079,24 +1078,6 @@ class AdaptiveRadixTree:
 
         node.lock.write_unlock()
         return True
-
-    # ------------------------------------------------------------------
-    # range scan
-    # ------------------------------------------------------------------
-    def _collect(self, node, lo: int, hi: int, out: list, trace) -> None:
-        if node is None:
-            return
-        if isinstance(node, Leaf):
-            if lo <= node.key <= hi:
-                out.append((node.key, node.value))
-            return
-        version = node.lock.read_lock_or_restart()
-        children = [c for _, c in node.iter_children()]
-        node.lock.check_or_restart(version)
-        if trace is not None:
-            trace.read_line(node.line)
-        for child in children:
-            self._collect(child, lo, hi, out, trace)
 
     # ------------------------------------------------------------------
     # diagnostics
@@ -1196,13 +1177,7 @@ def _build_run(keys: list, values: list, lo: int, hi: int, depth: int, line: int
         child.pbyte = byte = (keys[i] >> shift) & 0xFF
         edges.append(byte)
         children.append(child)
-    # Children arrive in byte order: the sorted node types take the
-    # lists as they are, and the indexed ones fill slot after slot.
-    if n <= 16:
-        node.keys, node.children, node.count = edges, children, n
-    else:
-        for byte, child in zip(edges, children):
-            node.add_child(byte, child)
+    node.load(edges, children)
     return node, line
 
 

@@ -45,9 +45,11 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import heapq
 import math
 import threading
 from itertools import chain
+from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
@@ -62,25 +64,6 @@ from repro.sim.trace import MemoryMap, active_tracer, current_tracer, global_mem
 _HEADER_BYTES = 64
 _SLOT_BYTES = 16
 _VERSION_BYTES = 4
-
-
-def _merge_sorted(a: Iterator, b: Iterator) -> Iterator[tuple[int, object]]:
-    """Merge two sorted (key, value) iterators with disjoint keys."""
-    item_a = next(a, None)
-    item_b = next(b, None)
-    while item_a is not None and item_b is not None:
-        if item_a[0] <= item_b[0]:
-            yield item_a
-            item_a = next(a, None)
-        else:
-            yield item_b
-            item_b = next(b, None)
-    while item_a is not None:
-        yield item_a
-        item_a = next(a, None)
-    while item_b is not None:
-        yield item_b
-        item_b = next(b, None)
 
 EMPTY = 0
 FULL = 1
@@ -737,6 +720,8 @@ class LearnedLayer:
             else:
                 buf = m.expansion.buffer
                 buf_lo = buf.slot_of(lo) if lo >= buf.first_key else 0
-                yield _merge_sorted(
-                    m.iter_slots(lo_slot, lo, hi), buf.iter_slots(buf_lo, lo, hi)
+                yield heapq.merge(
+                    m.iter_slots(lo_slot, lo, hi),
+                    buf.iter_slots(buf_lo, lo, hi),
+                    key=itemgetter(0),
                 )
