@@ -149,9 +149,9 @@ class AdaptiveRadixTree:
         self._delta_lock = threading.Lock()  # record vs swap/drop
         self._runs_lock = threading.Lock()  # one thread rebuilds the runs at a time
         self._replace_listeners: list[ReplaceListener] = []
-        # Nothing retires into this manager (replaced nodes are freed at
-        # once), so pending() stays 0; it is kept only because the
-        # wall-clock benchmark reads ``art.epoch.pending()``.
+        # Replaced nodes are freed where they are unlinked; this
+        # free-at-once manager stays only because the wall-clock
+        # benchmark reads ``art.epoch.pending()`` (always 0).
         self.epoch = EpochManager()
         self._retry = retry or DEFAULT_RETRY
         # Pessimistic degradation: operations whose optimistic restarts

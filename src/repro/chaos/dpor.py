@@ -21,8 +21,9 @@ transition footprints:
 - :func:`span_footprint` maps a transition (resume point → arrival
   point) to the set of covering spans from
   :data:`repro.obs.taxonomy.CHAOS_SPAN_MAP` — e.g. a segment between
-  two ``epoch.*`` points footprints to ``{"epoch.reclaim"}``.  Unknown,
-  exempt (``planted.*``), start and exit endpoints footprint to ``"*"``.
+  ``art.view`` and ``art.merge`` footprints to ``{"art.descend"}``.
+  Unknown, exempt (``planted.*``), start and exit endpoints footprint to
+  ``"*"``.
 - :func:`span_independent` calls two footprints independent only when
   both are fully known (no ``"*"``) and span-disjoint.  This is a
   *heuristic* — spans are coarse summaries, not exact read/write sets —
@@ -90,7 +91,7 @@ def span_footprint(resume: str | None, arrival: str | None) -> Footprint:
     The segment runs from the point the task was parked at (``resume``)
     to the point it arrived at (``arrival``); its footprint is the pair
     of covering spans.  Coarse on purpose: a span names a protocol layer
-    (``alt.gpl_probe``, ``epoch.reclaim``), so two transitions in
+    (``alt.gpl_probe``, ``art.descend``), so two transitions in
     different layers are treated as commuting while anything uncertain
     collapses to :data:`ANY_SITE` and is never pruned against.
     """

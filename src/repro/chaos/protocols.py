@@ -2,12 +2,12 @@
 
 Each *case builder* constructs a tiny concurrent workload over one
 protocol — the GPL seqlock (§III-E), the fast-pointer spin lock, the
-ART-OPT optimistic lock coupling, epoch reclamation, the Algorithm-2
-write-back, scalar reads from the ART's sorted runs, the ALT insert's
-per-model writer lock, the §III-F retrain handoff, and the sharded
-scatter-gather — as a
-:class:`ProtocolCase`: fresh shared state, named tasks, a history
-recorder, and a correctness check.  The same case runs two ways:
+ART-OPT optimistic lock coupling and its path-compression merge, the
+Algorithm-2 write-back, scalar reads from the ART's sorted runs, the ALT
+insert's per-model writer lock, the §III-F retrain handoff, and the
+sharded scatter-gather — as a :class:`ProtocolCase`: fresh shared state,
+named tasks, a history recorder, and a correctness check.  The same case
+runs two ways:
 
 - **seeded** — :func:`run_schedule` drives a case under a
   :class:`ChaosScheduler` RNG seed and returns a replayable
@@ -17,13 +17,13 @@ recorder, and a correctness check.  The same case runs two ways:
   variant (see :data:`EXHAUSTIVE_CASES`) instead of sampling seeds.
 
 Every protocol also has a ``planted`` mode that swaps one protocol step
-for a classic mutation (lost update, check-then-act, free-before-quiesce,
-resurrection-after-remove, a read that skips the in-merge delta,
-unlocked slot claim, swap-before-migrate, shared gather table).  A
-correct harness must keep the un-mutated protocols linearizable on
-every schedule and flag the mutants — that is the harness's own
-regression test: if the checker cannot see a planted bug, it cannot
-see a real one.
+for a classic mutation (lost update, check-then-act, a merge under a
+lock that never excludes, resurrection-after-remove, a read that skips
+the in-merge delta, unlocked slot claim, swap-before-migrate, shared
+gather table).  A correct harness must keep the un-mutated protocols
+linearizable on every schedule and flag the mutants — that is the
+harness's own regression test: if the checker cannot see a planted bug,
+it cannot see a real one.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from repro import chaos
 from repro.art.tree import NO_RUNS, AdaptiveRadixTree, view_value
 from repro.chaos.history import CheckResult, HistoryRecorder, OpRecord, check_linearizable
 from repro.chaos.scheduler import ChaosScheduler
-from repro.concurrency.epoch import EpochManager
 from repro.concurrency.retry import DEFAULT_RETRY, acquire_cooperative
 from repro.concurrency.spinlock import SpinLock
 from repro.concurrency.version_lock import OptimisticLock
@@ -374,107 +373,6 @@ def build_art_merge_case(
         rec=rec,
         check=lambda: check_linearizable(rec.ops, init=dict(_MERGE_INIT)),
         snapshot=lambda: tuple(tree.search(k) for k in keys),
-    )
-
-
-# ----------------------------------------------------------------------
-# Epoch-based reclamation: pinned readers vs. retiring writers
-# ----------------------------------------------------------------------
-
-
-def build_epoch_case(
-    planted: bool = False,
-    *,
-    readers: int = 2,
-    reader_reps: int = 2,
-    writer_gens: tuple[int, ...] = (1, 2),
-    advances: int = 4,
-) -> ProtocolCase:
-    """Readers pinned by epoch guards race a writer retiring GPL models.
-
-    The protected object is a one-key GPL model published through
-    ``current[0]``; the writer swaps in a replacement and *retires* the
-    old model (its slot is cleared only when the epoch has advanced past
-    every pinned reader).  An ``advancer`` task drives ``try_advance``,
-    so the ``epoch.enter`` / ``epoch.retire`` / ``epoch.advance``
-    interleaving points all see adversarial schedules.  A reader that
-    observes a non-FULL slot *while pinned* saw reclaimed memory — the
-    invariant the oracle checks.
-
-    The planted mutant frees the old model immediately on swap (retire
-    without the limbo wait), which an adversarial schedule catches with
-    a reader paused mid-``read_slot``.
-    """
-    em = EpochManager()
-    memory = global_memory()
-
-    def new_model(gen: int) -> GPLModel:
-        m = GPLModel(
-            first_key=0, slope_eff=1.0, n_slots=2, memory=memory, tag="chaos/epoch"
-        )
-        m.write_slot(0, 0, gen)
-        return m
-
-    current = [new_model(0)]
-    rec = HistoryRecorder()
-
-    def observe() -> bool:
-        with em.enter():
-            m = current[0]  # capture while pinned
-            state, _key, _value = m.read_slot(0)
-            return state == FULL
-
-    def reader(task: str) -> None:
-        for _ in range(reader_reps):
-            rec.call(task, "get", 0, observe)
-
-    def writer(task: str) -> None:
-        for gen in writer_gens:
-            def swap(gen=gen) -> int:
-                fresh = new_model(gen)
-                old = current[0]
-                current[0] = fresh
-
-                def free(o=old) -> None:
-                    o.clear_slot(0, tombstone=False)
-
-                if planted:
-                    free()  # reclaim without waiting for readers: the bug
-                else:
-                    em.retire(free)
-                return gen
-
-            rec.call(task, "put", 0, swap, arg=gen)
-
-    def advancer(task: str) -> None:
-        for _ in range(advances):
-            rec.call(task, "advance", 0, em.try_advance)
-
-    def check() -> CheckResult:
-        stale = [op for op in rec.ops if op.op == "get" and op.result is False]
-        if stale:
-            return CheckResult(
-                False,
-                f"{len(stale)} pinned reader(s) observed a reclaimed model "
-                "(use-after-free window)",
-                stale,
-            )
-        return CheckResult(True, "no pinned reader saw reclaimed memory")
-
-    tasks: list[tuple[str, Callable[[], None]]] = [
-        (f"reader-{chr(ord('a') + i)}", (lambda name=f"reader-{chr(ord('a') + i)}": reader(name)))
-        for i in range(readers)
-    ]
-    tasks.append(("writer", lambda: writer("writer")))
-    tasks.append(("advancer", lambda: advancer("advancer")))
-    return ProtocolCase(
-        protocol="epoch",
-        planted=planted,
-        tasks=tasks,
-        rec=rec,
-        check=check,
-        cleanup=lambda: em.drain(),  # quiescent: reclaim limbo leftovers
-        snapshot=lambda: tuple(op.result for op in rec.ops if op.op == "get"),
     )
 
 
@@ -989,7 +887,6 @@ CASE_BUILDERS: dict[str, Callable[..., ProtocolCase]] = {
     "spinlock": build_spinlock_case,
     "art": build_art_case,
     "art-merge": build_art_merge_case,
-    "epoch": build_epoch_case,
     "writeback": build_writeback_case,
     "view": build_view_case,
     "insert": build_insert_case,
@@ -1067,14 +964,6 @@ EXHAUSTIVE_CASES: dict[str, tuple[Callable[[], ProtocolCase], Callable[[], Proto
     "art-merge": (
         lambda: build_art_merge_case(False, cycles=1, readers=1, reader_reps=1),
         lambda: build_art_merge_case(True, cycles=1, readers=1, reader_reps=1),
-    ),
-    "epoch": (
-        lambda: build_epoch_case(
-            False, readers=1, reader_reps=1, writer_gens=(1,), advances=2
-        ),
-        lambda: build_epoch_case(
-            True, readers=1, reader_reps=1, writer_gens=(1,), advances=1
-        ),
     ),
     "writeback": (
         lambda: build_writeback_case(False, getters=2, getter_reps=1),

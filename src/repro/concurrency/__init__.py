@@ -3,9 +3,10 @@
 These implement the paper's actual protocols — seqlock-style per-slot
 version numbers (§III-E), test-and-set spin locks for the fast pointer
 buffer, optimistic versioned locks for ART's lock coupling (Leis et al.,
-"The ART of practical synchronization"), and an epoch manager that
-models the native OLC ART's deferred reclamation (the ART here frees a
-replaced node at once; see :mod:`repro.concurrency.epoch`).
+"The ART of practical synchronization").  Reclamation needs no
+protocol here: an unlinked node or model is freed at once, and
+refcounting keeps it alive for any reader still holding it (see
+:mod:`repro.concurrency.epoch`).
 
 They are *real*: the protocols function correctly under Python threads
 (the test suite hammers them with concurrent writers).  They are also

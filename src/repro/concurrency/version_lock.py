@@ -123,11 +123,6 @@ class SlotVersionArray:
         """
         return [i for i, v in enumerate(self._versions) if v % 2 == 1]
 
-    def grow(self, n_slots: int) -> None:
-        """Extend the array to cover ``n_slots`` total slots."""
-        if n_slots > len(self._versions):
-            self._versions.extend([0] * (n_slots - len(self._versions)))
-
 
 _LOCKED = 0b01
 _OBSOLETE = 0b10
@@ -201,10 +196,6 @@ class OptimisticLock:
             if not self._word & _LOCKED:
                 raise RuntimeError("write_unlock_obsolete without write lock")
             self._word = ((self._word & ~_LOCKED) + 0b100) | _OBSOLETE
-
-    @property
-    def is_locked(self) -> bool:
-        return bool(self._word & _LOCKED)
 
     @property
     def is_obsolete(self) -> bool:

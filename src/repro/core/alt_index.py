@@ -60,7 +60,6 @@ class ALTIndex(OrderedIndex):
         self,
         *,
         epsilon: float,
-        gap: float = 2.0,
         fast_pointers: bool = True,
         merge_pointers: bool = True,
         retraining: bool = True,
@@ -68,11 +67,10 @@ class ALTIndex(OrderedIndex):
         tag: str | None = None,
     ):
         self.epsilon = epsilon
-        self.gap = gap
         self._memory = memory or global_memory()
         self.mem_tag = tag or unique_tag("alt")
         self._retraining = retraining
-        self._layer = LearnedLayer(self._memory, f"{self.mem_tag}/learned", gap)
+        self._layer = LearnedLayer(self._memory, f"{self.mem_tag}/learned")
         self._art = AdaptiveRadixTree(self._memory, f"{self.mem_tag}/art")
         self._fastptr: FastPointerBuffer | None = None
         if fast_pointers:
@@ -98,7 +96,6 @@ class ALTIndex(OrderedIndex):
         values: Sequence | None = None,
         *,
         epsilon: float | None = None,
-        gap: float = 2.0,
         fast_pointers: bool = True,
         merge_pointers: bool = True,
         retraining: bool = True,
@@ -119,7 +116,6 @@ class ALTIndex(OrderedIndex):
             epsilon = suggest_error_bound(len(keys))
         index = cls(
             epsilon=epsilon,
-            gap=gap,
             fast_pointers=fast_pointers,
             merge_pointers=merge_pointers,
             retraining=retraining,
@@ -127,7 +123,7 @@ class ALTIndex(OrderedIndex):
             tag=tag,
         )
         layer, ckeys, cvals = LearnedLayer.bulk_build(
-            keys, values, epsilon, index._memory, f"{index.mem_tag}/learned", gap
+            keys, values, epsilon, index._memory, f"{index.mem_tag}/learned"
         )
         index._layer = layer
         index._art.build_sorted(ckeys, cvals)

@@ -9,9 +9,9 @@ collisions, insert conflicts) lives in the ART-OPT layer instead.
 
 A :class:`GPLModel` is a gapped slot array:
 
-- ``slot(key) = floor(gap · slope · (key - first_key))`` — the model's
-  mid-slope stretched by a gap factor so bulk loading leaves free slots
-  for future inserts (the paper's "array gaps scheme");
+- ``slot(key) = floor(GAP · slope · (key - first_key))`` — the model's
+  mid-slope stretched by the gap factor :data:`GAP` so bulk loading
+  leaves free slots for future inserts (the paper's "array gaps scheme");
 - a bitmap marks occupied slots so probes skip empty ones cheaply;
 - each slot has a seqlock-style version for the §III-E odd/even
   write protocol;
@@ -64,6 +64,9 @@ from repro.sim.trace import MemoryMap, active_tracer, current_tracer, global_mem
 _HEADER_BYTES = 64
 _SLOT_BYTES = 16
 _VERSION_BYTES = 4
+
+#: Gap factor: a bulk-built model leaves about one free slot per key.
+GAP = 2.0
 
 EMPTY = 0
 FULL = 1
@@ -373,10 +376,9 @@ class GPLModel:
 class LearnedLayer:
     """Sorted flat array of GPL models plus the binary-searched upper model."""
 
-    def __init__(self, memory: MemoryMap | None = None, tag: str = "alt/learned", gap: float = 2.0):
+    def __init__(self, memory: MemoryMap | None = None, tag: str = "alt/learned"):
         self._memory = memory or global_memory()
         self._tag = tag
-        self.gap = gap
         self.models: list[GPLModel] = []
         self._first_keys = np.empty(0, dtype=np.uint64)
         # List mirror of _first_keys for the untraced scalar route:
@@ -408,14 +410,13 @@ class LearnedLayer:
         epsilon: float,
         memory: MemoryMap | None = None,
         tag: str = "alt/learned",
-        gap: float = 2.0,
     ) -> tuple["LearnedLayer", np.ndarray, np.ndarray]:
         """GPL-partition sorted keys into models and place every key with
         one :func:`place_sorted` pass over the layer-wide arena.  Returns
         ``(layer, conflict keys, conflict values)``: the keys that lost
         their slot to a smaller key, as a uint64 and an object array."""
         keys = np.asarray(keys, dtype=np.uint64)
-        layer = cls(memory, tag, gap)
+        layer = cls(memory, tag)
         if len(keys) == 0:
             layer._rebuild_upper()
             layer._version += 1
@@ -450,7 +451,7 @@ class LearnedLayer:
         """``(slope_eff, n_slots)`` of the model built over ``seg_keys``."""
         if len(seg_keys) == 1:
             return 1.0, 2
-        slope_eff = seg.slope * self.gap
+        slope_eff = seg.slope * GAP
         span_keys = float(int(seg_keys[-1]) - int(seg_keys[0]))
         return slope_eff, max(int(slope_eff * span_keys) + 2, len(seg_keys))
 

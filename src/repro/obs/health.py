@@ -132,7 +132,7 @@ def sample_health(index, max_models: int = 32) -> dict:
     occupancy/spill aggregates always cover the whole index.  Publishes
     the ``health.*`` gauges when a metrics registry is active.
     """
-    from repro.core.learned_layer import FULL, TOMBSTONE
+    from repro.core.learned_layer import FULL, GAP, TOMBSTONE
 
     layer = index.layer
     models = layer.models
@@ -163,7 +163,7 @@ def sample_health(index, max_models: int = 32) -> dict:
             sampled.append(
                 _model_health(
                     i, model, art_keys, lo, hi,
-                    index.gap, index.epsilon, FULL, TOMBSTONE,
+                    GAP, index.epsilon, FULL, TOMBSTONE,
                 )
             )
 

@@ -50,7 +50,6 @@ SPAN_TAXONOMY: dict[str, str] = {
     # -- shared concurrency machinery ------------------------------------
     "retry.backoff": "bounded-retry spin/backoff while a protocol step is contended",
     "retry.fallback": "pessimistic fallback after the optimistic budget is spent",
-    "epoch.reclaim": "epoch-based reclamation: advance and drain",
     # -- baseline equivalents -------------------------------------------
     "alex.model_probe": "ALEX+ model routing to a data node",
     "alex.node_search": "ALEX+ in-node gapped-array search",
@@ -112,10 +111,6 @@ SPAN_TARGETS: dict[str, tuple[tuple[str, str, str], ...]] = {
     "shard.gather": (("repro.shard.sharded", "ShardedALTIndex", "_gather"),),
     "retry.backoff": (("repro.concurrency.retry", "RetryState", "step"),),
     "retry.fallback": (("repro.concurrency.retry", "RetryState", "count_fallback"),),
-    "epoch.reclaim": (
-        ("repro.concurrency.epoch", "EpochManager", "try_advance"),
-        ("repro.concurrency.epoch", "EpochManager", "drain"),
-    ),
     "alex.model_probe": (("repro.baselines.alex", "AlexIndex", "_node_for"),),
     "alex.node_search": (("repro.baselines.alex", "_DataNode", "get"),),
     "alex.modify": (
@@ -184,9 +179,6 @@ CHAOS_SPAN_MAP: dict[str, str] = {
     "art.fallback": "retry.fallback",
     # shared machinery
     "spin.acquire": "retry.backoff",
-    "epoch.enter": "epoch.reclaim",
-    "epoch.retire": "epoch.reclaim",
-    "epoch.advance": "epoch.reclaim",
     # ALT maintenance paths
     "alt.writeback": "alt.writeback",
     "alt.recover": "alt.recover",
@@ -216,10 +208,6 @@ METRIC_TAXONOMY: dict[str, str] = {
     "retry.budget_exceeded": "retry loops that exhausted max_retries",
     "retry.fallbacks": "optimistic paths that fell back to pessimistic mode",
     "retry.attempts_at_fallback": "histogram: attempts spent before falling back",
-    # -- epoch-based reclamation -----------------------------------------
-    "epoch.retired": "objects handed to the limbo lists",
-    "epoch.advances": "successful global epoch advances",
-    "epoch.reclaimed": "retired objects whose free callbacks ran",
     # -- systematic schedule exploration (repro.chaos.dpor) --------------
     "dpor.executions": "complete schedules executed by the DPOR explorer",
     "dpor.pruned": "schedule branches skipped by sleep-set pruning",

@@ -938,7 +938,7 @@ class TestPathCompressionMerge:
         assert tree.remove(self.GONE)
         assert tree.root.find_child(1) is child
         assert (child.prefix, child.match_level) == (b"\x02" + bytes(5), 1)
-        assert not child.lock.is_locked
+        child.lock.read_lock_or_restart()  # unlocked and live: no restart
         assert tree.search(self.KEPT) == self.KEPT
 
     def test_busy_child_skips_the_merge(self):

@@ -189,7 +189,7 @@ class TestSleepSetSoundness:
 
 class TestBudget:
     def test_max_schedules_is_a_hard_cap(self):
-        report = explore_protocol("epoch", max_schedules=7)
+        report = explore_protocol("writeback", max_schedules=7)
         assert report.budget_exhausted
         assert not report.complete
         assert report.stats.executions == 7

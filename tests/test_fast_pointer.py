@@ -68,7 +68,7 @@ class TestLayerIntegration:
         keys = np.sort(
             np.random.default_rng(0).choice(2**40, 5000, replace=False).astype(np.uint64)
         )
-        layer, ckeys, cvals = LearnedLayer.bulk_build(keys, keys, 16, mem, "t", 1.2)
+        layer, ckeys, cvals = LearnedLayer.bulk_build(keys, keys, 16, mem, "t")
         art = AdaptiveRadixTree(mem, "t/art")
         for k, v in zip(ckeys.tolist(), cvals):
             art.insert(k, v)

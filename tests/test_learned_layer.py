@@ -25,7 +25,7 @@ def mem():
 def build_layer(keys, eps=None, mem=None):
     keys = np.asarray(keys, dtype=np.uint64)
     eps = eps or max(len(keys) // 100, 8)
-    layer, ckeys, _ = LearnedLayer.bulk_build(keys, keys, eps, mem or MemoryMap(), "t", 2.0)
+    layer, ckeys, _ = LearnedLayer.bulk_build(keys, keys, eps, mem or MemoryMap(), "t")
     return layer, ckeys.tolist()
 
 

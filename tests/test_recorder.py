@@ -213,12 +213,12 @@ class TestAutoDumpTriggers:
     def test_linearizability_violation_dumps(self):
         rec = FlightRecorder()
         with flight_recorder(rec):
-            report = protocols.run_schedule("epoch", 2, planted=True)
+            report = protocols.run_schedule("gpl", 0, planted=True)
         assert not report.ok
         (doc,) = [
             d for d in rec.postmortems if d["reason"] == "linearizability_violation"
         ]
-        assert doc["context"]["protocol"] == "epoch"
+        assert doc["context"]["protocol"] == "gpl"
         assert doc["context"]["schedule_fingerprint"] == report.fingerprint
 
     def test_clean_run_dumps_nothing(self):
