@@ -40,9 +40,10 @@ class BatchIndex:
        forces a sharded batch onto the scalar path.
 
     ALT-index's fast paths read index internals without per-slot seqlock
-    validation, so they assume no *concurrent* writers (its scalar
-    operations remain safe under the paper's concurrency protocols);
-    interleaving batch calls with scalar mutations from the same thread
+    validation.  ``batch_get`` and ``batch_remove`` are safe against
+    concurrent scalar writers; only ``batch_insert``, which fills free
+    slots without the writer locks, assumes none is in flight.
+    Interleaving batch calls with scalar mutations from the same thread
     is always safe.
     """
 

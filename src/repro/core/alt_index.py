@@ -220,7 +220,7 @@ class ALTIndex(OrderedIndex):
             pairs.append(pair)
         for key, value in pairs:
             slot = model.slot_of(key)
-            if model.np_state[slot] == EMPTY:
+            if model.state_mv[slot] == EMPTY:
                 model.write_slot(slot, key, value)
                 self._art.remove(key)
 
@@ -289,35 +289,36 @@ class ALTIndex(OrderedIndex):
         lock = model.writer_lock
         locked = exp is None and state != FULL and lock.acquire(blocking=False)
         try:
-            entry = self._entry_for(i, model, key)
             chaos.point("alt.art_fallback")
             # Untraced, the ART's sorted runs answer without a descent;
-            # a traced read keeps §III-C's fast-pointer descent.
+            # a traced read keeps §III-C's fast-pointer descent, and only
+            # a descent resolves the model's fast-pointer entry.
             value = NO_RUNS
             if current_tracer() is None:
                 value = self._art.search_runs(key)
             if value is NO_RUNS:
-                value = self._art.search(key, from_node=entry)
+                value = self._art.search(key, from_node=self._entry_for(i, model, key))
             if value is None:
                 # A write-back (or move-home) writes the slot, then drops
                 # the ART copy: a key that missed the slot above and the
                 # ART here was moved home meanwhile, into this slot or,
                 # after a swap, into the buffer that replaced the model.
-                # Unvalidated key peeks (untraced, like the np_state
+                # Unvalidated key peeks (untraced, like the state
                 # checks) keep a plain miss free of extra slot reads.
-                if model.keys[slot] == key:
+                if model.keys_mv[slot] == key:  # an absent key reads 0
                     state, resident, value = self._read_slot_recovering(model, slot, locked)
-                    return value if state == FULL and resident == key else None
+                    if state == FULL and resident == key:
+                        return value
                 exp = model.expansion
                 if exp is not None:
                     buf = exp.buffer
-                    if buf.keys[buf.slot_of(key)] == key:
+                    if buf.keys_mv[buf.slot_of(key)] == key:
                         return exp.lookup(key)[1]
                 return None
             if (
                 locked
                 and model.expansion is None
-                and model.np_state[slot] != FULL
+                and model.state_mv[slot] != FULL
                 and self._layer.models[i] is model
             ):
                 self._write_back(model, slot, key, value)
@@ -349,9 +350,11 @@ class ALTIndex(OrderedIndex):
         version = layer.version
         midx, slots, flat, state, resident = layer.probe_live(keys)
         # Every hit's value in one gather from the layer's value arena.
-        # A hit needs its key in place both before and after that gather:
-        # a writer clears a slot's key before its value and fills its
-        # value before its key, so the value read between is the key's.
+        # A hit needs its key, then its slot FULL (probe_live gathers
+        # in that order) before that gather and the key still in place
+        # after it: a fill publishes the state after its key and value,
+        # and a clear drops the key before the value, so the value read
+        # between is the key's.
         vals = layer.np_values[flat]
         hit = (state == FULL) & (resident == keys) & (layer.np_keys[flat] == keys)
         if bool(hit.all()):
@@ -405,7 +408,7 @@ class ALTIndex(OrderedIndex):
                     model is not None
                     and layer.version == version
                     and model.expansion is None
-                    and model.np_state[sl_l[i]] != FULL
+                    and model.state_mv[sl_l[i]] != FULL
                 ):
                     self._write_back(model, sl_l[i], keys_l[i], value)
         finally:

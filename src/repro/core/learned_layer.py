@@ -27,11 +27,19 @@ memory-overhead experiment (Fig. 8a) accounts.
 Physically, a :class:`LearnedLayer` stores every model's slot *state*,
 resident *key* and *value* in three layer-wide NumPy arrays (the
 "arena": ``np_state``, ``np_keys``, ``np_values``), and each model holds
-views into them at its offset in the published geometry.  The value
-arena is the only copy of a slot's value, so a batch probe resolves
-every learned-layer hit with one gather.  The per-model ``keys`` list
-is the seqlocked key the scalar read validates; ``np_keys`` repeats it
-for the batch probe.
+views into them at its offset in the published geometry.  The arena is
+the only copy of a slot: a batch probe resolves every learned-layer hit
+with one gather, and scalar reads index memoryviews of the model's
+views (half the cost of NumPy scalar indexing).
+
+A slot write, under its odd version, fills the key, then the value,
+then the state (the publish bit); a clear writes the key and state,
+then the value.  A batch probe, which reads no version, takes a slot
+as a hit when it read the key, then the state FULL, before its value
+gather and the key again after it, and :meth:`GPLModel.recover_slot`
+salvages only a FULL slot.  Scalar reads and scans validate the
+version; an idle slot's key is nonzero only when it is FULL, so they
+read the state only for key 0 (which predicts slot 0 alone).
 
 The arena keeps a free *tail* of ``1 / _TAIL_FRACTION`` of its live
 slots.  A model swapped in by an expansion (or appended) is copied into
@@ -46,9 +54,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import heapq
-import math
 import threading
-from itertools import chain
 from operator import itemgetter
 from typing import Iterator
 
@@ -59,11 +65,10 @@ from repro.concurrency.retry import DEFAULT_RETRY, acquire_writer_lock
 from repro.concurrency.version_lock import SlotVersionArray
 from repro.core.errors import KeysNotSortedError
 from repro.core.gpl import Segment, gpl_partition
-from repro.sim.trace import MemoryMap, active_tracer, current_tracer, global_memory
+from repro.sim.trace import MemoryMap, current_tracer, global_memory
 
 _HEADER_BYTES = 64
 _SLOT_BYTES = 16
-_VERSION_BYTES = 4
 
 #: Gap factor: a bulk-built model leaves about one free slot per key.
 GAP = 2.0
@@ -72,14 +77,9 @@ EMPTY = 0
 FULL = 1
 TOMBSTONE = 2
 
-#: (LearnedLayer attribute, GPLModel attribute, fill of a free slot) of
-#: each slot array the layer-wide arena holds, in the order a
-#: compaction copies them.
-_ARENA = (
-    ("np_keys", "np_keys", 0),
-    ("np_state", "np_state", EMPTY),
-    ("np_values", "values", None),
-)
+#: (LearnedLayer attribute, fill of a free slot) of each arena array, in
+#: GPLModel.slot_arrays order.
+_ARENA = (("np_keys", 0), ("np_state", EMPTY), ("np_values", None))
 
 #: The arena reserves a free tail of 1/_TAIL_FRACTION of its live slots
 #: for models swapped in or appended, so a swap copies one model, not
@@ -106,8 +106,8 @@ def place_sorted(models: list, keys, values, counts, offsets, arena) -> tuple:
 
     ``models[m]`` takes the next ``counts[m]`` keys, and its slots start
     at ``offsets[m]`` of the ``(np_keys, np_state, values)`` ``arena``
-    arrays; its ``keys`` list, ``build_size`` and ``last_key`` are set
-    here.  Collisions are adjacent (the slot function is monotone), so
+    arrays; its ``build_size`` and ``last_key`` are set here.
+    Collisions are adjacent (the slot function is monotone), so
     the first key of each equal-slot run wins and the rest are the
     ART-OPT layer's conflict data.  Values keep their element objects (a
     numeric array's as its NumPy scalars).
@@ -133,12 +133,9 @@ def place_sorted(models: list, keys, values, counts, offsets, arena) -> tuple:
     np_keys[placed] = won
     np_state[placed] = FULL
     np_values[placed] = values[win]
-    key_slots = np.full(len(np_keys), None, dtype=object)
-    key_slots[placed] = won.astype(object)  # Python ints
     ends = np.cumsum(counts)
     built = np.add.reduceat(win, ends - counts).tolist()
-    for m, lo, n, last in zip(models, np.asarray(offsets).tolist(), built, keys[ends - 1].tolist()):
-        m.keys = key_slots[lo : lo + m.n_slots].tolist()
+    for m, n, last in zip(models, built, keys[ends - 1].tolist()):
         m.build_size = n
         m.last_key = last
     return keys[~win], values[~win]
@@ -152,7 +149,6 @@ class GPLModel:
         "last_key",
         "slope_eff",
         "n_slots",
-        "keys",
         "values",
         "versions",
         "span",
@@ -163,6 +159,8 @@ class GPLModel:
         "writer_lock",
         "np_keys",
         "np_state",
+        "keys_mv",
+        "state_mv",
         "_memory",
         "_tag",
     )
@@ -180,23 +178,13 @@ class GPLModel:
         self.last_key = first_key
         self.slope_eff = slope_eff
         self.n_slots = n_slots
-        # The seqlocked key of each slot (None when EMPTY or TOMBSTONE).
-        self.keys: list[int | None] = [None] * n_slots
-        # Slot arrays written by every slot write: ``np_keys`` (the key
-        # again, 0 when absent), ``np_state`` (the slot bitmap, which
-        # the scalar read consults to tell EMPTY from TOMBSTONE) and
-        # ``values``, an object array that is the only copy of each
-        # slot's value.  A model of a LearnedLayer holds *views* into
-        # the layer-wide arena (LearnedLayer.np_keys/np_state/np_values),
-        # so LearnedLayer.probe_live and ALTIndex.batch_get read every
-        # model with one gather.
         if arena is None:
             arena = (
                 np.zeros(n_slots, dtype=np.uint64),
                 np.zeros(n_slots, dtype=np.uint8),
                 np.full(n_slots, None, dtype=object),
             )
-        self.np_keys, self.np_state, self.values = arena  # state starts EMPTY
+        self.bind(*arena)  # state starts EMPTY
         self.versions = SlotVersionArray(n_slots)
         self.span = memory.alloc(model_bytes(n_slots), tag)
         self.fast_index = -1
@@ -208,6 +196,18 @@ class GPLModel:
         self.writer_lock = threading.Lock()
         self._memory = memory
         self._tag = tag
+
+    def bind(self, np_keys: np.ndarray, np_state: np.ndarray, values: np.ndarray) -> None:
+        """Point the model at its slot arrays (in a LearnedLayer, views of
+        its arena) and at ``keys_mv``/``state_mv``, memoryviews of the key
+        and state arrays that scalar reads index."""
+        self.np_keys, self.np_state, self.values = np_keys, np_state, values
+        self.keys_mv, self.state_mv = memoryview(np_keys), memoryview(np_state)
+
+    @property
+    def slot_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(np_keys, np_state, values)``, the arguments of :meth:`bind`."""
+        return self.np_keys, self.np_state, self.values
 
     # -- geometry ---------------------------------------------------------
     def slot_of(self, key: int) -> int:
@@ -249,31 +249,30 @@ class GPLModel:
         ``read_begin`` — see :meth:`recover_slot`.
         """
         self._trace_read(slot)
-        state = None
+        retry = None
         while True:
             v = self.versions.read_begin(slot)
             chaos.point("gpl.read_fields")
-            key = self.keys[slot]
+            # Through self: a compaction rebinds the views.
+            key = self.keys_mv[slot]
             value = self.values[slot]
-            empty = key is None and self.np_state[slot] == EMPTY
+            # An idle slot's key is nonzero only when it is FULL.
+            state = FULL if key else self.state_mv[slot]
             if self.versions.read_validate(slot, v):
                 break
-            if state is None:
-                state = DEFAULT_RETRY.begin("gpl.read_slot")
-            state.step(slot=slot)
-        if key is None:
-            return (EMPTY if empty else TOMBSTONE), None, None
-        return FULL, key, value
+            if retry is None:
+                retry = DEFAULT_RETRY.begin("gpl.read_slot")
+            retry.step(slot=slot)
+        return (FULL, key, value) if state == FULL else (state, None, None)
 
-    def write_slot(self, slot: int, key: int | None, value) -> None:
+    def write_slot(self, slot: int, key: int, value) -> None:
         """Latch the slot version odd, publish, flip even."""
         chaos.point("gpl.slot_cas")
         self.versions.write_begin(slot)
-        self.keys[slot] = key
+        self.np_keys[slot] = key
         chaos.point("gpl.slot_fields")  # mid-write: key visible, value stale
         self.values[slot] = value
-        self.np_keys[slot] = key
-        self.np_state[slot] = FULL
+        self.np_state[slot] = FULL  # the publish bit, last
         self.versions.write_end(slot)
         self._trace_write(slot)
 
@@ -281,8 +280,7 @@ class GPLModel:
         """Remove a slot's payload, leaving a tombstone by default."""
         chaos.point("gpl.slot_cas")
         self.versions.write_begin(slot)
-        self.keys[slot] = None
-        chaos.point("gpl.slot_fields")
+        chaos.point("gpl.slot_fields")  # a writer dying here leaves the pair whole
         # Key and state before the value: a batch reader that gathers the
         # value before re-reading the key then never pairs the cleared
         # value with the old key (ALTIndex.batch_get).
@@ -308,60 +306,29 @@ class GPLModel:
         """
         if not self.versions.force_recover(slot):
             return None
-        key = self.keys[slot]
+        # A writer that died mid-fill left the state (written last) EMPTY
+        # or TOMBSTONE; a FULL slot holds its key and old or new value.
+        state = self.state_mv[slot]
+        key = self.keys_mv[slot]
         value = self.values[slot]
-        # The state is the publish bit: a writer that died mid-write has
-        # written the key but not yet the state of a never-used slot.
-        published = self.np_state[slot] != EMPTY
         self.clear_slot(slot, tombstone=True)
-        if published and key is not None:
-            return key, value
-        return None
+        return (key, value) if state == FULL else None
 
     # -- bulk loading -------------------------------------------------------
     def place_bulk(self, keys: np.ndarray, values) -> tuple[np.ndarray, np.ndarray]:
         """Place sorted keys at their predicted slots of this empty model:
         :func:`place_sorted` for one model."""
-        arena = (self.np_keys, self.np_state, self.values)
-        return place_sorted([self], keys, values, [len(keys)], [0], arena)
+        return place_sorted([self], keys, values, [len(keys)], [0], self.slot_arrays)
 
     # -- introspection -------------------------------------------------------
     def occupancy(self) -> int:
         """Number of live keys resident in this model."""
         return int(np.count_nonzero(self.np_state == FULL))
 
-    def iter_slots(
-        self, lo_slot: int = 0, lo: int = 0, hi: int = 2**64 - 1
-    ) -> Iterator[tuple[int, object]]:
-        """Live (key, value) pairs with ``lo <= key <= hi`` from slot
-        ``lo_slot`` on, in slot (== key) order.
-
-        Each live slot is read under its seqlock: a slot whose key is
-        set has its version read, then its value and key again, then its
-        version again.  A slot a writer holds (odd) or changed meanwhile
-        is re-read with :meth:`read_slot`, so no pair is torn (say, a
-        new key with the EMPTY slot's ``None`` value); an empty slot
-        costs no version read.  Scans touch each slot line once (4 slots
-        per 64-byte line).
-        """
-        t = current_tracer()
-        keys, versions = self.keys, self.versions._versions
-        for s in range(lo_slot, self.n_slots):
-            if t is not None and s % 4 == 0:
-                t.reads.append(self._slot_line(s))
-            k = keys[s]
-            if k is not None:
-                v = versions[s]
-                # self.values, not a local: a compaction rebinds the view.
-                value = self.values[s]
-                if v & 1 or keys[s] is not k or versions[s] != v:
-                    _, k, value = self.read_slot(s)
-                    if k is None:
-                        continue
-                if k > hi:
-                    return
-                if k >= lo:
-                    yield k, value
+    def iter_slots(self, lo: int = 0, hi: int = 2**64 - 1) -> Iterator[tuple[int, object]]:
+        """Live (key, value) pairs with ``lo <= key <= hi``, in slot
+        (== key) order: :func:`_live_pairs` for this model alone."""
+        return _live_pairs((self,), lo, hi, buffers=False)
 
     def free(self) -> None:
         self.span.free()
@@ -371,6 +338,56 @@ class GPLModel:
             f"GPLModel(first={self.first_key}, slots={self.n_slots}, "
             f"built={self.build_size})"
         )
+
+
+def _live_pairs(models, lo: int, hi: int, buffers: bool) -> Iterator[tuple[int, object]]:
+    """Live (key, value) pairs with ``lo <= key <= hi`` of consecutive
+    ``models`` from ``lo``'s predicted slot on, in key order: the
+    seqlocked slot loop of every scan.  With ``buffers``, a model under
+    expansion is merged with its temporal buffer (the two are disjoint:
+    evicted slots are tombstoned).
+
+    A slot costs a version and a key read (an idle slot's key is nonzero
+    only when FULL, and only slot 0 can hold key 0); one with a key, its
+    value and the version again.  :meth:`GPLModel.read_slot` re-reads a
+    slot a writer holds or changed, waiting it out, so no pair is torn.
+    The key and value views are reloaded from the model after each
+    pair, so a scan resumed after a compaction reads the new copies (the
+    old ones hold every pair written before it; a scan is no snapshot).
+    Scans touch each slot line once (4 slots per 64-byte line).
+    """
+    t = current_tracer()
+    for m in models:
+        if m.first_key > hi:
+            return
+        if buffers and m.expansion is not None:
+            buf = m.expansion.buffer
+            yield from heapq.merge(
+                _live_pairs((m,), lo, hi, False),
+                _live_pairs((buf,), lo, hi, False),
+                key=itemgetter(0),
+            )
+            continue
+        versions = m.versions._versions
+        keys, values = m.keys_mv, m.values
+        for s in range(m.slot_of(lo) if lo >= m.first_key else 0, m.n_slots):
+            if t is not None and s % 4 == 0:
+                t.reads.append(m._slot_line(s))
+            v = versions[s]
+            k = keys[s]
+            if not k and (s or m.state_mv[s] != FULL):  # key 0 predicts slot 0
+                continue
+            value = values[s]
+            if v & 1 or versions[s] != v:
+                _, k, value = m.read_slot(s)
+                keys, values = m.keys_mv, m.values
+                if k is None:
+                    continue
+            if k > hi:
+                return
+            if k >= lo:
+                yield k, value
+                keys, values = m.keys_mv, m.values
 
 
 class LearnedLayer:
@@ -502,10 +519,10 @@ class LearnedLayer:
         hi = lo + model.n_slots
         if self._geo is None or hi > len(self.np_keys):
             return None
-        for layer_attr, model_attr, _ in _ARENA:
-            arena = getattr(self, layer_attr)
-            arena[lo:hi] = getattr(model, model_attr)
-            setattr(model, model_attr, arena[lo:hi])
+        arenas = [getattr(self, attr) for attr, _ in _ARENA]
+        for arena, view in zip(arenas, model.slot_arrays):
+            arena[lo:hi] = view
+        model.bind(*(arena[lo:hi] for arena in arenas))
         self._tail = hi
         return lo
 
@@ -558,7 +575,8 @@ class LearnedLayer:
         The caller holds every model's writer lock, so no scalar write
         lands in an array already copied, and the tail lock, so no
         append places a model meanwhile.  The arrays are copied one at a
-        time, so at most one old arena array is alive beside the new
+        time, each model rebound to a copy (memoryviews too) before the
+        next, so at most one old arena array is alive beside the new
         one.  The new arena is never shorter than the old, so a reader
         still holding an older geometry gathers in bounds (models only
         grow, so the live slots alone nearly always see to that).
@@ -569,13 +587,15 @@ class LearnedLayer:
         offsets_l = offsets.tolist()
         live = int(n_slots.sum())
         total = max(live + live // _TAIL_FRACTION, len(self.np_keys))
-        for layer_attr, model_attr, fill in _ARENA:
-            arena = np.empty(total, dtype=getattr(self, layer_attr).dtype)
-            np.concatenate([getattr(m, model_attr) for m in models], out=arena[:live])
+        for i, (attr, fill) in enumerate(_ARENA):
+            arena = np.empty(total, dtype=getattr(self, attr).dtype)
+            np.concatenate([m.slot_arrays[i] for m in models], out=arena[:live])
             arena[live:] = fill
-            setattr(self, layer_attr, arena)
+            setattr(self, attr, arena)
             for m, lo in zip(models, offsets_l):
-                setattr(m, model_attr, arena[lo : lo + m.n_slots])
+                views = list(m.slot_arrays)
+                views[i] = arena[lo : lo + m.n_slots]
+                m.bind(*views)
         self._tail = live
         self._geo = (
             self._version, self._first_keys, slopes, (n_slots - 1).astype(np.float64), offsets
@@ -619,10 +639,12 @@ class LearnedLayer:
         rebuild after a slot write or a swap that fits the tail.
 
         The gathered columns are not one consistent snapshot of a slot a
-        writer is changing; ``ALTIndex.batch_get`` re-reads the keys
-        after its value gather, and ``batch_insert`` assumes no
-        concurrent writer.  A compaction is safe against scalar
-        writers, which it excludes with their writer locks.
+        writer is changing: keys are gathered before states, so a key
+        with a FULL state read after it has its value in place, and
+        ``ALTIndex.batch_get`` re-reads the keys after its value gather
+        (``batch_insert`` assumes no concurrent writer).  A compaction
+        is safe against scalar writers, which it excludes with their
+        writer locks.
 
         Returns ``(model_idx, slot, flat_slot, state, resident_key)``.
         """
@@ -638,7 +660,8 @@ class LearnedLayer:
         # still lands on the last slot as slot_of()'s does.
         slots = np.minimum(slopes[midx] * rel, last_slot[midx]).astype(np.int64)
         flat = offsets[midx] + slots
-        return midx, slots, flat, self.np_state[flat], self.np_keys[flat]
+        resident = self.np_keys[flat]
+        return midx, slots, flat, self.np_state[flat], resident
 
     # -- routing (the "upper model") -----------------------------------------
     def route(self, key: int) -> tuple[int, GPLModel]:
@@ -695,34 +718,7 @@ class LearnedLayer:
         return total
 
     def items(self, lo: int, hi: int) -> Iterator[tuple[int, object]]:
-        """Sorted live pairs with lo <= key <= hi across all models.
-
-        Models under expansion contribute both their remaining slots and
-        their temporal buffer (the two are disjoint: evicted slots are
-        tombstoned).
-        """
-        # Chained in C, so a pair costs one step of its model's
-        # iter_slots and no step of a generator around it.
-        return chain.from_iterable(self._model_items(lo, hi))
-
-    def _model_items(self, lo: int, hi: int) -> Iterator[Iterator[tuple[int, object]]]:
-        """One iterator per model in range for :meth:`items`.  Each
-        stops past ``hi``; the model after it then starts past ``hi``
-        and ends the models."""
-        if not self.models:
-            return
+        """Sorted live pairs with lo <= key <= hi across all models,
+        including the temporal buffers of models under expansion."""
         start = max(bisect.bisect_right(self._first_key_list, lo) - 1, 0)
-        for m in self.models[start:]:
-            if m.first_key > hi:
-                return
-            lo_slot = m.slot_of(lo) if lo >= m.first_key else 0
-            if m.expansion is None:
-                yield m.iter_slots(lo_slot, lo, hi)
-            else:
-                buf = m.expansion.buffer
-                buf_lo = buf.slot_of(lo) if lo >= buf.first_key else 0
-                yield heapq.merge(
-                    m.iter_slots(lo_slot, lo, hi),
-                    buf.iter_slots(buf_lo, lo, hi),
-                    key=itemgetter(0),
-                )
+        return _live_pairs(self.models[start:], lo, hi, buffers=True)

@@ -222,6 +222,60 @@ class TestWriteBack:
         assert idx.writebacks == 1
         assert idx.art.search(164) is None
 
+    def test_batch_hit_reads_its_key_before_its_state(self, monkeypatch):
+        """A batch hit needs its key gathered before its FULL state.
+        Between probe_live's two gathers the slot's resident is removed
+        and a scalar ``get`` starts writing back the ART key that shares
+        the slot, pausing after the key write (the value is still the
+        removal's ``None``).  ``batch_get`` must answer that key's value,
+        not the ``None`` a state read before the key would pair it with."""
+        from repro import chaos
+
+        idx = ALTIndex(epsilon=4.0, fast_pointers=False, retraining=False)
+        idx.insert(100, "v100")
+        idx.insert(163, "v163")
+        idx.insert(164, "v164")  # clamps onto 163's slot: goes to the ART
+        layer = idx.layer
+        probe = np.array([164], dtype=np.uint64)
+        layer.probe_live(probe)  # publishes the geometry: no compaction below
+        point = chaos.point
+        paused, resume = threading.Event(), threading.Event()
+        writer = threading.Thread(target=idx.get, args=(164,))
+
+        def pause_write_back(name):
+            point(name)
+            if name == "gpl.slot_fields" and threading.current_thread() is writer:
+                paused.set()  # mid-write: key 164 visible, value still None
+                resume.wait(10)
+
+        fired = []
+
+        class Gather(np.ndarray):
+            """An arena view that runs the race after its first gather."""
+
+            def __getitem__(self, index):
+                out = np.ndarray.__getitem__(self, index)
+                if isinstance(index, np.ndarray) and not fired:
+                    fired.append(index)
+                    idx.remove(163)
+                    monkeypatch.setattr(chaos, "point", pause_write_back)
+                    writer.start()
+                    assert paused.wait(10)
+                return out
+
+        layer.np_keys = layer.np_keys.view(Gather)
+        layer.np_state = layer.np_state.view(Gather)
+        try:
+            got = idx.batch_get(probe)
+        finally:
+            resume.set()
+            if writer.ident is not None:
+                writer.join(10)
+        assert fired
+        assert got == ["v164"]
+        assert idx.writebacks == 1  # the paused get finished its write-back
+        assert idx.get(164) == "v164"
+
     @pytest.mark.parametrize("reader", ["get", "batch_get"])
     def test_readers_never_miss_a_key_moving_home(self, reader):
         """A write-back writes the slot, then drops the ART copy.  A
@@ -608,7 +662,7 @@ class TestConcurrentALT:
         assert idx.layer.models[0] is new and new.writer_lock is old.writer_lock
         assert routes == [130, 130]  # routed once, re-routed once
         assert new.read_slot(new.slot_of(130)) == (FULL, 130, 130)
-        assert all(k != 130 for k in old.keys)
+        assert 130 not in old.np_keys.tolist()
         assert [idx.get(k) for k in (100, 110, 120, 130)] == [100, 110, 120, 130]
 
     def test_racing_first_inserts_bootstrap_one_model(self, monkeypatch):

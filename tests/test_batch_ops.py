@@ -332,10 +332,11 @@ class TestALTBatchInternals:
     def _assert_arena_mirrors_the_lists(layer):
         """Every model's slot arrays are the views of the layer-wide
         arena at its geometry offset, the models' ranges are disjoint
-        and below the free tail, every tail slot is free, and each
-        model's slice equals its seqlocked key list and the scalar
-        read_slot states and values slot for slot (the values by
-        identity: the arena is their only copy)."""
+        and below the free tail, every tail slot is free, the
+        memoryviews scalar reads index are of the model's views, and
+        each model's slice equals the scalar read_slot states, keys and
+        values slot for slot (the values by identity: the arena is their
+        only copy)."""
         version, _, _, _, offsets = layer._geometry()
         assert version == layer.version
         taken = np.zeros(len(layer.np_keys), dtype=bool)
@@ -348,10 +349,10 @@ class TestALTBatchInternals:
                 assert view.base is arena and len(view) == m.n_slots
                 start = view.__array_interface__["data"][0]
                 assert start == arena[lo:].__array_interface__["data"][0]
+            assert m.keys_mv.obj is m.np_keys and m.state_mv.obj is m.np_state
             state, keys, values = [], [], []
-            for s, k in enumerate(m.keys):
-                st, _, v = m.read_slot(s)
-                assert (st == FULL) == (k is not None)
+            for s in range(m.n_slots):
+                st, k, v = m.read_slot(s)
                 state.append(st)
                 keys.append(0 if k is None else k)
                 values.append(v)
@@ -662,6 +663,30 @@ class TestALTBatchInternals:
         assert peak - before < largest + 128 * len(layer.models) + 16 * 1024
         assert sum(a.nbytes for a in arrays) - largest > 128 * len(layer.models) + 16 * 1024
         self._assert_arena_mirrors_the_lists(layer)
+
+    def test_scan_reads_the_views_a_compaction_rebinds(self, sorted_keys):
+        """A scan paused after its first pair resumes on the arena a
+        compaction copied meanwhile: a key inserted into an EMPTY slot
+        ahead of the cursor after the compaction is yielded.  A scan
+        that kept the old views past a pair would read the old arena."""
+        idx = ALTIndex.bulk_load(sorted_keys[::2].copy(), retraining=False, memory=MemoryMap())
+        layer = idx.layer
+        pairs = layer.items(0, 2**64 - 1)
+        first, _ = next(pairs)
+
+        def lands_in_empty_slot(k):
+            _, m = layer.route(k)
+            return m.first_key <= k and m.read_slot(m.slot_of(k))[0] == EMPTY
+
+        key = next(k for k in sorted_keys[1::2].tolist() if k > first and lands_in_empty_slot(k))
+        arena = layer.np_keys
+        layer._geo = None
+        layer.probe_live(sorted_keys[:4])  # compacts into a fresh arena
+        assert layer.np_keys is not arena
+        idx.insert(key, "late")
+        _, m = layer.route(key)
+        assert m.read_slot(m.slot_of(key)) == (FULL, key, "late")
+        assert (key, "late") in list(pairs)
 
     def test_interleaved_writes_keep_the_patched_art_view_exact(self, rng):
         """batch_get resolves conflict keys against the ART's sorted main

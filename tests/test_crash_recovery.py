@@ -65,7 +65,7 @@ class TestStuckWriterDetection:
         _crash_writer(model, 4, "gpl.slot_fields")
         assert model.versions.odd_slots() == [4]
         # Torn: new key visible, stale value still in place.
-        assert model.keys[4] == 4
+        assert model.np_keys[4] == 4 and model.np_state[4] == FULL
         assert model.values[4] == "old"
 
 
@@ -80,6 +80,18 @@ class TestModelRecovery:
         assert model.versions.odd_slots() == []
         state, key, value = model.read_slot(3)  # readable again
         assert state == TOMBSTONE
+
+    def test_recover_tombstoned_slot_salvages_nothing(self):
+        # The writer died filling a tombstone: the state, which a fill
+        # writes last, still reads TOMBSTONE, so the write never
+        # published and there is nothing to salvage.
+        model = _model()
+        model.write_slot(3, 3, "old")
+        model.clear_slot(3)
+        _crash_writer(model, 3, "gpl.slot_fields")
+        assert model.recover_slot(3) is None
+        assert model.versions.odd_slots() == []
+        assert model.read_slot(3)[0] == TOMBSTONE
 
     def test_recover_occupied_slot_salvages_torn_pair(self):
         model = _model()

@@ -78,7 +78,7 @@ class TestGPLModel:
                 continue
             # collided keys are allowed to be absent, but a present key
             # must always be found at its predicted slot
-            assert int(k) not in [m.keys[s]], "key placed at wrong slot"
+            assert int(m.np_keys[s]) != int(k), "key placed at wrong slot"
 
     def test_occupancy_counts_live_keys_only(self, mem):
         m = GPLModel(0, 1.0, 10, mem, "t")
@@ -88,16 +88,16 @@ class TestGPLModel:
         assert m.occupancy() == 1
 
     def test_occupancy_from_mirror_matches_lists(self, mem):
-        """occupancy() counts FULL mirror states; it must equal the
-        authoritative key-list count, and the slots read_slot calls FULL,
-        through writes, clears, tombstones, refills and stuck-writer
-        recovery."""
+        """occupancy() counts FULL arena states; it must equal the slots
+        read_slot calls FULL, each holding its key in the key arena and
+        every other slot key 0, through writes, clears, tombstones,
+        refills and stuck-writer recovery."""
         m = GPLModel(0, 1.0, 32, mem, "t")
 
         def listed():
-            n = sum(1 for k in m.keys if k is not None)
-            assert n == sum(1 for s in range(32) if m.read_slot(s)[0] == FULL)
-            return n
+            reads = [m.read_slot(s) for s in range(32)]
+            assert m.np_keys.tolist() == [k if st == FULL else 0 for st, k, _ in reads]
+            return sum(1 for st, _, _ in reads if st == FULL)
 
         rng = np.random.default_rng(7)
         for step in range(200):
@@ -147,13 +147,11 @@ def per_key_placement(model, keys: np.ndarray, values) -> list:
         k = int(keys[i])
         if win[i]:
             s = int(slots[i])
-            model.keys[s] = k
+            model.np_keys[s] = k
             model.values[s] = values[i]
+            model.np_state[s] = FULL
         else:
             conflicts.append((k, values[i]))
-    placed = slots[win]
-    model.np_keys[placed] = keys[win]
-    model.np_state[placed] = FULL
     model.build_size = int(win.sum())
     model.last_key = int(keys[-1])
     return conflicts
@@ -197,10 +195,10 @@ class TestPlacementParity:
 
     @staticmethod
     def _assert_same_model(m, ref):
-        assert m.keys == ref.keys
-        assert all(type(k) is int for k in m.keys if k is not None)
         assert np.array_equal(m.np_keys, ref.np_keys)
         assert np.array_equal(m.np_state, ref.np_state)
+        full = np.flatnonzero(m.np_state == FULL).tolist()
+        assert all(type(m.read_slot(s)[1]) is int for s in full)
         assert all(same_value(a, b) for a, b in zip(m.values, ref.values))
         assert (m.build_size, m.last_key) == (ref.build_size, ref.last_key)
 
