@@ -67,42 +67,44 @@ class _LevelBin:
         return False, None
 
     def insert(self, key: int, value, memory: MemoryMap, tag: str) -> bool:
-        """Insert; splits into child bins when full.  True if new."""
+        """Insert; splits into child bins when full.  True if new.
+
+        The search and the write happen under the bin's lock: a position
+        found before another writer's insert would be stale.  A bin with
+        children never changes its keys (they are separators), so the
+        descent into a child needs no lock.
+        """
         t = current_tracer()
-        i = bisect.bisect_left(self.keys, key)
-        if i < len(self.keys) and self.keys[i] == key:
-            revived = self.values[i] is _TOMBSTONE
-            self.values[i] = value
-            if t is not None:
-                t.writes.append(self.span.line(0))
-            return revived
-        if self.children is not None:
-            return self.children[i].insert(key, value, memory, tag)
-        if len(self.keys) < _BIN_CAPACITY:
-            with self.lock:
+        with self.lock:
+            i = bisect.bisect_left(self.keys, key)
+            if i < len(self.keys) and self.keys[i] == key:
+                revived = self.values[i] is _TOMBSTONE
+                self.values[i] = value
+                if t is not None:
+                    t.writes.append(self.span.line(0))
+                return revived
+            if self.children is None and len(self.keys) < _BIN_CAPACITY:
                 self.keys.insert(i, key)
                 self.values.insert(i, value)
-            if t is not None:
-                t.writes.append(self.span.line(_BIN_HEADER_BYTES + (i * _ENTRY_BYTES) % (_BIN_CAPACITY * _ENTRY_BYTES)))
-            return True
-        # Sprout a level of child bins; resident keys become separators.
-        with self.lock:
+                if t is not None:
+                    t.writes.append(self.span.line(_BIN_HEADER_BYTES + (i * _ENTRY_BYTES) % (_BIN_CAPACITY * _ENTRY_BYTES)))
+                return True
             if self.children is None:
+                # Sprout a level of child bins; resident keys become separators.
                 self.children = [
                     _LevelBin(memory, tag) for _ in range(len(self.keys) + 1)
                 ]
-        if t is not None:
-            t.writes.append(self.span.line(0))
-        i = bisect.bisect_left(self.keys, key)
+                if t is not None:
+                    t.writes.append(self.span.line(0))
         return self.children[i].insert(key, value, memory, tag)
 
     def remove(self, key: int) -> bool:
-        i = bisect.bisect_left(self.keys, key)
-        if i < len(self.keys) and self.keys[i] == key:
-            t = current_tracer()
-            if t is not None:
-                t.writes.append(self.span.line(0))
-            with self.lock:
+        with self.lock:  # as in insert: the position must not go stale
+            i = bisect.bisect_left(self.keys, key)
+            if i < len(self.keys) and self.keys[i] == key:
+                t = current_tracer()
+                if t is not None:
+                    t.writes.append(self.span.line(0))
                 if self.children is not None:
                     # Separators route children: tombstone, don't delete.
                     if self.values[i] is _TOMBSTONE:
@@ -111,7 +113,7 @@ class _LevelBin:
                     return True
                 del self.keys[i]
                 del self.values[i]
-            return True
+                return True
         if self.children is not None:
             return self.children[i].remove(key)
         return False

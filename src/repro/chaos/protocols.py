@@ -4,10 +4,10 @@ Each *case builder* constructs a tiny concurrent workload over one
 protocol — the GPL seqlock (§III-E), the fast-pointer spin lock, the
 ART-OPT optimistic lock coupling and its path-compression merge, the
 Algorithm-2 write-back, scalar reads from the ART's sorted runs, the ALT
-insert's per-model writer lock, the §III-F retrain handoff, and the
-sharded scatter-gather — as a :class:`ProtocolCase`: fresh shared state,
-named tasks, a history recorder, and a correctness check.  The same case
-runs two ways:
+insert's per-model writer lock (scalar and batched), the §III-F retrain
+handoff, and the sharded scatter-gather — as a :class:`ProtocolCase`:
+fresh shared state, named tasks, a history recorder, and a correctness
+check.  The same case runs two ways:
 
 - **seeded** — :func:`run_schedule` drives a case under a
   :class:`ChaosScheduler` RNG seed and returns a replayable
@@ -28,6 +28,7 @@ it cannot see a real one.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -563,7 +564,9 @@ class _NoLock:
         pass
 
 
-def build_insert_case(planted: bool = False, *, getter_reps: int = 1) -> ProtocolCase:
+def build_insert_case(
+    planted: bool = False, *, getter_reps: int = 1, batch: bool = False
+) -> ProtocolCase:
     """Two inserters race for one EMPTY predicted slot while a getter reads.
 
     Setup bootstraps an :class:`~repro.core.alt_index.ALTIndex` model
@@ -572,6 +575,8 @@ def build_insert_case(planted: bool = False, *, getter_reps: int = 1) -> Protoco
     under the model's writer lock, so one key takes the slot and the
     other goes to the ART.  Each inserter reads its key back, the getter
     reads both, and the history is checked against the map oracle.
+    With ``batch``, the second inserter goes through the vectorized
+    ``batch_insert``, which must classify and write under the same lock.
 
     The planted mutant gives the model a lock that never excludes, so
     both inserters can read the slot EMPTY and the second write
@@ -585,8 +590,13 @@ def build_insert_case(planted: bool = False, *, getter_reps: int = 1) -> Protoco
         idx.layer.models[0].writer_lock = _NoLock()
     rec = HistoryRecorder()
 
-    def inserter(task: str, key: int) -> None:
-        rec.call(task, "insert", key, lambda: idx.insert(key, task), arg=task)
+    def inserter(task: str, key: int, batched: bool = False) -> None:
+        def put() -> bool:
+            if batched:
+                return bool(idx.batch_insert(np.array([key], dtype=np.uint64), [task])[0])
+            return idx.insert(key, task)
+
+        rec.call(task, "insert", key, put, arg=task)
         rec.call(task, "get", key, lambda: idx.get(key))
 
     def getter(task: str) -> None:
@@ -596,12 +606,12 @@ def build_insert_case(planted: bool = False, *, getter_reps: int = 1) -> Protoco
 
     tasks: list[tuple[str, Callable[[], None]]] = [
         ("ins-a", lambda: inserter("ins-a", 170)),
-        ("ins-b", lambda: inserter("ins-b", 180)),
+        ("ins-b", lambda: inserter("ins-b", 180, batch)),
     ]
     if getter_reps:
         tasks.append(("getter", lambda: getter("getter")))
     return ProtocolCase(
-        protocol="insert",
+        protocol="insert-batch" if batch else "insert",
         planted=planted,
         tasks=tasks,
         rec=rec,
@@ -778,7 +788,7 @@ def build_shard_case(
     The clean variant runs the real router: the batcher issues
     ``batch_get`` over keys spanning both shards under an ambient
     :func:`~repro.sim.trace.tracer` (which makes each shard take its
-    writer-safe scalar path), recorded per-key via
+    scalar path), recorded per-key via
     :meth:`~repro.chaos.history.HistoryRecorder.call_batch`; two writers
     blind-write and remove/insert keys on their own shards through the
     router's point API.  Every per-key batch result must linearize
@@ -831,9 +841,10 @@ def build_shard_case(
 
     def batch() -> list:
         arr = np.array(batch_keys, dtype=np.uint64)
-        # The ambient tracer forces each shard's batch_get onto its
-        # scalar seqlock path — the vectorized probe is snapshot-based
-        # and only safe without concurrent writers (see BatchIndex).
+        # The ambient tracer sends each shard's batch_get down its
+        # scalar path, so this case checks the router's scatter-gather
+        # alone; the vectorized batch paths have their own cases (view,
+        # insert-batch).
         with tracer():
             return idx.batch_get(arr)
 
@@ -890,6 +901,7 @@ CASE_BUILDERS: dict[str, Callable[..., ProtocolCase]] = {
     "writeback": build_writeback_case,
     "view": build_view_case,
     "insert": build_insert_case,
+    "insert-batch": functools.partial(build_insert_case, batch=True),
     "retrain": build_retrain_case,
     "shard": build_shard_case,
 }
@@ -978,6 +990,10 @@ EXHAUSTIVE_CASES: dict[str, tuple[Callable[[], ProtocolCase], Callable[[], Proto
     "insert": (
         lambda: build_insert_case(False, getter_reps=0),
         lambda: build_insert_case(True, getter_reps=0),
+    ),
+    "insert-batch": (
+        lambda: build_insert_case(False, getter_reps=0, batch=True),
+        lambda: build_insert_case(True, getter_reps=0, batch=True),
     ),
     "retrain": (
         lambda: build_retrain_case(False, inserts=(), reader_reps=1),

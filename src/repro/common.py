@@ -40,11 +40,9 @@ class BatchIndex:
        forces a sharded batch onto the scalar path.
 
     ALT-index's fast paths read index internals without per-slot seqlock
-    validation.  ``batch_get`` and ``batch_remove`` are safe against
-    concurrent scalar writers; only ``batch_insert``, which fills free
-    slots without the writer locks, assumes none is in flight.
-    Interleaving batch calls with scalar mutations from the same thread
-    is always safe.
+    validation, and are safe against concurrent scalar writers: the
+    batch writers classify and write under the writer locks of the
+    models they touch, as the scalar writers do.
     """
 
     def batch_get(self, keys: Iterable[int] | np.ndarray) -> list:

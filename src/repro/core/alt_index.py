@@ -25,6 +25,7 @@ Options mirror the paper's ablation axes::
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from typing import Sequence
 
@@ -43,7 +44,7 @@ from repro.concurrency.retry import StuckWriterError, acquire_writer_lock
 from repro.core.analysis import suggest_error_bound
 from repro.core.fast_pointer import FastPointerBuffer
 from repro.core.learned_layer import EMPTY, FULL, TOMBSTONE, LearnedLayer
-from repro.core.retrain import finish_expansion, maybe_start_expansion
+from repro.core.retrain import expansion_threshold, finish_expansion, maybe_start_expansion
 from repro.obs import health as obs_health
 from repro.obs import metrics as obs_metrics
 from repro.sim.trace import MemoryMap, current_tracer, global_memory
@@ -427,10 +428,27 @@ class ALTIndex(OrderedIndex):
     # ------------------------------------------------------------------
     # Batch insert / remove (vectorized Algorithm 2, write path)
     # ------------------------------------------------------------------
+    @contextlib.contextmanager
+    def _locked_probe(self, keys: np.ndarray, first_mask: np.ndarray):
+        """Probe ``keys`` unlocked (the probe may compact, which takes
+        every writer lock), then hold the writer locks of the models the
+        ``first_mask`` keys route to (:meth:`LearnedLayer.writer_locks`).
+        Yields the probe with state and key re-read under the locks, as
+        scalar writers read them, or None when a swap or append since
+        the probe moved slots: the caller then replays the batch through
+        the scalar writers, after the locks are released."""
+        layer = self._layer
+        version = layer.version
+        midx, slots, flat, _, _ = layer.probe_live(keys)
+        held = [layer.models[mi] for mi in np.unique(midx[first_mask]).tolist()]
+        with layer.writer_locks(held, version, "alt.writer_lock") as live:
+            yield (midx, slots, flat, layer.np_state[flat], layer.np_keys[flat]) if live else None
+
     def batch_insert(self, keys, values=None) -> np.ndarray:
         """Vectorized insert: one learned-layer probe predicts every slot,
         free slots are filled columnwise, and conflict keys are routed to
-        the ART-OPT layer in one sorted pass (``AdaptiveRadixTree.bulk_insert``).
+        the ART-OPT layer in one sorted pass (``AdaptiveRadixTree.bulk_insert``),
+        all under the touched models' writer locks (:meth:`_locked_probe`).
 
         Equivalent to the scalar insert loop — flags, values, counters and
         the one-home invariant all match — and delegates to exactly that
@@ -451,95 +469,78 @@ class ALTIndex(OrderedIndex):
         # through the scalar path after the batch, preserving per-key
         # order (first occurrence inserts, later ones update).
         vec_mask, dup_idx = first_occurrences(keys)
-
-        midx, slots, flat, state, resident = self._layer.probe_live(keys)
-        models = self._layer.models
-
-        # Models whose expansion could engage during this batch keep the
-        # scalar path: the retrain trigger is re-checked before every
-        # scalar insert, so the fast path only handles models where no
-        # key of this batch can flip it.
-        unsafe: set[int] = set()
-        if self._retraining:
-            routed = np.bincount(midx, minlength=len(models))
-            for mi in np.flatnonzero(routed).tolist():
-                m = models[mi]
-                if m.expansion is not None or (
-                    m.insert_count + int(routed[mi]) > max(m.build_size, 1)
-                ):
-                    unsafe.add(mi)
-
         keys_l = keys.tolist()
-        mi_l = midx.tolist()
-        sl_l = slots.tolist()
-        st_l = state.tolist()
-        res_l = resident.tolist()
-        flat_l = flat.tolist()
-
-        empty_is: list[int] = []  # EMPTY slot -> columnwise placement
-        upsert_is: list[int] = []  # FULL, same key -> in-place value write
-        conflict_is: list[int] = []  # FULL, other key -> ART (+insert_count)
-        tomb_is: list[int] = []  # TOMBSTONE -> ART (one-home invariant)
-        scalar_is: list[int] = []  # unsafe models -> scalar replay
-        claimed: set[int] = set()  # flat slots won earlier in this batch
-        for i in np.flatnonzero(vec_mask).tolist():
-            if mi_l[i] in unsafe:
-                scalar_is.append(i)
-            elif st_l[i] == FULL:
-                if res_l[i] == keys_l[i]:
-                    upsert_is.append(i)
-                else:
-                    conflict_is.append(i)
-            elif st_l[i] == TOMBSTONE:
-                tomb_is.append(i)
-            else:  # EMPTY: first key predicted to a slot wins it, the
-                # rest see it FULL — exactly the scalar order.
-                f = flat_l[i]
-                if f in claimed:
-                    conflict_is.append(i)
-                else:
-                    claimed.add(f)
-                    empty_is.append(i)
-
+        firsts = np.flatnonzero(vec_mask).tolist()
+        scalar_is = firsts  # all of them when slots moved since the probe
         new_count = 0
-        for i in empty_is:
-            model = models[mi_l[i]]
-            k = keys_l[i]
-            model.write_slot(sl_l[i], k, values[i])
-            if k > model.last_key:
-                model.last_key = k
-            model.insert_count += 1
-            out[i] = True
-            new_count += 1
-        for i in upsert_is:
-            models[mi_l[i]].write_slot(sl_l[i], keys_l[i], values[i])
-
-        route_is = conflict_is + tomb_is
-        if route_is:
-            # Batched conflict routing: group the overflow keys, sort
-            # them, and repatriate to the ART in one pass.
-            route_is.sort(key=keys_l.__getitem__)
-            flags = self._art.bulk_insert(
-                [keys_l[i] for i in route_is],
-                [values[i] for i in route_is],
-                upsert=True,
-            )
-            for j, i in enumerate(route_is):
-                if flags[j]:
-                    out[i] = True
-                    new_count += 1
-            self.conflict_inserts += len(route_is)
-            obs_metrics.inc("alt.conflict_inserts", len(route_is))
-            for i in conflict_is:
-                if out[i]:
-                    models[mi_l[i]].insert_count += 1
-
+        with self._locked_probe(keys, vec_mask) as probe:
+            if probe is not None:
+                midx, slots, flat, state, resident = probe
+                models = self._layer.models
+                # Models whose expansion could engage during this batch
+                # keep the scalar path: the retrain trigger is re-checked
+                # before every scalar insert, so the fast path only
+                # handles models where no key of this batch can flip it.
+                unsafe: set[int] = set()
+                if self._retraining:
+                    routed = np.bincount(midx, minlength=len(models))
+                    for mi in np.flatnonzero(routed).tolist():
+                        m = models[mi]
+                        if m.expansion is not None or (
+                            m.insert_count + int(routed[mi]) > expansion_threshold(m)
+                        ):
+                            unsafe.add(mi)
+                mi_l, sl_l, flat_l = midx.tolist(), slots.tolist(), flat.tolist()
+                st_l, res_l = state.tolist(), resident.tolist()
+                scalar_is = []  # unsafe models -> scalar replay
+                empty_is: list[int] = []  # EMPTY slot -> columnwise placement
+                upsert_is: list[int] = []  # FULL, same key -> in-place value write
+                conflict_is: list[int] = []  # FULL, other key -> ART (+insert_count)
+                tomb_is: list[int] = []  # TOMBSTONE -> ART (one-home invariant)
+                claimed: set[int] = set()  # flat slots won earlier in this batch
+                for i in firsts:
+                    if mi_l[i] in unsafe:
+                        scalar_is.append(i)
+                    elif st_l[i] == FULL:
+                        (upsert_is if res_l[i] == keys_l[i] else conflict_is).append(i)
+                    elif st_l[i] == TOMBSTONE:
+                        tomb_is.append(i)
+                    elif flat_l[i] in claimed:
+                        # EMPTY, but won by an earlier key of this batch:
+                        # the rest see it FULL, exactly the scalar order.
+                        conflict_is.append(i)
+                    else:
+                        claimed.add(flat_l[i])
+                        empty_is.append(i)
+                for i in empty_is:
+                    model = models[mi_l[i]]
+                    model.write_slot(sl_l[i], keys_l[i], values[i])
+                    model.last_key = max(model.last_key, keys_l[i])
+                    model.insert_count += 1
+                out[empty_is] = True
+                new_count = len(empty_is)
+                for i in upsert_is:
+                    models[mi_l[i]].write_slot(sl_l[i], keys_l[i], values[i])
+                route_is = conflict_is + tomb_is
+                if route_is:
+                    # Batched conflict routing: group the overflow keys,
+                    # sort them, and repatriate to the ART in one pass.
+                    route_is.sort(key=keys_l.__getitem__)
+                    out[route_is] = self._art.bulk_insert(
+                        [keys_l[i] for i in route_is],
+                        [values[i] for i in route_is],
+                        upsert=True,
+                    )
+                    new_count += int(np.count_nonzero(out[route_is]))
+                    self.conflict_inserts += len(route_is)
+                    obs_metrics.inc("alt.conflict_inserts", len(route_is))
+                    for i in conflict_is:
+                        if out[i]:
+                            models[mi_l[i]].insert_count += 1
         if new_count:
             self._bump(new_count)
         obs_metrics.inc("alt.batch_inserts")
-        for i in scalar_is:
-            out[i] = self.insert(keys_l[i], values[i])
-        for i in dup_idx:
+        for i in scalar_is + dup_idx:
             out[i] = self.insert(keys_l[i], values[i])
         return out
 
@@ -551,9 +552,9 @@ class ALTIndex(OrderedIndex):
         and the remove-then-reinsert ART detour still apply.
 
         Like scalar ``remove``, it classifies and removes under the
-        writer locks of the models it touches (taken in model order, as
-        the arena compaction takes them), so a concurrent scalar writer
-        cannot start an expansion, write back or swap in between.
+        writer locks of the models it touches (:meth:`_locked_probe`), so
+        a concurrent scalar writer cannot start an expansion, write back
+        or swap in between.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         n = len(keys)
@@ -564,57 +565,38 @@ class ALTIndex(OrderedIndex):
         obs_health.tick(self, n)
         out = np.zeros(n, dtype=bool)
         vec_mask, dup_idx = first_occurrences(keys)
-
-        layer = self._layer
-        version = layer.version
-        midx, slots, flat, _, _ = layer.probe_live(keys)
-        models = layer.models
-        held = [models[mi] for mi in np.unique(midx[vec_mask]).tolist()]
-
         keys_l = keys.tolist()
-        mi_l = midx.tolist()
-        sl_l = slots.tolist()
-        clear_is: list[int] = []  # FULL, same key -> tombstone the slot
-        art_is: list[int] = []  # everything else -> batched ART removal
-        scalar_is: list[int] = []  # models under expansion -> scalar
+        firsts = np.flatnonzero(vec_mask).tolist()
+        scalar_is = firsts  # all of them when slots moved since the probe
         removed = 0
-        for m in held:
-            acquire_writer_lock(m.writer_lock, "alt.writer_lock")
-        try:
-            if layer.version != version:
-                # A model was swapped since the probe, so its slots moved.
-                scalar_is = np.flatnonzero(vec_mask).tolist()
-            else:
-                # Slot states are read under the locks, as remove reads them.
-                st_l = layer.np_state[flat].tolist()
-                res_l = layer.np_keys[flat].tolist()
-                for i in np.flatnonzero(vec_mask).tolist():
+        with self._locked_probe(keys, vec_mask) as probe:
+            if probe is not None:
+                midx, slots, _, state, resident = probe
+                models = self._layer.models
+                mi_l, sl_l = midx.tolist(), slots.tolist()
+                st_l, res_l = state.tolist(), resident.tolist()
+                scalar_is = []  # models under expansion -> scalar replay
+                clear_is: list[int] = []  # FULL, same key -> tombstone the slot
+                art_is: list[int] = []  # everything else -> batched ART removal
+                for i in firsts:
                     if models[mi_l[i]].expansion is not None:
                         scalar_is.append(i)
                     elif st_l[i] == FULL and res_l[i] == keys_l[i]:
                         clear_is.append(i)
                     else:
                         art_is.append(i)
-            for i in clear_is:
-                models[mi_l[i]].clear_slot(sl_l[i], tombstone=True)
-                out[i] = True
-                removed += 1
-            if art_is:
-                art_is.sort(key=keys_l.__getitem__)
-                flags = self._art.bulk_remove([keys_l[i] for i in art_is])
-                for j, i in enumerate(art_is):
-                    if flags[j]:
-                        out[i] = True
-                        removed += 1
-        finally:
-            for m in held:
-                m.writer_lock.release()
+                for i in clear_is:
+                    models[mi_l[i]].clear_slot(sl_l[i], tombstone=True)
+                out[clear_is] = True
+                removed = len(clear_is)
+                if art_is:
+                    art_is.sort(key=keys_l.__getitem__)
+                    out[art_is] = self._art.bulk_remove([keys_l[i] for i in art_is])
+                    removed += int(np.count_nonzero(out[art_is]))
         if removed:
             self._bump(-removed)
         obs_metrics.inc("alt.batch_removes")
-        for i in scalar_is:
-            out[i] = self.remove(keys_l[i])
-        for i in dup_idx:
+        for i in scalar_is + dup_idx:
             out[i] = self.remove(keys_l[i])
         return out
 

@@ -602,26 +602,36 @@ class LearnedLayer:
         )
 
     @contextlib.contextmanager
-    def _locked_models(self) -> Iterator[list[GPLModel]]:
-        """Hold every live model's writer lock, taken in model order.
+    def writer_locks(self, models: list[GPLModel], version: int, site: str) -> Iterator[bool]:
+        """Hold the writer locks of ``models``, taken in model order;
+        yields whether the structural version is still ``version`` (no
+        model swapped or appended since the caller read it).
 
-        Scalar writers hold at most one model lock, so the fixed order
-        cannot deadlock.  A model swapped out while the locks were being
-        taken changes the structural version: release all and retry.
+        Scalar writers hold at most one model lock, and every multi-model
+        holder (the arena compaction, the batch writers) takes its locks
+        here, in model order, so no two holders can deadlock.
         """
+        held = []
+        try:
+            for m in models:
+                acquire_writer_lock(m.writer_lock, site)
+                held.append(m)
+            yield self._version == version
+        finally:
+            for m in held:
+                m.writer_lock.release()
+
+    @contextlib.contextmanager
+    def _locked_models(self) -> Iterator[list[GPLModel]]:
+        """Hold every live model's writer lock (:meth:`writer_locks`).  A
+        model swapped out while the locks were being taken changes the
+        structural version: release all and retry."""
         while True:  # bounded: each retry follows a finished expansion swap
             version, models = self._version, list(self.models)
-            for m in models:
-                acquire_writer_lock(m.writer_lock, "gpl.fold_lock")
-            if self._version == version:
-                break
-            for m in models:
-                m.writer_lock.release()
-        try:
-            yield models
-        finally:
-            for m in models:
-                m.writer_lock.release()
+            with self.writer_locks(models, version, "gpl.fold_lock") as live:
+                if live:
+                    yield models
+                    return
 
     def probe_live(
         self, keys: np.ndarray
@@ -641,10 +651,11 @@ class LearnedLayer:
         The gathered columns are not one consistent snapshot of a slot a
         writer is changing: keys are gathered before states, so a key
         with a FULL state read after it has its value in place, and
-        ``ALTIndex.batch_get`` re-reads the keys after its value gather
-        (``batch_insert`` assumes no concurrent writer).  A compaction
-        is safe against scalar writers, which it excludes with their
-        writer locks.
+        ``ALTIndex.batch_get`` re-reads the keys after its value gather;
+        the batch writers re-read state and keys under the touched
+        models' writer locks (:meth:`writer_locks`).  A compaction is
+        safe against scalar writers, which it excludes with their writer
+        locks, and may run here: take no writer lock before calling.
 
         Returns ``(model_idx, slot, flat_slot, state, resident_key)``.
         """

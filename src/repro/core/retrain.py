@@ -38,6 +38,13 @@ from repro.sim.trace import MemoryMap
 SpillFn = Callable[[int, object], None]
 
 
+def expansion_threshold(model: GPLModel) -> int:
+    """The expansion trigger: a model expands once its runtime inserts
+    exceed this many, and its expansion finishes after absorbing as many
+    (the model's build size)."""
+    return max(model.build_size, 1)
+
+
 class ExpansionBuffer:
     """Temporal buffer that incrementally replaces a crowded GPL model."""
 
@@ -92,36 +99,36 @@ class ExpansionBuffer:
             buf.last_key = key
         return True
 
-    def lookup(self, key: int):
-        """(found, value) for a key that may live in the buffer."""
+    def _resident(self, key: int) -> tuple[int, object] | None:
+        """``(slot, value)`` of ``key`` in the buffer, or None when the
+        buffer does not hold it."""
         slot = self.buffer.slot_of(key)
         state, resident, value = self.buffer.read_slot(slot)
-        if state == FULL and resident == key:
-            return True, value
-        return False, None
+        return (slot, value) if state == FULL and resident == key else None
+
+    def lookup(self, key: int):
+        """(found, value) for a key that may live in the buffer."""
+        hit = self._resident(key)
+        return (False, None) if hit is None else (True, hit[1])
 
     def update(self, key: int, value) -> bool:
         """In-place update of a buffer-resident key."""
-        slot = self.buffer.slot_of(key)
-        state, resident, _ = self.buffer.read_slot(slot)
-        if state == FULL and resident == key:
-            self.buffer.write_slot(slot, key, value)
-            return True
-        return False
+        hit = self._resident(key)
+        if hit is not None:
+            self.buffer.write_slot(hit[0], key, value)
+        return hit is not None
 
     def remove(self, key: int) -> bool:
         """Tombstone a buffer-resident key."""
-        slot = self.buffer.slot_of(key)
-        state, resident, _ = self.buffer.read_slot(slot)
-        if state == FULL and resident == key:
-            self.buffer.clear_slot(slot, tombstone=True)
-            return True
-        return False
+        hit = self._resident(key)
+        if hit is not None:
+            self.buffer.clear_slot(hit[0], tombstone=True)
+        return hit is not None
 
     @property
     def needed(self) -> int:
         """Absorbs required before the buffer may replace the old model."""
-        return max(self.old.build_size, 1)
+        return expansion_threshold(self.old)
 
     def remaining(self) -> int:
         """Absorbs still outstanding (the health monitor's backlog unit)."""
@@ -129,7 +136,7 @@ class ExpansionBuffer:
 
     def is_complete(self) -> bool:
         """Step 3 trigger: buffer insertions reached the old build size."""
-        return self.inserted >= max(self.old.build_size, 1)
+        return self.inserted >= self.needed
 
     def finish(self, spill: SpillFn) -> GPLModel:
         """Migrate the old model's remaining keys and return the new model."""
@@ -153,7 +160,7 @@ def maybe_start_expansion(
     """Begin an expansion when runtime inserts exceed the build size."""
     if model.expansion is not None:
         return model.expansion
-    if model.insert_count <= max(model.build_size, 1):
+    if model.insert_count <= expansion_threshold(model):
         return None
     model.expansion = ExpansionBuffer(model, memory, tag)
     obs_metrics.inc("retrain.started")

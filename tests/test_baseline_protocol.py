@@ -164,11 +164,14 @@ def test_batch_remove_races_scalar_inserts(cls):
     """A batch call is as thread-safe as the scalar calls it is made of.
 
     One thread scalar-inserts the unloaded half of the keys while another
-    ``batch_remove``s half of the loaded keys in 64-key batches.  Both
-    start on a barrier with a tiny switch interval, so their steps
-    interleave.  Afterwards every victim must have been reported removed
-    and the index must hold exactly the dict oracle's pairs: no
-    exception, no key lost or wrongly deleted, and an exact ``len()``.
+    ``batch_remove``s half of the loaded keys in 64-key batches and a
+    third ``batch_insert``s each pending key plus one (for ALT-index
+    mostly the same predicted slot) in 64-key batches.  All start on a
+    barrier with a tiny switch interval, so their steps interleave.
+    Afterwards every victim must have been reported removed, every
+    batch key inserted, and the index must hold exactly the dict
+    oracle's pairs: no exception, no key lost or wrongly deleted, and an
+    exact ``len()``.
     """
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -178,10 +181,12 @@ def test_batch_remove_races_scalar_inserts(cls):
             keys = np.sort(rng.choice(2**40, size=4096, replace=False)).astype(np.uint64)
             loaded, pending = keys[::2].copy(), keys[1::2].tolist()
             victims = rng.choice(loaded, size=len(loaded) // 2, replace=False)
+            fresh = np.setdiff1d(keys[1::2] + np.uint64(1), keys)
             idx = cls.bulk_load(loaded, memory=MemoryMap())
-            barrier = threading.Barrier(2)
+            barrier = threading.Barrier(3)
             errors: list[BaseException] = []
             flags: list[bool] = []
+            new_flags: list[bool] = []
 
             def run(work):
                 try:
@@ -198,17 +203,23 @@ def test_batch_remove_races_scalar_inserts(cls):
                 for i in range(0, len(victims), 64):
                     flags.extend(idx.batch_remove(victims[i : i + 64]).tolist())
 
+            def insert_fresh():
+                for i in range(0, len(fresh), 64):
+                    new_flags.extend(idx.batch_insert(fresh[i : i + 64]).tolist())
+
             threads = [
-                threading.Thread(target=run, args=(insert_pending,)),
-                threading.Thread(target=run, args=(remove_victims,)),
+                threading.Thread(target=run, args=(work,))
+                for work in (insert_pending, remove_victims, insert_fresh)
             ]
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads), f"seed {seed}: a worker hung"
             assert not errors, f"seed {seed}: {errors[0]!r}"
             assert flags.count(True) == len(victims), f"seed {seed}"
-            oracle = {int(k): int(k) for k in keys}
+            assert new_flags.count(True) == len(fresh), f"seed {seed}"
+            oracle = {int(k): int(k) for k in np.concatenate([keys, fresh])}
             for k in victims.tolist():
                 del oracle[k]
             assert idx.range_query(0, 2**64 - 1) == sorted(oracle.items()), f"seed {seed}"

@@ -1019,6 +1019,48 @@ class TestALTBatchWriteInternals:
         _ = scalar_gets(scalar, victims)
         assert batched.writebacks == scalar.writebacks
 
+    def test_scalar_insert_after_the_probe_is_not_lost(self, monkeypatch):
+        """A scalar insert of ``k`` lands between batch_insert's probe and
+        its slot writes, into the EMPTY slot the batch key ``k + 1`` is
+        predicted to as well.  The batch re-reads the slot under the
+        model's writer lock, finds it FULL and sends ``k + 1`` to the ART;
+        a batch that wrote the slot it probed EMPTY would overwrite ``k``."""
+        keys = dataset("osm", 20_000, seed=0)
+        loaded = keys[::4].copy()
+        idx = ALTIndex.bulk_load(loaded, memory=MemoryMap(), retraining=False)
+        layer = idx.layer
+        oracle = {k: k for k in loaded.tolist()}
+
+        def shared_empty_slot() -> int:
+            for mi, m in enumerate(layer.models):
+                for s in np.flatnonzero(m.np_state == EMPTY).tolist():
+                    k = m.first_key + int(s / m.slope_eff) + 1
+                    if all(
+                        layer.route(x) == (mi, m) and m.slot_of(x) == s and x not in oracle
+                        for x in (k, k + 1)
+                    ):
+                        return k
+            raise AssertionError("no two absent keys share an EMPTY slot")
+
+        k = shared_empty_slot()
+        probe_live = layer.probe_live
+        calls = []
+
+        def probe_then_insert(batch):
+            out = probe_live(batch)
+            if not calls:
+                calls.append(batch)
+                assert idx.insert(k, "scalar")
+            return out
+
+        monkeypatch.setattr(layer, "probe_live", probe_then_insert)
+        assert idx.batch_insert(np.array([k + 1], dtype=np.uint64), ["batch"]).tolist() == [True]
+        assert calls, "the batch never probed"
+        oracle.update({k: "scalar", k + 1: "batch"})
+        assert (idx.get(k), idx.get(k + 1)) == ("scalar", "batch")
+        assert len(idx) == len(oracle)
+        assert dict(idx.scan(0, len(oracle) + 1)) == oracle
+
 
 def test_generic_fallback_used_by_unoptimized_indexes():
     """The baselines inherit every batch loop from the mixin; only
