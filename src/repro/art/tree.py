@@ -20,12 +20,14 @@ Additions required by ALT-index:
   lookup footprints, used to build fast pointers;
 - ``lookup_sorted(keys)`` resolves a batch of keys with one
   ``searchsorted`` over each of two sorted runs: a frozen *main* run of
-  the whole tree and a small *overlay* of the changes since main was
-  built.  A write patches the overlay; main is rebuilt only when the
-  overlay outgrows ``1 / _OVERLAY_FRACTION`` of it;
+  the whole tree, published once by ``publish_main`` at bulk load, and
+  a small *overlay* of the changes since main was built.  Writes record
+  their changes in a *delta*; a merge folds the delta into the overlay,
+  and the overlay into a new main once it outgrows
+  ``1 / _OVERLAY_FRACTION`` of main;
 - ``search_runs(key)`` answers one key from the same runs and the
-  changes not yet merged into them, with no descent: the scalar read
-  an untraced ``ALTIndex.get`` uses for ART-resident keys;
+  delta, with no descent: the scalar read an untraced ``ALTIndex.get``
+  uses for ART-resident keys;
 - ``iter_from(lo)`` walks the tree once, lazily, from ``lo``: the range
   read behind ``ALTIndex.scan`` and an expansion's move-home; ``scan``
   takes a bounded prefix of the same walk and ``items(lo, hi)`` its
@@ -92,7 +94,8 @@ ReplaceListener = Callable[[object, object], None]
 # Overlay/delta marker for a key removed since main was built.
 _REMOVED = object()
 
-# search_runs() result while the tree keeps no sorted runs.
+# search_runs() result while the tree keeps no sorted runs, or a write
+# is in flight.
 NO_RUNS = object()
 
 # A key with no entry in a delta or run.
@@ -133,21 +136,16 @@ class AdaptiveRadixTree:
         self._root_lock = OptimisticLock()
         self._size = 0
         self._size_lock = threading.Lock()
-        # Sorted-run state, published as one ``(runs, delta, merging)``
-        # tuple so a reader takes one consistent snapshot: the runs last
-        # published, as a (main keys, main values, overlay keys, overlay
-        # values) tuple (None during the first walk); the live delta of
-        # changes since (key -> value or _REMOVED); and the delta that
-        # _fresh_runs swapped out and is merging (None when no merge
-        # runs).  None while no runs are kept.  _delta_cap is the delta
-        # size past which all of it is dropped.
+        # The sorted view, published as one ``(runs, delta)`` pair so a
+        # reader takes one consistent snapshot: the runs, a (main keys,
+        # main values, overlay keys, overlay values) tuple, and the delta
+        # of changes recorded since (key -> value or _REMOVED).  None
+        # until publish_main seeds it; never dropped after that.
         self._view: tuple | None = None
-        self._delta_cap = 0
         # Public writes between their tree write's start and their record,
         # one entry each: a list, as its append and pop are atomic.
         self._writing: list[None] = []
-        self._delta_lock = threading.Lock()  # record vs swap/drop
-        self._runs_lock = threading.Lock()  # one thread rebuilds the runs at a time
+        self._delta_lock = threading.Lock()  # records and merges
         self._replace_listeners: list[ReplaceListener] = []
         # Replaced nodes are freed where they are unlinked; this
         # free-at-once manager stays only because the wall-clock
@@ -333,15 +331,16 @@ class AdaptiveRadixTree:
     def publish_main(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Publish the tree's whole content, the strictly increasing uint64
         ``keys`` and the object array ``values`` a :meth:`build_sorted`
-        was just given, as the main run of :meth:`lookup_sorted`, so the
-        first batch read walks nothing.  Call it before the tree is
-        shared; both arrays are frozen in place.  A tree nobody
-        batch-reads skips it and keeps no runs and records no delta.
+        was just given, as the main run of :meth:`lookup_sorted` and
+        :meth:`search_runs`.  Call it before the tree is shared; both
+        arrays are frozen in place.  The runs come only from here: a
+        tree never given a main (the ART baseline) keeps none and
+        records no delta, and its :meth:`lookup_sorted` searches the
+        tree per key.
         """
         main = _frozen(keys, values)
         with self._delta_lock:
-            self._view = ((*main, *_EMPTY_RUN), {}, None)
-            self._delta_cap = len(keys)
+            self._view = ((*main, *_EMPTY_RUN), {})
 
     def bulk_remove(self, keys) -> list[bool]:
         """Delete many **pre-sorted** keys in one pass; per-key flags
@@ -364,12 +363,13 @@ class AdaptiveRadixTree:
         Resolves the whole batch with one ``searchsorted`` over the main
         run and, if the overlay is not empty, one over the overlay, whose
         entries (a value or a removal) shadow main's.  See
-        :meth:`_fresh_runs` for how the runs follow the tree.  While a
-        public write is in flight the keys are searched in the tree
-        instead, as :meth:`search_runs` declines then.
+        :meth:`_fresh_runs` for how the runs follow the tree.  On a tree
+        with no runs, or while a public write is in flight (when
+        :meth:`search_runs` declines), the keys are searched in the tree
+        instead.
         """
         probe = np.asarray(keys, dtype=np.uint64)
-        if self._writing:
+        if self._writing or self._view is None:
             return [self.search(k) for k in probe.tolist()]
         mkeys, mvals, okeys, ovals = self._fresh_runs()
         if len(mkeys):
@@ -389,15 +389,13 @@ class AdaptiveRadixTree:
         return out
 
     def search_runs(self, key: int):
-        """``key``'s value from the kept runs, ``None`` where absent, or
-        :data:`NO_RUNS` while the tree keeps none (no batch reader seeded
-        them, or a delta overflow dropped them).
+        """``key``'s value from the runs, ``None`` where absent, or
+        :data:`NO_RUNS` on a tree with no runs (no :meth:`publish_main`).
 
         The scalar companion of :meth:`lookup_sorted`, and untraced: it
         walks no node, merges nothing, and takes no lock.  From one
-        snapshot of ``(runs, delta, merging)`` it checks the live delta,
-        then the delta a merge has swapped out but not yet published,
-        then the overlay, then main; the two runs are probed with one
+        snapshot of ``(runs, delta)`` it checks the delta, then the
+        overlay, then main; the two runs are probed with one
         ``searchsorted`` each on a ``np.uint64`` probe (a Python-int probe
         would cast the whole run).  A write is recorded after its tree
         write, so while any public write is in flight this returns
@@ -407,65 +405,48 @@ class AdaptiveRadixTree:
         if self._writing:
             return NO_RUNS  # the tree may hold a change the runs lack yet
         view = self._view  # after the check: it holds every earlier record
-        if view is None or view[0] is None:
+        if view is None:
             return NO_RUNS
-        chaos.point("art.view")  # snapshot taken: a merge may publish now
-        return view_value(*view, key)
+        chaos.point("art.view")  # snapshot taken: a write may merge now
+        runs, delta = view
+        value = delta.get(key, _ABSENT)
+        if value is _ABSENT:
+            probe = np.uint64(key)
+            if len(runs[2]):
+                value = _probe_run(runs[2], runs[3], probe, key)
+            if value is _ABSENT:
+                value = _probe_run(runs[0], runs[1], probe, key)
+        return None if value is _ABSENT or value is _REMOVED else value
 
     def _fresh_runs(self) -> tuple[np.ndarray, ...]:
         """The published ``(main keys, main values, overlay keys, overlay
-        values)`` runs, brought up to date with the tree.
-
-        The first call (and the first after a drop) walks the tree into
-        main.  Later calls merge the delta the four public mutators
-        record into the overlay, in O(overlay + Δ log Δ); when the
-        overlay then holds more than ``1 / _OVERLAY_FRACTION`` as many
-        keys as main, it is folded into a new main in one O(n) pass.  A
-        delta that grows past main's key count while no reader comes
-        drops the delta and both runs; the next call walks again.
-
-        Ordering invariant, which keeps a concurrent writer's change from
-        being lost: a writer records *after* its tree write, and a reader
-        swaps in a fresh delta *before* walking or merging.  A writer that
-        saw no delta therefore finished its write before the walk began;
-        one that saw a delta records under ``_delta_lock`` either before
-        the reader's swap (merged now) or after it (merged next time).
-        Re-applying a change the walk already saw is harmless: entries
-        are upserts and removals.  Main and overlay are published as one
-        tuple, so no reader pairs a folded main with an older overlay
-        (which could bring back a removed key); the swap publishes the
-        old runs with the swapped-out delta as *merging*, and the merge
-        publishes the new runs with the live delta, so a
-        :meth:`search_runs` snapshot never misses a recorded change.
-        Returned arrays are read-only and never mutated.
-        """
-        with self._runs_lock:
-            with self._delta_lock:
-                view = self._view
-                runs, delta = (None, None) if view is None else view[:2]
-                if runs is not None and not delta:
-                    return runs
-                # The swapped-out delta stays visible to search_runs
-                # until the merged runs are published.
-                self._view = (runs, {}, delta)
-                self._delta_cap = len(runs[0]) if runs is not None else self._size
-            chaos.point("art.view_merge")
-            if runs is None:
-                runs = (*self._walk_main(), *_EMPTY_RUN)
-            else:
-                dkeys, dvals = _sorted_changes(delta)
-                okeys, ovals = _patch_run(runs[2:], dkeys, dvals, drop_removed=False)
-                if len(okeys) * _OVERLAY_FRACTION > len(runs[0]):
-                    main = _patch_run(runs[:2], okeys, ovals, drop_removed=True)
-                    runs = (*main, *_EMPTY_RUN)
-                else:
-                    runs = (*runs[:2], okeys, ovals)
-            with self._delta_lock:
-                view = self._view
-                if view is not None:  # not dropped meanwhile
-                    self._view = (runs, view[1], None)
-                    self._delta_cap = len(runs[0])
+        values)`` of a tree with runs, the delta merged in by
+        :meth:`_merge`.  The arrays are read-only and never mutated."""
+        runs, delta = self._view
+        if not delta:
             return runs
+        chaos.point("art.view_merge")  # not under the lock: writers block on it
+        with self._delta_lock:
+            runs, delta = self._view
+            return self._merge(runs, delta) if delta else runs
+
+    def _merge(self, runs: tuple, delta: dict) -> tuple[np.ndarray, ...]:
+        """Patch ``delta`` into the overlay in O(overlay + Δ log Δ), fold
+        an overlay of more than ``1 / _OVERLAY_FRACTION`` of main's keys
+        into a new main in one O(n) pass, and publish ``(new runs, {})``
+        in one assignment.  The caller holds ``_delta_lock``, the lock
+        writers record under, so no change lands between the read of the
+        delta and the publish; a reader holding the old pair keeps it
+        whole."""
+        dkeys, dvals = _sorted_changes(delta)
+        okeys, ovals = _patch_run(runs[2:], dkeys, dvals, drop_removed=False)
+        if len(okeys) * _OVERLAY_FRACTION > len(runs[0]):
+            main = _patch_run(runs[:2], okeys, ovals, drop_removed=True)
+            runs = (*main, *_EMPTY_RUN)
+        else:
+            runs = (*runs[:2], okeys, ovals)
+        self._view = (runs, {})
+        return runs
 
     def _begin_write(self) -> None:
         """Count a public write as in flight until its :meth:`_record`."""
@@ -473,35 +454,28 @@ class AdaptiveRadixTree:
 
     def _record(self, changes) -> None:
         """End a write begun by :meth:`_begin_write`: add its ``(key,
-        value | _REMOVED)`` changes to the runs' delta, if runs are kept.
+        value | _REMOVED)`` changes to the delta, if the tree has runs.
 
         The write stops counting as in flight only once its changes are
-        in the delta (or the runs are dropped), so a lock-free reader
-        that sees no write in flight sees them too.  With no runs kept it
-        takes no lock: runs are first published by the swap that precedes
-        their walk, so a write that finds none has already reached the
-        tree that walk will read.
+        in the delta, so a lock-free reader that sees no write in flight
+        sees them too.  A record that grows the delta past main's key
+        count merges it (:meth:`_merge`, which folds main) before it
+        returns, so the delta stays bounded with no batch reader.  With
+        no runs it takes no lock: runs come only from
+        :meth:`publish_main`, before the tree is shared.
         """
         if self._view is None:
             self._writing.pop()
             return
         with self._delta_lock:
             try:
-                view = self._view
-                if view is not None:
-                    delta = view[1]
-                    for key, value in changes:
-                        delta[int(key)] = value
-                    if len(delta) > self._delta_cap:
-                        self._view = None
+                runs, delta = self._view
+                for key, value in changes:
+                    delta[int(key)] = value
+                if len(delta) > len(runs[0]):
+                    self._merge(runs, delta)
             finally:
                 self._writing.pop()
-
-    def _walk_main(self) -> tuple[np.ndarray, np.ndarray]:
-        pairs = self.items()
-        keys = np.fromiter((k for k, _ in pairs), dtype=np.uint64, count=len(pairs))
-        values = np.fromiter((v for _, v in pairs), dtype=object, count=len(pairs))
-        return _frozen(keys, values)
 
     def items(self, lo: int = 0, hi: int = _UINT64_MAX) -> list[tuple[int, object]]:
         """Sorted (key, value) pairs with lo <= key <= hi: the pairs up to
@@ -1199,22 +1173,6 @@ def _search_run(
     pos = np.searchsorted(keys, probe)
     np.minimum(pos, len(keys) - 1, out=pos)
     return values[pos], keys[pos] == probe
-
-
-def view_value(runs: tuple, delta: dict, merging: dict | None, key: int):
-    """``key``'s value in one ``(runs, delta, merging)`` snapshot, or
-    ``None``: the live delta shadows the in-merge delta, which shadows
-    the overlay, which shadows main."""
-    value = delta.get(key, _ABSENT)
-    if value is _ABSENT and merging is not None:
-        value = merging.get(key, _ABSENT)
-    if value is _ABSENT:
-        probe = np.uint64(key)
-        if len(runs[2]):
-            value = _probe_run(runs[2], runs[3], probe, key)
-        if value is _ABSENT:
-            value = _probe_run(runs[0], runs[1], probe, key)
-    return None if value is _ABSENT or value is _REMOVED else value
 
 
 def _probe_run(keys: np.ndarray, values: np.ndarray, probe: np.uint64, key: int):

@@ -18,12 +18,12 @@ check.  The same case runs two ways:
 
 Every protocol also has a ``planted`` mode that swaps one protocol step
 for a classic mutation (lost update, check-then-act, a merge under a
-lock that never excludes, resurrection-after-remove, a read that skips
-the in-merge delta, unlocked slot claim, swap-before-migrate, shared
-gather table).  A correct harness must keep the un-mutated protocols
-linearizable on every schedule and flag the mutants — that is the
-harness's own regression test: if the checker cannot see a planted bug,
-it cannot see a real one.
+lock that never excludes, resurrection-after-remove, a write that leaves
+the in-flight count before its change is recorded, unlocked slot claim,
+swap-before-migrate, shared gather table).  A correct harness must keep
+the un-mutated protocols linearizable on every schedule and flag the
+mutants — that is the harness's own regression test: if the checker
+cannot see a planted bug, it cannot see a real one.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from repro import chaos
-from repro.art.tree import NO_RUNS, AdaptiveRadixTree, view_value
+from repro.art.tree import AdaptiveRadixTree
 from repro.chaos.history import CheckResult, HistoryRecorder, OpRecord, check_linearizable
 from repro.chaos.scheduler import ChaosScheduler
 from repro.concurrency.retry import DEFAULT_RETRY, acquire_cooperative
@@ -473,21 +473,22 @@ def build_view_case(
 
     The index is built with :meth:`ALTIndex.bulk_load`, so its ART keeps
     sorted runs and an untraced ``get`` of the conflict key 425 reads
-    them (``AdaptiveRadixTree.search_runs``) instead of descending.  An
-    upsert before the schedule leaves 425's current value in the delta
-    and the bulk-loaded one in main.  The writer's first ``writes`` of
-    (remove 425, insert it again) go through the index, each a change
-    the ART records in its delta; each of the batcher's ``batch_get``
-    calls swaps the delta out, merges it (the ``art.view_merge`` point
-    sits between the swap and the publish) and publishes new runs.  One
-    batcher only: the merge holds the ART's ``_runs_lock``, which a
-    second batcher would block on while holding the scheduler's baton.
-    The history is checked against the map oracle.
+    them (``AdaptiveRadixTree.search_runs``) instead of descending,
+    unless a write is in flight.  An upsert before the schedule leaves
+    425's current value in the delta and the bulk-loaded one in main.
+    The writer's first ``writes`` of (remove 425, insert it again) go
+    through the index, each a change the ART records in its delta; each
+    of the batcher's ``batch_get`` calls merges the delta into new runs
+    under the ART's ``_delta_lock`` (the ``art.view_merge`` point sits
+    just before the lock, as a writer blocks on it natively).  Each of
+    the getter's reps reads 425 twice: by a ``scan``, which walks the
+    tree, then by a ``get``.  The history is checked against the map
+    oracle.
 
-    The planted mutant's reads ignore the delta that a merge has swapped
-    out but not yet published, as a reader that paired the runs with the
-    live delta alone would: for the length of a merge, 425 reads as the
-    value in the old runs, which a newer change has replaced.
+    The planted mutant's record stops counting the write as in flight
+    before its change reaches the delta: in between, a ``scan`` sees the
+    change in the tree and the ``get`` after it reads the old value from
+    the runs.
     """
     idx = ALTIndex.bulk_load(
         np.array(sorted(_VIEW_INIT), dtype=np.uint64),
@@ -502,23 +503,25 @@ def build_view_case(
     art = idx.art
     if planted:
 
-        def search_runs(key: int):
-            if art._writing:
-                return NO_RUNS
-            view = art._view
-            if view is None or view[0] is None:
-                return NO_RUNS
-            chaos.point("art.view")
-            runs, delta, _merging = view  # the bug: the in-merge delta is dropped
-            return view_value(runs, delta, None, key)
+        def record(changes) -> None:
+            art._writing.pop()  # the bug: out of flight before the delta has it
+            chaos.point("planted.art.record")
+            with art._delta_lock:
+                runs, delta = art._view
+                for key, value in changes:
+                    delta[int(key)] = value
+                if len(delta) > len(runs[0]):
+                    art._merge(runs, delta)
 
-        # An instance attribute, so ALTIndex.get calls the mutant.
-
-        art.search_runs = search_runs
+        # An instance attribute, so the ART's writes call the mutant.
+        art._record = record
     rec = HistoryRecorder()
 
     def getter(task: str) -> None:
         for _ in range(getter_reps):
+            rec.call(
+                task, "get", _VIEW_KEY, lambda: dict(idx.scan(_VIEW_KEY, 1)).get(_VIEW_KEY)
+            )
             rec.call(task, "get", _VIEW_KEY, lambda: idx.get(_VIEW_KEY))
 
     def writer(task: str) -> None:
@@ -545,7 +548,7 @@ def build_view_case(
         ],
         rec=rec,
         check=lambda: check_linearizable(rec.ops, init=init),
-        snapshot=lambda: (idx.get(_VIEW_KEY), art._view is None),
+        snapshot=lambda: (idx.get(_VIEW_KEY), art.search(_VIEW_KEY)),
     )
 
 
@@ -982,8 +985,8 @@ EXHAUSTIVE_CASES: dict[str, tuple[Callable[[], ProtocolCase], Callable[[], Proto
         lambda: build_writeback_case(True, getters=1, getter_reps=2),
     ),
     "view": (
-        # One remove, one read, one merge: the mutant's window needs
-        # just the read inside the merge.
+        # One remove, one scan-then-get, one merge: the mutant's window
+        # needs just the getter's rep inside the remove's record.
         lambda: build_view_case(False, getter_reps=1, batches=1, writes=1),
         lambda: build_view_case(True, getter_reps=1, batches=1, writes=1),
     ),

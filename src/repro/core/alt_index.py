@@ -515,7 +515,6 @@ class ALTIndex(OrderedIndex):
                 for i in empty_is:
                     model = models[mi_l[i]]
                     model.write_slot(sl_l[i], keys_l[i], values[i])
-                    model.last_key = max(model.last_key, keys_l[i])
                     model.insert_count += 1
                 out[empty_is] = True
                 new_count = len(empty_is)
@@ -586,7 +585,7 @@ class ALTIndex(OrderedIndex):
                     else:
                         art_is.append(i)
                 for i in clear_is:
-                    models[mi_l[i]].clear_slot(sl_l[i], tombstone=True)
+                    models[mi_l[i]].clear_slot(sl_l[i])
                 out[clear_is] = True
                 removed = len(clear_is)
                 if art_is:
@@ -671,8 +670,6 @@ class ALTIndex(OrderedIndex):
                 self._bump(1)
             return new
         model.write_slot(slot, key, value)
-        if key > model.last_key:
-            model.last_key = key
         model.insert_count += 1
         self._bump(1)
         return True
@@ -717,7 +714,7 @@ class ALTIndex(OrderedIndex):
             state, resident, _ = self._read_slot_recovering(model, slot)
             removed = False
             if state == FULL and resident == key:
-                model.clear_slot(slot, tombstone=True)
+                model.clear_slot(slot)
                 removed = True
             elif model.expansion is not None and model.expansion.remove(key):
                 removed = True

@@ -106,7 +106,7 @@ def place_sorted(models: list, keys, values, counts, offsets, arena) -> tuple:
 
     ``models[m]`` takes the next ``counts[m]`` keys, and its slots start
     at ``offsets[m]`` of the ``(np_keys, np_state, values)`` ``arena``
-    arrays; its ``build_size`` and ``last_key`` are set here.
+    arrays; its ``build_size`` is set here.
     Collisions are adjacent (the slot function is monotone), so
     the first key of each equal-slot run wins and the rest are the
     ART-OPT layer's conflict data.  Values keep their element objects (a
@@ -135,9 +135,8 @@ def place_sorted(models: list, keys, values, counts, offsets, arena) -> tuple:
     np_values[placed] = values[win]
     ends = np.cumsum(counts)
     built = np.add.reduceat(win, ends - counts).tolist()
-    for m, n, last in zip(models, built, keys[ends - 1].tolist()):
+    for m, n in zip(models, built):
         m.build_size = n
-        m.last_key = last
     return keys[~win], values[~win]
 
 
@@ -146,7 +145,6 @@ class GPLModel:
 
     __slots__ = (
         "first_key",
-        "last_key",
         "slope_eff",
         "n_slots",
         "values",
@@ -161,8 +159,6 @@ class GPLModel:
         "np_state",
         "keys_mv",
         "state_mv",
-        "_memory",
-        "_tag",
     )
 
     def __init__(
@@ -175,7 +171,6 @@ class GPLModel:
         arena: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ):
         self.first_key = first_key
-        self.last_key = first_key
         self.slope_eff = slope_eff
         self.n_slots = n_slots
         if arena is None:
@@ -194,8 +189,6 @@ class GPLModel:
         # Serializes scalar writers of this model (ALTIndex._lock_model);
         # an expansion buffer inherits it, so it outlives the swap.
         self.writer_lock = threading.Lock()
-        self._memory = memory
-        self._tag = tag
 
     def bind(self, np_keys: np.ndarray, np_state: np.ndarray, values: np.ndarray) -> None:
         """Point the model at its slot arrays (in a LearnedLayer, views of
@@ -276,8 +269,8 @@ class GPLModel:
         self.versions.write_end(slot)
         self._trace_write(slot)
 
-    def clear_slot(self, slot: int, tombstone: bool = True) -> None:
-        """Remove a slot's payload, leaving a tombstone by default."""
+    def clear_slot(self, slot: int) -> None:
+        """Remove a slot's payload, leaving a tombstone."""
         chaos.point("gpl.slot_cas")
         self.versions.write_begin(slot)
         chaos.point("gpl.slot_fields")  # a writer dying here leaves the pair whole
@@ -285,7 +278,7 @@ class GPLModel:
         # value before re-reading the key then never pairs the cleared
         # value with the old key (ALTIndex.batch_get).
         self.np_keys[slot] = 0
-        self.np_state[slot] = TOMBSTONE if tombstone else EMPTY
+        self.np_state[slot] = TOMBSTONE
         self.values[slot] = None
         self.versions.write_end(slot)
         self._trace_write(slot)
@@ -311,7 +304,7 @@ class GPLModel:
         state = self.state_mv[slot]
         key = self.keys_mv[slot]
         value = self.values[slot]
-        self.clear_slot(slot, tombstone=True)
+        self.clear_slot(slot)
         return (key, value) if state == FULL else None
 
     # -- bulk loading -------------------------------------------------------

@@ -14,7 +14,7 @@ spill to the ART layer.  Expansion is incremental (no blocking rebuild):
    insertions as the old model held, the old model's remaining keys are
    migrated and the model pointer is swapped.
 
-The old model's last key bound carries over so routing is unchanged, and
+The new model keeps the old one's first key, so routing is unchanged, and
 the new model inherits the fast pointer index.  The retired model keeps
 pointing at the expansion, so a reader still inside it reaches the
 buffer.  After a swap, ART keys
@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro import chaos
-from repro.core.learned_layer import EMPTY, FULL, TOMBSTONE, GPLModel, LearnedLayer
+from repro.core.learned_layer import FULL, GPLModel, LearnedLayer
 from repro.obs import metrics as obs_metrics
 from repro.sim.trace import MemoryMap
 
@@ -57,7 +57,6 @@ class ExpansionBuffer:
             memory,
             tag,
         )
-        self.buffer.last_key = model.last_key
         # The buffer becomes the live model at the swap; sharing the
         # lock keeps writers queued on the old model serialized with it.
         self.buffer.writer_lock = model.writer_lock
@@ -80,24 +79,21 @@ class ExpansionBuffer:
         if state == FULL:
             # Evict the old occupant to the buffer, tombstoning its slot.
             self._place(resident, resident_val, spill)
-            old.clear_slot(old_slot, tombstone=True)
+            old.clear_slot(old_slot)
         new = self._place(key, value, spill)
         self.inserted += 1
         return new
 
     def _place(self, key: int, value, spill: SpillFn) -> bool:
+        """Write ``key`` into its buffer slot, or ``spill`` it when another
+        key holds the slot; True when the key was new there."""
         buf = self.buffer
         slot = buf.slot_of(key)
         state, resident, _ = buf.read_slot(slot)
-        if state == FULL:
-            if resident == key:
-                buf.write_slot(slot, key, value)
-                return False
+        if state == FULL and resident != key:
             return spill(key, value)
         buf.write_slot(slot, key, value)
-        if key > buf.last_key:
-            buf.last_key = key
-        return True
+        return state != FULL
 
     def _resident(self, key: int) -> tuple[int, object] | None:
         """``(slot, value)`` of ``key`` in the buffer, or None when the
@@ -122,7 +118,7 @@ class ExpansionBuffer:
         """Tombstone a buffer-resident key."""
         hit = self._resident(key)
         if hit is not None:
-            self.buffer.clear_slot(hit[0], tombstone=True)
+            self.buffer.clear_slot(hit[0])
         return hit is not None
 
     @property
@@ -142,13 +138,7 @@ class ExpansionBuffer:
         """Migrate the old model's remaining keys and return the new model."""
         for key, value in self.old.iter_slots():
             chaos.point("retrain.migrate")
-            slot = self.buffer.slot_of(key)
-            state, resident, _ = self.buffer.read_slot(slot)
-            if state == FULL:
-                if resident != key:
-                    spill(key, value)
-                continue
-            self.buffer.write_slot(slot, key, value)
+            self._place(key, value, spill)
         self.buffer.build_size = self.buffer.occupancy()
         self.buffer.insert_count = 0
         return self.buffer

@@ -18,7 +18,7 @@ from repro.art.nodes import (
     common_prefix_len,
     encode_key,
 )
-from repro.art.tree import _OVERLAY_FRACTION, _REMOVED, AdaptiveRadixTree
+from repro.art.tree import _OVERLAY_FRACTION, _REMOVED, NO_RUNS, AdaptiveRadixTree
 from repro.sim.trace import NULL_TRACE, LineSpan, MemoryMap, line_count, tracer
 
 
@@ -667,6 +667,15 @@ class TestConcurrentART:
         assert len(tree) == 20_000
 
 
+def publish(tree, keys=()):
+    """Build the empty ``tree`` from sorted ``keys`` (each its own value)
+    and publish them as its main run, as ``ALTIndex.bulk_load`` does."""
+    keys = np.array(keys, dtype=np.uint64)
+    values = np.array(keys.tolist(), dtype=object)
+    tree.build_sorted(keys, values)
+    tree.publish_main(keys, values)
+
+
 def run_pairs(tree):
     """The sorted (key, value) pairs the tree's published runs stand for:
     main with the overlay's values and removals applied."""
@@ -692,12 +701,13 @@ def assert_runs_match(tree, probe=()):
 
 class TestSortedView:
     """``lookup_sorted`` searches two sorted runs: a frozen main run,
-    built by one walk (or published after ``build_sorted``), and a small
-    overlay patched from the change delta the public mutators record.
-    Main plus overlay must always stand for a fresh walk (``items``)."""
+    published after ``build_sorted``, and a small overlay patched from
+    the change delta the public mutators record.  Main plus overlay
+    must always stand for a fresh walk (``items``)."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_differential_against_items(self, tree, seed):
+        publish(tree)  # an empty main: the first records fold it
         rnd = random.Random(seed)
         # A small universe so re-inserts and removes of present keys are
         # common; the extremes exercise the uint64 boundaries.
@@ -731,8 +741,7 @@ class TestSortedView:
             assert not any(r.flags.writeable for r in runs)
 
     def test_unchanged_tree_returns_the_same_view(self, tree):
-        for k in range(100):
-            tree.insert(k * 3, k)
+        publish(tree, range(0, 300, 3))
         runs = tree._fresh_runs()
         assert tree._fresh_runs() is runs
         tree.insert(5, "x", upsert=False)  # new key
@@ -747,8 +756,7 @@ class TestSortedView:
         """Main is rebuilt only when the overlay outgrows its bound; after
         any lookup the overlay is within it."""
         keys = list(range(0, 3200, 10))
-        tree.build_sorted(keys, keys)
-        tree.publish_main(np.array(keys, dtype=np.uint64), np.array(keys, dtype=object))
+        publish(tree, keys)
         main = tree._view[0][0]
         bound = len(main) // _OVERLAY_FRACTION
         for i in range(bound):
@@ -768,11 +776,12 @@ class TestSortedView:
         tree.build_sorted(keys, values)
         assert tree._view is None  # not seeded by itself
         tree.publish_main(np.array(keys, dtype=np.uint64), np.array(values, dtype=object))
-        monkeypatch.setattr(tree, "_walk_main", None)  # a walk would fail
+        monkeypatch.setattr(tree, "search", None)  # a per-key search would fail
         assert tree.lookup_sorted([9, 4, 2**64 - 1]) == ["b", None, "d"]
         tree.remove(9)
         tree.insert(4, "e")
         assert tree.lookup_sorted([9, 4, 3]) == [None, "e", "a"]
+        monkeypatch.undo()
         assert_runs_match(tree, keys + [4])
 
     def test_no_delta_is_recorded_without_a_view(self, tree):
@@ -781,6 +790,8 @@ class TestSortedView:
         tree.remove(7)
         tree.bulk_insert([1000, 1001], ["a", "b"])
         assert tree._view is None
+        assert tree.lookup_sorted([7, 8, 1001]) == [None, 8, "b"]  # searched
+        assert tree._view is None and tree.search_runs(8) is NO_RUNS
 
     def test_art_baseline_keeps_no_runs(self):
         """The ART baseline never batch-reads the runs, so its bulk load
@@ -794,51 +805,45 @@ class TestSortedView:
         assert idx.batch_get([1, 2, 4]) == [None, "x", 4]
         assert idx.tree._view is None
 
-    def test_delta_larger_than_the_view_is_dropped(self, tree):
-        for k in range(50):
-            tree.insert(k * 10, k)
-        tree.lookup_sorted([])
-        for k in range(50):  # 50 changes: the delta equals main's size
-            tree.insert(k * 10 + 1, k)
-        assert tree._view is not None and len(tree._view[1]) == 50
+    def test_delta_larger_than_main_is_folded_not_dropped(self, tree):
+        """With no batch reader, the record that grows the delta past
+        main's key count folds it into a new main; the runs stay."""
+        keys = list(range(0, 500, 10))
+        publish(tree, keys)
+        main = tree._view[0][0]
+        for k in keys:  # 50 changes: the delta equals main's size
+            tree.insert(k + 1, k)
+        assert tree._view[0][0] is main and len(tree._view[1]) == 50
         tree.remove(0)  # the 51st change outgrows the 50-key main
-        assert tree._view is None
-        tree.insert(123_456, "after")  # nothing is recorded once dropped
-        assert tree._view is None
-        assert_runs_match(tree, [0, 1, 11, 123_456])
-        assert tree._view[1] == {}
+        assert tree._view is not None
+        runs, delta = tree._view
+        assert delta == {} and runs[0] is not main and not len(runs[2])
+        assert len(runs[0]) == len(tree) == 99
+        probe = keys + [k + 1 for k in keys] + [5, 2**64 - 1]
+        assert [tree.search_runs(k) for k in probe] == [tree.search(k) for k in probe]
+        assert_runs_match(tree, probe)
 
-    def test_writer_thread_changes_are_not_lost(self, tree):
-        """A writer thread runs while two reader threads walk the first
-        main run and merge later overlays; keys the writer never touches
-        always resolve, and after it joins the runs are exact."""
+    @staticmethod
+    def _race(reader, writer) -> list:
+        """Run ``writer`` against two ``reader(bad)`` threads on a finely
+        interleaved schedule; the readers loop until the writer is done
+        and append what they found wrong to ``bad``."""
         import sys
 
-        for k in range(0, 20_000, 2):
-            tree.insert(k, k)
-        # Even keys k with (k + 1) % 3 != 0 are never removed.
-        stable = [k for k in range(0, 20_000, 2) if (k + 1) % 3][::7]
         started, done = threading.Event(), threading.Event()
-        bad = []
+        bad: list = []
 
-        def writer():
+        def write():
             started.set()
-            for k in range(1, 20_000, 2):
-                tree.insert(k, -k)
-                if k % 3 == 0:
-                    tree.remove(k - 1)
+            writer()
             done.set()
 
-        def reader():
+        def read():
             started.wait(10)
             while not done.is_set():
-                if tree.lookup_sorted(stable) != stable:
-                    bad.append("stable key lost")
-                mkeys, _, okeys, _ = tree._fresh_runs()
-                if not (np.all(mkeys[1:] > mkeys[:-1]) and np.all(okeys[1:] > okeys[:-1])):
-                    bad.append("unsorted run")
+                reader(bad)
 
-        threads = [threading.Thread(target=f) for f in (reader, reader, writer)]
+        threads = [threading.Thread(target=f) for f in (read, read, write)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # interleave the threads finely
         try:
@@ -850,8 +855,57 @@ class TestSortedView:
             done.set()
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert not bad
+        return bad
+
+    @staticmethod
+    def _churn(tree, hi: int) -> None:
+        """Insert every odd key below ``hi`` and remove the even key
+        before each odd multiple of 3."""
+        for k in range(1, hi, 2):
+            tree.insert(k, -k)
+            if k % 3 == 0:
+                tree.remove(k - 1)
+
+    def test_writer_thread_changes_are_not_lost(self, tree):
+        """A writer thread runs while two reader threads merge the delta
+        into the runs; keys the writer never touches always resolve, and
+        after it joins the runs are exact."""
+        publish(tree, range(0, 20_000, 2))
+        # Even keys k with (k + 1) % 3 != 0 are never removed.
+        stable = [k for k in range(0, 20_000, 2) if (k + 1) % 3][::7]
+
+        def reader(bad):
+            if tree.lookup_sorted(stable) != stable:
+                bad.append("stable key lost")
+            mkeys, _, okeys, _ = tree._fresh_runs()
+            if not (np.all(mkeys[1:] > mkeys[:-1]) and np.all(okeys[1:] > okeys[:-1])):
+                bad.append("unsorted run")
+
+        assert not self._race(reader, lambda: self._churn(tree, 20_000))
         assert_runs_match(tree, range(20_000))
+
+    def test_writer_thread_folds_are_not_lost(self, tree):
+        """As above, but the readers only read the runs, so the writer's
+        own records fold the delta into main, several times."""
+        publish(tree, range(0, 1_000, 2))
+        main = tree._view[0][0]
+        stable = [k for k in range(0, 1_000, 2) if (k + 1) % 3]
+
+        def reader(bad):
+            for k in stable:
+                v = tree.search_runs(k)
+                if (tree.search(k) if v is NO_RUNS else v) != k:
+                    bad.append(("stable key lost", k, v))
+            mkeys = tree._view[0][0]
+            if not np.all(mkeys[1:] > mkeys[:-1]):
+                bad.append("unsorted main")
+
+        assert not self._race(reader, lambda: self._churn(tree, 16_000))
+        assert len(tree._view[0][0]) > 8 * len(main)  # folded by the writer
+        assert [tree.search_runs(k) for k in range(16_000)] == [
+            tree.search(k) for k in range(16_000)
+        ]
+        assert_runs_match(tree, range(16_000))
 
 
 class TestConcurrentInsertRaces:

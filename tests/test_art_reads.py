@@ -17,7 +17,7 @@ import pytest
 
 import repro.art.tree as tree_module
 from repro import ALTIndex
-from repro.art.tree import NO_RUNS, AdaptiveRadixTree
+from repro.art.tree import AdaptiveRadixTree
 from repro.chaos.dpor import explore_protocol
 from repro.concurrency.retry import BoundedRetry
 from repro.concurrency.version_lock import RestartException
@@ -125,14 +125,15 @@ class TestGetFromTheRuns:
         t.do("scan", U64_MAX - 1, 5)
         t.do("remove", U64_MAX)
 
-        # A delta overflow drops the runs; gets fall back to the tree.
+        # The runs survive a delta overflow: the write that causes it
+        # folds main, and gets keep reading the runs.
+        main = art._view[0][0]
         for k, _ in art.items():
             t.do("remove", k)
         for k in rest:  # conflict inserts: new keys in the delta
-            if art._view is None:
-                break
             t.do("insert", k, ("r", k))
-        assert art._view is None and art.search_runs(art_keys[0]) is NO_RUNS
+        assert art._view[0][0] is not main, "no fold"
+        assert all(art.search_runs(k) == v for k, v in art.items())
         t.do("insert", art_keys[0], "back")
         assert t.do("get", art_keys[0]) == "back"
         t.check_all()
@@ -193,9 +194,9 @@ class TestGetFromTheRuns:
                     resume.wait(10)
                 super().__setitem__(k, v)
 
-        runs, delta, merging = art._view
-        assert not delta and merging is None
-        art._view = (runs, PausingDelta(), None)
+        runs, delta = art._view
+        assert not delta
+        art._view = (runs, PausingDelta())
         writer = threading.Thread(name="writer", target=lambda: idx.insert(key, "new"))
         writer.start()
         try:
@@ -350,8 +351,8 @@ class TestViewRace:
     def test_getters_never_read_an_older_upsert_during_a_merge(self):
         """Getters of ART-resident keys run while a writer thread upserts
         increasing versions and merges them with ``batch_get``.  One
-        getter must never see a key's version go back: a read during a
-        merge must still see the changes the merge swapped out."""
+        getter must never see a key's version go back: a read racing a
+        merge must still see every change recorded before it."""
         load, _ = osm_split()
         idx = ALTIndex.bulk_load(load, [0] * len(load), memory=MemoryMap())
         keys = [k for k, _ in idx.art.items()]  # a merge of all of them is slow

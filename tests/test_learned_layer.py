@@ -44,8 +44,6 @@ class TestGPLModel:
         assert m.read_slot(3) == (FULL, 3, "v")
         m.clear_slot(3)
         assert m.read_slot(3) == (TOMBSTONE, None, None)
-        m.clear_slot(3, tombstone=False)
-        assert m.read_slot(3) == (EMPTY, None, None)
 
     def test_write_over_tombstone(self, mem):
         m = GPLModel(0, 1.0, 4, mem, "t")
@@ -106,7 +104,7 @@ class TestGPLModel:
             if op in (0, 1):
                 m.write_slot(s, s, step)
             elif op == 2:
-                m.clear_slot(s, tombstone=bool(rng.integers(2)))
+                m.clear_slot(s)
             else:
                 m.versions.write_begin(s)  # a writer dies holding the latch
                 m.recover_slot(s)
@@ -153,7 +151,6 @@ def per_key_placement(model, keys: np.ndarray, values) -> list:
         else:
             conflicts.append((k, values[i]))
     model.build_size = int(win.sum())
-    model.last_key = int(keys[-1])
     return conflicts
 
 
@@ -191,7 +188,7 @@ def placement_inputs(draw):
 
 class TestPlacementParity:
     """Array placement against the per-key loop: same slots, keys, build
-    sizes, last keys and conflict order, and the same value objects."""
+    sizes and conflict order, and the same value objects."""
 
     @staticmethod
     def _assert_same_model(m, ref):
@@ -200,7 +197,7 @@ class TestPlacementParity:
         full = np.flatnonzero(m.np_state == FULL).tolist()
         assert all(type(m.read_slot(s)[1]) is int for s in full)
         assert all(same_value(a, b) for a, b in zip(m.values, ref.values))
-        assert (m.build_size, m.last_key) == (ref.build_size, ref.last_key)
+        assert m.build_size == ref.build_size
 
     @staticmethod
     def _assert_same_conflicts(ckeys, cvals, ref):
