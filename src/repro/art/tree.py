@@ -388,6 +388,21 @@ class AdaptiveRadixTree:
                 out[i] = None
         return out
 
+    def sorted_keys(self) -> np.ndarray:
+        """Every key of the tree, ascending, as a uint64 array.
+
+        From the runs: main with the overlay folded in by
+        :func:`_patch_run`, the fold a merge makes, on copies.  On a tree
+        with no runs, or while a public write is in flight (when
+        :meth:`search_runs` declines), from one :meth:`items` walk.
+        """
+        if self._writing or self._view is None:
+            return np.fromiter((k for k, _ in self.items()), dtype=np.uint64)
+        mkeys, mvals, okeys, ovals = self._fresh_runs()
+        if len(okeys):
+            mkeys, _ = _patch_run((mkeys, mvals), okeys, ovals, drop_removed=True)
+        return mkeys
+
     def search_runs(self, key: int):
         """``key``'s value from the runs, ``None`` where absent, or
         :data:`NO_RUNS` on a tree with no runs (no :meth:`publish_main`).

@@ -273,11 +273,19 @@ class ALTIndex(OrderedIndex):
     # ------------------------------------------------------------------
     def get(self, key: int):
         obs_health.tick(self)
-        i, model = self._route(key)
-        if model is None:
+        layer = self._layer
+        if not layer.models:
             return self._art.search(key)
-        slot = model.slot_of(key)
-        state, resident, value = self._read_slot_recovering(model, slot, False)
+        try:
+            i, model, slot, state, resident, value = layer.probe(key)
+        except StuckWriterError:
+            # The probed slot's writer died holding its latch: recover
+            # as _read_slot_recovering does.  The route and slot are
+            # the probe's unless a swap retired the model meanwhile.
+            i, model = layer.route(key)
+            slot = model.slot_of(key)
+            self._recover_stuck_slot(model, slot, False)
+            state, resident, value = model.read_slot(slot)
         if state == FULL and resident == key:
             return value
         exp = model.expansion

@@ -61,7 +61,7 @@ from typing import Iterator
 import numpy as np
 
 from repro import chaos
-from repro.concurrency.retry import DEFAULT_RETRY, acquire_writer_lock
+from repro.concurrency.retry import DEFAULT_RETRY, RetryState, acquire_writer_lock
 from repro.concurrency.version_lock import SlotVersionArray
 from repro.core.errors import KeysNotSortedError
 from repro.core.gpl import Segment, gpl_partition
@@ -233,16 +233,19 @@ class GPLModel:
             t.writes.append(self._bitmap_line(slot))
 
     # -- slot access (§III-E seqlock protocol) ------------------------------
-    def read_slot(self, slot: int) -> tuple[int, int | None, object]:
+    def read_slot(
+        self, slot: int, retry: RetryState | None = None
+    ) -> tuple[int, int | None, object]:
         """Optimistically read a slot; returns (state, key, value).
 
         The validate-retry loop is bounded; a slot held latched past the
         budget (a writer that died mid-latch) raises
         :class:`repro.concurrency.retry.StuckWriterError` from
-        ``read_begin`` — see :meth:`recover_slot`.
+        ``read_begin`` — see :meth:`recover_slot`.  ``retry`` carries on
+        the retry state of a read that already failed validation
+        (:meth:`LearnedLayer.probe`'s inline read).
         """
         self._trace_read(slot)
-        retry = None
         while True:
             v = self.versions.read_begin(slot)
             chaos.point("gpl.read_fields")
@@ -692,6 +695,54 @@ class LearnedLayer:
                 hi = mid
         i = lo - 1
         return (0, self.models[0]) if i < 0 else (i, self.models[i])
+
+    def probe(self, key: int) -> tuple[int, GPLModel, int, int, int | None, object]:
+        """Algorithm 2 lines 2-4 for one key, in one call: the route,
+        the predicted slot and its seqlocked read.  Returns ``(index,
+        model, slot, state, resident_key, value)``; ``resident_key`` and
+        ``value`` are ``None`` unless ``state`` is FULL.  The scalar
+        twin of :meth:`probe_live`; the layer must have a model.
+
+        Traced, it is :meth:`route` + :meth:`GPLModel.slot_of` +
+        :meth:`GPLModel.read_slot`, so the modeled touches are theirs.
+        Untraced, it does the same steps inline: the bisection of
+        ``route``, the multiply and clamp of ``slot_of``, and one pass of
+        ``read_slot``'s seqlocked read, the only copy of it.  A slot
+        whose version is odd, or changed under the read, goes on to
+        :meth:`GPLModel.read_slot` (continuing its retry state), which
+        waits out a writer and raises
+        :class:`repro.concurrency.retry.StuckWriterError` for a dead one.
+        """
+        if current_tracer() is not None:
+            i, model = self.route(key)
+            slot = model.slot_of(key)
+            return (i, model, slot, *model.read_slot(slot))
+        i = bisect.bisect_right(self._first_key_list, key) - 1
+        if i < 0:
+            i = 0
+        model = self.models[i]
+        slot = int(model.slope_eff * (key - model.first_key))
+        if slot < 0:
+            slot = 0
+        elif slot >= model.n_slots:
+            slot = model.n_slots - 1
+        versions = model.versions._versions
+        v = versions[slot]
+        if v & 1:
+            return (i, model, slot, *model.read_slot(slot))
+        chaos.point("gpl.read_fields")
+        # Through model: a compaction rebinds the views.
+        resident = model.keys_mv[slot]
+        value = model.values[slot]
+        # An idle slot's key is nonzero only when it is FULL.
+        state = FULL if resident else model.state_mv[slot]
+        if versions[slot] != v:
+            retry = DEFAULT_RETRY.begin("gpl.read_slot")
+            retry.step(slot=slot)
+            return (i, model, slot, *model.read_slot(slot, retry))
+        if state == FULL:
+            return i, model, slot, FULL, resident, value
+        return i, model, slot, state, None, None
 
     def next_first_key(self, index: int) -> int | None:
         """First key of the model after ``index`` (fast pointer pairing)."""

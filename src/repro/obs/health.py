@@ -49,7 +49,6 @@ import numpy as np
 from repro.obs import metrics as obs_metrics
 from repro.sim.trace import CostTrace, tracer
 
-_KEY_MAX = 2**64 - 1
 
 #: snapshot path -> gauge name, published when a registry is active.
 _GAUGES = {
@@ -139,11 +138,7 @@ def sample_health(index, max_models: int = 32) -> dict:
     # Private trace: the sampling walk (ART iteration, slot reads) must
     # never leak into the ambient operation trace.
     with tracer(CostTrace()):
-        art_keys = np.fromiter(
-            (k for k, _ in index.art.items(0, _KEY_MAX)),
-            dtype=np.uint64,
-        )
-        art_keys.sort()
+        art_keys = index.art.sorted_keys()
 
         total_slots = 0
         total_live = 0

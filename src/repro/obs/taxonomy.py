@@ -75,7 +75,11 @@ _ART = "repro.art.tree"
 #: up.  A call nested in another target's call is charged to its own
 #: span (self-time), so a span names the code that runs, not its caller.
 SPAN_TARGETS: dict[str, tuple[tuple[str, str, str], ...]] = {
-    "alt.model_probe": ((_LL, "LearnedLayer", "route"), (_LL, "GPLModel", "slot_of")),
+    "alt.model_probe": (
+        (_LL, "LearnedLayer", "probe"),
+        (_LL, "LearnedLayer", "route"),
+        (_LL, "GPLModel", "slot_of"),
+    ),
     "alt.gpl_probe": (
         (_LL, "GPLModel", "read_slot"),
         (_LL, "GPLModel", "write_slot"),

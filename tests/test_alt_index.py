@@ -10,7 +10,7 @@ import pytest
 from repro.art.tree import AdaptiveRadixTree
 from repro.core import alt_index
 from repro.core.alt_index import ALTIndex
-from repro.core.learned_layer import EMPTY, FULL, TOMBSTONE, GPLModel, LearnedLayer
+from repro.core.learned_layer import EMPTY, FULL, TOMBSTONE, LearnedLayer
 from repro.core.retrain import ExpansionBuffer, finish_expansion
 from repro.datasets.generators import dataset
 from repro.shard.sharded import ShardedALTIndex
@@ -715,7 +715,7 @@ class TestConcurrentALT:
         old = idx.layer.models[0]
         evicted, read_done, swapped = threading.Event(), threading.Event(), threading.Event()
         finish = alt_index.finish_expansion
-        read_slot = GPLModel.read_slot
+        probe = LearnedLayer.probe
 
         def paused_finish(layer, index, spill):
             # insert(170) started an expansion and evicted 163 from slot
@@ -729,15 +729,15 @@ class TestConcurrentALT:
             swapped.set()
             return new
 
-        def paused_read(model, slot):
-            out = read_slot(model, slot)
-            if threading.current_thread().name == "reader" and model is old:
+        def paused_probe(layer, key):
+            out = probe(layer, key)
+            if threading.current_thread().name == "reader" and out[1] is old:
                 read_done.set()
                 swapped.wait(timeout=5)
             return out
 
         monkeypatch.setattr(alt_index, "finish_expansion", paused_finish)
-        monkeypatch.setattr(GPLModel, "read_slot", paused_read)
+        monkeypatch.setattr(LearnedLayer, "probe", paused_probe)
         got = []
         writer = threading.Thread(target=idx.insert, args=(170, "v170"))
         reader = threading.Thread(target=lambda: got.append(idx.get(163)), name="reader")
@@ -751,6 +751,46 @@ class TestConcurrentALT:
         assert idx.layer.models[0] is not old
         assert got == ([None] if clear else ["v163"])
         assert idx.get(163) == "v163"
+
+    def test_switch_heavy_readers_find_every_loaded_key(self, sorted_keys):
+        """Readers probe loaded keys while more writer threads than cores
+        insert their neighbours (driving expansions), preempted every
+        10 µs: every read of a loaded key must find it."""
+        half = sorted_keys[::2].copy()
+        rest = [int(k) for k in sorted_keys[1::2]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for trial in range(2):
+                idx = ALTIndex.bulk_load(half, memory=MemoryMap())
+                misses, stop = [], threading.Event()
+
+                def writer(chunk, idx=idx):
+                    for k in chunk:
+                        idx.insert(k, k)
+
+                def reader(seed, idx=idx, misses=misses, stop=stop):
+                    loaded = half.tolist()
+                    rng = np.random.default_rng([trial, seed])
+                    while not stop.is_set():
+                        for i in rng.integers(0, len(loaded), 100).tolist():
+                            if idx.get(loaded[i]) != loaded[i]:
+                                misses.append(loaded[i])
+
+                writers = [threading.Thread(target=writer, args=(rest[i::4],)) for i in range(4)]
+                readers = [threading.Thread(target=reader, args=(j,)) for j in range(2)]
+                for t in readers + writers:
+                    t.start()
+                for t in writers:
+                    t.join(timeout=60)
+                stop.set()
+                for t in readers:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in readers + writers)
+                assert idx.expansions > 0
+                assert misses == []
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_switch_heavy_writers_lose_no_key(self, sorted_keys):
         """More writer threads than cores, preempted every 10 µs: every

@@ -104,6 +104,62 @@ class TestSampleHealth:
         # Spilled keys reshape the rank structure the stale fit predicts.
         assert churned["drift"]["rmse_max"] >= base["drift"]["rmse_max"]
 
+    def test_art_keys_from_the_runs_match_a_walk(self, monkeypatch):
+        """The spill population comes from the ART's sorted runs (main
+        with the overlay folded in), not a whole-tree walk: after scalar
+        and batch churn the keys equal the walk's, and the snapshot and
+        ``stats()`` are the ones a walk gives."""
+        from repro.art.tree import AdaptiveRadixTree
+
+        keys = _keys(6000)
+        index = ALTIndex.bulk_load(keys[::2])
+        art = index.art
+        for k in keys[2:1200:2].tolist():
+            index.insert(k + 1, k)  # spills to the ART
+        index.batch_insert(keys[1200:2400:2] + np.uint64(1))
+        index.batch_remove(keys[600:1800:4] + np.uint64(1))
+        for k in keys[2:400:4].tolist():
+            index.remove(k + 1)
+        index.batch_get(keys[::3])  # merges the delta (folds main)
+        for k in keys[2400:2440:2].tolist():
+            index.insert(k + 1, k)
+        index.batch_get(keys[::3])  # merges it into the overlay
+        for k in keys[2440:2480:2].tolist():
+            index.insert(k + 1, k)  # a delta again
+
+        def walked(tree):
+            return np.fromiter((k for k, _ in tree.items()), dtype=np.uint64)
+
+        runs, delta = art._view
+        assert len(runs[2]) and delta  # overlay and delta both folded in
+        assert art.sorted_keys().tolist() == walked(art).tolist()
+        snap = sample_health(index)
+        stats = index.stats()
+        monkeypatch.setattr(AdaptiveRadixTree, "sorted_keys", walked)
+        assert sample_health(index) == snap
+        assert index.stats() == stats
+        assert stats["art_keys"] == snap["art_keys"] == len(art)
+
+    def test_art_keys_walk_without_runs_or_during_a_write(self):
+        from repro.art.tree import AdaptiveRadixTree
+
+        keys = _keys(2000)
+        bare = AdaptiveRadixTree()
+        for k in keys[::-1].tolist():
+            bare.insert(k, k)
+        assert bare._view is None  # runs come only from publish_main
+        assert bare.sorted_keys().tolist() == keys.tolist()
+
+        loaded = ALTIndex.bulk_load(keys[::2])
+        art = loaded.art
+        art.insert(int(keys[1]) + 1, 0)
+        art._begin_write()  # a write in flight: the runs may lack it
+        try:
+            art._root = None  # ...so only a walk sees what the tree holds
+            assert art.sorted_keys().tolist() == []
+        finally:
+            art._record(())
+
     def test_max_models_strides_sampling(self):
         index = ALTIndex.bulk_load(_keys(6000))
         full = sample_health(index)

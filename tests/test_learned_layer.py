@@ -14,7 +14,7 @@ from repro.core.learned_layer import (
     LearnedLayer,
     model_bytes,
 )
-from repro.sim.trace import MemoryMap, tracer
+from repro.sim.trace import CostTrace, MemoryMap, tracer
 
 
 @pytest.fixture
@@ -414,3 +414,144 @@ class TestOverflowAndReplace:
         layer.replace_model(0, new)
         assert layer.models[0] is new
         assert new.fast_index == 7
+
+
+def reference_probe(layer, key):
+    """What ``LearnedLayer.probe`` inlines: route, slot_of, read_slot."""
+    i, model = layer.route(key)
+    slot = model.slot_of(key)
+    return (i, model, slot, *model.read_slot(slot))
+
+
+class TestProbe:
+    """``LearnedLayer.probe`` inlines Algorithm 2 lines 2-4 for untraced
+    reads; it must answer exactly as ``route`` + ``slot_of`` +
+    ``read_slot`` do, and traced it must record their touches."""
+
+    @staticmethod
+    def _assert_matches_reference(layer, probes) -> set:
+        states = set()
+        for k in probes:
+            got = layer.probe(k)
+            ref = reference_probe(layer, k)
+            assert got[:4] == ref[:4], k
+            assert got[4] == ref[4] and same_value(got[5], ref[5]), k
+            t_ref, t_got = CostTrace(), CostTrace()
+            with tracer(t_ref):
+                reference_probe(layer, k)
+            with tracer(t_got):
+                assert layer.probe(k)[:5] == ref[:5]
+            assert t_got.scalars() == t_ref.scalars() and t_got.reads == t_ref.reads
+            states.add(got[3])
+        return states
+
+    @staticmethod
+    def _probes(keys) -> list[int]:
+        """Each key and its neighbours (which mostly predict free slots)."""
+        ks = np.asarray(keys, dtype=np.uint64).tolist()
+        return sorted({k + d for k in ks for d in (-1, 0, 1) if 0 <= k + d < 2**64})
+
+    def test_full_empty_and_tombstone_slots(self, sorted_keys):
+        layer, _ = build_layer(sorted_keys)
+        for k in sorted_keys[::50].tolist():
+            _, model, slot, state, resident, _ = layer.probe(k)
+            if state == FULL and resident == k:
+                model.clear_slot(slot)
+        states = self._assert_matches_reference(layer, self._probes(sorted_keys[::7]))
+        assert states == {EMPTY, FULL, TOMBSTONE}
+
+    def test_keys_below_model_zero_and_clamped_to_a_last_slot(self, sorted_keys):
+        layer, _ = build_layer(sorted_keys + np.uint64(1000))
+        fks = [m.first_key for m in layer.models]
+        probes = [0, 1, 999, fks[0] - 1, *(f - 1 for f in fks[1:]), fks[-1] + 2**40, 2**64 - 1]
+        self._assert_matches_reference(layer, probes)
+        assert layer.probe(0)[:3] == (0, layer.models[0], 0)
+        last = layer.models[-1]
+        assert layer.probe(2**64 - 1)[1:3] == (last, last.n_slots - 1)
+
+    def test_key_zero_in_slot_zero(self, sorted_keys):
+        keys = np.concatenate([np.zeros(1, dtype=np.uint64), sorted_keys])
+        layer, _ = build_layer(keys)
+        _, model, slot, state, resident, value = layer.probe(0)
+        assert (slot, state, resident, value) == (0, FULL, 0, 0)
+        self._assert_matches_reference(layer, [0, 1, 2])
+        model.clear_slot(0)
+        assert layer.probe(0)[3:] == (TOMBSTONE, None, None)
+        self._assert_matches_reference(layer, [0, 1, 2])
+
+    def test_model_under_expansion(self, small_keys):
+        from repro.core.alt_index import ALTIndex
+
+        idx = ALTIndex.bulk_load(small_keys, memory=MemoryMap())
+        for k in small_keys[1:].tolist():
+            idx.insert(k + 1, k)  # off-by-one neighbours start an expansion
+            if any(m.expansion is not None for m in idx.layer.models):
+                break
+        i = next(i for i, m in enumerate(idx.layer.models) if m.expansion is not None)
+        model = idx.layer.models[i]
+        hi = idx.layer.next_first_key(i) or 2**64 - 1
+        inside = [k for k in small_keys.tolist() if model.first_key <= k < hi]
+        states = self._assert_matches_reference(idx.layer, self._probes(inside))
+        assert TOMBSTONE in states  # the expansion's evictions
+
+    def test_waits_out_a_parked_writer(self, sorted_keys, monkeypatch):
+        """A writer parked at ``gpl.slot_fields`` holds the slot's version
+        odd with the key written and the value stale: the probe waits it
+        out and returns the written pair, never the torn one."""
+        import threading
+
+        from repro import chaos
+
+        layer, _ = build_layer(sorted_keys)
+        key = int(sorted_keys[1234])
+        _, model, slot, state, resident, old = layer.probe(key)
+        assert (state, resident) == (FULL, key)
+        parked, release = threading.Event(), threading.Event()
+
+        def point(name):
+            if name == "gpl.slot_fields" and threading.current_thread().name == "writer":
+                parked.set()
+                release.wait(timeout=5)
+
+        monkeypatch.setattr(chaos, "point", point)
+        writer = threading.Thread(
+            target=model.write_slot, args=(slot, key, "new"), name="writer"
+        )
+        writer.start()
+        assert parked.wait(timeout=5)
+        assert model.versions.odd_slots() == [slot]
+        got = []
+        reader = threading.Thread(target=lambda: got.append(layer.probe(key)))
+        reader.start()
+        reader.join(timeout=0.05)
+        assert reader.is_alive()  # waiting on the odd version
+        release.set()
+        writer.join(timeout=5)
+        reader.join(timeout=5)
+        assert not writer.is_alive() and not reader.is_alive()
+        assert got[0][1:] == (model, slot, FULL, key, "new")
+
+    def test_rereads_a_slot_written_under_the_read(self, sorted_keys, monkeypatch):
+        """A write that completes between the probe's version read and
+        its validation sends it on to ``read_slot``, which counts one
+        retry and returns the new pair."""
+        from repro import chaos
+        from repro.obs.metrics import metrics_registry
+
+        layer, _ = build_layer(sorted_keys)
+        key = int(sorted_keys[4321])
+        _, model, slot, *_ = layer.probe(key)
+        fired = []
+
+        def point(name):
+            fired.append(name)
+            if name == "gpl.read_fields" and fired.count(name) == 1:
+                model.write_slot(slot, key, "new")
+
+        monkeypatch.setattr(chaos, "point", point)
+        with metrics_registry() as reg:
+            got = layer.probe(key)
+        assert got[3:] == (FULL, key, "new")
+        assert fired.count("gpl.read_fields") == 2
+        assert "gpl.read_slot.retry" in fired
+        assert reg.snapshot()["counters"]["retry.attempts"] == 1

@@ -313,6 +313,42 @@ class TestDisabledPath:
         assert counts.get("alt.batch_probe") == 2
         assert counts.get("alt.gpl_probe", 0) >= 2  # the slot writes
 
+    def test_scalar_get_probes_once(self, monkeypatch):
+        """An untraced learned-hit ``get`` enters ``alt.model_probe`` once,
+        through ``LearnedLayer.probe``, and reads its slot inline.
+        Traced, the probe's ``route``/``slot_of``/``read_slot`` charge
+        their touches to their own spans: every per-span modeled total is
+        the one a table without the probe entry gives."""
+        from repro.obs.taxonomy import SPAN_TARGETS
+
+        keys = _keys(1500)
+        index = ALTIndex.bulk_load(keys, memory=MemoryMap(), tag="obs")
+        _, _, _, state, resident = index.layer.probe_live(keys)
+        hit = int(keys[(state == 1) & (resident == keys)][7])
+        with profiled() as prof:
+            assert index.get(hit) == index.get(hit)
+        counts = {name: st.count for name, st in prof.totals.items()}
+        assert counts == {"alt.model_probe": 2}
+
+        def traced_totals() -> dict:
+            with profiled() as prof:
+                with tracer():
+                    for k in keys[::3].tolist():
+                        index.get(k)
+            return {
+                name: (st.reads, st.writes, st.scalars)
+                for name, st in prof.totals.items()
+            }
+
+        with_probe = traced_totals()
+        monkeypatch.setitem(
+            SPAN_TARGETS,
+            "alt.model_probe",
+            tuple(t for t in SPAN_TARGETS["alt.model_probe"] if t[2] != "probe"),
+        )
+        assert traced_totals() == with_probe
+        assert with_probe["alt.model_probe"][0] > 0
+
     def test_disabled_guard_cost_fraction_of_traced_op(self):
         # The acceptance bound: with no consumers installed, the span
         # guards must cost well under 5% of a traced operation.  The
