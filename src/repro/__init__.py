@@ -2,7 +2,7 @@
 
 A from-scratch Python reproduction of the ICDE 2025 paper, including the
 ALT-index itself, a full Adaptive Radix Tree substrate, the competitor
-indexes it is evaluated against (ALEX+, LIPP+, XIndex, FINEdex), the
+indexes it is evaluated against (ALEX+, LIPP+, XIndex, FINEdex, ART), the
 datasets and workloads of the evaluation, and a deterministic concurrency
 simulator that regenerates every table and figure of Section IV.
 

@@ -14,25 +14,19 @@ with the same cost tracing and implementing the same
   bins).
 - :mod:`repro.baselines.art_index` — plain ART with optimistic lock
   coupling.
-- :mod:`repro.baselines.btree` — a B+-tree reference baseline.
 - :mod:`repro.baselines.rmi` — the static two-stage RMI substrate.
 """
 
 from repro.baselines.alex import AlexIndex
 from repro.baselines.art_index import ArtIndex
-from repro.baselines.btree import BPlusTreeIndex
 from repro.baselines.finedex import FINEdex
 from repro.baselines.lipp import LippIndex
 from repro.baselines.rmi import TwoStageRMI
 from repro.baselines.xindex import XIndex
 
-ALL_BASELINES = [AlexIndex, LippIndex, FINEdex, XIndex, ArtIndex]
-
 __all__ = [
-    "ALL_BASELINES",
     "AlexIndex",
     "ArtIndex",
-    "BPlusTreeIndex",
     "FINEdex",
     "LippIndex",
     "TwoStageRMI",

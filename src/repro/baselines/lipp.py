@@ -124,11 +124,11 @@ class _LippNode:
 class LippIndex(OrderedIndex):
     """Concurrent LIPP with per-node statistics counters.
 
-    Writers run one at a time under ``_write_lock``, as the B+-tree's do:
-    a subtree rebuild copies every node below it, and an insert or remove
-    racing that copy inside the subtree would be lost or undone.  The
-    per-node lock words are still taken, so traces charge their atomic
-    RMWs; readers stay lock-free (entries are replaced whole).
+    Writers run one at a time under ``_write_lock``: a subtree rebuild
+    copies every node below it, and an insert or remove racing that copy
+    inside the subtree would be lost or undone.  The per-node lock words
+    are still taken, so traces charge their atomic RMWs; readers stay
+    lock-free (entries are replaced whole).
     """
 
     NAME = "LIPP+"

@@ -413,11 +413,7 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.bench.reporting import format_span_table, format_table
     from repro.bench.runner import INDEX_FACTORIES
-    from repro.baselines.btree import BPlusTreeIndex
     from repro.workloads import WORKLOADS
-
-    factories = dict(INDEX_FACTORIES)
-    factories[BPlusTreeIndex.NAME] = BPlusTreeIndex
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.harness",
@@ -439,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--index",
         action="append",
-        choices=sorted(factories),
+        choices=sorted(INDEX_FACTORIES),
         help="index to benchmark (repeatable; default: ALT-index)",
     )
     parser.add_argument(
@@ -466,6 +462,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.batch_size < 1:
         parser.error(f"--batch-size must be >= 1, got {args.batch_size}")
+    if args.lookups < 1:
+        parser.error(f"--lookups must be >= 1, got {args.lookups}")
     if args.workload is not None and not (args.emit_metrics or args.emit_timeline):
         parser.error("--workload needs --emit-metrics or --emit-timeline")
 
@@ -474,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
 
         spec = WORKLOADS[args.workload or "balanced"]
         keys = dataset(args.dataset, args.n, seed=args.seed)
-        cls = factories[args.index[0] if args.index else "ALT-index"]
+        cls = INDEX_FACTORIES[args.index[0] if args.index else "ALT-index"]
         result, profile, recorder, snapshot = run_observed_experiment(
             cls,
             args.dataset,
@@ -502,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.op == "get":
             rows.append(
                 batch_microbenchmark(
-                    factories[name],
+                    INDEX_FACTORIES[name],
                     dataset_name=args.dataset,
                     n=args.n,
                     batch_size=args.batch_size,
@@ -514,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             rows.append(
                 batch_write_microbenchmark(
-                    factories[name],
+                    INDEX_FACTORIES[name],
                     dataset_name=args.dataset,
                     n=args.n,
                     batch_size=args.batch_size,

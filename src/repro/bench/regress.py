@@ -115,19 +115,16 @@ def bench_document(
     snapshot, and the index health snapshot alongside the headline
     throughput/latency numbers.
     """
-    from repro.baselines.btree import BPlusTreeIndex
     from repro.bench.harness import run_observed_experiment
     from repro.bench.runner import INDEX_FACTORIES
     from repro.datasets.generators import dataset as make_dataset
     from repro.sim.engine import SimConfig
     from repro.workloads import WORKLOADS
 
-    factories = dict(INDEX_FACTORIES)
-    factories[BPlusTreeIndex.NAME] = BPlusTreeIndex
     keys = make_dataset(dataset, n_keys, seed=seed)
     spec = WORKLOADS[workload]
     result, profile, _, snapshot = run_observed_experiment(
-        factories[index], dataset, keys, spec,
+        INDEX_FACTORIES[index], dataset, keys, spec,
         threads=threads, n_ops=n_ops, seed=seed,
     )
     cost_model = SimConfig(threads=threads).cost_model
@@ -230,6 +227,9 @@ def main(argv: list[str] | None = None) -> int:
     """
     import argparse
 
+    from repro.bench.runner import INDEX_FACTORIES
+    from repro.workloads import WORKLOADS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.regress",
         description="Record a benchmark point and check it for regressions.",
@@ -243,9 +243,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--bench-id", type=int, default=None)
     parser.add_argument("--no-record", action="store_true",
                         help="do not write a BENCH file (check only)")
-    parser.add_argument("--index", default="ALT-index")
+    parser.add_argument("--index", default="ALT-index", choices=sorted(INDEX_FACTORIES))
     parser.add_argument("--dataset", default="lognormal")
-    parser.add_argument("--workload", default="balanced")
+    parser.add_argument("--workload", default="balanced", choices=sorted(WORKLOADS))
     parser.add_argument("--n", type=int, default=50_000, help="dataset size in keys")
     parser.add_argument("--ops", type=int, default=8_000)
     parser.add_argument("--threads", type=int, default=32)

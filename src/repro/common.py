@@ -1,7 +1,7 @@
 """The ordered-index protocol every index in this repository implements.
 
 The benchmark harness is index-agnostic: ALT-index and every competitor
-(ALEX+, LIPP+, XIndex, FINEdex, ART, B+-tree) expose exactly this
+(ALEX+, LIPP+, XIndex, FINEdex, ART) expose exactly this
 interface, so an experiment is just a cross product of
 (index factory × dataset × workload × thread count).
 """

@@ -547,7 +547,10 @@ class ALTIndex(OrderedIndex):
         if new_count:
             self._bump(new_count)
         obs_metrics.inc("alt.batch_inserts")
-        for i in scalar_is + dup_idx:
+        # In batch order: under an expansion an update counts as an
+        # insert, so a duplicate replayed after a later key's eviction
+        # would advance the expansion further than the scalar loop does.
+        for i in sorted(scalar_is + dup_idx):
             out[i] = self.insert(keys_l[i], values[i])
         return out
 

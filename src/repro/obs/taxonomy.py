@@ -61,7 +61,6 @@ SPAN_TAXONOMY: dict[str, str] = {
     "finedex.model_probe": "FINEdex level-model probe",
     "finedex.bin": "FINEdex per-position insert-bin access",
     "art.descend": "ART trie work: OLC descent, insert/remove, scans, batch passes",
-    "btree.descend": "B+-tree root-to-leaf descent + leaf ops",
     "rmi.predict": "RMI two-stage model prediction",
     "rmi.secondary": "RMI bounded secondary search around the prediction",
 }
@@ -145,10 +144,6 @@ SPAN_TARGETS: dict[str, tuple[tuple[str, str, str], ...]] = {
         ("repro.baselines.finedex", "_LevelBin", "find"),
         ("repro.baselines.finedex", "_LevelBin", "insert"),
         ("repro.baselines.finedex", "_LevelBin", "remove"),
-    ),
-    "btree.descend": tuple(
-        ("repro.baselines.btree", "BPlusTreeIndex", attr)
-        for attr in ("get", "insert", "remove", "scan")
     ),
     "rmi.predict": (("repro.baselines.rmi", "TwoStageRMI", "predict"),),
     "rmi.secondary": (

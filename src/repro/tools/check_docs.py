@@ -1,9 +1,9 @@
 """Doc-link checker: every ``repro.*`` name in the docs must exist.
 
-Scans the given markdown files (default: ``docs/API.md``,
-``docs/ARCHITECTURE.md``, ``docs/BENCHMARKS.md``, ``README.md``) for
-backticked dotted names under the ``repro`` package —
-``` `repro.core.alt_index.ALTIndex` ``` — and resolves each one by
+Scans the given markdown files (default: :data:`DEFAULT_FILES`, the
+four ``docs/`` pages plus ``README.md``, ``DESIGN.md`` and
+``EXPERIMENTS.md``) for backticked dotted names under the ``repro``
+package — ``` `repro.core.alt_index.ALTIndex` ``` — and resolves each one by
 importing the longest importable module prefix and walking the
 remaining attributes with :func:`getattr`.  It also extracts every
 ``python -m repro.…`` invocation inside fenced code blocks and verifies
@@ -43,6 +43,8 @@ DEFAULT_FILES = (
     "docs/BENCHMARKS.md",
     "docs/OBSERVABILITY.md",
     "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
 )
 
 

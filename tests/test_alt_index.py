@@ -1,5 +1,6 @@
 """Tests for the ALTIndex facade (Algorithm 2 and §III-G operations)."""
 
+import contextlib
 import sys
 import threading
 import time
@@ -550,6 +551,68 @@ class TestStatsAndTracing:
         with_ptr = idx.art_path_length(k)
         without = idx.art.lookup_path_length(k)
         assert with_ptr <= without
+
+
+class TestTracedTwin:
+    """A traced op runs the scalar, descent-based twin of each untraced
+    fast path (``ART.search_runs``, vectorized batches); both must leave
+    the same results and the same index behind.  Fast-pointer stats are
+    left out: only a traced descent registers entries."""
+
+    STATS = ("learned_keys", "art_keys", "writebacks", "conflict_inserts",
+             "expansions", "total_slots", "model_count")
+
+    @staticmethod
+    def stream(universe, n_ops, seed=0):
+        """Seeded scalar and batch ops, half of them on a hot eighth of
+        the keys (plus their absent ``k + 1`` neighbours), so models
+        expand; batches of 1-63 keys drawn from half as many."""
+        rng = np.random.default_rng(seed)
+        pool = np.unique(np.concatenate([universe, universe + np.uint64(1)]))
+        hot = pool[: len(pool) // 8]
+        kinds = ("get", "insert", "remove", "scan", "batch_get", "batch_insert", "batch_remove")
+        ops = []
+        for step in range(n_ops):
+            kind = kinds[rng.choice(7, p=(0.15, 0.3, 0.1, 0.05, 0.1, 0.2, 0.1))]
+            src = hot if rng.random() < 0.5 else pool
+            if kind.startswith("batch"):
+                m = int(rng.integers(1, 64))
+                ops.append((kind, rng.choice(rng.choice(src, max(1, m // 2)), m), step))
+            else:
+                ops.append((kind, int(rng.choice(src)), step))
+        return ops
+
+    def replay(self, universe, ops, traced):
+        idx = ALTIndex.bulk_load(universe[::2], epsilon=8, memory=MemoryMap())
+        results = []
+        for kind, arg, step in ops:
+            with tracer() if traced else contextlib.nullcontext():
+                if kind == "insert":
+                    r = idx.insert(arg, step)
+                elif kind == "scan":
+                    r = idx.scan(arg, 20)
+                elif kind == "batch_insert":
+                    r = idx.batch_insert(arg, [step * 100 + j for j in range(len(arg))])
+                else:
+                    r = getattr(idx, kind)(arg)
+            results.append(r.tolist() if isinstance(r, np.ndarray) else r)
+        stats = idx.stats()
+        return results, len(idx), idx.scan(0, len(idx) + 1), {f: stats[f] for f in self.STATS}
+
+    @pytest.mark.parametrize("name", ["fb", "libio", "osm", "longlat"])
+    def test_traced_and_untraced_ops_agree(self, name):
+        universe = np.unique(dataset(name, 16_000, seed=0))
+        ops = self.stream(universe, 2_000)
+        untraced = self.replay(universe, ops, traced=False)
+        assert untraced[3]["expansions"] > 0 and untraced[3]["writebacks"] > 0
+        assert self.replay(universe, ops, traced=True) == untraced
+
+    def test_a_drifted_twin_is_caught(self, monkeypatch):
+        universe = np.unique(dataset("osm", 16_000, seed=0))
+        ops = self.stream(universe, 500)
+        traced = self.replay(universe, ops, traced=True)
+        monkeypatch.setattr(AdaptiveRadixTree, "search_runs", lambda self, key: None)
+        assert self.replay(universe, ops, traced=False) != traced
 
 
 class TestChurnMemory:

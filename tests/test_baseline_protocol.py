@@ -10,28 +10,11 @@ import threading
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    AlexIndex,
-    ArtIndex,
-    BPlusTreeIndex,
-    FINEdex,
-    LippIndex,
-    XIndex,
-)
-from repro.core.alt_index import ALTIndex
+from repro.bench.runner import INDEX_FACTORIES
 from repro.sim.trace import MemoryMap
 
-ALL_INDEXES = [
-    ALTIndex,
-    AlexIndex,
-    LippIndex,
-    FINEdex,
-    XIndex,
-    ArtIndex,
-    BPlusTreeIndex,
-]
-
-IDS = [cls.NAME for cls in ALL_INDEXES]
+ALL_INDEXES = list(INDEX_FACTORIES.values())
+IDS = list(INDEX_FACTORIES)
 
 
 @pytest.fixture(params=ALL_INDEXES, ids=IDS)

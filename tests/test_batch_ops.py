@@ -14,8 +14,8 @@ fast-path invalidation machinery: the ALT-index layer-wide slot arena
 used up), the ART's sorted main run and
 delta-patched overlay, and ALT-index expansion buffers (batch lookups during and after a
 retrain).  The baselines inherit ``BatchIndex``'s per-key loops, so for
-them the same checks cover the scalar paths across ALEX+/B+tree splits
-and XIndex compactions.  A seeded random stream of batch and scalar
+them the same checks cover the scalar paths across ALEX+ splits and
+XIndex compactions.  A seeded random stream of batch and scalar
 writes is checked step by step against a dict oracle on every index.
 """
 
@@ -26,14 +26,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    AlexIndex,
-    ArtIndex,
-    BPlusTreeIndex,
-    FINEdex,
-    LippIndex,
-    XIndex,
-)
+from repro.baselines import AlexIndex, XIndex
+from repro.bench.runner import INDEX_FACTORIES
 from repro.common import BatchIndex
 from repro.core import learned_layer
 from repro.core.alt_index import ALTIndex
@@ -46,17 +40,8 @@ from tests.test_art import assert_runs_match
 
 pytestmark = pytest.mark.batch
 
-ALL_INDEXES = [
-    ALTIndex,
-    AlexIndex,
-    LippIndex,
-    FINEdex,
-    XIndex,
-    ArtIndex,
-    BPlusTreeIndex,
-]
-
-IDS = [cls.NAME for cls in ALL_INDEXES]
+ALL_INDEXES = list(INDEX_FACTORIES.values())
+IDS = list(INDEX_FACTORIES)
 
 
 def scalar_gets(idx, keys):
@@ -130,7 +115,7 @@ class TestBatchGet:
     def test_after_mutations(self, built):
         """Inserts (new + value updates), removes, then re-probe.
 
-        Enough new keys to split ALEX+/B+tree nodes and dirty the
+        Enough new keys to split ALEX+ nodes and dirty the
         ALT-index snapshot, so stale caches would be caught here.
         """
         idx, half, rest, probe = built
@@ -1066,7 +1051,7 @@ def test_generic_fallback_used_by_unoptimized_indexes():
     """The baselines inherit every batch loop from the mixin; only
     ALT-index and the sharded ALT-index override them."""
     ops = ("batch_get", "batch_insert", "batch_remove")
-    for cls in (AlexIndex, BPlusTreeIndex, FINEdex, XIndex, LippIndex, ArtIndex):
+    for cls in (c for c in ALL_INDEXES if c is not ALTIndex):
         for op in ops:
             assert getattr(cls, op) is getattr(BatchIndex, op), (cls.NAME, op)
     for cls in (ALTIndex, ShardedALTIndex):

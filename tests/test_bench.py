@@ -102,6 +102,12 @@ class TestHarnessCli:
         assert exc.value.code == 2
         assert "--workload needs --emit-metrics" in capsys.readouterr().err
 
+    def test_zero_lookups_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--n", "1000", "--lookups", "0"])
+        assert exc.value.code == 2
+        assert "--lookups must be >= 1" in capsys.readouterr().err
+
     def test_emit_metrics_runs_the_named_workload(self, tmp_path):
         out = tmp_path / "metrics.json"
         argv = ["--n", "5000", "--ops", "400", "--threads", "4"]

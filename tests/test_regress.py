@@ -204,3 +204,11 @@ class TestCli:
             "--out-dir", str(tmp_path), "--baseline", str(bad),
         ]) == 1
         assert "is not a" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--index", "--workload"])
+    def test_unknown_name_is_a_usage_error(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--quick", flag, "nope", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
